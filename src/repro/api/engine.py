@@ -788,24 +788,18 @@ class Engine:
             return PlanDescription(
                 disjunct=text, strategy="empty", cache_hit=cache_hit
             )
-        steps = []
-        for index, step in enumerate(plan.steps):
-            if step.key_positions:
-                operator = "hash_join" if index else "scan"
-            else:
-                operator = "scan" if index == 0 else "product"
-            steps.append(
-                PlanStep(
-                    operator=operator,
-                    predicate=step.predicate,
-                    arity=step.arity,
-                    key_positions=step.key_positions,
-                    filters=len(step.filters),
-                )
+        steps = tuple(
+            PlanStep(
+                operator=step.operator(first=index == 0),
+                predicate=step.predicate,
+                arity=step.arity,
+                key_positions=step.key_positions,
+                filters=len(step.filters),
+                columns_kept=len(step.keep),
+                distinct=step.distinct,
             )
+            for index, step in enumerate(plan.steps)
+        )
         return PlanDescription(
-            disjunct=text,
-            strategy="compiled",
-            steps=tuple(steps),
-            cache_hit=cache_hit,
+            disjunct=text, strategy="compiled", steps=steps, cache_hit=cache_hit
         )

@@ -164,13 +164,19 @@ class RewritingChoice:
 class PlanStep:
     """One physical operator in a compiled pipeline."""
 
-    #: ``"scan"`` (first step, no key), ``"hash_join"`` (indexed probe) or
-    #: ``"product"`` (keyless non-first step — a cartesian product).
+    #: ``"scan"`` (first step), ``"hash_join"`` (indexed probe),
+    #: ``"semi_join"`` (existence test: none of the subgoal's new variables
+    #: is read afterwards) or ``"product"`` (keyless non-first step — a
+    #: cartesian product).
     operator: str
     predicate: str
     arity: int
     key_positions: Tuple[int, ...] = ()
     filters: int = 0
+    #: Columns of the rows the step emits (the variables still read later).
+    columns_kept: int = 0
+    #: Whether the step deduplicates its output (it drops a column it enumerated).
+    distinct: bool = False
 
     def to_json(self) -> Dict[str, Any]:
         return {
@@ -179,6 +185,8 @@ class PlanStep:
             "arity": self.arity,
             "key_positions": list(self.key_positions),
             "filters": self.filters,
+            "columns_kept": self.columns_kept,
+            "distinct": self.distinct,
         }
 
 
@@ -300,8 +308,10 @@ class Explanation:
                     f" key={list(step.key_positions)}" if step.key_positions else ""
                 )
                 filters = f" filters={step.filters}" if step.filters else ""
+                distinct = " distinct" if step.distinct else ""
                 lines.append(
                     f"      {step.operator} {step.predicate}/{step.arity}{key}{filters}"
+                    f" keep={step.columns_kept}{distinct}"
                 )
         caches = self.caches
         lines.append(

@@ -12,8 +12,9 @@ argument; this module provides two:
   statistics snapshots that drive the compiled executor's join ordering —
   so repeated estimates over a stable database never rescan a column.
 * :func:`measured_cost` — actually evaluate the query and report the work
-  counters of the evaluator (probes + binding extensions).  This is the value
-  used in the E7 benchmark tables.
+  counters of the evaluator (probes + extensions: index entries touched plus
+  rows emitted, counted by whichever engine ran).  This is the value used in
+  the E7 benchmark tables.
 """
 
 from __future__ import annotations
@@ -100,7 +101,12 @@ def measured_cost(
     ``work`` is the evaluator's probe + extension count — a deterministic,
     platform-independent proxy for running time that the benchmark tables use
     alongside wall-clock timings.  ``executor`` selects the engine measured
-    (default: the compiled engine); both engines fill the same counters.
+    (default: the compiled engine).  Every engine returns the same answer set
+    and fills the same counter *names*, but each counts its own work: the
+    interpreter one unit per candidate tuple and per binding extension, the
+    compiled pipeline ``probes`` = index entries touched, ``extensions`` =
+    rows a step emits after its own dedup, ``answers`` = rows reaching
+    projection — fewer wherever it projects existential variables away early.
     """
     stats = EvaluationStatistics()
     evaluate(query, database, stats, executor=executor)

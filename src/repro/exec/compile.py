@@ -19,6 +19,11 @@ Compilation has three phases:
    of a union rewriting — share one relation index as their build side).
    Comparison subgoals become row filters attached to the earliest step that
    binds all their variables; ground comparisons are folded at compile time.
+   Row layouts are per step and **liveness-aware**: a step keeps only the
+   variables the head, a later subgoal or a later comparison still reads, so
+   existential variables are dropped (and the rows deduplicated) by the step
+   that last uses them, and a subgoal none of whose new variables survive
+   compiles to a semi-join.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from repro.engine.database import Database
 from repro.exec.plan import (
     HashJoinStep,
     PhysicalPlan,
-    RowFilter,
     Source,
     compare_values,
     make_comparison_filter,
@@ -116,12 +120,33 @@ def try_compile(
             pending.append(comparison)
 
     ordered = order_body(query, database, stats)
-    slots: Dict[Variable, int] = {}
-    steps: List[HashJoinStep] = []
+    # Each comparison attaches to the earliest step binding all its variables
+    # (those the body never binds are unreachable — the interpreter silently
+    # never evaluates them, and neither do we).
+    attached: List[List[Comparison]] = []
+    bound: set = set()
     for atom in ordered:
+        bound.update(atom.variables())
+        ready = [c for c in pending if bound.issuperset(c.variables())]
+        attached.append(ready)
+        pending = [c for c in pending if c not in ready]
+    # Liveness: what the head, later subgoals and later comparisons still read
+    # after each step.  Everything else is dropped by the step that binds it.
+    live_after: List[frozenset] = []
+    needed = set(query.head.variables())
+    for atom, comparisons in zip(reversed(ordered), reversed(attached)):
+        live_after.append(frozenset(needed))
+        needed.update(atom.variables())
+        for comparison in comparisons:
+            needed.update(comparison.variables())
+    live_after.reverse()
+
+    layout: Tuple[Variable, ...] = ()  # the variables of an in-flight row
+    steps: List[HashJoinStep] = []
+    for atom, comparisons, live in zip(ordered, attached, live_after):
+        slots = {variable: slot for slot, variable in enumerate(layout)}
         keyed: List[Tuple[int, Source]] = []
         eq_pairs: List[Tuple[int, int]] = []
-        new_positions: List[int] = []
         first_new: Dict[Variable, int] = {}
         for position, term in enumerate(atom.args):
             if isinstance(term, Constant):
@@ -133,26 +158,14 @@ def try_compile(
                     eq_pairs.append((first_new[term], position))
                 else:
                     first_new[term] = position
-                    new_positions.append(position)
         # Sorted key positions so every plan joining this relation on the
         # same columns (notably sibling union disjuncts) shares one index.
         keyed.sort(key=lambda item: item[0])
-        for variable, _position in sorted(first_new.items(), key=lambda kv: kv[1]):
+        # Filters see the full row: the input columns, then the new ones.
+        full = layout + tuple(first_new)
+        for variable in first_new:
             slots[variable] = len(slots)
-        filters: List[RowFilter] = []
-        still_pending: List[Comparison] = []
-        for comparison in pending:
-            if all(v in slots for v in comparison.variables()):
-                filters.append(
-                    make_comparison_filter(
-                        comparison.op,
-                        _source(comparison.left, slots),
-                        _source(comparison.right, slots),
-                    )
-                )
-            else:
-                still_pending.append(comparison)
-        pending = still_pending
+        keep = tuple(slot for slot, variable in enumerate(full) if variable in live)
         steps.append(
             HashJoinStep(
                 predicate=atom.predicate,
@@ -160,13 +173,20 @@ def try_compile(
                 key_positions=tuple(p for p, _source in keyed),
                 key_sources=tuple(source for _p, source in keyed),
                 eq_pairs=tuple(eq_pairs),
-                new_positions=tuple(new_positions),
-                filters=tuple(filters),
+                new_positions=tuple(first_new.values()),
+                filters=tuple(
+                    make_comparison_filter(
+                        c.op, _source(c.left, slots), _source(c.right, slots)
+                    )
+                    for c in comparisons
+                ),
+                width=len(layout),
+                keep=keep,
             )
         )
-    # Comparisons whose variables the body never binds are unreachable — the
-    # interpreter silently never evaluates them, and neither do we.
+        layout = tuple(full[slot] for slot in keep)
 
+    slots = {variable: slot for slot, variable in enumerate(layout)}
     projection: List[Source] = []
     unbound: List[str] = []
     for term in query.head.args:
@@ -182,7 +202,6 @@ def try_compile(
         steps,
         tuple(projection),
         unbound_head_terms=tuple(unbound),
-        slot_count=len(slots),
     )
 
 

@@ -39,7 +39,6 @@ from repro.engine.evaluate import (
 )
 from repro.exec.compile import try_compile
 from repro.exec.plan import PhysicalPlan
-from repro.exec.stats import statistics_for
 
 
 def pushdown_single_atom(

@@ -252,9 +252,11 @@ class ParallelExecutor:
         if relation is None or len(relation) < self.min_partition_rows:
             return "below_threshold"
         slot = self._partition_slot(plan)
-        if slot is not None and slot < len(first.new_positions):
-            if relation.skolem_count(first.new_positions[slot]) > 0:
-                return "skolem_partition_column"
+        # The scan's output slot, mapped back to the relation column.
+        if slot is not None and relation.skolem_count(
+            first.new_positions[first.keep[slot]]
+        ):
+            return "skolem_partition_column"
         return None
 
     def _resolved_processes(self) -> int:

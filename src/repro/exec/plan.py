@@ -3,7 +3,7 @@
 A :class:`PhysicalPlan` is a straight-line pipeline compiled from one
 conjunctive query (see :mod:`repro.exec.compile`):
 
-``seed row () → HashJoinStep* → projection/dedup``
+``seed row () → HashJoinStep* → projection``
 
 Each :class:`HashJoinStep` extends every in-flight row with the matching
 tuples of one relation, probing the relation's incrementally-maintained hash
@@ -21,25 +21,41 @@ columns carrying its newly-bound variables (plus any within-atom equality
 columns) and extends rows via slot lookups into those arrays — matched rows
 are never materialized as whole tuples on the probe path.
 
-Rows are plain tuples; the compiler assigns every query variable a fixed slot
-(column) at compile time, so the per-row work in the inner loop is tuple
-indexing and concatenation — no per-binding dictionaries, no term matching,
-no recursion.  Comparison subgoals are compiled to closures and applied at
-the earliest step where both sides are bound.
+Rows are plain tuples whose layout is **per step**: the compiler knows which
+variables the head, later subgoals and later comparisons still read after
+each step, and a step emits only those (its ``keep`` positions).  A step that
+drops a column deduplicates as it emits — so existential variables stop
+multiplying rows at the step that last uses them — and a subgoal none of
+whose new variables survive is a semi-join that never enumerates its bucket.
+The per-row work in the inner loop is tuple indexing and concatenation — no
+per-binding dictionaries, no term matching, no recursion.  Comparison
+subgoals are compiled to closures and applied at the earliest step where
+both sides are bound.
 
-Plans mirror the interpreter's observable semantics exactly: same answer
-sets, same :class:`~repro.engine.evaluate.EvaluationStatistics` counters
-(probes = candidate tuples fetched, extensions = rows surviving a step,
-answers = satisfying assignments before deduplication), and the same
-:class:`~repro.errors.EvaluationError` behaviors (arity mismatches always
-raise; an unbound head variable raises only when at least one assignment
-reaches projection).
+Plans return exactly the interpreter's answer *sets* and raise the same
+:class:`~repro.errors.EvaluationError` s (arity mismatches always raise; an
+unbound head variable raises only when at least one row reaches projection).
+The :class:`~repro.engine.evaluate.EvaluationStatistics` counters measure
+this pipeline's own work, which early projection makes smaller than the
+interpreter's assignment counts: ``probes`` = index entries touched (a
+semi-join touches one per surviving row, not the bucket), ``extensions`` =
+rows a step emits after its own dedup, ``answers`` = rows reaching
+projection.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Callable, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Collection,
+    FrozenSet,
+    Iterator,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import EvaluationError
 from repro.datalog.atoms import ComparisonOperator
@@ -72,29 +88,67 @@ def compare_values(op: ComparisonOperator, left: Any, right: Any) -> bool:
 def make_comparison_filter(
     op: ComparisonOperator, left: Source, right: Source
 ) -> RowFilter:
-    """Compile one comparison subgoal into a row predicate."""
-    left_is_slot, left_value = left
-    right_is_slot, right_value = right
+    """Compile one comparison subgoal into a row predicate.
+
+    ``=`` / ``!=`` compile to direct closures: :func:`compare_values` guards
+    only the order operators (Skolem operands, incomparable types), so for
+    (dis)equality the plain Python operator is the whole semantics.
+    """
+    left_is_slot, a = left
+    right_is_slot, b = right
+    if not left_is_slot and not right_is_slot:
+        verdict = compare_values(op, a, b)
+        return lambda row: verdict
+    if op is ComparisonOperator.EQ or op is ComparisonOperator.NE:
+        if not left_is_slot:  # symmetric operators: put the slot on the left
+            left_is_slot, a, right_is_slot, b = True, b, False, a
+        if op is ComparisonOperator.NE:
+            if right_is_slot:
+                return lambda row: row[a] != row[b]
+            return lambda row: row[a] != b
+        if right_is_slot:
+            return lambda row: row[a] == row[b]
+        return lambda row: row[a] == b
     if left_is_slot and right_is_slot:
-        return lambda row: compare_values(op, row[left_value], row[right_value])
+        return lambda row: compare_values(op, row[a], row[b])
     if left_is_slot:
-        return lambda row: compare_values(op, row[left_value], right_value)
-    if right_is_slot:
-        return lambda row: compare_values(op, left_value, row[right_value])
-    verdict = compare_values(op, left_value, right_value)
-    return lambda row: verdict
+        return lambda row: compare_values(op, row[a], b)
+    return lambda row: compare_values(op, a, row[b])
+
+
+def _picker(positions: Tuple[int, ...]) -> Callable[[Row], Row]:
+    """A row → tuple-of-``positions`` function (``itemgetter`` that always
+    returns a tuple)."""
+    if not positions:
+        return lambda row: ()
+    if len(positions) == 1:
+        position = positions[0]
+        return lambda row: (row[position],)
+    return itemgetter(*positions)
 
 
 class HashJoinStep:
-    """Extend every in-flight row with the matching tuples of one relation.
+    """Join every in-flight row with the matching tuples of one relation.
 
     The step probes ``relation.index_on(key_positions)`` with a key assembled
-    from constants and bound row slots (``key_sources``, aligned with
+    from constants and input-row slots (``key_sources``, aligned with
     ``key_positions``).  With no key positions the step is a scan (first
     step) or a cartesian product (disconnected subgoal).  ``eq_pairs`` are
     within-atom equality checks between positions carrying the same new
-    variable; ``new_positions`` are appended to the row, one per newly-bound
-    variable in first-occurrence order.
+    variable; ``new_positions`` carry the newly-bound variables in
+    first-occurrence order, and ``filters`` address the *full* row — the
+    ``width`` input columns followed by one column per new position.
+
+    ``keep`` lists the full-row positions still needed after this step (by
+    the head, a later subgoal or a later comparison) — the step's output
+    layout.  When no new column survives and there are no ``eq_pairs`` the
+    step is a semi-join (:attr:`exists`): it keeps an input row iff some
+    match passes the filters, and without filters never looks inside the
+    bucket.  A step that drops a column it enumerated emits a **set**
+    (:attr:`distinct`): duplicates can only arise where a column is dropped,
+    so every row collection in the pipeline stays duplicate-free and steps
+    that drop nothing stay append loops.  (The plan clears the flag on a last
+    step whose rows the head projection hashes anyway.)
     """
 
     __slots__ = (
@@ -105,6 +159,10 @@ class HashJoinStep:
         "eq_pairs",
         "new_positions",
         "filters",
+        "width",
+        "keep",
+        "distinct",
+        "exists",
     )
 
     def __init__(
@@ -116,6 +174,8 @@ class HashJoinStep:
         eq_pairs: Tuple[Tuple[int, int], ...],
         new_positions: Tuple[int, ...],
         filters: Tuple[RowFilter, ...],
+        width: int,
+        keep: Tuple[int, ...],
     ):
         self.predicate = predicate
         self.arity = arity
@@ -124,10 +184,49 @@ class HashJoinStep:
         self.eq_pairs = eq_pairs
         self.new_positions = new_positions
         self.filters = filters
+        self.width = width
+        self.keep = keep
+        self.exists = not eq_pairs and all(k < width for k in keep)
+        # A semi-join never enumerates its new columns, so only a dropped
+        # input column can make two of its output rows equal.
+        enumerated = width if self.exists else width + len(new_positions)
+        self.distinct = len(keep) < enumerated
+
+    def operator(self, first: bool) -> str:
+        """The step's name in explain output (``first``: it opens the pipeline)."""
+        if first:
+            return "scan"
+        if self.exists:
+            return "semi_join"
+        return "hash_join" if self.key_positions else "product"
+
+    def _matches(self, relation: Any, rows: Collection[Row]) -> Iterator[Tuple[Row, Any]]:
+        """Each input row that has matches, with the slots of its matches."""
+        if not self.key_positions:
+            # Scan (first step) or cartesian product (disconnected subgoal):
+            # every row meets every live slot.
+            slots = list(relation.slots())
+            for row in rows:
+                yield row, slots
+            return
+        get = relation.index_on(self.key_positions).get
+        sources = self.key_sources
+        if len(sources) == 1 and sources[0][0]:
+            # The common chain/star join: one bound slot is the whole key.
+            slot = sources[0][1]
+            for row in rows:
+                bucket = get((row[slot],))
+                if bucket:
+                    yield row, bucket.values()
+        else:
+            for row in rows:
+                bucket = get(tuple(row[v] if is_slot else v for is_slot, v in sources))
+                if bucket:
+                    yield row, bucket.values()
 
     def run(
-        self, database: Database, rows: List[Row], stats: EvaluationStatistics
-    ) -> List[Row]:
+        self, database: Database, rows: Collection[Row], stats: EvaluationStatistics
+    ) -> Collection[Row]:
         relation = database.relation(self.predicate)
         if relation is None or len(relation) == 0:
             return []
@@ -137,72 +236,69 @@ class HashJoinStep:
                 f"{relation.name} has arity {relation.arity}"
             )
         eq_pairs = self.eq_pairs
-        new_positions = self.new_positions
         filters = self.filters
-        simple = not eq_pairs and not filters
-        out: List[Row] = []
-        append = out.append
+        keep = self.keep
+        width = self.width
+        out: Any = set() if self.distinct else []
+        emit = out.add if self.distinct else out.append
         probes = 0
         # Column slices: only the arrays this step actually reads.  Matched
         # rows are addressed by slot (bucket values / live slots); their full
         # tuples are never rebuilt on the probe path.
         columns = relation.columns()
-        new_columns = tuple(columns[p] for p in new_positions)
+        new_columns = tuple(columns[p] for p in self.new_positions)
+        check = (
+            None if not filters
+            else filters[0] if len(filters) == 1
+            else lambda row: all(f(row) for f in filters)
+        )
+        matched = self._matches(relation, rows)
 
-        if self.key_positions:
-            get = relation.index_on(self.key_positions).get
-            sources = self.key_sources
-            # Fast path: single bound-slot key, nothing to re-check per match
-            # (the common chain/star join): pure index probe + column read.
-            if simple and len(sources) == 1 and sources[0][0]:
-                slot = sources[0][1]
-                if len(new_columns) == 1:
-                    column = new_columns[0]
-                    for row in rows:
-                        bucket = get((row[slot],))
-                        if bucket:
-                            probes += len(bucket)
-                            for match_slot in bucket.values():
-                                append(row + (column[match_slot],))
+        if self.exists:
+            # Semi-join: no new column survives, so one passing match decides.
+            pick = _picker(keep) if len(keep) < width else None
+            for row, matches in matched:
+                if check is None:
+                    probes += 1
                 else:
-                    for row in rows:
-                        bucket = get((row[slot],))
-                        if bucket:
-                            probes += len(bucket)
-                            for match_slot in bucket.values():
-                                append(row + tuple(c[match_slot] for c in new_columns))
-            else:
-                for row in rows:
-                    key = tuple(row[v] if is_slot else v for is_slot, v in sources)
-                    bucket = get(key)
-                    if not bucket:
+                    for match_slot in matches:
+                        probes += 1
+                        if check(row + tuple(c[match_slot] for c in new_columns)):
+                            break
+                    else:
                         continue
-                    probes += len(bucket)
-                    for match_slot in bucket.values():
-                        if eq_pairs and any(
-                            columns[a][match_slot] != columns[b][match_slot]
-                            for a, b in eq_pairs
-                        ):
-                            continue
-                        new_row = row + tuple(c[match_slot] for c in new_columns)
-                        if filters and not all(f(new_row) for f in filters):
-                            continue
-                        append(new_row)
+                emit(row if pick is None else pick(row))
+        elif check is None and not eq_pairs:
+            # Nothing to re-check per match: project the input row once, then
+            # append only the new columns that stay live.
+            pick = None
+            if len(keep) < width + len(new_columns):
+                pick = _picker(tuple(k for k in keep if k < width))
+                new_columns = tuple(new_columns[k - width] for k in keep if k >= width)
+            column = new_columns[0] if len(new_columns) == 1 else None
+            for row, matches in matched:
+                probes += len(matches)
+                base = row if pick is None else pick(row)
+                if column is not None:
+                    for match_slot in matches:
+                        emit(base + (column[match_slot],))
+                else:
+                    for match_slot in matches:
+                        emit(base + tuple(c[match_slot] for c in new_columns))
         else:
-            # Scan (first step) or cartesian product (disconnected subgoal).
-            match_slots = list(relation.slots())
-            for row in rows:
-                probes += len(match_slots)
-                for match_slot in match_slots:
+            pick = _picker(keep) if len(keep) < width + len(new_columns) else None
+            for row, matches in matched:
+                probes += len(matches)
+                for match_slot in matches:
                     if eq_pairs and any(
                         columns[a][match_slot] != columns[b][match_slot]
                         for a, b in eq_pairs
                     ):
                         continue
                     new_row = row + tuple(c[match_slot] for c in new_columns)
-                    if filters and not all(f(new_row) for f in filters):
+                    if check is not None and not check(new_row):
                         continue
-                    append(new_row)
+                    emit(new_row if pick is None else pick(new_row))
         stats.probes += probes
         stats.extensions += len(out)
         return out
@@ -217,7 +313,7 @@ class PhysicalPlan:
         "projection",
         "unbound_head_terms",
         "always_empty",
-        "slot_count",
+        "_project",
     )
 
     def __init__(
@@ -227,17 +323,32 @@ class PhysicalPlan:
         projection: Tuple[Source, ...],
         unbound_head_terms: Tuple[str, ...] = (),
         always_empty: bool = False,
-        slot_count: int = 0,
     ):
         self.query_name = query_name
         self.steps = tuple(steps)
+        #: Head sources over the last step's output layout.
         self.projection = projection
         #: Head terms not bound by the body; evaluation raises if any
         #: assignment reaches projection (mirroring the interpreter).
         self.unbound_head_terms = unbound_head_terms
         #: True when a ground comparison is false: the plan returns no rows.
         self.always_empty = always_empty
-        self.slot_count = slot_count
+        # None when the last step's layout already is the head: its rows are
+        # the answers, and a set of them is not hashed a second time.
+        self._project: Optional[Callable[[Row], Row]]
+        width = len(self.steps[-1].keep) if self.steps else 0
+        if projection == tuple((True, k) for k in range(width)):
+            self._project = None
+        elif all(is_slot for is_slot, _value in projection):
+            self._project = _picker(tuple(value for _is_slot, value in projection))
+        else:
+            self._project = lambda row: tuple(
+                row[v] if is_slot else v for is_slot, v in projection
+            )
+        if self._project is not None and self.steps:
+            # Projecting hashes every row anyway: a set built by the last
+            # step would be hashed twice.
+            self.steps[-1].distinct = False
 
     def execute(
         self, database: Database, statistics: Optional[EvaluationStatistics] = None
@@ -252,11 +363,11 @@ class PhysicalPlan:
     def run_steps(
         self,
         database: Database,
-        rows: List[Row],
+        rows: Collection[Row],
         stats: EvaluationStatistics,
         start: int = 0,
-    ) -> List[Row]:
-        """Run the pipeline steps from ``start`` over a seed row list.
+    ) -> Collection[Row]:
+        """Run the pipeline steps from ``start`` over duplicate-free seed rows.
 
         The parallel executor uses ``start`` to replay only the tail of the
         pipeline inside a worker, over one partition of the first step's
@@ -269,7 +380,7 @@ class PhysicalPlan:
         return rows
 
     def project_rows(
-        self, rows: List[Row], stats: EvaluationStatistics
+        self, rows: Collection[Row], stats: EvaluationStatistics
     ) -> FrozenSet[Row]:
         """Project and deduplicate surviving rows into the answer set.
 
@@ -286,18 +397,9 @@ class PhysicalPlan:
                 f"{self.query_name} is not bound by the body"
             )
         stats.answers += len(rows)
-        projection = self.projection
-        if not projection:
-            return frozenset([()])
-        if all(is_slot for is_slot, _value in projection):
-            positions = tuple(value for _is_slot, value in projection)
-            if len(positions) == 1:
-                p = positions[0]
-                return frozenset((row[p],) for row in rows)
-            return frozenset(map(itemgetter(*positions), rows))
-        return frozenset(
-            tuple(row[v] if is_slot else v for is_slot, v in projection) for row in rows
-        )
+        if self._project is None:
+            return frozenset(rows)
+        return frozenset(map(self._project, rows))
 
     def explain(self) -> str:
         """A human-readable rendering of the pipeline (for tests and debugging)."""
@@ -305,7 +407,6 @@ class PhysicalPlan:
         if self.always_empty:
             lines.append("  <always empty: a ground comparison is false>")
         for index, step in enumerate(self.steps):
-            kind = "scan" if not step.key_positions else "hash-probe"
             key = ", ".join(
                 f"{step.predicate}[{p}]={'slot ' + str(v) if is_slot else repr(v)}"
                 for p, (is_slot, v) in zip(step.key_positions, step.key_sources)
@@ -315,11 +416,12 @@ class PhysicalPlan:
                 extras.append(f"eq={list(step.eq_pairs)}")
             if step.filters:
                 extras.append(f"filters={len(step.filters)}")
-            suffix = (" " + " ".join(extras)) if extras else ""
+            extras.append(f"keep={len(step.keep)}" + (" distinct" if step.distinct else ""))
             lines.append(
-                f"  {index}: {kind} {step.predicate}/{step.arity}"
+                f"  {index}: {step.operator(first=index == 0)} {step.predicate}/{step.arity}"
                 + (f" on {key}" if key else "")
-                + suffix
+                + " "
+                + " ".join(extras)
             )
         lines.append(f"  project -> {len(self.projection)} columns")
         return "\n".join(lines)

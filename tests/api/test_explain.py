@@ -61,6 +61,13 @@ class TestExplainMatchesOldPath:
             assert [s.key_positions for s in described.steps] == [
                 step.key_positions for step in compiled.steps
             ]
+            assert [(s.columns_kept, s.distinct) for s in described.steps] == [
+                (len(step.keep), step.distinct) for step in compiled.steps
+            ]
+            assert [s.operator for s in described.steps] == [
+                step.operator(first=index == 0)
+                for index, step in enumerate(compiled.steps)
+            ]
 
     def test_union_rewriting_plans_line_up(self):
         views = "v_r(A, B) :- r(A, B).\nv_q(A) :- r(A, A)."
@@ -103,6 +110,17 @@ class TestExplainShapes:
         assert explanation.evaluation.target == "base"
         # The base-relation plan is still described.
         assert [s.predicate for s in explanation.evaluation.plans[0].steps] == ["r", "s"]
+
+    def test_existential_subgoal_reported_as_semi_join(self):
+        # Z is read by nobody: the probe is an existence test.  It is also the
+        # last reader of Y, and dropping that input column makes it deduplicate.
+        explanation = (
+            connect(views="v_t(A) :- t(A).", data=DATA).query("q(X) :- r(X, Y), s(Y, Z).").explain()
+        )
+        scan, probe = explanation.evaluation.plans[0].steps
+        assert (scan.operator, scan.columns_kept, scan.distinct) == ("scan", 2, False)
+        assert (probe.operator, probe.columns_kept, probe.distinct) == ("semi_join", 1, True)
+        assert "semi_join s/2 key=[0] keep=1 distinct" in explanation.to_text()
 
     def test_no_database_target_none(self):
         explanation = connect(views=VIEWS).query(QUERY).explain()

@@ -141,6 +141,20 @@ class TestSchemaContract:
             schema,
         )
 
+    def test_semi_join_explanation_validates(self, schema):
+        payload = explanation_json(views="v_t(A) :- t(A).", query="q(X) :- r(X, Y), s(Y, Z).")
+        steps = payload["evaluation"]["plans"][0]["steps"]
+        assert [step["operator"] for step in steps] == ["scan", "semi_join"]
+        assert steps[1]["columns_kept"] == 1 and steps[1]["distinct"] is True
+        validate(payload, schema)
+        steps[1]["operator"] = "anti_join"
+        with pytest.raises(AssertionError):
+            mini_validate(payload, schema)
+        del steps[0]["columns_kept"]
+        steps[1]["operator"] = "semi_join"
+        with pytest.raises(AssertionError):
+            mini_validate(payload, schema)
+
     def test_output_is_pure_json(self, schema):
         payload = explanation_json()
         assert json.loads(json.dumps(payload)) == payload

@@ -1,10 +1,14 @@
 """Tests for plan compilation: admission, join ordering, operator shapes."""
 
+import pytest
+
 from repro.datalog.parser import parse_query
 from repro.datalog.queries import ConjunctiveQuery
 from repro.datalog.atoms import Atom
-from repro.datalog.terms import FunctionTerm, Variable
+from repro.datalog.terms import Constant, FunctionTerm, Variable
 from repro.engine.database import Database
+from repro.engine.evaluate import EvaluationStatistics, evaluate_conjunctive_interpreted
+from repro.errors import EvaluationError
 from repro.exec.compile import is_compilable, order_body, try_compile
 
 
@@ -84,7 +88,7 @@ class TestPlanShape:
         assert plan is not None
         assert plan.steps[0].key_positions == ()  # scan
         assert plan.steps[1].key_positions == (0,)  # probe on the join column
-        assert "hash-probe" in plan.explain()
+        assert "hash_join" in plan.explain()
 
     def test_constants_join_the_index_key(self):
         db = _db(r=10)
@@ -128,3 +132,132 @@ class TestPlanShape:
         plan = try_compile(parse_query("q(1, 2)."), db)
         assert plan.steps == ()
         assert plan.execute(db) == frozenset([(1, 2)])
+
+
+def _chain_db():
+    """r, s, t with fan-out 2 over a 6-value domain: joins multiply, answers don't."""
+    db = Database()
+    for name in ("r", "s", "t"):
+        db.ensure_relation(name, 2)
+        for i in range(6):
+            db.add_fact(name, (i, (i + 1) % 6))
+            db.add_fact(name, (i, (i + 2) % 6))
+    return db
+
+
+def _interpreted(text, db):
+    return evaluate_conjunctive_interpreted(parse_query(text), db)
+
+
+class TestLiveness:
+    def test_dead_join_variable_is_dropped_and_step_marked_distinct(self):
+        db = _chain_db()
+        text = "q(X, W) :- r(X, Y), s(Y, Z), t(Z, W)."
+        plan = try_compile(parse_query(text), db)
+        by_predicate = {step.predicate: step for step in plan.steps}
+        assert [s.predicate for s in plan.steps] == ["r", "s", "t"]
+        assert not by_predicate["r"].distinct and len(by_predicate["r"].keep) == 2
+        # s binds Z and is the last reader of Y; t is the last reader of Z.
+        assert by_predicate["s"].distinct and by_predicate["s"].keep == (0, 2)
+        assert by_predicate["t"].distinct and by_predicate["t"].keep == (0, 2)
+        assert plan.execute(db) == _interpreted(text, db)
+
+    def test_last_step_leaves_dedup_to_a_projection_that_rehashes(self):
+        db = _chain_db()
+        text = "q(Z, X) :- r(X, Y), s(Y, Z)."  # final layout (X, Z) is not the head
+        plan = try_compile(parse_query(text), db)
+        last = plan.steps[-1]
+        assert last.keep == (0, 2) and not last.distinct
+        assert plan.execute(db) == _interpreted(text, db)
+
+    def test_variable_of_a_later_comparison_stays_live_until_attached(self):
+        db = _chain_db()
+        text = "q(X) :- r(X, Y), s(Y, Z), t(Z, W), Y < W."
+        plan = try_compile(parse_query(text), db)
+        assert [s.predicate for s in plan.steps] == ["r", "s", "t"]
+        r, s, t = plan.steps
+        assert s.keep == (0, 1, 2) and not s.distinct  # Y kept for the filter
+        assert len(t.filters) == 1 and t.keep == (0,) and t.distinct
+        assert plan.execute(db) == _interpreted(text, db)
+
+    def test_trailing_existential_subgoal_is_a_semi_join(self):
+        db = _chain_db()
+        text = "q(X, Y) :- r(X, Y), s(Y, Z)."
+        plan = try_compile(parse_query(text), db)
+        scan, probe = plan.steps
+        assert probe.exists and probe.operator(first=False) == "semi_join"
+        assert not probe.distinct  # every input column survives
+        scan_stats, stats = EvaluationStatistics(), EvaluationStatistics()
+        rows = scan.run(db, [()], scan_stats)
+        survivors = probe.run(db, rows, stats)
+        # One index entry per surviving row — not the bucket sizes (2 each).
+        assert stats.probes == len(survivors) == 12
+        assert plan.execute(db) == _interpreted(text, db)
+
+    def test_filtered_dead_variable_stops_at_the_first_passing_match(self):
+        db = _chain_db()
+        text = "q(X) :- r(X, Y), s(Y, Z), Z != 0."
+        plan = try_compile(parse_query(text), db)
+        probe = plan.steps[1]
+        assert probe.exists and len(probe.filters) == 1
+        assert plan.execute(db) == _interpreted(text, db)
+        always = "q(X) :- r(X, Y), s(Y, Z), Z != 99."
+        stats = EvaluationStatistics()
+        plan = try_compile(parse_query(always), db)
+        rows = plan.steps[0].run(db, [()], EvaluationStatistics())
+        plan.steps[1].run(db, rows, stats)
+        assert stats.probes == len(rows)  # first match always passes
+
+    def test_repeated_variable_with_dead_column_is_not_a_semi_join(self):
+        db = _chain_db()
+        db.add_fact("s", (3, 3))
+        text = "q(X) :- r(X, Y), s(Z, Z)."
+        plan = try_compile(parse_query(text), db)
+        product = plan.steps[1]
+        assert product.eq_pairs == ((0, 1),)
+        assert not product.exists and product.operator(first=False) == "product"
+        assert plan.execute(db) == _interpreted(text, db) == frozenset((i,) for i in range(6))
+        db.remove_fact("s", (3, 3))
+        assert try_compile(parse_query(text), db).execute(db) == frozenset()
+
+    def test_boolean_head_yields_unit_or_empty(self):
+        db = _chain_db()
+        plan = try_compile(parse_query("q() :- r(X, Y), s(Y, Z)."), db)
+        assert plan.steps[-1].keep == ()
+        assert plan.execute(db) == frozenset([()])
+        assert try_compile(parse_query("q() :- r(X, 77)."), db).execute(db) == frozenset()
+
+    def test_constants_and_repeated_variables_in_the_head(self):
+        db = _chain_db()
+        text = "q(X, 7, X, Z) :- r(X, Y), s(Y, Z)."
+        assert try_compile(parse_query(text), db).execute(db) == _interpreted(text, db)
+
+    def test_disconnected_subgoal_with_dead_variables_is_an_existence_test(self):
+        db = _chain_db()
+        text = "q(X) :- r(X, Y), t(U, V)."
+        plan = try_compile(parse_query(text), db)
+        product = next(s for s in plan.steps[1:] if not s.key_positions)
+        assert product.exists
+        stats = EvaluationStatistics()
+        assert plan.execute(db, stats) == _interpreted(text, db)
+        assert stats.extensions <= 12 + 6 + 6  # never |r| x |t|
+
+    def test_unbound_head_raises_only_when_a_row_reaches_projection(self):
+        db = _chain_db()
+        x, y, w = Variable("X"), Variable("Y"), Variable("W")
+        reached = ConjunctiveQuery(Atom("q", [x, w]), [Atom("r", [x, y])], require_safe=False)
+        with pytest.raises(EvaluationError):
+            try_compile(reached, db).execute(db)
+        empty = ConjunctiveQuery(
+            Atom("q", [x, w]), [Atom("r", [x, Constant(77)])], require_safe=False
+        )
+        assert try_compile(empty, db).execute(db) == frozenset()
+
+    def test_wrong_arity_relation_still_raises(self):
+        db = _chain_db()
+        db.ensure_relation("u", 3)
+        db.add_fact("u", (1, 2, 3))
+        # As a semi-join, an extending probe and a scan alike.
+        for text in ("q(X) :- r(X, Y), u(Y, Z).", "q(X, Z) :- r(X, Y), u(Y, Z).", "q(X) :- u(X, Y)."):
+            with pytest.raises(EvaluationError):
+                try_compile(parse_query(text), db).execute(db)

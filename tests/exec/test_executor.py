@@ -137,6 +137,53 @@ class TestEquivalence:
         assert stats.subgoals == 2
 
 
+class TestEarlyProjectionWorkGuard:
+    """A count, not a stopwatch: fails if early projection is ever lost."""
+
+    FANOUT, DOMAIN = 3, 12
+
+    def regular_chain_db(self):
+        # Every value has exactly FANOUT successors in every relation.
+        db = Database()
+        for index, name in enumerate(("r1", "r2", "r3")):
+            db.ensure_relation(name, 2)
+            for value in range(self.DOMAIN):
+                for step in range(self.FANOUT):
+                    db.add_fact(name, (value, (value * (index + 2) + step) % self.DOMAIN))
+        return db
+
+    def test_extensions_bounded_by_distinct_live_rows(self):
+        # The process default, so every CI leg (REPRO_DEFAULT_EXECUTOR=parallel
+        # runs this database serially, below its partition threshold) guards
+        # the pipeline it actually serves with.
+        executor = get_default_executor()
+        if not hasattr(executor, "plan_for"):
+            executor = COMPILED
+        db = self.regular_chain_db()
+        query = parse_query("q(X0) :- r1(X0, X1), r2(X1, X2), r3(X2, X3).")
+        plan = executor.plan_for(query, db)
+        assert [step.predicate for step in plan.steps] == ["r1", "r2", "r3"]
+        # What is live after each step, evaluated by the interpreter.
+        live = [
+            "q(X0, X1) :- r1(X0, X1).",
+            "q(X0, X2) :- r1(X0, X1), r2(X1, X2).",
+            "q(X0) :- r1(X0, X1), r2(X1, X2), r3(X2, X3).",
+        ]
+        bound = sum(len(evaluate(parse_query(t), db, executor=INTERPRETED)) for t in live)
+        full_join = self.DOMAIN * self.FANOUT ** 3
+        assert bound < full_join
+        stats = EvaluationStatistics()
+        answers = evaluate(query, db, stats, executor=executor)
+        assert answers == frozenset((value,) for value in range(self.DOMAIN))
+        assert stats.extensions <= bound
+        assert stats.answers == self.DOMAIN
+
+    def test_ends_headed_variant_matches_the_interpreter(self):
+        db = self.regular_chain_db()
+        query = parse_query("q(X0, X3) :- r1(X0, X1), r2(X1, X2), r3(X2, X3).")
+        assert_engines_agree(query, db)
+
+
 class TestFallback:
     def test_function_terms_fall_back_to_interpreter(self):
         executor = CompiledExecutor()

@@ -13,7 +13,7 @@ from repro.datalog.terms import FunctionTerm, Variable
 from repro.engine.database import Database
 from repro.engine.evaluate import EvaluationStatistics, evaluate
 from repro.engine.relation import SkolemValue
-from repro.exec import CompiledExecutor
+from repro.exec import CompiledExecutor, InterpretedExecutor
 from repro.exec.parallel import (
     PROCESSES_ENV,
     ParallelExecutor,
@@ -66,6 +66,26 @@ class TestPartitionedPath:
         assert stats.probes > 0
         assert stats.extensions > 0
         assert stats.answers >= len(answers) > 0
+
+    @needs_fork
+    def test_projected_chain_partitions_after_a_deduplicating_scan(self, executor):
+        rng = random.Random(7)
+        db = Database()
+        for name, size in (("r1", 200), ("r2", 300), ("r3", 300), ("r4", 300)):
+            db.ensure_relation(name, 2)
+            for _ in range(size):
+                db.add_fact(name, (rng.randrange(30), rng.randrange(30)))
+        # The smallest relation opens the pipeline, and X0 is dead right after
+        # that scan (a set of X1 values is what gets partitioned);
+        # every later join variable dies at the step after the one binding it.
+        query = parse_query("q(X4) :- r1(X0, X1), r2(X1, X2), r3(X2, X3), r4(X3, X4).")
+        plan = executor.plan_for(query, db)
+        assert plan.steps[0].distinct and len(plan.steps[0].keep) == 1
+        answers = executor.evaluate(query, db)
+        assert answers == evaluate(query, db, executor=CompiledExecutor())
+        assert answers == evaluate(query, db, executor=InterpretedExecutor())
+        assert executor.parallel_runs == 1
+        assert executor.serial_runs == 0 and not executor.fallback_reasons
 
     @needs_fork
     def test_union_queries_union_partitioned_disjuncts(self, executor):

@@ -9,7 +9,8 @@ ground truth.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.datalog.atoms import Comparison
+from repro.datalog.atoms import Atom, Comparison
+from repro.datalog.queries import ConjunctiveQuery
 from repro.datalog.terms import Constant, Variable
 from repro.engine.evaluate import evaluate
 from repro.exec import CompiledExecutor, InterpretedExecutor
@@ -44,6 +45,20 @@ def queries_with_comparisons(draw):
     return query.with_body(query.body, comparisons)
 
 
+@st.composite
+def queries_with_random_heads(draw):
+    """Any head over the body: a possibly empty, possibly repeating draw of
+    body variables and constants — so every variable is existential in some
+    example and the liveness-aware layout is exercised end to end."""
+    query = draw(queries_with_comparisons())
+    terms = st.one_of(
+        st.sampled_from(list(query.body_variables()) or [Constant(0)]),
+        st.sampled_from([Constant(0), Constant(7)]),
+    )
+    head = draw(st.lists(terms, min_size=0, max_size=3))
+    return ConjunctiveQuery(Atom(query.name, head), query.body, query.comparisons)
+
+
 class TestCompiledMatchesInterpreter:
     @RELAXED
     @given(query=conjunctive_queries(), database=databases())
@@ -55,6 +70,13 @@ class TestCompiledMatchesInterpreter:
     @RELAXED
     @given(query=queries_with_comparisons(), database=databases())
     def test_queries_with_comparisons_agree(self, query, database):
+        assert evaluate(query, database, executor=COMPILED) == evaluate(
+            query, database, executor=INTERPRETED
+        )
+
+    @settings(RELAXED, max_examples=300)
+    @given(query=queries_with_random_heads(), database=databases())
+    def test_random_head_projections_agree(self, query, database):
         assert evaluate(query, database, executor=COMPILED) == evaluate(
             query, database, executor=INTERPRETED
         )
