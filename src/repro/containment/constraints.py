@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.datalog.atoms import Comparison, ComparisonOperator
+from repro.datalog.queries import ConjunctiveQuery
 from repro.datalog.terms import Constant, Term, Variable
 
 
@@ -278,9 +279,10 @@ class ComparisonSet:
         again a single comparison (over a dense domain), this reduces to one
         satisfiability test and automatically accounts for constants that
         appear only in ``c`` (e.g. ``X < 3`` implies ``X < 10``).  An
-        unsatisfiable conjunction implies everything.
+        unsatisfiable conjunction implies everything, and a comparison that
+        is one of the conjuncts is implied without building the refutation.
         """
-        if not self._satisfiable:
+        if not self._satisfiable or comparison in self._comparisons:
             return True
         left, right = comparison.left, comparison.right
         op = comparison.op
@@ -312,3 +314,20 @@ class ComparisonSet:
 
     def __repr__(self) -> str:
         return f"ComparisonSet({', '.join(str(c) for c in self._comparisons)})"
+
+
+_NONE = ComparisonSet()
+
+
+def _constraints_of(query: ConjunctiveQuery) -> ComparisonSet:
+    """The query's comparison subgoals as a :class:`ComparisonSet`, built once.
+
+    Queries are immutable, so the closed form is cached on the query object:
+    the satisfiability check and the witness test's implication checks of
+    every containment test the query takes part in share one construction.
+    """
+    constraints = getattr(query, "_constraints", None)
+    if constraints is None:
+        constraints = ComparisonSet(query.comparisons) if query.comparisons else _NONE
+        object.__setattr__(query, "_constraints", constraints)
+    return constraints

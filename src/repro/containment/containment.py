@@ -6,9 +6,8 @@ from typing import Iterable, Optional, Union
 
 from repro.datalog.atoms import Comparison
 from repro.datalog.queries import ConjunctiveQuery, UnionQuery, as_union
-from repro.containment.constraints import ComparisonSet
-from repro.containment.homomorphism import find_containment_mapping
-from repro.containment.interpreted import interpreted_contained
+from repro.containment.constraints import _constraints_of
+from repro.containment.interpreted import _contained_by_cases, _has_witness
 from repro.containment.memo import global_containment_memo
 
 QueryLike = Union[ConjunctiveQuery, UnionQuery]
@@ -21,29 +20,28 @@ def is_satisfiable(query: ConjunctiveQuery) -> bool:
     are contradictory (the relational part alone is always satisfiable over
     its canonical database).
     """
-    if not query.comparisons:
-        return True
-    return ComparisonSet(query.comparisons).is_satisfiable()
-
-
-def _cq_contained_search(query: ConjunctiveQuery, container: ConjunctiveQuery) -> bool:
-    """The uncached decision procedure (``query`` known to be satisfiable)."""
-    if not query.comparisons and not container.comparisons:
-        return find_containment_mapping(container, query) is not None
-    return interpreted_contained(query, container)
+    return _constraints_of(query).is_satisfiable()
 
 
 def _cq_contained(query: ConjunctiveQuery, container: ConjunctiveQuery) -> bool:
     """Containment of a single CQ in a single CQ.
 
-    Satisfiability is decided first (an unsatisfiable query is contained in
-    everything); after that, cheap necessary conditions and the shared
-    fingerprint-keyed memo (:mod:`repro.containment.memo`) short-circuit the
-    search whenever possible.
+    This is the one place that orders the tests, cheapest first.
+    Satisfiability (an unsatisfiable query is contained in everything), then,
+    inside the shared memo (:mod:`repro.containment.memo`), the identity tier
+    and the necessary-condition guards.  Then the single-mapping witness
+    test: for a pure pair it is the whole decision procedure, which the memo
+    runs with or without fingerprinting by search difficulty; for a pair with
+    comparisons it is the sound half, and only a pair no one mapping
+    witnesses pays for fingerprints, the verdict cache and the preorder
+    enumeration.
     """
     if not is_satisfiable(query):
         return True
-    return global_containment_memo().contained(query, container, _cq_contained_search)
+    memo = global_containment_memo()
+    if query.comparisons or container.comparisons:
+        return memo.contained(query, container, _contained_by_cases, cheap=_has_witness)
+    return memo.contained(query, container, _has_witness)
 
 
 def is_contained(query: QueryLike, container: QueryLike) -> bool:

@@ -15,6 +15,11 @@ keeps that set as small as possible (only terms that can interact with a
 comparison on either side) and refuses inputs whose relevant-term set exceeds
 ``MAX_ORDERED_TERMS``; within that limit it is sound and complete over dense
 domains.
+
+The sound half comes first: one mapping whose induced comparisons ``query``'s
+own already imply (:func:`_has_witness`; every pair equivalent up to renaming
+has one) settles the pair, so the enumeration and its limit apply only to a
+pair without one, whatever the number of order-relevant terms.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ from repro.datalog.atoms import Atom, Comparison, ComparisonOperator
 from repro.datalog.queries import ConjunctiveQuery
 from repro.datalog.substitution import Substitution
 from repro.datalog.terms import Constant, Term, Variable
-from repro.containment.constraints import ComparisonSet
-from repro.containment.homomorphism import containment_mappings
+from repro.containment.constraints import ComparisonSet, _constraints_of
+from repro.containment.homomorphism import containment_mappings, find_containment_mapping
 
 #: Hard cap on the number of terms whose orderings are enumerated.
 MAX_ORDERED_TERMS = 8
@@ -112,37 +117,39 @@ def _preorder_comparisons(partition: List[List[Term]]) -> List[Comparison]:
     return out
 
 
-def interpreted_contained(
+def _has_witness(query: ConjunctiveQuery, container: ConjunctiveQuery) -> bool:
+    """Whether one containment mapping already proves ``query ⊑ container``.
+
+    The sufficient condition: a mapping ``h`` from ``container`` into ``query``
+    with ``h(container.comparisons)`` implied by ``query``'s own comparisons;
+    also necessary when neither side has comparisons (Chandra–Merlin).
+    """
+    if not container.comparisons:
+        return find_containment_mapping(container, query) is not None
+    constraints = _constraints_of(query)
+    for mapping in containment_mappings(container, query):
+        if constraints.implies_all(mapping.apply_comparisons(container.comparisons)):
+            return True
+    return False
+
+
+def _contained_by_cases(
     query: ConjunctiveQuery,
     container: ConjunctiveQuery,
     max_ordered_terms: int = MAX_ORDERED_TERMS,
 ) -> bool:
-    """Whether ``query ⊑ container`` for conjunctive queries with comparisons.
+    """The complete test, for a satisfiable ``query`` no single mapping settles.
 
-    Raises :class:`UnsupportedFeatureError` when the set of order-relevant
-    terms is too large to enumerate.
+    Every total preorder of the order-relevant terms consistent with
+    ``query``'s comparisons must have a containment mapping of its own.
+    Raises :class:`UnsupportedFeatureError` when there are too many such terms.
     """
-    query_constraints = ComparisonSet(query.comparisons)
-    if not query_constraints.is_satisfiable():
-        return True  # the empty query is contained in everything
-
     relevant = _relevant_terms(query, container)
     if len(relevant) > max_ordered_terms:
         raise UnsupportedFeatureError(
             f"containment with comparisons over {len(relevant)} order-relevant terms "
             f"exceeds the enumeration limit of {max_ordered_terms}"
         )
-
-    if not relevant:
-        # No comparisons can interact: fall back to the pure-CQ test, but the
-        # container's comparisons must be implied outright (there are none or
-        # they are tautological over the query's constraints).
-        for mapping in containment_mappings(container, query):
-            induced = mapping.apply_comparisons(container.comparisons)
-            if query_constraints.implies_all(induced):
-                return True
-        return False
-
     for partition in _ordered_partitions(relevant):
         ordering = _preorder_comparisons(partition)
         scenario = ComparisonSet(tuple(query.comparisons) + tuple(ordering))
@@ -158,6 +165,23 @@ def interpreted_contained(
         if not witnessed:
             return False
     return True
+
+
+def interpreted_contained(
+    query: ConjunctiveQuery,
+    container: ConjunctiveQuery,
+    max_ordered_terms: int = MAX_ORDERED_TERMS,
+) -> bool:
+    """Whether ``query ⊑ container`` for conjunctive queries with comparisons.
+
+    Raises :class:`UnsupportedFeatureError` when no single mapping witnesses
+    the containment and there are too many order-relevant terms to enumerate.
+    """
+    if not _constraints_of(query).is_satisfiable():
+        return True  # the empty query is contained in everything
+    return _has_witness(query, container) or _contained_by_cases(
+        query, container, max_ordered_terms
+    )
 
 
 def _collapse(query: ConjunctiveQuery, partition: List[List[Term]]) -> ConjunctiveQuery:

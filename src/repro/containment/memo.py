@@ -197,21 +197,25 @@ class ContainmentMemo:
         query: ConjunctiveQuery,
         container: ConjunctiveQuery,
         compute: Callable[[ConjunctiveQuery, ConjunctiveQuery], bool],
+        cheap: Optional[Callable[[ConjunctiveQuery, ConjunctiveQuery], bool]] = None,
     ) -> bool:
-        """``query ⊑ container``, via guards and the memo, else ``compute``.
+        """``query ⊑ container``: identity tier, guards, ``cheap``, memo, ``compute``.
 
-        ``compute`` runs the actual decision procedure; its result is stored
-        under the fingerprint pair.  Pairs whose estimated search difficulty
-        is below :attr:`bypass_threshold` (and that involve no comparisons,
-        whose interpreted test is always expensive) are computed directly:
-        for them the search is cheaper than canonicalizing the pair would be.
-        Exceptions propagate uncached (the interpreted test can refuse
-        oversized inputs).  When the memo is disabled, guards and the bypass
-        estimate are skipped too and ``compute`` runs directly — the raw
-        reference behaviour.
+        ``compute`` is the decision procedure; its result is stored under the
+        fingerprint pair.  ``cheap`` is an optional sound test to try before
+        the pair is canonicalized (which one, and for which pairs, is the
+        caller's decision): if it holds the pair is settled.  Without one,
+        ``compute`` itself runs uncanonicalized when the estimated search
+        difficulty is at most :attr:`bypass_threshold` — searching is then
+        cheaper than canonicalizing.  Either way such a verdict counts under
+        :attr:`bypasses`.  Exceptions propagate uncached (``compute`` can
+        refuse oversized inputs).  A disabled memo skips its own tiers and
+        runs ``cheap``, then ``compute`` — the raw reference behaviour.
         """
         if not self.enabled:
-            return compute(query, container)
+            return (cheap is not None and cheap(query, container)) or compute(
+                query, container
+            )
         id_key = (id(query), id(container))
         entry = self._by_identity.get(id_key)
         if entry is not None and entry[0] is query and entry[1] is container:
@@ -221,25 +225,26 @@ class ContainmentMemo:
             self.guard_rejections += 1
             self._by_identity.put(id_key, (query, container, False))
             return False
-        if (
-            not query.comparisons
-            and not container.comparisons
-            and _search_difficulty(query, container, self.bypass_threshold)
-            <= self.bypass_threshold
-        ):
-            self.bypasses += 1
-            result = compute(query, container)
-            self._by_identity.put(id_key, (query, container, result))
-            return result
-        key = (_fingerprint_text(query), _fingerprint_text(container))
-        verdict = self._verdicts.get(key)
-        if verdict is not None:
-            self.hits += 1
-            result = verdict is True
+        if cheap is not None:
+            settled = result = cheap(query, container)
         else:
-            self.misses += 1
-            result = compute(query, container)
-            self._verdicts.put(key, True if result else False)
+            settled = (
+                _search_difficulty(query, container, self.bypass_threshold)
+                <= self.bypass_threshold
+            )
+            result = settled and compute(query, container)
+        if settled:
+            self.bypasses += 1
+        else:
+            key = (_fingerprint_text(query), _fingerprint_text(container))
+            verdict = self._verdicts.get(key)
+            if verdict is not None:
+                self.hits += 1
+                result = verdict
+            else:
+                self.misses += 1
+                result = compute(query, container)
+                self._verdicts.put(key, result)
         self._by_identity.put(id_key, (query, container, result))
         return result
 

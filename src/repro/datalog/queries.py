@@ -30,12 +30,14 @@ class ConjunctiveQuery:
         "comparisons",
         # Lazily computed caches (queries are immutable, so computing each
         # once is sound): the structural hash, the variable tuple, the cheap
-        # canonical form, and the canonical fingerprint text the containment
-        # memo keys verdicts by (filled in by repro.containment.memo).
+        # canonical form, the canonical fingerprint text the containment
+        # memo keys verdicts by (filled in by repro.containment.memo), and
+        # the closed form of the comparisons (repro.containment.constraints).
         "_hash",
         "_variables",
         "_canonical",
         "_fingerprint_text",
+        "_constraints",
     )
 
     def __init__(

@@ -33,10 +33,10 @@ from repro.datalog.queries import ConjunctiveQuery
 from repro.datalog.substitution import Substitution, unify_atoms
 from repro.datalog.terms import Constant, Term, Variable
 from repro.datalog.views import View, ViewSet
+from repro.containment.containment import is_contained
 from repro.containment.minimize import minimize
-from repro.rewriting.expansion import cached_expand_query
+from repro.rewriting.expansion import _CandidateExpander
 from repro.rewriting.plans import Rewriting, RewritingKind, RewritingResult
-from repro.rewriting.verify import is_complete_rewriting, is_contained_rewriting
 
 
 @dataclass(frozen=True)
@@ -244,6 +244,7 @@ class BucketRewriter:
             return result
         head_vars = set(query.head.variables())
         seen_bodies: set = set()
+        expander = _CandidateExpander(self.views, reserved=query.variables())
         for combination in self._combinations(buckets):
             if (
                 self.max_candidates is not None
@@ -270,14 +271,16 @@ class BucketRewriter:
             if key in seen_bodies:
                 continue
             seen_bodies.add(key)
-            for repaired in self._contained_variants(candidate, query):
+            for repaired, expansion in self._contained_variants(candidate, query, expander):
                 repaired_key = repaired.canonical()
                 if repaired_key in seen_bodies and repaired_key != key:
                     continue
                 seen_bodies.add(repaired_key)
+                # The expansion is already known to be contained in the query
+                # (vacuously when unsatisfiable, which is never complete).
                 kind = (
                     RewritingKind.EQUIVALENT
-                    if is_complete_rewriting(repaired, query, self.views)
+                    if expansion is not None and is_contained(query, expansion)
                     else RewritingKind.CONTAINED
                 )
                 result.rewritings.append(
@@ -288,29 +291,31 @@ class BucketRewriter:
                         views_used=tuple(
                             dict.fromkeys(a.predicate for a in repaired.body)
                         ),
-                        expansion=cached_expand_query(repaired, self.views),
+                        expansion=expansion,
                     )
                 )
         return result
 
     def _contained_variants(
-        self, candidate: ConjunctiveQuery, query: ConjunctiveQuery
-    ) -> List[ConjunctiveQuery]:
+        self,
+        candidate: ConjunctiveQuery,
+        query: ConjunctiveQuery,
+        expander: _CandidateExpander,
+    ) -> List[Tuple[ConjunctiveQuery, Optional[ConjunctiveQuery]]]:
         """Contained rewritings obtainable from one Cartesian-product candidate.
 
-        The candidate itself is used when its expansion is already contained in
-        the query.  Otherwise the classical "add equality constraints" repair
-        step applies: a containment mapping from the candidate's expansion
-        into the query suggests how the candidate's variables (in particular
-        the fresh ones) must be equated with query terms; the specialized
-        candidate is then re-verified.
+        Each is paired with its expansion (``None`` when unsatisfiable, which
+        is vacuously contained).  The candidate itself is used when its
+        expansion is already contained in the query.  Otherwise the classical
+        "add equality constraints" repair step applies: a containment mapping
+        from the candidate's expansion into the query suggests how the
+        candidate's variables (in particular the fresh ones) must be equated
+        with query terms; the specialized candidate is then re-verified.
         """
-        if is_contained_rewriting(candidate, query, self.views):
-            return [candidate]
-        expansion = cached_expand_query(candidate, self.views)
-        if expansion is None:
-            return []
-        variants: List[ConjunctiveQuery] = []
+        expansion = expander.expand(candidate)
+        if expansion is None or is_contained(expansion, query):
+            return [(candidate, expansion)]
+        variants: List[Tuple[ConjunctiveQuery, Optional[ConjunctiveQuery]]] = []
         seen: set = set()
         candidate_vars = set()
         for atom in candidate.body:
@@ -345,8 +350,10 @@ class BucketRewriter:
             if key in seen:
                 continue
             seen.add(key)
-            if is_contained_rewriting(specialized, query, self.views):
-                variants.append(minimize(specialized))
+            repaired = expander.expand(specialized)
+            if repaired is None or is_contained(repaired, query):
+                minimal = minimize(specialized)
+                variants.append((minimal, expander.expand(minimal)))
         return variants
 
     @staticmethod

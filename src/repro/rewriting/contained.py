@@ -10,31 +10,26 @@ contained in it.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional
 
 from repro.errors import RewritingError
 from repro.datalog.queries import ConjunctiveQuery, UnionQuery
 from repro.datalog.views import View, ViewSet
 from repro.containment.containment import is_contained
 from repro.rewriting.bucket import BucketRewriter
-from repro.rewriting.expansion import cached_expand_query, cached_expand_rewriting
 from repro.rewriting.minicon import MiniConRewriter
-from repro.rewriting.plans import Rewriting, RewritingKind
+from repro.rewriting.plans import Rewriting, RewritingKind, RewritingResult
 
 
-def _prune_subsumed(
-    disjuncts: List[ConjunctiveQuery], views: ViewSet
-) -> List[ConjunctiveQuery]:
-    """Drop disjuncts whose expansion is contained in another disjunct's expansion.
+def _prune_subsumed(rewritings: List[Rewriting]) -> List[Rewriting]:
+    """Drop rewritings whose expansion is contained in another one's expansion.
 
-    Each disjunct is expanded exactly once per pruning pass — through the
-    shared expansion cache, so the generating algorithm's own unfoldings are
-    reused here and the caller's final union expansion reuses these — and the
-    pairwise containment checks on the expansions are served by the
-    fingerprint memo on repeats.
+    The expansions are the objects the generating algorithm recorded, so no
+    disjunct is unfolded again, and the pairwise containment checks on them
+    are served by the memo's identity tier on repeats.
     """
-    expansions = [cached_expand_query(disjunct, views) for disjunct in disjuncts]
-    keep: List[bool] = [True] * len(disjuncts)
+    expansions = [rewriting.expansion for rewriting in rewritings]
+    keep: List[bool] = [True] * len(rewritings)
     for i, expansion_i in enumerate(expansions):
         if expansion_i is None:
             keep[i] = False
@@ -50,7 +45,52 @@ def _prune_subsumed(
                 if not (j > i and is_contained(expansion_j, expansion_i)):
                     keep[i] = False
                     break
-    return [d for d, kept in zip(disjuncts, keep) if kept]
+    return [r for r, kept in zip(rewritings, keep) if kept]
+
+
+def _union_of_contained(
+    result: RewritingResult, algorithm: str, prune: bool = True
+) -> Optional[Rewriting]:
+    """The union plan over the contained rewritings a generator run reported.
+
+    Query and expansion of the plan are assembled from the recorded
+    rewritings — nothing is generated or unfolded a second time.  Returns
+    ``None`` when ``result`` holds no contained conjunctive rewriting.
+    """
+    contained = [
+        r
+        for r in result.rewritings
+        if isinstance(r.query, ConjunctiveQuery)
+        and r.kind in (RewritingKind.CONTAINED, RewritingKind.EQUIVALENT)
+    ]
+    if not contained:
+        return None
+    if prune and len(contained) > 1:
+        contained = _prune_subsumed(contained)
+    several = len(contained) > 1
+    # Duplicates up to the cheap canonical form go (first occurrence stays).
+    distinct: Dict[ConjunctiveQuery, Rewriting] = {}
+    for rewriting in contained:
+        distinct.setdefault(rewriting.query.canonical(), rewriting)
+    disjuncts = [r.query for r in distinct.values()]
+    expansions = [r.expansion for r in distinct.values() if r.expansion is not None]
+    kind = RewritingKind.MAXIMALLY_CONTAINED
+    # If one disjunct is already equivalent, the union is equivalent as well.
+    if any(r.kind is RewritingKind.EQUIVALENT for r in result.rewritings):
+        kind = RewritingKind.EQUIVALENT
+    return Rewriting(
+        query=UnionQuery(disjuncts) if several else disjuncts[0],
+        kind=kind,
+        algorithm=f"{algorithm}-union",
+        views_used=tuple(
+            dict.fromkeys(atom.predicate for disjunct in disjuncts for atom in disjunct.body)
+        ),
+        expansion=(
+            None if not expansions
+            else expansions[0] if len(expansions) == 1
+            else UnionQuery(expansions)
+        ),
+    )
 
 
 def maximally_contained_rewriting(
@@ -81,33 +121,4 @@ def maximally_contained_rewriting(
             f"unknown algorithm {algorithm!r} for maximally-contained rewriting "
             "(expected 'minicon' or 'bucket')"
         )
-    result = rewriter.rewrite(query)
-    disjuncts = [
-        r.query
-        for r in result.rewritings
-        if isinstance(r.query, ConjunctiveQuery)
-        and r.kind in (RewritingKind.CONTAINED, RewritingKind.EQUIVALENT)
-    ]
-    if not disjuncts:
-        return None
-    if prune and len(disjuncts) > 1:
-        disjuncts = _prune_subsumed(disjuncts, view_set)
-    union: Union[ConjunctiveQuery, UnionQuery]
-    union = disjuncts[0] if len(disjuncts) == 1 else UnionQuery(disjuncts).simplified()
-    kind = RewritingKind.MAXIMALLY_CONTAINED
-    # If one disjunct is already equivalent, the union is equivalent as well.
-    if any(r.kind is RewritingKind.EQUIVALENT for r in result.rewritings):
-        kind = RewritingKind.EQUIVALENT
-    return Rewriting(
-        query=union,
-        kind=kind,
-        algorithm=f"{algorithm}-union",
-        views_used=tuple(
-            dict.fromkeys(
-                atom.predicate
-                for disjunct in (union.disjuncts if isinstance(union, UnionQuery) else (union,))
-                for atom in disjunct.body
-            )
-        ),
-        expansion=cached_expand_rewriting(union, view_set),
-    )
+    return _union_of_contained(rewriter.rewrite(query), algorithm, prune)

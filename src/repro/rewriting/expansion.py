@@ -6,7 +6,9 @@ with the view definition's body, after
 
 1. unifying the view's head arguments with the atom's arguments, and
 2. renaming the view's existential variables to fresh variables, so that two
-   uses of the same view never share existential witnesses.
+   different atoms over the same view never share existential witnesses (an
+   atom repeated verbatim is the same conjunct and unfolds to the same
+   subgoals).
 
 The expansion is what gets compared against the original query: a rewriting
 is complete when its expansion is equivalent to the query, and contained when
@@ -16,7 +18,7 @@ its expansion is contained in the query.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.errors import RewritingError
 from repro.datalog.atoms import Atom, Comparison
@@ -26,6 +28,9 @@ from repro.datalog.substitution import Substitution, unify_terms
 from repro.datalog.terms import Variable
 from repro.datalog.views import View, ViewSet
 from repro.containment.memo import BoundedCache
+
+#: Set inside :func:`expansion_cache_disabled`: unfold the way the seed did.
+_seed_unfolding = False
 
 
 def expand_atom(
@@ -39,6 +44,12 @@ def expand_atom(
     when the atom's arguments cannot be unified with the view's head (which
     can only happen when constants clash); a ``None`` expansion denotes an
     unsatisfiable conjunct.
+
+    A head of distinct variables (every view the workload generators make) is
+    unfolded by one substitution.  A head with a repeated variable or a
+    constant (``v(X, X)``, ``v(X, 3)``) takes the general rename-then-unify
+    path, as does every atom inside :func:`expansion_cache_disabled`, so the
+    E14 reference pipeline checks the short path against the general one.
     """
     if atom.predicate != view.name:
         raise RewritingError(f"atom {atom} is not over view {view.name}")
@@ -47,24 +58,94 @@ def expand_atom(
             f"atom {atom} has {len(atom.args)} arguments but view {view.name} "
             f"has arity {view.arity}"
         )
+    definition = view.definition
+    head_args = view.head.args
+    if (
+        not _seed_unfolding
+        and len(set(head_args)) == len(head_args)
+        and all(arg.__class__ is Variable for arg in head_args)
+    ):
+        # No unification needed: one substitution sends each head variable to
+        # the atom's argument and each existential variable to a fresh one.
+        mapping = dict(zip(head_args, atom.args))
+        for var in definition.variables():
+            if var not in mapping:
+                mapping[var] = factory.fresh(var.name)
+        unfolding = Substitution(mapping)
+        return (
+            unfolding.apply_atoms(view.body),
+            unfolding.apply_comparisons(definition.comparisons),
+        )
     # Rename the entire view definition apart from anything seen so far.
     renaming = Substitution(
-        {var: factory.fresh(var.name) for var in view.definition.variables()}
+        {var: factory.fresh(var.name) for var in definition.variables()}
     )
-    head_args = [renaming.apply_term(t) for t in view.head.args]
     body = renaming.apply_atoms(view.body)
-    comparisons = renaming.apply_comparisons(view.definition.comparisons)
+    comparisons = renaming.apply_comparisons(definition.comparisons)
 
     # Unify the renamed head arguments with the atom's arguments.  Arguments of
     # the atom are never rewritten (they belong to the rewriting), so we build
     # the substitution on the renamed view variables only.
     unifier: Optional[Substitution] = Substitution.empty()
     for head_term, atom_term in zip(head_args, atom.args):
-        unifier = unify_terms(head_term, atom_term, unifier)
+        unifier = unify_terms(renaming.apply_term(head_term), atom_term, unifier)
         if unifier is None:
             return None
-    assert unifier is not None
     return unifier.apply_atoms(body), unifier.apply_comparisons(comparisons)
+
+
+class _CandidateExpander:
+    """Unfolds the queries of one rewriting request, each distinct view atom once.
+
+    The candidates one ``rewrite()`` call assembles share most of their view
+    atoms, so an atom's unfolding is kept for the life of the expander and
+    spliced into every query that uses it (separate queries may share
+    existential variables soundly).  One fresh-variable factory serves all
+    unfoldings; it avoids ``reserved`` and the variables of every query
+    expanded so far.  A later query that carries a variable named like an
+    existential one already issued (a view definition may use any name, the
+    callers' ``_M…`` / ``_B…`` included) would have it captured by a kept
+    unfolding, so such a query is unfolded on its own instead.
+    """
+
+    def __init__(self, views: ViewSet, reserved: Iterable[Variable] = ()):
+        self._views = views
+        self._factory = FreshVariableFactory(reserved=reserved)
+        self._unfolded: Dict[
+            Atom, Optional[Tuple[Tuple[Atom, ...], Tuple[Comparison, ...]]]
+        ] = {}
+        self._issued: Set[Variable] = set()
+
+    def expand(self, query: ConjunctiveQuery) -> Optional[ConjunctiveQuery]:
+        """``query`` with every view atom unfolded; ``None`` if one is unsatisfiable."""
+        variables = query.variables()
+        if not self._issued.isdisjoint(variables):
+            return expand_query(query, self._views)
+        self._factory.reserve(variables)
+        unfolded = self._unfolded
+        body: List[Atom] = []
+        comparisons: List[Comparison] = list(query.comparisons)
+        for atom in query.body:
+            view = self._views.get(atom.predicate)
+            if view is None:
+                body.append(atom)
+                continue
+            if atom not in unfolded:
+                expansion = unfolded[atom] = expand_atom(atom, view, self._factory)
+                if expansion is not None:
+                    self._issued.update(
+                        var
+                        for subgoal in expansion[0]
+                        for var in subgoal.variables()
+                        if var not in atom.args
+                    )
+            else:
+                expansion = unfolded[atom]
+            if expansion is None:
+                return None
+            body.extend(expansion[0])
+            comparisons.extend(expansion[1])
+        return ConjunctiveQuery(query.head, body, comparisons, require_safe=False)
 
 
 def expand_query(
@@ -77,38 +158,23 @@ def expand_query(
     result keeps the original head, so the expansion can be compared directly
     with the query being rewritten.
     """
-    factory = FreshVariableFactory(reserved=[v.name for v in query.variables()])
-    body: List[Atom] = []
-    comparisons: List[Comparison] = list(query.comparisons)
-    for atom in query.body:
-        view = views.get(atom.predicate)
-        if view is None:
-            body.append(atom)
-            continue
-        expansion = expand_atom(atom, view, factory)
-        if expansion is None:
-            return None
-        expanded_atoms, expanded_comparisons = expansion
-        body.extend(expanded_atoms)
-        comparisons.extend(expanded_comparisons)
-    return ConjunctiveQuery(query.head, body, comparisons, require_safe=False)
+    return _CandidateExpander(views).expand(query)
 
 
 #: Bounded cache of expansions keyed by (query, view-set version token).
 #: Expansion is deterministic (the fresh-variable factory is seeded from the
 #: query's own variables), so the cached object is exactly what a fresh
 #: ``expand_query`` call would build; queries and expansions are immutable,
-#: so sharing the object across callers is safe.  The rewriting algorithms
-#: expand every candidate up to three times (soundness check, completeness
-#: check, result record) and the subsumption pruning pass re-expands per pair
-#: — this cache collapses all of that to one expansion per candidate.
+#: so sharing the object across callers is safe.  It serves the callers that
+#: reach a candidate through :mod:`repro.rewriting.verify` — the exhaustive
+#: and partial searches, and anyone verifying a rewriting by hand — where the
+#: soundness check, the completeness check and the result record would each
+#: unfold the candidate again.  MiniCon and bucket do not come here: they
+#: unfold through one :class:`_CandidateExpander` per ``rewrite()`` call.
 _EXPANSION_CACHE = BoundedCache(2048)
 
 #: Sentinel distinguishing a cached ``None`` (unsatisfiable) from a miss.
 _UNSATISFIABLE = object()
-
-
-_expansion_cache_enabled = True
 
 
 def clear_expansion_cache() -> None:
@@ -121,15 +187,16 @@ def expansion_cache_disabled() -> Iterator[None]:
     """Scope in which every ``cached_expand_query`` call recomputes.
 
     Used by the E14 benchmark's reference pipeline to reproduce the seed
-    behaviour of unfolding a candidate from scratch at every call site.
+    behaviour of unfolding a candidate from scratch at every call site, each
+    view atom by the general path of :func:`expand_atom`.
     """
-    global _expansion_cache_enabled
-    previous = _expansion_cache_enabled
-    _expansion_cache_enabled = False
+    global _seed_unfolding
+    previous = _seed_unfolding
+    _seed_unfolding = True
     try:
         yield
     finally:
-        _expansion_cache_enabled = previous
+        _seed_unfolding = previous
 
 
 def cached_expand_query(
@@ -137,7 +204,7 @@ def cached_expand_query(
     views: ViewSet,
 ) -> Optional[ConjunctiveQuery]:
     """Memoized :func:`expand_query` (same result, computed once per candidate)."""
-    if not _expansion_cache_enabled:
+    if _seed_unfolding:
         return expand_query(query, views)
     key = (query, views.version_token())
     cached = _EXPANSION_CACHE.get(key)

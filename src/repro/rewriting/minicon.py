@@ -41,7 +41,7 @@ from repro.datalog.substitution import Substitution, unify_atoms
 from repro.datalog.terms import Constant, Term, Variable
 from repro.datalog.views import View, ViewSet
 from repro.containment.containment import is_contained
-from repro.rewriting.expansion import cached_expand_query, expand_query
+from repro.rewriting.expansion import _CandidateExpander, expand_query
 from repro.rewriting.plans import Rewriting, RewritingKind, RewritingResult
 from repro.rewriting.verify import is_complete_rewriting, is_contained_rewriting
 
@@ -102,7 +102,8 @@ class MiniConRewriter:
         each unfold the candidate separately through :mod:`verify` — instead
         of sharing one expansion and one containment search per direction.
         Combined with the naive search and a disabled memo this reproduces
-        the pre-overhaul cold path; it exists solely as the baseline of the
+        the pre-overhaul cold path (``rewrite()`` adds the seed's second
+        generator run for the union); it exists solely as the baseline of the
         E14 cold-rewriting benchmark.  ``None`` (the default) falls back to
         the class attribute :attr:`default_reference_pipeline`, which the
         benchmark flips so rewriters constructed deep inside ``rewrite()``
@@ -376,6 +377,7 @@ class MiniConRewriter:
                 reserved=[v.name for v in query.variables()], prefix="_MC"
             )
         body: List[Atom] = []
+        placed: set = set()
         for mcd_index, mcd in enumerate(combination):
             fresh_cache: Dict[int, Variable] = {}
             args: List[Term] = []
@@ -390,13 +392,15 @@ class MiniConRewriter:
                         fresh_cache[key] = factory.fresh(f"_M{mcd_index}_{key}")
                     args.append(fresh_cache[key])
             atom = Atom(mcd.view, args)
-            if atom not in body:
+            if atom not in placed:
+                placed.add(atom)
                 body.append(atom)
 
         for index in sorted(set(base_indices)):
             base_atom = query.body[index]
             resolved = base_atom.with_args(tuple(resolve(t) for t in base_atom.args))
-            if resolved not in body:
+            if resolved not in placed:
+                placed.add(resolved)
                 body.append(resolved)
 
         head = query.head.with_args(tuple(resolve(t) for t in query.head.args))
@@ -433,6 +437,7 @@ class MiniConRewriter:
         # most combinations are already distinct at the invariant level, so
         # most candidates never canonicalize at all.
         seen: Dict[tuple, List[ConjunctiveQuery]] = {}
+        expander = _CandidateExpander(self.views, reserved=query.variables())
         for candidate in self.combine(query, mcds):
             if self.max_rewritings is not None and len(result.rewritings) >= self.max_rewritings:
                 break
@@ -473,13 +478,13 @@ class MiniConRewriter:
                 )
                 continue
             # One unfolding serves the soundness check, the completeness
-            # check and the result record (it used to be computed three
-            # times), and the soundness direction doubles as the forward
-            # half of the equivalence test, so each candidate needs at most
-            # one containment search per direction.  An unsatisfiable
-            # expansion is vacuously sound and never complete, matching the
-            # verify.py semantics.
-            expansion = cached_expand_query(candidate, self.views)
+            # check and the result record, view atoms shared with earlier
+            # candidates are not unfolded again, and the soundness direction
+            # doubles as the forward half of the equivalence test, so each
+            # candidate needs at most one containment search per direction.
+            # An unsatisfiable expansion is vacuously sound and never
+            # complete, matching the verify.py semantics.
+            expansion = expander.expand(candidate)
             forward = expansion is not None and is_contained(expansion, query)
             if verify and expansion is not None and not forward:
                 continue

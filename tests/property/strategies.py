@@ -63,6 +63,23 @@ def conjunctive_queries(draw, max_head: int = 2, name: str = "q") -> Conjunctive
 
 
 @st.composite
+def queries_with_comparisons(draw, max_comparisons: int = 2, name: str = "q") -> ConjunctiveQuery:
+    """A safe conjunctive query with a few comparisons over its own body variables."""
+    query = draw(conjunctive_queries(name=name))
+    body_vars = query.body_variables()
+    if not body_vars:
+        return query
+    own = st.sampled_from(body_vars)
+    operators = st.sampled_from(["<", "<=", "=", "!=", ">", ">="])
+    count = draw(st.integers(min_value=0, max_value=max_comparisons))
+    comparisons = [
+        Comparison(draw(own), draw(operators), draw(st.one_of(own, own, constants)))
+        for _ in range(count)
+    ]
+    return query.add_subgoals(comparisons=comparisons)
+
+
+@st.composite
 def comparison_sets(draw, max_size: int = 4):
     """A small list of comparisons over three variables and small integers."""
     operators = st.sampled_from(["<", "<=", "=", "!=", ">", ">="])

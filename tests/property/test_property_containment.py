@@ -9,11 +9,13 @@ renaming-invariant) and against the raw search with the memo disabled.
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from repro.datalog.queries import ConjunctiveQuery
 from repro.datalog.substitution import Substitution
 from repro.datalog.terms import Variable
+from repro.errors import UnsupportedFeatureError
+from repro.containment.constraints import _constraints_of
 from repro.containment.containment import is_contained
 from repro.containment.homomorphism import (
     containment_mappings,
@@ -21,9 +23,10 @@ from repro.containment.homomorphism import (
     naive_containment_mappings,
     using_search_implementation,
 )
+from repro.containment.interpreted import _contained_by_cases, _has_witness
 from repro.containment.memo import global_containment_memo, memo_disabled
 
-from tests.property.strategies import conjunctive_queries
+from tests.property.strategies import conjunctive_queries, queries_with_comparisons
 
 
 def _mapping_key(substitution: Substitution):
@@ -92,3 +95,30 @@ class TestMemoRenamingInvariance:
         memoized_renamed = is_contained(renamed_left, renamed_right)
         with memo_disabled():
             assert is_contained(renamed_left, renamed_right) == memoized_renamed
+
+
+class TestWitnessFirst:
+    """The single-mapping witness test in front never changes a verdict.
+
+    The preorder enumeration alone is the complete test — what every pair
+    with comparisons used to pay for — so it is the oracle here: a witness
+    must imply it, and the tiered ``is_contained`` (memo on and off) must
+    return exactly what it returns.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(queries_with_comparisons(name="q"), queries_with_comparisons(name="q"))
+    def test_witness_implies_complete_test_and_tiers_agree(self, left, right):
+        if not _constraints_of(left).is_satisfiable():
+            complete = True
+        else:
+            try:
+                complete = _contained_by_cases(left, right, max_ordered_terms=5)
+            except UnsupportedFeatureError:
+                assume(False)  # too many orderings to use as an oracle
+            if _has_witness(left, right):
+                assert complete
+        global_containment_memo().clear()
+        assert is_contained(left, right) == complete
+        with memo_disabled():
+            assert is_contained(left, right) == complete

@@ -9,13 +9,18 @@ from repro.datalog.parser import parse_query, parse_view, parse_views
 from repro.datalog.queries import UnionQuery
 from repro.datalog.terms import Variable
 from repro.containment.containment import is_equivalent
+from repro.rewriting.bucket import BucketRewriter
 from repro.rewriting.expansion import (
+    _CandidateExpander,
     expand_atom,
     expand_query,
     expand_rewriting,
     uses_only_views,
     views_used,
 )
+from repro.rewriting.minicon import MiniConRewriter
+from repro.rewriting.plans import RewritingKind
+from repro.rewriting.verify import is_complete_rewriting, is_contained_rewriting
 
 
 @pytest.fixture
@@ -72,6 +77,12 @@ class TestExpandAtom:
         result = expand_atom(Atom("v_head_const", [7, "X"]), views["v_head_const"], factory)
         assert result is not None
 
+    def test_repeated_head_variable_takes_the_general_path(self):
+        diagonal = parse_view("v_diag(A, A) :- r(A, B).")
+        body, _ = expand_atom(Atom("v_diag", ["X", "Y"]), diagonal, FreshVariableFactory())
+        # Unifying the head with the atom equates the atom's two arguments.
+        assert len({body[0].args[0], Variable("X"), Variable("Y")}) == 2
+
     def test_wrong_view_or_arity_raises(self, views):
         factory = FreshVariableFactory()
         with pytest.raises(RewritingError):
@@ -111,6 +122,41 @@ class TestExpandQuery:
         assert expansion.size() == 4
         manual = parse_query("q(X, Z) :- r(X, A), s(A, Y), r(Y, B), s(B, Z).")
         assert is_equivalent(expansion, manual)
+
+
+class TestCandidateExpander:
+    """One expander per ``rewrite()`` call keeps unfoldings across candidates."""
+
+    #: Existential variables named like MiniCon's and bucket's own fresh ones.
+    ADVERSARIAL = """
+        v_path(A) :- r(A, _M0_0), s(_M0_0, _B0_1).
+        v_r(A, _B0_1) :- r(A, _B0_1).
+        v_s(_M0_0, A) :- s(_M0_0, A).
+    """
+
+    def test_a_kept_unfolding_does_not_capture_a_later_variable(self):
+        views = parse_views(self.ADVERSARIAL)
+        expander = _CandidateExpander(views)
+        expander.expand(parse_query("q(X) :- v_path(X)."))  # issues _M0_0
+        later = parse_query("q(X, _M0_0) :- v_path(X), v_r(X, _M0_0).")
+        expansion = expander.expand(later)
+        assert is_equivalent(expansion, expand_query(later, views))
+        assert is_equivalent(
+            expansion, parse_query("q(X, Y) :- r(X, A), s(A, B), r(X, Y).")
+        )
+
+    @pytest.mark.parametrize("rewriter_class", [MiniConRewriter, BucketRewriter])
+    def test_recorded_kinds_survive_adversarial_view_variable_names(self, rewriter_class):
+        views = parse_views(self.ADVERSARIAL)
+        query = parse_query("q(X) :- r(X, Y), s(Y, Z).")
+        result = rewriter_class(views).rewrite(query)
+        assert {r.kind for r in result.rewritings} == {RewritingKind.EQUIVALENT}
+        assert len(result.rewritings) >= 2
+        for rewriting in result.rewritings:
+            # verify.py unfolds each rewriting on its own, away from the expander.
+            assert is_contained_rewriting(rewriting.query, query, views)
+            assert is_complete_rewriting(rewriting.query, query, views)
+            assert is_equivalent(rewriting.expansion, query)
 
 
 class TestExpandRewritingAndHelpers:

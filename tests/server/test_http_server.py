@@ -115,11 +115,18 @@ class TestGetEndpoints:
     def test_metrics_exposition(self, server):
         status, payload, _ = request(server, "POST", "/query", {"query": QUERY})
         assert status == 200
+        # The server counts a request after writing its response (the latency
+        # histogram includes the write), so a scrape on a fresh connection can
+        # get ahead of the count: poll until the /query request shows.
+        counted = 'repro_http_requests_total{endpoint="/query",outcome="ok"} 1'
+        wait_until(
+            lambda: counted in request(server, "GET", "/metrics")[1],
+            message="/query request never counted",
+        )
         status, text, headers = request(server, "GET", "/metrics")
         assert status == 200
         assert headers["Content-Type"] == METRICS_CONTENT_TYPE
         assert "# TYPE repro_http_requests_total counter" in text
-        assert 'repro_http_requests_total{endpoint="/query",outcome="ok"} 1' in text
         assert "# TYPE repro_http_request_seconds histogram" in text
         assert "# TYPE repro_requests_total counter" in text  # the engine's series
 
