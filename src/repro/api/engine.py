@@ -48,6 +48,7 @@ from repro.obs import Instrumentation, MetricsRegistry, Trace
 from repro.rewriting.certain import certain_answers
 from repro.rewriting.plans import Rewriting, RewritingKind, RewritingResult
 from repro.service.batch import BatchReport, run_batch
+from repro.service.fingerprint import QueryFingerprint, fingerprint
 from repro.service.session import RewritingSession
 from repro.storage import (
     BackedDatabase,
@@ -235,30 +236,40 @@ class PreparedQuery:
 
     Obtained from :meth:`Engine.query`; cheap to create (parse + catalog
     validation only) — all real work happens in the verb methods, each of
-    which goes through the engine's session caches.
+    which goes through the engine's session caches.  The one built from a
+    query *text* is memoised by the engine and carries what is a pure
+    function of that text: its fingerprint and, once answered, the
+    per-text half of the answer (printed query, provenance of the plan).
     """
 
-    __slots__ = ("engine", "query")
+    __slots__ = ("engine", "query", "_text", "_fingerprint", "_plan")
 
     def __init__(self, engine: "Engine", query: ConjunctiveQuery):
         self.engine = engine
         self.query = query
+        #: The text this was parsed from (None for a query object).
+        self._text: Optional[str] = None
+        self._fingerprint: Optional[QueryFingerprint] = None
+        #: ``(best rewriting, printed query, {hit flags: Provenance})`` of the
+        #: last answer; reused for as long as the session hands back that
+        #: very rewriting object.
+        self._plan: Optional[Tuple[Any, str, Dict[Tuple[bool, bool], Provenance]]] = None
 
     def rewrite(self) -> RewritingResult:
         """Rewrite this query using the engine's views (fingerprint-cached)."""
-        return self.engine._rewrite(self.query)
+        return self.engine._rewrite(self)
 
     def answers(self) -> Answer:
         """Evaluate the query (through its best rewriting when one exists)."""
-        return self.engine._answer(self.query)
+        return self.engine._answer(self)
 
     def explain(self) -> Explanation:
         """The full decision tree: rewriting choice → plan steps → caches."""
-        return self.engine._explain(self.query)
+        return self.engine._explain(self)
 
     def certain(self, method: str = "inverse-rules") -> Answer:
         """Certain answers under sound views (open-world semantics)."""
-        return self.engine._certain(self.query, method)
+        return self.engine._certain(self, method)
 
     def __repr__(self) -> str:
         return f"PreparedQuery({to_datalog(self.query)!r})"
@@ -310,6 +321,10 @@ class Engine:
             executor=executor,
             instrumentation=self._obs,
         )
+        #: Query text -> its validated PreparedQuery: parsing, catalog
+        #: validation and fingerprinting are pure functions of the text and
+        #: this engine's fixed catalog.  FIFO-bounded by ``cache_size``.
+        self._prepared: Dict[str, PreparedQuery] = {}
         self.queries_served = 0
         self.deltas_applied = 0
         self._storage = storage_manager
@@ -341,21 +356,43 @@ class Engine:
 
     # -- the verbs ---------------------------------------------------------------
     def query(self, query: QueryInput) -> PreparedQuery:
-        """Parse (if text) and validate a query against the catalog."""
-        if isinstance(query, str):
+        """Parse (if text) and validate a query against the catalog.
+
+        A text that has been through a verb comes back as the PreparedQuery
+        it was given then — nothing is parsed, validated or fingerprinted
+        again.  This method only *reads* that memo (a new text joins it on
+        its first verb, a failing one never), so unlike the verbs it needs no
+        lock around it in a threaded front end.
+        """
+        if isinstance(query, ConjunctiveQuery):
+            self._catalog.validate_query(query)
+            return PreparedQuery(self, query)
+        if not isinstance(query, str):
+            raise QueryConstructionError(
+                f"expected datalog text or a ConjunctiveQuery, got {query!r}"
+            )
+        prepared = self._prepared.get(query)
+        if prepared is None:
             if self._obs is not None:
                 with self._obs.stage("parse"):
                     parsed = parse_query(query)
             else:
                 parsed = parse_query(query)
-        elif isinstance(query, ConjunctiveQuery):
-            parsed = query
-        else:
-            raise QueryConstructionError(
-                f"expected datalog text or a ConjunctiveQuery, got {query!r}"
-            )
-        self._catalog.validate_query(parsed)
-        return PreparedQuery(self, parsed)
+            self._catalog.validate_query(parsed)
+            prepared = PreparedQuery(self, parsed)
+            prepared._text = query
+            prepared._fingerprint = fingerprint(parsed)
+        return prepared
+
+    def _remember(self, prepared: PreparedQuery) -> None:
+        """Memoise a text's PreparedQuery; called by every verb, i.e. under
+        whatever lock the caller guards the session caches with."""
+        memo, bound = self._prepared, self._session.cache_size
+        if prepared._text is None or prepared._text in memo or bound <= 0:
+            return
+        if len(memo) >= bound:
+            del memo[next(iter(memo))]
+        memo[prepared._text] = prepared
 
     def apply(self, delta: DeltaLike) -> ChangeLog:
         """Apply a data delta; views and caches are maintained incrementally.
@@ -590,6 +627,7 @@ class Engine:
         so further :meth:`apply` calls raise :class:`StorageError`.
         """
         self._session.invalidate()
+        self._prepared.clear()
         if self._storage is not None:
             self._storage.close()
 
@@ -621,40 +659,52 @@ class Engine:
             return SOURCE_VIEWS_AND_BASE
         return SOURCE_BASE
 
-    def _rewrite(self, query: ConjunctiveQuery) -> RewritingResult:
+    def _rewrite(self, prepared: PreparedQuery) -> RewritingResult:
+        self._remember(prepared)
         with self._request("rewrite"):
-            return self._session.rewrite_cached(query)
+            return self._session.rewrite_cached(prepared.query, prepared._fingerprint)
 
-    def _answer(self, query: ConjunctiveQuery) -> Answer:
+    def _answer(self, prepared: PreparedQuery) -> Answer:
         started = time.perf_counter()
+        self._remember(prepared)
+        session = self._session
         with self._request("query"):
             self._require_database("answer queries")
-            rows, result = self._session.answer_with_plan(query)
-        answered_from_cache = self._session.last_answer_from_cache
+            entry, result = session._answer_entry(prepared.query, prepared._fingerprint)
+        flags = (session.last_cache_hit, session.last_answer_from_cache)
         self.queries_served += 1
         best = result.best
-        source = self._plan_target(best)
-        used = best if source != SOURCE_BASE else None
-        provenance = Provenance(
-            source=source,
-            rewriting=to_datalog(used.query) if used is not None else None,
-            kind=used.kind.value if used is not None else None,
-            algorithm=result.algorithm,
-            views_used=used.views_used if used is not None else (),
-            cache_hit=self._session.last_cache_hit,
-            answered_from_cache=answered_from_cache,
-            fingerprint=self._session.last_fingerprint,
-            executor=self._session.executor,
-        )
+        plan = prepared._plan
+        if plan is None or plan[0] is not best:
+            plan = prepared._plan = (best, to_datalog(prepared.query), {})
+        _, text, provenances = plan
+        provenance = provenances.get(flags)
+        if provenance is None:
+            source = self._plan_target(best)
+            used = best if source != SOURCE_BASE else None
+            provenance = provenances[flags] = Provenance(
+                source=source,
+                rewriting=to_datalog(used.query) if used is not None else None,
+                kind=used.kind.value if used is not None else None,
+                algorithm=result.algorithm,
+                views_used=used.views_used if used is not None else (),
+                cache_hit=flags[0],
+                answered_from_cache=flags[1],
+                fingerprint=session.last_fingerprint,
+                executor=session.executor,
+            )
         return Answer(
-            rows=rows,
-            query=to_datalog(query),
+            rows=entry.rows,
+            query=text,
             provenance=provenance,
             elapsed=time.perf_counter() - started,
+            _cached=entry if flags[1] else None,
         )
 
-    def _certain(self, query: ConjunctiveQuery, method: str) -> Answer:
+    def _certain(self, prepared: PreparedQuery, method: str) -> Answer:
         started = time.perf_counter()
+        self._remember(prepared)
+        query = prepared.query
         with self._request("certain"):
             instance = self._view_instance
             if instance is None:
@@ -683,16 +733,19 @@ class Engine:
             elapsed=time.perf_counter() - started,
         )
 
-    def _explain(self, query: ConjunctiveQuery) -> Explanation:
+    def _explain(self, prepared: PreparedQuery) -> Explanation:
+        self._remember(prepared)
         with self._request("explain"):
-            return self._explain_uncounted(query)
+            return self._explain_uncounted(prepared.query, prepared._fingerprint)
 
-    def _explain_uncounted(self, query: ConjunctiveQuery) -> Explanation:
+    def _explain_uncounted(
+        self, query: ConjunctiveQuery, fp: Optional[QueryFingerprint]
+    ) -> Explanation:
         answer_cached = (
             self._session.database is not None
-            and self._session.has_cached_answer(query)
+            and self._session.has_cached_answer(query, fp)
         )
-        result = self._session.rewrite_cached(query)
+        result = self._session.rewrite_cached(query, fp)
         rewrite_hit = self._session.last_cache_hit
         best = result.best
         choice = RewritingChoice(

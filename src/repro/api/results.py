@@ -18,7 +18,9 @@ by ``docs/explanation.schema.json`` and validated in ``tests/api``.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 #: Where an answer's rows were computed.
@@ -67,6 +69,11 @@ class Provenance:
             "executor": self.executor,
         }
 
+    @cached_property
+    def _json(self) -> str:
+        """``json.dumps(self.to_json())``, encoded once per (shared) instance."""
+        return json.dumps(self.to_json())
+
 
 @dataclass(frozen=True)
 class Answer:
@@ -80,6 +87,9 @@ class Answer:
     query: str
     provenance: Provenance
     elapsed: float = 0.0
+    #: The answer-cache entry the rows were served from (None when they were
+    #: just evaluated); :meth:`_json_text` keeps the rows' encoding on it.
+    _cached: Any = field(default=None, repr=False, compare=False)
 
     def __iter__(self) -> Iterator[Tuple[Any, ...]]:
         return iter(self.rows)
@@ -105,6 +115,26 @@ class Answer:
             "provenance": self.provenance.to_json(),
             "elapsed": self.elapsed,
         }
+
+    def _json_text(self) -> str:
+        """Exactly ``json.dumps(self.to_json(), default=str)``, rows encoded once.
+
+        Rows served from the answer cache are sorted and encoded on their
+        first hit and the text is kept *on the cache entry*, so whatever
+        evicts the rows evicts it too; freshly evaluated rows (which may never
+        be asked for again) are encoded here and kept nowhere.
+        """
+        entry = self._cached
+        rows = entry.encoded if entry is not None else None
+        if rows is None:
+            rows = json.dumps([list(row) for row in self.sorted_rows()], default=str)
+            if entry is not None:
+                entry.encoded = rows
+        return (
+            f'{{"query": {json.dumps(self.query)}, "rows": {rows}, '
+            f'"count": {len(self.rows)}, "provenance": {self.provenance._json}, '
+            f'"elapsed": {json.dumps(self.elapsed)}}}'
+        )
 
     def __repr__(self) -> str:
         return (

@@ -719,7 +719,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--host", default="127.0.0.1", help="bind address for --http"
     )
     serve_parser.add_argument(
-        "--workers", type=int, default=4, help="worker threads for --http"
+        "--workers", type=int, default=4,
+        help="accepted for compatibility and inert: an --http request runs on "
+             "its connection's thread",
     )
     serve_parser.add_argument(
         "--queue-limit", type=int, default=32,

@@ -34,11 +34,24 @@ __all__ = ["Span", "Trace", "Tracer"]
 DEFAULT_KEEP = 64
 
 _trace_counter = itertools.count(1)
+_trace_prefix = ""
+
+
+def _draw_trace_prefix() -> None:
+    """Draw this process's 8 random hex chars (again in every forked child)."""
+    global _trace_prefix
+    _trace_prefix = os.urandom(4).hex()
+
+
+_draw_trace_prefix()
+# A forked worker inherits the counter's position; a prefix of its own keeps
+# its ids apart from the parent's and its siblings'.
+os.register_at_fork(after_in_child=_draw_trace_prefix)
 
 
 def _new_trace_id() -> str:
-    """A unique id: 8 random hex chars + a process-local sequence number."""
-    return f"{os.urandom(4).hex()}-{next(_trace_counter):06d}"
+    """A unique id: the process's random prefix + a process-local sequence number."""
+    return f"{_trace_prefix}-{next(_trace_counter):06d}"
 
 
 class Span:

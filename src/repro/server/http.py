@@ -1,32 +1,40 @@
 """A threaded HTTP/JSON front end over one :class:`repro.api.Engine`.
 
-Stdlib only (:mod:`http.server` + :mod:`concurrent.futures`): the container
-bakes in no web framework, and the engine's work is CPU-bound Python anyway —
-what a front end must add is *discipline*, not parallel compute:
+Stdlib only (:mod:`socketserver` under a hand-written HTTP/1.1 keep-alive
+loop): the container bakes in no web framework, and the engine's work is
+CPU-bound Python anyway — what a front end must add is *discipline*, not
+parallel compute:
 
-* **Bounded concurrency.**  POST work runs on a fixed worker pool; the
-  admission count (submitted, not yet finished) is capped by ``queue_limit``
-  and exported as the ``repro_server_queue_depth`` gauge.  A request arriving
-  above the cap is rejected immediately with **503** and a ``Retry-After``
-  hint — the server sheds load instead of queueing unboundedly.
+* **Bounded concurrency.**  Every connection has a thread and its POSTs run
+  on it start to finish — no pool, no hand-off.  The admission count (POSTs
+  admitted, not yet finished) is capped by ``queue_limit`` and exported as
+  the ``repro_server_queue_depth`` gauge.  A request arriving above the cap
+  is rejected immediately with **503** and a ``Retry-After`` hint — the
+  server sheds load instead of queueing unboundedly.
 * **In-flight coalescing.**  Identical queries are recognized by their
   canonical fingerprint (:mod:`repro.service.fingerprint` — renaming- and
-  subgoal-order-invariant).  While one is being computed, followers share its
-  future instead of submitting duplicate work; ``repro_server_coalesced_total``
+  subgoal-order-invariant).  While one is being computed, followers wait on
+  its future instead of doing duplicate work; ``repro_server_coalesced_total``
   counts the collapsed requests and each follower's response carries
   ``"coalesced": true``.
 * **Serialized engine access.**  The engine's caches are not thread-safe, so
-  one lock guards every engine verb.  Under coalescing plus answer caches the
-  critical section is microseconds for warm traffic; the pool exists to keep
-  slow cold requests from blocking the accept loop, not to parallelize the
-  GIL-bound engine.
+  one lock guards every engine verb.  Outside it runs only what touches no
+  engine state: framing the request, ``Engine.query`` (a read of the text
+  memo, or a pure parse of a first-seen text — so a leader is admitted, and
+  found by its followers, while the engine is busy), admission, the write.
+  For warm traffic the critical section is two cache lookups and a splice of
+  rows encoded when they were first served from the cache.
 * **Tracing.**  Every request gets a trace id, echoed in the
   ``X-Repro-Trace-Id`` header and the JSON body.  Requests that reach the
   engine reuse the engine trace's id, so ``engine.trace(trace_id)`` (and
   ``POST /query`` with ``"trace": true``) can return the full span tree.
 * **Graceful drain.**  :meth:`ReproServer.shutdown` stops accepting, lets
-  in-flight work finish, then closes the socket; the CLI wires SIGINT/SIGTERM
+  admitted work finish, then closes the socket; the CLI wires SIGINT/SIGTERM
   to it so ``repro serve --http`` exits 0 under supervision.
+
+The wire is HTTP/1.1, keep-alive and pipelining, ``Content-Length`` bodies
+only, ``Expect: 100-continue`` honoured, one ``sendall`` per reply; a request
+that cannot be framed (:func:`_read_request`) gets one 4xx/5xx reply and a close.
 
 Endpoints (all JSON unless noted):
 
@@ -47,27 +55,47 @@ from __future__ import annotations
 
 import json
 import socket
+import socketserver
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+import time
+from concurrent.futures import Future
+from email.utils import formatdate
+from http import HTTPStatus
+from typing import Any, BinaryIO, Dict, Optional, Tuple
 
 from repro.errors import ReproError
-from repro.api.engine import Engine
+from repro.api.engine import Engine, PreparedQuery
 from repro.obs.trace import _new_trace_id
-from repro.service.fingerprint import fingerprint
 
 __all__ = ["ReproServer", "serve_http"]
 
 #: Content type of the Prometheus text exposition format.
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
-#: Seconds a handler waits on a worker future before giving up (504).
+#: Seconds a coalesced follower waits on its leader before giving up (500).
 DEFAULT_RESULT_TIMEOUT = 120.0
+
+#: Framing limits: bytes per request/header line, header lines, body bytes.
+_MAX_LINE = 64 * 1024
+_MAX_HEADERS = 100
+_MAX_BODY = 16 * 1024 * 1024
+
+#: A POST's work returns the reply object's JSON text short of its closing
+#: brace, the engine trace's id and the members to follow ``trace_id``.
+_Reply = Tuple[str, Optional[str], str]
 
 
 class _Overloaded(Exception):
     """Raised when admission control rejects a request (mapped to 503)."""
+
+
+class _ProtocolError(Exception):
+    """``(status, message)``: a request that cannot be framed; one reply, then close."""
+
+
+class _Listener(socketserver.ThreadingTCPServer):
+    allow_reuse_address = True
+    daemon_threads = True
 
 
 class ReproServer:
@@ -80,12 +108,12 @@ class ReproServer:
         the server declares its own metric series on the engine's registry so
         one scrape covers both layers.
     host / port:
-        Bind address; port 0 picks a free port (read :attr:`port` after
-        construction).
+        Bind address; port 0 picks a free port (read :attr:`port` afterwards).
     workers:
-        Worker-pool threads executing POST work.
+        Inert (a POST runs on its connection's thread); still accepted and
+        reported by ``/healthz`` so existing callers keep working.
     queue_limit:
-        Maximum submitted-but-unfinished POST requests before 503s.
+        Maximum admitted-but-unfinished POST requests before 503s.
     """
 
     def __init__(
@@ -109,20 +137,29 @@ class ReproServer:
         self.queue_limit = max(1, int(queue_limit))
         self.result_timeout = result_timeout
         self._engine_lock = threading.RLock()
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-http"
-        )
-        self._admission_lock = threading.Lock()
+        #: Guards the admission count and the in-flight table; notified when
+        #: the count returns to zero (what a drain waits for).
+        self._admission = threading.Condition()
         self._pending = 0
-        self._inflight: Dict[Tuple[str, str], Future] = {}
-        # Query text -> canonical fingerprint text (or None for unparseable
-        # bodies).  Parsing on the handler thread just to build the coalescing
-        # key would tax every warm request; templated traffic repeats a small
-        # set of texts, so a bounded FIFO memo removes that cost.
-        self._fingerprint_cache: Dict[str, Optional[str]] = {}
-        self._fingerprint_lock = threading.Lock()
+        self._inflight: Dict[str, "Future[_Reply]"] = {}
         self._draining = threading.Event()
         self._serve_thread: Optional[threading.Thread] = None
+        self._routes = {
+            "GET": {
+                "/healthz": self._get_healthz,
+                "/stats": self._get_stats,
+                "/metrics": self._get_metrics,
+            },
+            "POST": {
+                "/query": self._work_query,
+                "/explain": self._work_explain,
+                "/apply-delta": self._work_apply_delta,
+            },
+        }
+        #: (endpoint, outcome) -> that pair's counter and histogram children.
+        self._series: Dict[Tuple[str, str], Tuple[Any, Any]] = {}
+        #: The ``Date`` header, rendered once per second.
+        self._date: Tuple[int, str] = (0, "")
 
         registry = obs.registry
         self._http_requests = registry.counter(
@@ -137,7 +174,7 @@ class ReproServer:
         )
         self._queue_depth = registry.gauge(
             "repro_server_queue_depth",
-            "POST requests submitted to the worker pool and not yet finished.",
+            "POST requests admitted and not yet finished.",
         )
         self._coalesced = registry.counter(
             "repro_server_coalesced_total",
@@ -151,26 +188,20 @@ class ReproServer:
 
         server = self
 
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
+        class Connection(socketserver.StreamRequestHandler):
             # Keep-alive + Nagle + delayed ACK = ~40ms stalls on small
             # responses; a serving layer measured in milliseconds must not
             # batch segments.
             disable_nagle_algorithm = True
 
-            # The default handler logs every request to stderr; the server
-            # exports counters instead.
-            def log_message(self, format: str, *args: Any) -> None:
-                pass
+            def handle(self) -> None:
+                try:  # this connection's requests, in order, until either side closes
+                    while server._serve_request(self.rfile, self.connection):
+                        pass
+                except OSError:  # reset, or gone before the reply was written
+                    pass
 
-            def do_GET(self) -> None:
-                server._handle(self, "GET")
-
-            def do_POST(self) -> None:
-                server._handle(self, "POST")
-
-        self._httpd = ThreadingHTTPServer((host, port), Handler)
-        self._httpd.daemon_threads = True
+        self._httpd = _Listener((host, port), Connection)
 
     # -- lifecycle -----------------------------------------------------------------
     @property
@@ -204,15 +235,15 @@ class ReproServer:
         self._httpd.serve_forever(poll_interval=0.1)
 
     def shutdown(self) -> None:
-        """Graceful drain: stop accepting, finish in-flight work, close.
-
-        Idempotent; safe to call from a signal handler thread.
-        """
+        """Graceful drain: stop accepting, finish admitted work, close.
+        Idempotent; safe to call from a signal handler thread."""
         if self._draining.is_set():
             return
         self._draining.set()
         self._httpd.shutdown()
-        self._pool.shutdown(wait=True)
+        with self._admission:
+            while self._pending:
+                self._admission.wait()
         self._httpd.server_close()
 
     @property
@@ -225,53 +256,73 @@ class ReproServer:
     def __exit__(self, *exc_info: Any) -> None:
         self.shutdown()
 
-    # -- dispatch ------------------------------------------------------------------
-    _GET_ROUTES = {"/healthz", "/stats", "/metrics"}
-    _POST_ROUTES = {"/query", "/explain", "/apply-delta"}
-
-    def _handle(self, handler: BaseHTTPRequestHandler, method: str) -> None:
-        path = handler.path.split("?", 1)[0]
-        endpoint = path if path in (self._GET_ROUTES | self._POST_ROUTES) else "unknown"
-        started = _monotonic()
+    # -- the connection loop -------------------------------------------------------
+    def _serve_request(self, rfile: BinaryIO, sock: socket.socket) -> bool:
+        """Read one request and reply; False ends the connection."""
+        line = rfile.readline(_MAX_LINE + 1)
+        while line in (b"\r\n", b"\n"):  # RFC 7230 3.5: tolerate stray CRLFs
+            line = rfile.readline(_MAX_LINE + 1)
+        if not line:
+            return False
+        started = time.perf_counter()
         try:
-            outcome = self._route(handler, method, path)
-        except BrokenPipeError:  # pragma: no cover - client went away
-            outcome = "disconnect"
-        except Exception as error:  # pragma: no cover - defensive catch-all
-            outcome = "error"
-            try:
-                self._send_json(
-                    handler, 500, {"error": {"type": "InternalError", "message": str(error)}}
-                )
-            except Exception:
-                pass
-        self._http_requests.labels(endpoint, outcome).inc()
-        self._http_seconds.labels(endpoint).observe(_monotonic() - started)
+            request = _read_request(line, rfile, sock)
+        except _ProtocolError as error:
+            status, message = error.args
+            trace_id = _new_trace_id()
+            kind = HTTPStatus(status).phrase.replace(" ", "")
+            reply = _error_json(kind, message, trace_id)
+            self._send(sock, status, reply, trace_id, keep_alive=False)
+            return False
+        if request is None:  # disconnected mid-request
+            return False
+        method, path, body, keep_alive = request
+        handler = self._routes[method].get(path)
+        endpoint = path if handler is not None else "unknown"
+        try:
+            if handler is None:
+                outcome, status, trace_id = "not_found", 404, None
+                reply = _error_json("NotFound", f"no route {path}")
+            elif method == "GET":
+                outcome, status, reply, trace_id = "ok", 200, handler(), None
+            else:
+                outcome, status, reply, trace_id = self._post(handler, body)
+        except Exception as error:  # defensive catch-all: reply, keep serving
+            outcome, status, trace_id = "error", 500, None
+            reply = _error_json("InternalError", str(error))
+        try:
+            self._send(sock, status, reply, trace_id, keep_alive, path == "/metrics")
+        except OSError:
+            outcome, keep_alive = "disconnect", False
+        series = self._series.get((endpoint, outcome))
+        if series is None:
+            series = self._series[endpoint, outcome] = (
+                self._http_requests.labels(endpoint, outcome),
+                self._http_seconds.labels(endpoint),
+            )
+        series[0].inc()
+        series[1].observe(time.perf_counter() - started)
+        return keep_alive
 
-    def _route(self, handler: BaseHTTPRequestHandler, method: str, path: str) -> str:
-        if method == "GET":
-            if path == "/healthz":
-                return self._get_healthz(handler)
-            if path == "/stats":
-                return self._get_stats(handler)
-            if path == "/metrics":
-                return self._get_metrics(handler)
-            self._send_json(handler, 404, _error_body("NotFound", f"no route {path}"))
-            return "not_found"
-        if method == "POST":
-            if path not in self._POST_ROUTES:
-                self._send_json(
-                    handler, 404, _error_body("NotFound", f"no route {path}")
-                )
-                return "not_found"
-            return self._post(handler, path)
-        self._send_json(  # pragma: no cover - only GET/POST are wired
-            handler, 405, _error_body("MethodNotAllowed", method)
+    def _send(self, sock: socket.socket, status: int, body: bytes,
+              trace_id: Optional[str], keep_alive: bool, metrics: bool = False) -> None:
+        """Head and body in one ``sendall``."""
+        now = int(time.time())
+        if self._date[0] != now:
+            self._date = (now, formatdate(now, usegmt=True))
+        head = (
+            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+            f"Server: repro\r\nDate: {self._date[1]}\r\n"
+            + ("Retry-After: 1\r\n" if status == 503 else "")
+            + f"Content-Type: {METRICS_CONTENT_TYPE if metrics else 'application/json'}\r\n"
+            + f"Content-Length: {len(body)}\r\n"
+            + (f"X-Repro-Trace-Id: {trace_id}\r\n" if trace_id is not None else "")
+            + ("\r\n" if keep_alive else "Connection: close\r\n\r\n")
         )
-        return "method_not_allowed"
+        sock.sendall(head.encode("latin-1") + body)
 
     # -- GET endpoints -------------------------------------------------------------
-    def _get_healthz(self, handler: BaseHTTPRequestHandler) -> str:
+    def _get_healthz(self) -> bytes:
         body = {
             "status": "draining" if self.draining else "ok",
             "inflight": self._pending,
@@ -283,231 +334,185 @@ class ReproServer:
             # Durable engines surface backend identity and WAL lag so load
             # balancers can see an unsynced or recovering replica.
             body["storage"] = storage
-        self._send_json(handler, 200, body)
-        return "ok"
+        return _json_bytes(body)
 
-    def _get_stats(self, handler: BaseHTTPRequestHandler) -> str:
+    def _get_stats(self) -> bytes:
         with self._engine_lock:
             stats = self._engine.stats()
-        self._send_json(handler, 200, stats)
-        return "ok"
+        return _json_bytes(stats)
 
-    def _get_metrics(self, handler: BaseHTTPRequestHandler) -> str:
+    def _get_metrics(self) -> bytes:
         with self._engine_lock:
-            text = self._engine.metrics()
-        body = text.encode("utf-8")
-        handler.send_response(200)
-        handler.send_header("Content-Type", METRICS_CONTENT_TYPE)
-        handler.send_header("Content-Length", str(len(body)))
-        handler.end_headers()
-        handler.wfile.write(body)
-        return "ok"
+            return self._engine.metrics().encode("utf-8")
 
     # -- POST endpoints ------------------------------------------------------------
-    def _post(self, handler: BaseHTTPRequestHandler, path: str) -> str:
+    def _post(self, work: Any, raw: bytes) -> Tuple[str, int, bytes, str]:
+        """One POST through ``work``: (outcome, status, reply body, trace id)."""
         trace_id = _new_trace_id()
-        handler_map = {
-            "/query": self._work_query,
-            "/explain": self._work_explain,
-            "/apply-delta": self._work_apply_delta,
-        }
         try:
-            body = self._read_json(handler)
-        except ValueError as error:
-            self._send_json(
-                handler, 400, _error_body("BadRequest", str(error), trace_id), trace_id
-            )
-            return "client_error"
-        work = handler_map[path]
+            body = json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+            message = f"request body is not valid JSON: {error}"
+            return "client_error", 400, _error_json("BadRequest", message, trace_id), trace_id
         try:
-            payload, coalesced = self._run(path, body, work, trace_id)
+            (head, engine_trace_id, tail), coalesced = self._run(work, body)
         except _Overloaded:
             self._rejections.inc()
-            handler.send_response(503)
-            handler.send_header("Retry-After", "1")
-            response = json.dumps(
-                _error_body("Overloaded", "worker queue full or draining", trace_id)
-            ).encode("utf-8")
-            handler.send_header("Content-Type", "application/json")
-            handler.send_header("Content-Length", str(len(response)))
-            handler.send_header("X-Repro-Trace-Id", trace_id)
-            handler.end_headers()
-            handler.wfile.write(response)
-            return "rejected"
+            message = "worker queue full or draining"
+            return "rejected", 503, _error_json("Overloaded", message, trace_id), trace_id
         except ReproError as error:
-            self._send_json(
-                handler,
-                400,
-                _error_body(type(error).__name__, str(error), trace_id),
-                trace_id,
-            )
-            return "client_error"
-        payload = dict(payload)
-        payload.setdefault("trace_id", trace_id)
-        payload["coalesced"] = coalesced
-        if coalesced:
-            # Followers share the leader's payload; their own id names this
-            # HTTP exchange instead (the leader owns the engine trace).
-            payload["trace_id"] = trace_id
-        self._send_json(handler, 200, payload)
-        return "ok"
+            kind = type(error).__name__
+            return "client_error", 400, _error_json(kind, str(error), trace_id), trace_id
+        # Followers share the leader's reply; their own id names this HTTP
+        # exchange instead (the leader owns the engine trace).
+        if engine_trace_id is not None and not coalesced:
+            trace_id = engine_trace_id
+        flag = "true" if coalesced else "false"
+        reply = f'{head}, "trace_id": "{trace_id}"{tail}, "coalesced": {flag}}}'
+        return "ok", 200, reply.encode("utf-8"), trace_id
 
-    def _run(self, path, body, work, trace_id) -> Tuple[Dict[str, Any], bool]:
-        """Admission control + coalescing; returns (payload, was_coalesced)."""
-        key = self._coalesce_key(path, body)
-        with self._admission_lock:
-            future = self._inflight.get(key) if key is not None else None
-            if future is not None:
+    def _run(self, work: Any, body: Any) -> Tuple[_Reply, bool]:
+        """Admission control + coalescing around the work; (reply, was_coalesced)."""
+        prepared = key = shared = first_seen = None
+        if work == self._work_query:
+            # Off the engine lock on purpose: query() touches no engine state.
+            # Only /query coalesces (explain is cheap, apply-delta mutates), on
+            # the canonical fingerprint, so renamed/reordered copies join too.
+            text = _required_field(body, "query")
+            prepared = self._engine.query(text)
+            key = prepared._fingerprint.text
+            first_seen = self._engine._prepared.get(text) is not prepared
+        with self._admission:
+            leader = self._inflight.get(key) if key is not None else None
+            if leader is not None:
                 self._coalesced.inc()
-                shared = True
+            elif self.draining or self._pending >= self.queue_limit:
+                raise _Overloaded()
             else:
-                if self.draining or self._pending >= self.queue_limit:
-                    raise _Overloaded()
                 self._pending += 1
                 self._queue_depth.set(self._pending)
-                future = self._pool.submit(work, body, trace_id)
                 if key is not None:
-                    self._inflight[key] = future
-                shared = False
-        if not shared:
-            # Registered OUTSIDE the admission lock: a fast worker can finish
-            # before this line, in which case add_done_callback invokes the
-            # cleanup inline on this thread — which must not already hold the
-            # (non-reentrant) lock the cleanup acquires.
-            future.add_done_callback(self._on_done(key))
-        return future.result(timeout=self.result_timeout), shared
-
-    def _on_done(self, key):
-        def callback(_future: Future) -> None:
-            with self._admission_lock:
+                    shared = self._inflight[key] = Future()
+        if leader is not None:
+            return leader.result(timeout=self.result_timeout), True
+        if first_seen:
+            # Cold work ahead that never releases the GIL: yield once, so
+            # copies already on other connections can join as followers.
+            time.sleep(0)
+        try:
+            reply = work(body, prepared)
+            if shared is not None:
+                shared.set_result(reply)
+            return reply, False
+        except BaseException as error:
+            if shared is not None:
+                shared.set_exception(error)
+            raise
+        finally:
+            with self._admission:
                 self._pending -= 1
                 self._queue_depth.set(self._pending)
                 if key is not None:
-                    self._inflight.pop(key, None)
-        return callback
+                    del self._inflight[key]
+                if not self._pending:
+                    self._admission.notify_all()
 
-    def _coalesce_key(self, path: str, body: Any) -> Optional[Tuple[str, str]]:
-        """The in-flight identity of a request; None disables coalescing.
+    # -- the work (engine lock held) -----------------------------------------------
+    def _traced(self, text: str, inline: bool = False) -> _Reply:
+        """A reply object's text plus the trace of the verb that just ran."""
+        trace = self._engine.trace()
+        if trace is None:
+            return text[:-1], None, ""
+        tail = f', "trace": {json.dumps(trace.to_json(), default=str)}' if inline else ""
+        return text[:-1], trace.trace_id, tail
 
-        Only ``/query`` coalesces (explain is cheap and apply-delta mutates).
-        The key is the query's canonical fingerprint, so renamed/reordered
-        copies of an in-flight query coalesce too — the same equivalence the
-        session's caches use.
-        """
-        if path != "/query" or not isinstance(body, dict):
-            return None
-        text = body.get("query")
-        if not isinstance(text, str):
-            return None
-        with self._fingerprint_lock:
-            if text in self._fingerprint_cache:
-                fp = self._fingerprint_cache[text]
-                return None if fp is None else (path, fp)
-        try:
-            fp = fingerprint(self._engine.query(text).query).text
-        except ReproError:
-            fp = None  # let the worker produce the real error response
-        with self._fingerprint_lock:
-            if len(self._fingerprint_cache) >= 1024:
-                self._fingerprint_cache.pop(next(iter(self._fingerprint_cache)))
-            self._fingerprint_cache[text] = fp
-        return None if fp is None else (path, fp)
-
-    # -- the work (runs on the pool, engine lock held) -----------------------------
-    def _work_query(self, body: Any, trace_id: str) -> Dict[str, Any]:
-        text = _required_field(body, "query")
-        want_trace = bool(body.get("trace")) if isinstance(body, dict) else False
+    def _work_query(self, body: Dict[str, Any], prepared: PreparedQuery) -> _Reply:
+        engine = self._engine
         with self._engine_lock:
-            prepared = self._engine.query(text)
-            if self._engine.database is not None:
-                answer = prepared.answers()
-                payload = answer.to_json()
+            if engine.database is not None:
+                text = prepared.answers()._json_text()
             else:
-                result = prepared.rewrite()
-                best = result.best
-                payload = {
-                    "query": text,
+                best = prepared.rewrite().best
+                text = json.dumps({
+                    "query": body["query"],
                     "rows": None,
                     "rewriting": str(best.query) if best is not None else None,
                     "kind": best.kind.value if best is not None else None,
-                    "cache_hit": self._engine.last_cache_hit,
-                }
-            engine_trace = self._engine.trace()
-            if engine_trace is not None:
-                payload["trace_id"] = engine_trace.trace_id
-                if want_trace:
-                    payload["trace"] = engine_trace.to_json()
-        return payload
+                    "cache_hit": engine.last_cache_hit,
+                })
+            return self._traced(text, inline=bool(body.get("trace")))
 
-    def _work_explain(self, body: Any, trace_id: str) -> Dict[str, Any]:
+    def _work_explain(self, body: Any, prepared: None) -> _Reply:
         text = _required_field(body, "query")
         with self._engine_lock:
             explanation = self._engine.query(text).explain()
-            payload = {"explanation": explanation.to_json()}
-            engine_trace = self._engine.trace()
-            if engine_trace is not None:
-                payload["trace_id"] = engine_trace.trace_id
-        return payload
+            return self._traced(json.dumps({"explanation": explanation.to_json()}, default=str))
 
-    def _work_apply_delta(self, body: Any, trace_id: str) -> Dict[str, Any]:
+    def _work_apply_delta(self, body: Any, prepared: None) -> _Reply:
         text = _required_field(body, "delta")
         with self._engine_lock:
             log = self._engine.apply(text)
-            payload = {"changelog": log.to_dict()}
-            engine_trace = self._engine.trace()
-            if engine_trace is not None:
-                payload["trace_id"] = engine_trace.trace_id
-        return payload
-
-    # -- plumbing ------------------------------------------------------------------
-    def _read_json(self, handler: BaseHTTPRequestHandler) -> Any:
-        length = handler.headers.get("Content-Length")
-        if length is None:
-            raise ValueError("missing Content-Length")
-        try:
-            size = int(length)
-        except ValueError:
-            raise ValueError(f"bad Content-Length {length!r}") from None
-        if size < 0 or size > 16 * 1024 * 1024:
-            raise ValueError(f"unreasonable Content-Length {size}")
-        raw = handler.rfile.read(size)
-        try:
-            return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise ValueError(f"request body is not valid JSON: {error}") from None
-
-    def _send_json(
-        self,
-        handler: BaseHTTPRequestHandler,
-        status: int,
-        payload: Any,
-        trace_id: Optional[str] = None,
-    ) -> None:
-        body = json.dumps(payload, default=str).encode("utf-8")
-        handler.send_response(status)
-        handler.send_header("Content-Type", "application/json")
-        handler.send_header("Content-Length", str(len(body)))
-        if trace_id is not None:
-            handler.send_header("X-Repro-Trace-Id", trace_id)
-        elif isinstance(payload, dict) and "trace_id" in payload:
-            handler.send_header("X-Repro-Trace-Id", str(payload["trace_id"]))
-        handler.end_headers()
-        handler.wfile.write(body)
+            return self._traced(json.dumps({"changelog": log.to_dict()}, default=str))
 
 
-def _monotonic() -> float:
-    import time
+# -- plumbing ----------------------------------------------------------------------
+def _read_request(
+    line: bytes, rfile: BinaryIO, sock: socket.socket
+) -> Optional[Tuple[str, str, bytes, bool]]:
+    """Frame the request that starts with ``line``: ``(method, path, body,
+    keep_alive)``, or None when the client went away before it was complete."""
+    if len(line) > _MAX_LINE:
+        raise _ProtocolError(431, "request line too long")
+    words = line.split()
+    if len(words) != 3 or not words[2].startswith(b"HTTP/"):
+        raise _ProtocolError(400, "malformed request line")
+    method, target, version = words
+    if version not in (b"HTTP/1.1", b"HTTP/1.0"):
+        raise _ProtocolError(505, "only HTTP/1.0 and HTTP/1.1 are spoken here")
+    if method not in (b"GET", b"POST"):
+        raise _ProtocolError(405, "only GET and POST are served")
+    headers: Dict[bytes, bytes] = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = rfile.readline(_MAX_LINE + 1)
+        if line in (b"\r\n", b"\n"):
+            break
+        if not line:
+            return None
+        if len(line) > _MAX_LINE:
+            raise _ProtocolError(431, "header line too long")
+        name, colon, value = line.partition(b":")
+        if not colon or not name or name != name.strip():
+            raise _ProtocolError(400, "malformed header line")
+        headers[name.lower()] = value.strip()
+    else:
+        raise _ProtocolError(431, f"more than {_MAX_HEADERS} headers")
+    if b"transfer-encoding" in headers:
+        raise _ProtocolError(411, "Transfer-Encoding is not supported; send Content-Length")
+    length = headers.get(b"content-length", b"" if method == b"POST" else b"0")
+    # isdigit() refuses signs, spaces and underscores; 8 digits hold the cap.
+    size = int(length) if length.isdigit() and len(length) <= 8 else -1
+    if not 0 <= size <= _MAX_BODY:
+        got = length.decode("latin-1")[:40]
+        raise _ProtocolError(400, f"Content-Length must be 0..{_MAX_BODY}, got {got!r}")
+    if size and headers.get(b"expect", b"").lower() == b"100-continue":
+        sock.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+    body = rfile.read(size) if size else b""
+    if len(body) < size:
+        return None
+    closing = version == b"HTTP/1.0" or b"close" in headers.get(b"connection", b"").lower()
+    path = target.split(b"?", 1)[0].decode("latin-1")
+    return method.decode("latin-1"), path, body, not closing
 
-    return time.perf_counter()
+
+def _json_bytes(payload: Any) -> bytes:
+    return json.dumps(payload, default=str).encode("utf-8")
 
 
-def _error_body(
-    error_type: str, message: str, trace_id: Optional[str] = None
-) -> Dict[str, Any]:
+def _error_json(error_type: str, message: str, trace_id: Optional[str] = None) -> bytes:
     body: Dict[str, Any] = {"error": {"type": error_type, "message": message}}
     if trace_id is not None:
         body["trace_id"] = trace_id
-    return body
+    return _json_bytes(body)
 
 
 def _required_field(body: Any, field: str) -> str:
@@ -517,13 +522,8 @@ def _required_field(body: Any, field: str) -> str:
 
 
 def serve_http(
-    engine: Engine,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    workers: int = 4,
+    engine: Engine, host: str = "127.0.0.1", port: int = 0, workers: int = 4,
     queue_limit: int = 32,
 ) -> ReproServer:
     """Start a :class:`ReproServer` in the background and return it."""
-    return ReproServer(
-        engine, host=host, port=port, workers=workers, queue_limit=queue_limit
-    ).start()
+    return ReproServer(engine, host, port, workers, queue_limit).start()

@@ -90,6 +90,19 @@ class _CacheEntry:
     candidates_examined: int
 
 
+class _AnswerEntry:
+    """One cached answer: the rows, the predicates they depend on and — once
+    a front end has encoded them — their encoded form, which therefore lives
+    and dies with the rows (LRU, version flush, delta-scoped eviction)."""
+
+    __slots__ = ("rows", "predicates", "encoded")
+
+    def __init__(self, rows: FrozenSet[Tuple[Any, ...]], predicates: FrozenSet[str]):
+        self.rows = rows
+        self.predicates = predicates
+        self.encoded: Any = None
+
+
 def _retarget(obj: Any, renaming: Substitution, avoid_names: FrozenSet[str]) -> Any:
     """Rename a query-like object through ``renaming``.
 
@@ -289,16 +302,19 @@ class RewritingSession:
         self._require_database()
         return self._view_store()
 
-    def has_cached_answer(self, query: ConjunctiveQuery) -> bool:
+    def has_cached_answer(
+        self, query: ConjunctiveQuery, fp: Optional[QueryFingerprint] = None
+    ) -> bool:
         """Whether an answer for ``query`` is currently cached.
 
         Syncs the database version first, so an entry invalidated by an
-        out-of-band mutation is never reported as cached.
+        out-of-band mutation is never reported as cached.  ``fp`` (here and
+        below) is the query's fingerprint when the caller already has it.
         """
         if self._database is not None:
             self._refresh_database_version()
-        key = (fingerprint(query).text, self.algorithm, self.mode)
-        return self._answer_cache.peek(key) is not None
+        fp = fp if fp is not None else fingerprint(query)
+        return self._answer_cache.peek((fp.text, self.algorithm, self.mode)) is not None
 
     def set_views(self, views: "ViewSet | Iterable[View]") -> None:
         """Swap the view set; caches are invalidated unless the contents match."""
@@ -364,8 +380,7 @@ class RewritingSession:
             entry = self._answer_cache.peek(key)
             if entry is None:
                 continue
-            _answers, predicates = entry
-            if predicates & affected:
+            if entry.predicates & affected:
                 self._answer_cache.discard(key)
                 evicted += 1
             else:
@@ -377,9 +392,11 @@ class RewritingSession:
         return log
 
     # -- rewriting ----------------------------------------------------------------
-    def rewrite_cached(self, query: ConjunctiveQuery) -> RewritingResult:
+    def rewrite_cached(
+        self, query: ConjunctiveQuery, fp: Optional[QueryFingerprint] = None
+    ) -> RewritingResult:
         """Rewrite ``query``, sharing work with every isomorphic earlier query."""
-        return self._rewrite_with_fp(query, fingerprint(query))
+        return self._rewrite_with_fp(query, fp if fp is not None else fingerprint(query))
 
     def _rewrite_with_fp(
         self, query: ConjunctiveQuery, fp: QueryFingerprint
@@ -528,18 +545,18 @@ class RewritingSession:
             self.last_answer_from_cache = True
             if self._obs is not None:
                 self._obs.cache_event("answer", "hit")
-            return cached[0]
+            return cached.rows
         self.last_answer_from_cache = False
         if self._obs is not None:
             self._obs.cache_event("answer", "miss")
         result = self._rewrite_with_fp(query, fp)
         answers = self._evaluate_observed(query, result)
         self.last_cache_hit = False
-        self._answer_cache.put(key, (answers, _query_predicates(query)))
+        self._answer_cache.put(key, _AnswerEntry(answers, _query_predicates(query)))
         return answers
 
     def answer_with_plan(
-        self, query: ConjunctiveQuery
+        self, query: ConjunctiveQuery, fp: Optional[QueryFingerprint] = None
     ) -> Tuple[FrozenSet[Tuple[Any, ...]], RewritingResult]:
         """Answers plus the rewriting result that produced (or would produce) them.
 
@@ -548,22 +565,31 @@ class RewritingSession:
         served query is accounted once, not twice.  ``last_cache_hit`` reports
         the rewrite-cache outcome.
         """
+        entry, result = self._answer_entry(query, fp)
+        return entry.rows, result
+
+    def _answer_entry(
+        self, query: ConjunctiveQuery, fp: Optional[QueryFingerprint] = None
+    ) -> Tuple[_AnswerEntry, RewritingResult]:
+        """:meth:`answer_with_plan`, handing out the cache entry itself (the
+        engine keeps a served answer's encoded rows on it)."""
         self._require_database()
-        fp = fingerprint(query)
+        if fp is None:
+            fp = fingerprint(query)
         result = self._rewrite_with_fp(query, fp)
         rewrite_hit = self.last_cache_hit
         key = (fp.text, self.algorithm, self.mode)
-        cached = self._answer_cache.get(key)
-        self.last_answer_from_cache = cached is not None
+        entry = self._answer_cache.get(key)
+        self.last_answer_from_cache = entry is not None
         if self._obs is not None:
-            self._obs.cache_event("answer", "hit" if cached is not None else "miss")
-        if cached is None:
-            answers = self._evaluate_observed(query, result)
-            self._answer_cache.put(key, (answers, _query_predicates(query)))
-        else:
-            answers = cached[0]
+            self._obs.cache_event("answer", "hit" if entry is not None else "miss")
+        if entry is None:
+            entry = _AnswerEntry(
+                self._evaluate_observed(query, result), _query_predicates(query)
+            )
+            self._answer_cache.put(key, entry)
         self.last_cache_hit = rewrite_hit
-        return answers, result
+        return entry, result
 
     def _require_database(self) -> None:
         if self._database is None:

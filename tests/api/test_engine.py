@@ -181,6 +181,71 @@ class TestAnswers:
             engine.query(42)
 
 
+class TestQueryTextMemo:
+    def test_an_answered_text_is_not_parsed_again(self):
+        engine = make_engine()
+        first = engine.query(QUERY)
+        assert engine.query(QUERY) is not first  # not memoised before a verb
+        first.answers()
+        assert engine.query(QUERY) is first
+        parse = engine.metrics_registry.get("repro_stage_seconds").labels("parse")
+        parsed = parse.count
+        assert sorted(engine.query(QUERY).answers()) == [(1, 5), (3, 6)]
+        assert parse.count == parsed
+
+    def test_every_verb_memoises(self):
+        for verb in ("answers", "rewrite", "explain", "certain"):
+            engine = make_engine()
+            prepared = engine.query(QUERY)
+            getattr(prepared, verb)()
+            assert engine.query(QUERY) is prepared, verb
+
+    def test_failures_are_never_memoised(self):
+        engine = make_engine(schema={"r": 2, "s": 2})
+        for text in ("q(X :- broken", "q(X) :- unknown(X)."):
+            for _ in range(2):
+                with pytest.raises(Exception):
+                    engine.query(text).answers()
+        assert not engine._prepared
+
+    def test_bounded_by_cache_size_first_in_first_out(self):
+        engine = make_engine(cache_size=2)
+        texts = [f"q(X) :- r(X, {n})." for n in range(3)]
+        for text in texts:
+            engine.query(text).answers()
+        assert list(engine._prepared) == texts[1:]
+
+    def test_cache_size_zero_disables_it(self):
+        engine = make_engine(cache_size=0)
+        engine.query(QUERY).answers()
+        assert not engine._prepared
+
+    def test_query_objects_are_not_memoised(self):
+        engine = make_engine()
+        engine.query(parse_query(QUERY)).answers()
+        assert not engine._prepared
+
+    def test_memoised_text_sees_deltas_and_reports_cache_flags(self):
+        engine = make_engine()
+        flags = []
+        for _ in range(3):
+            provenance = engine.query(QUERY).answers().provenance
+            flags.append((provenance.cache_hit, provenance.answered_from_cache))
+        assert flags == [(False, False), (True, True), (True, True)]
+        engine.apply("+ r(7, 2).")
+        answer = engine.query(QUERY).answers()
+        assert (7, 5) in answer
+        assert (answer.provenance.cache_hit, answer.provenance.answered_from_cache) == (
+            True, False,
+        )
+
+    def test_close_drops_the_memo(self):
+        engine = make_engine()
+        engine.query(QUERY).answers()
+        engine.close()
+        assert not engine._prepared
+
+
 class TestCertain:
     def test_certain_from_view_instance(self):
         engine = connect(

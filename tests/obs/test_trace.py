@@ -9,6 +9,8 @@ the span tree is recursive).
 """
 
 import json
+import os
+import re
 import threading
 from pathlib import Path
 
@@ -155,6 +157,29 @@ class TestTracer:
             with tracer.trace("t") as trace:
                 ids.add(trace.trace_id)
         assert len(ids) == 32
+
+    def test_trace_ids_keep_their_format(self):
+        with Tracer().trace("t") as trace:
+            assert re.fullmatch(r"[0-9a-f]{8}-\d{6,}", trace.trace_id)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_draws_its_own_prefix(self):
+        with Tracer().trace("t") as trace:
+            parent_prefix = trace.trace_id.split("-")[0]
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: report the prefix of an id made here
+            with Tracer().trace("t") as child_trace:
+                os.write(write_end, child_trace.trace_id.split("-")[0].encode())
+            os._exit(0)
+        os.close(write_end)
+        child_prefix = os.read(read_end, 64).decode()
+        os.close(read_end)
+        os.waitpid(pid, 0)
+        assert re.fullmatch(r"[0-9a-f]{8}", child_prefix)
+        assert child_prefix != parent_prefix
+        with Tracer().trace("t") as trace:  # and the parent keeps its own
+            assert trace.trace_id.split("-")[0] == parent_prefix
 
     def test_threads_do_not_share_the_active_stack(self):
         tracer = Tracer()
