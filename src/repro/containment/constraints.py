@@ -165,16 +165,14 @@ class ComparisonSet:
                         self._less[(right, left)] = True
         self._close()
 
-    def _class_constant(self, representative: Term) -> Optional[Constant]:
-        """The constant value of an equivalence class, if any."""
-        if isinstance(representative, Constant):
-            return representative
-        for term, group in self._uf.classes().items():
-            if term == representative:
-                for member in group:
-                    if isinstance(member, Constant):
-                        return member
-        return None
+    @staticmethod
+    def _class_constant(representative: Term) -> Optional[Constant]:
+        """The constant value of an equivalence class, if any.
+
+        :meth:`_UnionFind.union` makes a constant the root of every class
+        that contains one, so the representative itself is the answer.
+        """
+        return representative if isinstance(representative, Constant) else None
 
     def _close(self) -> None:
         """Transitive closure of the order edges with strictness propagation."""
@@ -204,16 +202,8 @@ class ComparisonSet:
             back = self._less.get((right, left))
             if back is not None and (strict or back):
                 # a < b and b <= a (or stricter): contradiction.
-                if strict or back:
-                    if strict and back is not None:
-                        self._satisfiable = False
-                        return
-                    if strict:
-                        self._satisfiable = False
-                        return
-                    if back:
-                        self._satisfiable = False
-                        return
+                self._satisfiable = False
+                return
             if back is not None and not strict and not back:
                 # a <= b and b <= a force equality; contradiction with !=.
                 if frozenset((left, right)) in self._not_equal:

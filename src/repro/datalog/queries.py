@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import QueryConstructionError, UnsafeQueryError
 from repro.datalog.atoms import Atom, Comparison
@@ -217,6 +217,25 @@ class ConjunctiveQuery:
             substitution.apply_atoms(self.body),
             substitution.apply_comparisons(self.comparisons),
             require_safe=require_safe,
+        )
+
+    def replace_terms(self, mapping: Mapping[Term, Term]) -> "ConjunctiveQuery":
+        """The query with variables *and constants* replaced, simultaneously.
+
+        Where :meth:`apply` takes a :class:`Substitution` (variables only),
+        the keys here may be constants too — looked up by ``Constant.__eq__``,
+        so ``1``, ``1.0`` and ``True`` are one key.  A function term is looked
+        up whole, not entered, and safety is not re-checked.
+        """
+        get = mapping.get
+        return ConjunctiveQuery(
+            Atom(self.head.predicate, [get(t, t) for t in self.head.args]),
+            [Atom(a.predicate, [get(t, t) for t in a.args]) for a in self.body],
+            [
+                Comparison(get(c.left, c.left), c.op, get(c.right, c.right))
+                for c in self.comparisons
+            ],
+            require_safe=False,
         )
 
     def with_head(self, head: Atom) -> "ConjunctiveQuery":

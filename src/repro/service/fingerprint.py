@@ -24,6 +24,17 @@ renaming.  Completeness: isomorphic queries receive equal fingerprints
 whenever the tie-break search completes within its budget; when the budget is
 exceeded the fingerprint falls back to a first-occurrence canonical form
 (still sound, possibly missing some cache hits) and is marked ``exact=False``.
+
+The same pass also yields the query's **shape**: the serialization is taken
+with every constant abstracted to a placeholder ``$<class><i>``, numbered in
+the order of the constants' values (``_comparable`` class first), and the
+constants themselves are returned beside it as ``params``.  ``text`` is the
+shape followed by the params, so it still identifies the query *including*
+its constants; equal shapes say the queries are isomorphic up to a
+replacement of constants that keeps each one's class and their mutual order.
+What a replacement must further preserve to keep a *rewriting* valid depends
+on the views, which this module knows nothing of — see
+:mod:`repro.service.session`.
 """
 
 from __future__ import annotations
@@ -31,12 +42,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.datalog.atoms import Atom, Comparison
 from repro.datalog.queries import ConjunctiveQuery
 from repro.datalog.substitution import Substitution
-from repro.datalog.terms import Constant, Term, Variable
+from repro.datalog.terms import Constant, Variable, term_sort_key
 
 #: Maximum number of same-colour variable orderings tried before falling back
 #: to the (sound but less complete) first-occurrence canonical form.
@@ -54,7 +65,14 @@ class QueryFingerprint:
     ----------
     text:
         The canonical serialization — the cache key.  Equal texts imply
-        isomorphic queries.
+        isomorphic queries, constants included.
+    shape:
+        The serialization with every constant abstracted to a numbered
+        placeholder.  Equal shapes imply the queries are isomorphic once
+        the i-th entry of one's ``params`` replaces the i-th of the other's.
+    params:
+        The abstracted constants, in placeholder order: by ``_comparable``
+        class (bool, number, str), then by value.
     renaming:
         Bijective substitution from the query's variables to the canonical
         variables ``V1 .. Vk``; applying it to the query yields the canonical
@@ -67,6 +85,8 @@ class QueryFingerprint:
     text: str
     renaming: Substitution
     exact: bool
+    shape: str
+    params: Tuple[Constant, ...]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QueryFingerprint):
@@ -91,9 +111,27 @@ _HEAD_MARK = "head "
 _CMP_MARK = "cmp "
 
 
-def _structural_atoms(query: ConjunctiveQuery) -> List[Tuple[str, Tuple[Term, ...]]]:
-    """The query as a list of (predicate, args) hyperedges including head/comparisons."""
-    edges: List[Tuple[str, Tuple[Term, ...]]] = [
+#: A hyperedge argument: a variable, or the placeholder of a constant.
+_Node = Union[Variable, str]
+
+
+def _constant_key(constant: Constant) -> str:
+    return f"{type(constant.value).__name__}:{constant.value!r}"
+
+
+def _param_order(constant: Constant) -> tuple:
+    """A total order on constants: class, then value (NaN last), then type."""
+    _, kind, value = term_sort_key(constant)
+    unordered = value != value
+    return (kind, unordered, 0 if unordered else value, type(value).__name__)
+
+
+def _structural_atoms(
+    query: ConjunctiveQuery,
+) -> Tuple[List[Tuple[str, Tuple[_Node, ...]]], Tuple[Constant, ...]]:
+    """The query as (predicate, args) hyperedges including head/comparisons,
+    every constant replaced by its placeholder; and the constants replaced."""
+    edges: List[Tuple[str, tuple]] = [
         (_HEAD_MARK + query.head.predicate, tuple(query.head.args))
     ]
     for atom in query.body:
@@ -101,21 +139,39 @@ def _structural_atoms(query: ConjunctiveQuery) -> List[Tuple[str, Tuple[Term, ..
     for comparison in query.comparisons:
         normal = comparison.canonical()
         edges.append((_CMP_MARK + normal.op.value, (normal.left, normal.right)))
-    return edges
-
-
-def _constant_key(constant: Constant) -> str:
-    return f"{type(constant.value).__name__}:{constant.value!r}"
+    # Keyed by type and repr, not by Constant: 1, 1.0 and True are equal
+    # constants but three parameters.
+    by_key: Dict[str, Constant] = {}
+    holders = set()
+    for position, (_, args) in enumerate(edges):
+        for term in args:
+            if isinstance(term, Constant):
+                by_key[_constant_key(term)] = term
+                holders.add(position)
+    if not by_key:
+        return edges, ()
+    params = sorted(by_key.values(), key=_param_order)
+    placeholder = {
+        _constant_key(constant): f"${'bns'[term_sort_key(constant)[1]]}{index}"
+        for index, constant in enumerate(params)
+    }
+    for position in holders:
+        predicate, args = edges[position]
+        edges[position] = (predicate, tuple(
+            placeholder[_constant_key(t)] if isinstance(t, Constant) else t
+            for t in args
+        ))
+    return edges, tuple(params)
 
 
 def _refine_colors(
-    edges: Sequence[Tuple[str, Tuple[Term, ...]]], variables: Sequence[Variable]
+    edges: Sequence[Tuple[str, Tuple[_Node, ...]]], variables: Sequence[Variable]
 ) -> Dict[Variable, int]:
     """Iterated colour refinement; the final colours are renaming-invariant."""
     color: Dict[Variable, int] = {v: 0 for v in variables}
     if not variables:
         return color
-    occurrences: Dict[Variable, List[Tuple[str, Tuple[Term, ...]]]] = {v: [] for v in variables}
+    occurrences: Dict[Variable, List[Tuple[str, Tuple[_Node, ...]]]] = {v: [] for v in variables}
     for predicate, args in edges:
         for term in set(t for t in args if isinstance(t, Variable)):
             occurrences[term].append((predicate, args))
@@ -127,8 +183,8 @@ def _refine_colors(
                 rendered = tuple(
                     ("self",)
                     if term == var
-                    else ("const", _constant_key(term))
-                    if isinstance(term, Constant)
+                    else ("const", term)
+                    if isinstance(term, str)
                     else ("var", color[term])
                     for term in args
                 )
@@ -146,13 +202,11 @@ def _refine_colors(
 # ---------------------------------------------------------------------------
 
 def _serialize(
-    edges: Sequence[Tuple[str, Tuple[Term, ...]]], index_of: Dict[Variable, int]
+    edges: Sequence[Tuple[str, Tuple[_Node, ...]]], index_of: Dict[Variable, int]
 ) -> str:
     """Serialize hyperedges under a total variable order (sorted, so order-free)."""
-    def render_term(term: Term) -> str:
-        if isinstance(term, Variable):
-            return f"?{index_of[term]}"
-        return f"k{_constant_key(term)}"  # constants carry their type and repr
+    def render_term(term: _Node) -> str:
+        return f"?{index_of[term]}" if isinstance(term, Variable) else term
 
     rendered = [
         f"{predicate}({','.join(render_term(t) for t in args)})"
@@ -193,10 +247,9 @@ def fingerprint(
 ) -> QueryFingerprint:
     """Compute the canonical fingerprint of a conjunctive query."""
     variables = list(query.variables())
-    edges = _structural_atoms(query)
+    edges, params = _structural_atoms(query)
     if not variables:
-        text = _serialize(edges, {})
-        return QueryFingerprint(text=text, renaming=Substitution({}), exact=True)
+        return _fingerprint_of(_serialize(edges, {}), [], True, params)
 
     colors = _refine_colors(edges, variables)
     classes: Dict[int, List[Variable]] = {}
@@ -208,31 +261,35 @@ def fingerprint(
     if choices > tie_break_limit:
         order = _first_occurrence_order(query)
         index_of = {var: i for i, var in enumerate(order)}
-        return QueryFingerprint(
-            text=_serialize(edges, index_of),
-            renaming=_renaming_for(order),
-            exact=False,
-        )
+        return _fingerprint_of(_serialize(edges, index_of), order, False, params)
 
-    best_text: Optional[str] = None
+    best_shape: Optional[str] = None
     best_order: Optional[List[Variable]] = None
     for parts in itertools.product(
         *(itertools.permutations(group) for group in ordered_classes)
     ):
         order = [var for part in parts for var in part]
         index_of = {var: i for i, var in enumerate(order)}
-        text = _serialize(edges, index_of)
-        if best_text is None or text < best_text:
-            best_text, best_order = text, order
-    assert best_text is not None and best_order is not None
-    return QueryFingerprint(
-        text=best_text, renaming=_renaming_for(best_order), exact=True
-    )
+        shape = _serialize(edges, index_of)
+        if best_shape is None or shape < best_shape:
+            best_shape, best_order = shape, order
+    assert best_shape is not None and best_order is not None
+    return _fingerprint_of(best_shape, best_order, True, params)
 
 
-def _renaming_for(order: Sequence[Variable]) -> Substitution:
-    return Substitution(
+def _fingerprint_of(
+    shape: str, order: Sequence[Variable], exact: bool, params: Tuple[Constant, ...]
+) -> QueryFingerprint:
+    text = shape
+    if params:
+        # The placeholders' numbering is a function of the params alone, so
+        # shape plus params determines the query as the old inline form did.
+        text += " @ " + ",".join(_constant_key(constant) for constant in params)
+    renaming = Substitution(
         {var: Variable(f"{CANONICAL_PREFIX}{i + 1}") for i, var in enumerate(order)}
+    )
+    return QueryFingerprint(
+        text=text, renaming=renaming, exact=exact, shape=shape, params=params
     )
 
 

@@ -1,21 +1,38 @@
 """The :class:`RewritingSession` facade: a long-lived, caching rewriting server.
 
 One session owns a view set, an optional database, a view-relevance index and
-three bounded LRU caches:
+bounded LRU caches:
 
-* **rewritings**, keyed by the query's canonical fingerprint (so isomorphic
-  queries share one entry) plus algorithm and mode;
-* **answers**, keyed the same way and explicitly invalidated whenever the
-  database's version counter moves;
+* **rewriting templates**, keyed by the query's *shape* — its canonical
+  fingerprint with every constant abstracted to a parameter (so isomorphic
+  queries, and queries differing only in constants the views cannot tell
+  apart, share one entry) — plus algorithm, mode and one tag per parameter;
+* **instantiations**, keyed by the full fingerprint text and the query's own
+  variable names: a template in one query's variables and constants;
+* **answers**, keyed by the full fingerprint text (constants included) and
+  explicitly invalidated whenever the database's version counter moves;
 * **containment verdicts**, keyed by the fingerprint pair (containment is
   invariant under renaming either side).
 
-Cached rewritings are stored in *canonical variables*: on a miss, the result
-is renamed through the fingerprint's canonicalizing substitution before being
-stored; on a hit, the stored rewriting is renamed into the incoming query's
-own variables.  A repeated identical query therefore gets back exactly the
-result an uncached :func:`repro.rewriting.rewriter.rewrite` call would have
-produced, and an isomorphic variant gets the correctly renamed equivalent.
+A template is the result of the first request of its key, exactly as the
+algorithm returned it.  The rewriting algorithms and the containment test
+ask only two things of a query constant: whether it *equals* a constant of a
+view definition, and how it *orders* against the other constants of its
+``_comparable`` class.  A parameter that equals a view constant (or another,
+differently typed constant of the query, or is NaN) is therefore **pinned**
+— its tag is its value — and any other is **free**: its tag is its rank
+among the view constants of its class, its order against the query's other
+constants being part of the shape already.  Two queries of one key differ by
+a replacement of free constants that preserves both things, and such a
+replacement carries rewritings of one to rewritings of the other
+(``docs/paper_mapping.md``, "Shape-parameterised rewriting"); a hit
+substitutes the request's variables and free constants into the template's
+best rewriting and leaves the others to be instantiated when first read.  A
+repeated identical query gets back the very same :class:`Rewriting` objects,
+equal to what an uncached :func:`repro.rewriting.rewriter.rewrite` call
+would have produced; an isomorphic variant gets the renamed equivalent.
+``inverse-rules`` plans are opaque to substitution, so every parameter is
+pinned there.
 
 Answering evaluates plans through a session-owned executor (the compiled
 set-at-a-time engine of :mod:`repro.exec` by default), so compiled physical
@@ -37,13 +54,14 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, replace
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import RewritingError
 from repro.datalog.freshen import FreshVariableFactory
 from repro.datalog.queries import ConjunctiveQuery, UnionQuery
-from repro.datalog.substitution import Substitution
+from repro.datalog.terms import Term, term_sort_key
 from repro.datalog.views import View, ViewSet
 from repro.containment.containment import is_contained
 from repro.containment.memo import containment_memo_stats
@@ -71,23 +89,76 @@ QueryLike = Union[ConjunctiveQuery, UnionQuery]
 
 
 @dataclass(frozen=True)
-class _CachedRewriting:
-    """One rewriting stored in canonical variables."""
-
-    query: Any  # ConjunctiveQuery | UnionQuery (or an opaque plan object)
-    kind: RewritingKind
-    algorithm: str
-    views_used: Tuple[str, ...]
-    expansion: Any  # ConjunctiveQuery | UnionQuery | None
-
-
-@dataclass(frozen=True)
-class _CacheEntry:
-    """A cached rewriting result, minus the query-specific parts."""
+class _Template:
+    """The first result of a template key, as the algorithm returned it."""
 
     algorithm: str
-    rewritings: Tuple[_CachedRewriting, ...]
+    rewritings: Tuple[Rewriting, ...]
     candidates_examined: int
+    #: Index of the result's ``best`` in ``rewritings`` (None when empty).
+    best: Optional[int]
+    #: Fingerprint of the query it was computed for: its renaming and params
+    #: are what a later request's are matched against.
+    fp: QueryFingerprint
+
+
+class _Instance:
+    """A template in one query text's own variables and constants.
+
+    ``best`` — all that answering needs — is instantiated at once, the full
+    list when something first reads it; every request of that text is then
+    handed the same objects.
+    """
+
+    __slots__ = ("best", "_template", "_mapping", "_avoid", "_all")
+
+    def __init__(
+        self, template: _Template, mapping: Dict[Term, Term], avoid: FrozenSet[str]
+    ):
+        self._template = template
+        self._mapping = mapping
+        self._avoid = avoid
+        self._all: Optional[Tuple[Rewriting, ...]] = None
+        self.best = (
+            None if template.best is None
+            else self._instantiate(template.rewritings[template.best])
+        )
+
+    def _instantiate(self, rewriting: Rewriting) -> Rewriting:
+        return replace(
+            rewriting,
+            query=_retarget(rewriting.query, self._mapping, self._avoid),
+            expansion=_retarget(rewriting.expansion, self._mapping, self._avoid),
+        )
+
+    def rewritings(self) -> Tuple[Rewriting, ...]:
+        if self._all is None:
+            self._all = tuple(
+                self.best if index == self._template.best else self._instantiate(r)
+                for index, r in enumerate(self._template.rewritings)
+            )
+        return self._all
+
+
+class _TemplateHit(RewritingResult):
+    """A result served from a template; ``rewritings`` is filled on first read."""
+
+    def __init__(self, query: ConjunctiveQuery, views: ViewSet, instance: _Instance):
+        template = instance._template
+        self.query = query
+        self.views = views
+        self.algorithm = template.algorithm
+        self.candidates_examined = template.candidates_examined
+        self.elapsed = 0.0
+        self._instance = instance
+
+    @property
+    def rewritings(self) -> List[Rewriting]:  # type: ignore[override]
+        return list(self._instance.rewritings())
+
+    @property
+    def best(self) -> Optional[Rewriting]:
+        return self._instance.best
 
 
 class _AnswerEntry:
@@ -103,27 +174,27 @@ class _AnswerEntry:
         self.encoded: Any = None
 
 
-def _retarget(obj: Any, renaming: Substitution, avoid_names: FrozenSet[str]) -> Any:
-    """Rename a query-like object through ``renaming``.
+def _retarget(obj: Any, mapping: Dict[Term, Term], avoid_names: FrozenSet[str]) -> Any:
+    """Replace a query-like object's variables and constants through ``mapping``.
 
-    Variables outside the renaming's domain (an algorithm's fresh variables)
-    are kept, but first renamed apart when their names collide with
-    ``avoid_names`` (the names the renaming maps *onto*), so the result never
+    Variables outside the mapping's domain (an algorithm's fresh variables)
+    are kept, but renamed apart when their names collide with
+    ``avoid_names`` (the names the mapping maps *onto*), so the result never
     conflates two distinct variables.  Non-query objects pass through.
     """
     if isinstance(obj, UnionQuery):
-        return UnionQuery([_retarget(q, renaming, avoid_names) for q in obj.disjuncts])
+        return UnionQuery([_retarget(q, mapping, avoid_names) for q in obj.disjuncts])
     if not isinstance(obj, ConjunctiveQuery):
         return obj
-    extras = [v for v in obj.variables() if v not in renaming]
-    clashing = [v for v in extras if v.name in avoid_names]
+    clashing = [
+        v for v in obj.variables() if v.name in avoid_names and v not in mapping
+    ]
     if clashing:
         factory = FreshVariableFactory(
             reserved=set(avoid_names) | {v.name for v in obj.variables()}, prefix="_S"
         )
-        apart = Substitution({v: factory.fresh(v.name) for v in clashing})
-        obj = obj.apply(apart, require_safe=False)
-    return obj.apply(renaming, require_safe=False)
+        mapping = {**mapping, **{v: factory.fresh(v.name) for v in clashing}}
+    return obj.replace_terms(mapping)
 
 
 class _SessionStats(dict):
@@ -246,13 +317,14 @@ class RewritingSession:
         self._index: Optional[ViewRelevanceIndex] = (
             ViewRelevanceIndex(self._views) if use_view_index else None
         )
+        self._index_view_constants()
         self._database = database
         self._db_version: Optional[int] = database.version if database is not None else None
         self._store: Optional[MaterializedViewStore] = None
         self._rewrite_cache = LRUCache(cache_size)
-        # Memoizes the renaming of cached plans into a concrete query's own
-        # variables; repeated identical (or identically-named) queries skip
-        # the per-rewriting substitution work entirely.
+        # Memoizes the instantiation of a template in a concrete query's own
+        # variables and constants; repeated identical (or identically-named)
+        # queries skip the substitution work entirely.
         self._translation_cache = LRUCache(cache_size)
         self._answer_cache = LRUCache(cache_size)
         self._containment_cache = LRUCache(cache_size)
@@ -325,6 +397,7 @@ class RewritingSession:
         self._views = view_set
         self._views_token = view_set.version_token()
         self._index = ViewRelevanceIndex(view_set) if self.use_view_index else None
+        self._index_view_constants()
         self._store = None
         self._rewrite_cache.clear()
         self._translation_cache.clear()
@@ -405,26 +478,63 @@ class RewritingSession:
         started = time.perf_counter()
         self.requests += 1
         self.last_fingerprint = fp.text
-        key = (fp.text, self.algorithm, self.mode)
-        entry = self._rewrite_cache.get(key)
+        key = (fp.shape, self.algorithm, self.mode, self._param_tags(fp))
+        template = self._rewrite_cache.get(key)
         obs = self._obs
-        if entry is not None:
+        if template is not None:
             self.last_cache_hit = True
             if obs is not None:
                 with obs.stage("rewrite_hit", fingerprint=fp.text):
-                    result = self._result_from_entry(entry, query, fp)
+                    result = self._instantiate(template, query, fp)
                 obs.cache_event("rewrite", "hit")
             else:
-                result = self._result_from_entry(entry, query, fp)
+                result = self._instantiate(template, query, fp)
         else:
             self.last_cache_hit = False
             if obs is not None:
                 result = self._observed_cold_rewrite(query, fp, obs)
             else:
                 result = self._rewrite_uncached(query)
-            self._rewrite_cache.put(key, self._entry_from_result(result, fp))
+            best = result.best
+            self._rewrite_cache.put(key, _Template(
+                algorithm=result.algorithm,
+                rewritings=tuple(result.rewritings),
+                candidates_examined=result.candidates_examined,
+                best=next(
+                    (i for i, r in enumerate(result.rewritings) if r is best), None
+                ),
+                fp=fp,
+            ))
         result.elapsed = time.perf_counter() - started
         return result
+
+    def _index_view_constants(self) -> None:
+        """Record what the view definitions can tell about a query constant:
+        the values they mention, and those values in order per class."""
+        constants = [c for view in self._views for c in view.definition.constants()]
+        self._view_values = {c.value for c in constants}
+        self._view_order: Tuple[List[Any], ...] = tuple(
+            sorted(
+                c.value for c in constants
+                if term_sort_key(c)[1] == kind and c.value == c.value
+            )
+            for kind in range(3)  # bool, number, str
+        )
+
+    def _param_tags(self, fp: QueryFingerprint) -> Tuple[Any, ...]:
+        """The per-parameter part of a template key (module docstring)."""
+        values = [constant.value for constant in fp.params]
+        return tuple(
+            (value.__class__, value)
+            if (
+                self.algorithm == "inverse-rules"
+                or value != value
+                or value in self._view_values
+                or values.count(value) > 1
+            )
+            else bisect_left(self._view_order[term_sort_key(constant)[1]], value)
+            for constant, value in zip(fp.params, values)
+        )
 
     def _observed_cold_rewrite(
         self, query: ConjunctiveQuery, fp: QueryFingerprint, obs: Instrumentation
@@ -473,57 +583,27 @@ class RewritingSession:
             candidate_filter=self._candidate_filter(query),
         )
 
-    def _entry_from_result(
-        self, result: RewritingResult, fp: QueryFingerprint
-    ) -> _CacheEntry:
-        canonical_names = frozenset(term.name for term in fp.renaming.values())
-        cached = tuple(
-            _CachedRewriting(
-                query=_retarget(r.query, fp.renaming, canonical_names),
-                kind=r.kind,
-                algorithm=r.algorithm,
-                views_used=r.views_used,
-                expansion=_retarget(r.expansion, fp.renaming, canonical_names),
-            )
-            for r in result.rewritings
-        )
-        return _CacheEntry(
-            algorithm=result.algorithm,
-            rewritings=cached,
-            candidates_examined=result.candidates_examined,
-        )
-
-    def _result_from_entry(
-        self, entry: _CacheEntry, query: ConjunctiveQuery, fp: QueryFingerprint
+    def _instantiate(
+        self, template: _Template, query: ConjunctiveQuery, fp: QueryFingerprint
     ) -> RewritingResult:
-        mapping_key = tuple(
-            sorted((canonical.name, var.name) for var, canonical in fp.renaming.items())
-        )
-        translation_key = (fp.text, self.algorithm, self.mode, mapping_key)
-        rewritings: Optional[Tuple[Rewriting, ...]] = self._translation_cache.get(
-            translation_key
-        )
-        if rewritings is None:
-            inverse = fp.inverse_renaming()
-            target_names = frozenset(v.name for v in query.variables())
-            rewritings = tuple(
-                Rewriting(
-                    query=_retarget(cached.query, inverse, target_names),
-                    kind=cached.kind,
-                    algorithm=cached.algorithm,
-                    views_used=cached.views_used,
-                    expansion=_retarget(cached.expansion, inverse, target_names),
-                )
-                for cached in entry.rewritings
+        names = tuple(var.name for var in fp.renaming)  # in canonical order
+        translation_key = (fp.text, self.algorithm, self.mode, names)
+        instance: Optional[_Instance] = self._translation_cache.get(translation_key)
+        if instance is None:
+            first = template.fp
+            own = fp.inverse_renaming()
+            mapping: Dict[Term, Term] = {
+                var: own[canonical] for var, canonical in first.renaming.items()
+            }
+            # Only constants that change: a pinned one is its own image, and
+            # may equal (as 1 equals 1.0) another key of the mapping.
+            mapping.update(
+                (old, new) for old, new in zip(first.params, fp.params)
+                if (old.value.__class__, old.value) != (new.value.__class__, new.value)
             )
-            self._translation_cache.put(translation_key, rewritings)
-        return RewritingResult(
-            query=query,
-            views=self._views,
-            algorithm=entry.algorithm,
-            rewritings=list(rewritings),
-            candidates_examined=entry.candidates_examined,
-        )
+            instance = _Instance(template, mapping, frozenset(names))
+            self._translation_cache.put(translation_key, instance)
+        return _TemplateHit(query, self._views, instance)
 
     # -- answering ---------------------------------------------------------------
     def answer(self, query: ConjunctiveQuery) -> FrozenSet[Tuple[Any, ...]]:

@@ -20,6 +20,14 @@ class TestSatisfiability:
     def test_strict_cycle_unsatisfiable(self):
         assert not ComparisonSet([C("X", "<", "Y"), C("Y", "<", "X")]).is_satisfiable()
 
+    @pytest.mark.parametrize("forward, back", [("<", "<="), ("<=", "<"), ("<", "<")])
+    def test_cycle_with_a_strict_edge_unsatisfiable(self, forward, back):
+        # Through a third term too, so the edges meet only in the closure.
+        assert not ComparisonSet([C("A", forward, "B"), C("B", back, "A")]).is_satisfiable()
+        assert not ComparisonSet(
+            [C("A", forward, "M"), C("M", "<=", "B"), C("B", back, "A")]
+        ).is_satisfiable()
+
     def test_nonstrict_cycle_is_satisfiable(self):
         assert ComparisonSet([C("X", "<=", "Y"), C("Y", "<=", "X")]).is_satisfiable()
 

@@ -7,6 +7,7 @@ from repro.containment.containment import is_contained, is_equivalent
 from repro.containment.minimize import minimize
 from repro.datalog.canonical import canonical_database, freeze_query
 from repro.datalog.queries import UnionQuery
+from repro.datalog.terms import Constant
 from repro.engine.evaluate import evaluate
 
 from tests.property.strategies import (
@@ -124,3 +125,15 @@ class TestConstraintProperties:
         for candidate in list(comparisons)[:2]:
             if constraints.implies(candidate):
                 assert constraints.conjoin([candidate]).is_satisfiable()
+
+    @RELAXED
+    @given(comparisons=comparison_sets())
+    def test_class_with_a_constant_has_a_constant_root(self, comparisons):
+        # What lets _class_constant read a class's value off its representative.
+        constraints = ComparisonSet(comparisons)
+        for root, members in constraints._uf.classes().items():
+            if any(isinstance(member, Constant) for member in members):
+                assert isinstance(root, Constant)
+                assert constraints._class_constant(root) is root
+            else:
+                assert constraints._class_constant(root) is None

@@ -17,6 +17,8 @@ import time
 import pytest
 
 from repro import connect
+from repro.datalog.parser import parse_query
+from repro.engine.evaluate import evaluate
 from repro.server import ReproServer
 from repro.workloads.updates import chain_update_workload, update_stream
 
@@ -271,6 +273,93 @@ class TestAHitStillCountsWhatItCounted:
         assert sample(self.snapshot(exchange)[0], parse) == before + 1
         exchange.query(FULL)
         assert sample(self.snapshot(exchange)[0], parse) == before + 1
+
+
+class TestAFirstSeenConstantOfAKnownShape:
+    """The rewrite cache is keyed by shape: a new constant instantiates the
+    shape's template (a rewrite hit) and is evaluated (an answer miss)."""
+
+    SHAPE = "q(X0, X2) :- r1(X0, X1), r2(X1, X2), X1 != %d."
+    WATCHED = (
+        'repro_cache_events_total{cache="rewrite",outcome="hit"}',
+        'repro_cache_events_total{cache="rewrite",outcome="miss"}',
+        'repro_cache_events_total{cache="answer",outcome="hit"}',
+        'repro_cache_events_total{cache="answer",outcome="miss"}',
+        'repro_stage_seconds_count{stage="rewrite_hit"}',
+        'repro_stage_seconds_count{stage="rewrite_cold"}',
+        'repro_stage_seconds_count{stage="execute"}',
+    )
+
+    def moved(self, exchange, text):
+        """The reply to ``text`` and what it moved: watched series, session stats."""
+        def snapshot():
+            metrics = exchange.call("GET", "/metrics").decode()
+            return metrics, json.loads(exchange.call("GET", "/stats"))["session"]
+
+        (metrics, stats), reply = snapshot(), exchange.query(text)
+        metrics_after, stats_after = snapshot()
+        series = tuple(
+            int(sample(metrics_after, name) - sample(metrics, name)) for name in self.WATCHED
+        )
+        caches = {
+            cache: (stats_after[cache]["hits"] - stats[cache]["hits"],
+                    stats_after[cache]["misses"] - stats[cache]["misses"])
+            for cache in ("rewrite_cache", "translation_cache", "answer_cache")
+        }
+        return reply, series, caches
+
+    def flags(self, reply):
+        return tuple(reply["provenance"][flag] for flag in HIT_FLAGS)
+
+    def test_hit_flags_rows_and_counters(self, scenario, served):
+        workload, _, _ = scenario
+        _, exchange = served
+
+        def expected_rows(text):
+            rows = evaluate(parse_query(text), workload.database, executor="interpreted")
+            return sorted(list(row) for row in rows)
+
+        first, second = self.SHAPE % 3, self.SHAPE % 11
+        # First of its shape: the algorithm runs.
+        reply, series, caches = self.moved(exchange, first)
+        assert self.flags(reply) == (False, False)
+        assert series == (0, 1, 0, 1, 0, 1, 1)
+        assert caches["rewrite_cache"] == (0, 1)
+        # A first-seen constant of that shape: instantiated, then evaluated.
+        reply, series, caches = self.moved(exchange, second)
+        assert self.flags(reply) == (True, False)
+        assert sorted(reply["rows"]) == expected_rows(second) != expected_rows(first)
+        assert "X1 != 11" in reply["provenance"]["rewriting"]
+        assert series == (1, 0, 0, 1, 1, 0, 1)
+        assert caches == {
+            "rewrite_cache": (1, 0), "translation_cache": (0, 1), "answer_cache": (0, 1),
+        }
+        # The same text again: nothing is instantiated, nothing evaluated.
+        reply, series, caches = self.moved(exchange, second)
+        assert self.flags(reply) == (True, True)
+        assert sorted(reply["rows"]) == expected_rows(second)
+        assert series == (1, 0, 1, 0, 1, 0, 0)
+        assert caches == {
+            "rewrite_cache": (1, 0), "translation_cache": (1, 0), "answer_cache": (1, 0),
+        }
+
+    def test_answers_are_cached_and_evicted_per_constant(self, scenario, served):
+        _, left, right = scenario
+        server, exchange = served
+        texts = [self.SHAPE % constant for constant in (3, 11, 12)]
+        for text in texts:
+            exchange.query(text)
+        session = server.engine.session
+        assert len(session._rewrite_cache) == 1 and len(session._answer_cache) == 3
+        entries = [cache_entry(server, text) for text in texts]
+        assert len({id(entry) for entry in entries}) == 3
+        exchange.call("POST", "/apply-delta", {"delta": right[0].to_text()})  # r3/r4
+        assert [cache_entry(server, text) for text in texts] == entries
+        exchange.call("POST", "/apply-delta", {"delta": left[0].to_text()})   # r1/r2
+        assert [cache_entry(server, text) for text in texts] == [None] * 3
+        assert len(session._rewrite_cache) == 1  # rewritings do not depend on data
+        assert self.flags(exchange.query(texts[1])) == (True, False)
+        assert [cache_entry(server, text) is not None for text in texts] == [False, True, False]
 
 
 class TestConcurrentConnections:

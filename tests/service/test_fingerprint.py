@@ -8,7 +8,7 @@ import pytest
 from repro.datalog.parser import parse_query
 from repro.datalog.queries import ConjunctiveQuery
 from repro.datalog.substitution import Substitution
-from repro.datalog.terms import Variable
+from repro.datalog.terms import Constant, Variable
 from repro.service.fingerprint import (
     QueryFingerprint,
     fingerprint,
@@ -159,3 +159,54 @@ class TestFingerprintObject:
         q = parse_query("q(1) :- r(1, 2).")
         fp = fingerprint(q)
         assert fp.exact and len(fp.renaming) == 0
+
+
+class TestShapeAndParams:
+    """The constants-abstracted half of a fingerprint (the template-cache key)."""
+
+    def test_shape_abstracts_constants_and_params_keeps_them(self):
+        seven = fingerprint(parse_query("q(X) :- r(X, Y), Y != 7."))
+        eight = fingerprint(parse_query("q(A) :- r(A, B), B != 8."))
+        assert seven.shape == eight.shape and seven.text != eight.text
+        assert [c.value for c in seven.params] == [7]
+        assert [c.value for c in eight.params] == [8]
+        assert "7" not in seven.shape and "7" in seven.text
+
+    def test_constant_free_query_has_no_params_and_text_is_shape(self):
+        fp = fingerprint(parse_query("q(X, Z) :- r(X, Y), s(Y, Z)."))
+        assert fp.params == () and fp.text == fp.shape
+
+    def test_params_are_ordered_by_class_then_value(self):
+        fp = fingerprint(parse_query("q(X) :- r(X, 9, b, 2.5, a), X != 4."))
+        assert [c.value for c in fp.params] == [2.5, 4, 9, "a", "b"]
+
+    def test_shape_records_class_and_mutual_order(self):
+        def shape(text):
+            return fingerprint(parse_query(text)).shape
+
+        window = "q(X) :- r(X), X > %s, X < %s."
+        assert shape(window % (3, 5)) == shape(window % (-1, 2.5))
+        assert shape(window % (3, 5)) != shape(window % (5, 3))
+        assert shape("q(X) :- r(X, 3).") != shape("q(X) :- r(X, a).")
+
+    def test_one_constant_twice_is_one_param(self):
+        once = fingerprint(parse_query("q(X) :- r(X, Y), r(X, Z), Y != 3, Z != 3."))
+        twice = fingerprint(parse_query("q(X) :- r(X, Y), r(X, Z), Y != 3, Z != 5."))
+        assert len(once.params) == 1 and len(twice.params) == 2
+        assert once.shape != twice.shape
+
+    def test_equal_values_of_two_types_are_two_params(self):
+        # Constant(1) == Constant(1.0), yet they print and answer differently.
+        q = parse_query("q(X) :- r(X, 1), s(X, 1).")
+        mixed = ConjunctiveQuery(
+            q.head, [q.body[0], q.body[1].with_args([Variable("X"), Constant(1.0)])], []
+        )
+        assert len(fingerprint(q).params) == 1
+        assert {type(c.value) for c in fingerprint(mixed).params} == {int, float}
+        assert fingerprint(q).text != fingerprint(mixed).text
+
+    def test_text_still_identifies_the_query_constants_included(self):
+        q = parse_query("q(X, 3) :- r(X, Y), s(Y, a), Y < 10.")
+        variant = renamed_and_shuffled(q, "s", seed=3)
+        assert fingerprint(q).text == fingerprint(variant).text
+        assert fingerprint(q).params == fingerprint(variant).params

@@ -87,6 +87,131 @@ class TestRewriteCached:
             RewritingSession(VIEWS, mode="nope")
 
 
+def shaped(constant):
+    return parse_query(f"q(X, Z) :- r(X, Y), s(Y, Z), Y != {constant}.")
+
+
+#: Two copies of each base relation: four equivalent rewritings of ``shaped``.
+COPIES = parse_views(
+    "a(A, B) :- r(A, B). b(A, B) :- r(A, B). c(A, B) :- s(A, B). d(A, B) :- s(A, B)."
+)
+
+
+class TestTemplateCache:
+    """The rewrite cache is keyed by shape: a first-seen constant is a hit."""
+
+    def test_new_constant_of_a_known_shape_hits_and_equals_uncached(self):
+        session = RewritingSession(COPIES)
+        session.rewrite_cached(shaped(7))
+        assert session.last_cache_hit is False
+        served = session.rewrite_cached(shaped(8))
+        assert session.last_cache_hit is True
+        uncached = rewrite(shaped(8), COPIES, algorithm="minicon")
+        assert len(served.rewritings) == 4
+        assert [(r.kind, r.views_used, str(r.query), str(r.expansion))
+                for r in served.rewritings] == [
+            (r.kind, r.views_used, str(r.query), str(r.expansion))
+            for r in uncached.rewritings
+        ]
+        assert str(served.best.query) == str(uncached.best.query)
+        assert served.candidates_examined == uncached.candidates_examined
+        stats = session.stats()
+        assert (stats["rewrite_cache"]["hits"], stats["rewrite_cache"]["misses"]) == (1, 1)
+        assert stats["rewrite_cache"]["size"] == 1
+
+    def test_translation_cache_tells_text_repeats_from_new_constants(self):
+        session = RewritingSession(VIEWS)
+        for constant in (7, 8, 8, 9, 8):
+            session.rewrite_cached(shaped(constant))
+        stats = session.stats()
+        assert (stats["rewrite_cache"]["hits"], stats["rewrite_cache"]["misses"]) == (4, 1)
+        # 8 and 9 were instantiated once each; 8 came back twice.
+        assert (
+            stats["translation_cache"]["hits"], stats["translation_cache"]["misses"]
+        ) == (2, 2)
+
+    def test_a_repeated_text_gets_the_very_same_rewritings(self):
+        session = RewritingSession(COPIES)
+        session.rewrite_cached(shaped(7))
+        first, second = session.rewrite_cached(shaped(8)), session.rewrite_cached(shaped(8))
+        assert first is not second
+        assert first.best is second.best
+        assert all(a is b for a, b in zip(first.rewritings, second.rewritings))
+        assert first.best in first.rewritings
+
+    def test_best_is_instantiated_alone_until_the_list_is_read(self):
+        session = RewritingSession(COPIES)
+        session.rewrite_cached(shaped(7))
+        served = session.rewrite_cached(shaped(8))
+        assert "Y != 8" in str(served.best.query)
+        assert served._instance._all is None
+        assert len(served.rewritings) == len(served._instance._all) == 4
+
+    def test_isomorphic_variant_with_a_new_constant(self):
+        session = RewritingSession(VIEWS)
+        session.rewrite_cached(shaped(7))
+        variant = parse_query("q(A, B) :- s(C, B), r(A, C), C != 9.")
+        served = session.rewrite_cached(variant)
+        assert session.last_cache_hit is True
+        assert served.query is variant
+        uncached = rewrite(variant, VIEWS, algorithm="minicon")
+        assert sorted(str(r.query.canonical()) for r in served.rewritings) == sorted(
+            str(r.query.canonical()) for r in uncached.rewritings
+        )
+
+    def test_set_views_recomputes_what_is_pinned(self):
+        session = RewritingSession(VIEWS)
+        session.rewrite_cached(shaped(7))
+        session.rewrite_cached(shaped(8))
+        assert session.last_cache_hit is True
+        session.set_views(parse_views("v_rs(A, B) :- r(A, C), s(C, B), C != 8."))
+        session.rewrite_cached(shaped(7))
+        session.rewrite_cached(shaped(8))  # now a constant of a view: pinned
+        assert session.last_cache_hit is False
+        session.rewrite_cached(shaped(6))  # below 8, as 7 is
+        assert session.last_cache_hit is True
+        session.rewrite_cached(shaped(9))  # above it
+        assert session.last_cache_hit is False
+
+    def test_cache_size_zero_disables_it(self):
+        session = RewritingSession(VIEWS, cache_size=0)
+        session.rewrite_cached(shaped(7))
+        session.rewrite_cached(shaped(8))
+        assert session.last_cache_hit is False
+        assert session.stats()["rewrite_cache"]["size"] == 0
+
+    def test_answers_of_a_template_hit_match_the_interpreter(self):
+        db = make_db()
+        session = RewritingSession(VIEWS, database=db)
+        session.answer_with_plan(shaped(4))
+        for constant in (2, 4, 5):
+            rows, result = session.answer_with_plan(shaped(constant))
+            assert session.last_cache_hit is True
+            assert session.last_answer_from_cache is (constant == 4)
+            assert rows == evaluate(shaped(constant), db, executor="interpreted")
+        assert session.stats()["answer_cache"]["size"] == 3  # one per constant
+
+    def test_delta_scoped_eviction_is_per_constant(self):
+        from repro.materialize.delta import parse_delta
+
+        views = parse_views("v_r(A, B) :- r(A, B). v_s(A, B) :- s(A, B). v_t(A) :- t(A).")
+        db = make_db()
+        db.add_fact("t", (1,))
+        session = RewritingSession(views, database=db)
+        other = parse_query("p(X) :- t(X), X != 3.")
+        for query in (shaped(7), shaped(8), other):
+            session.answer_with_plan(query)
+        assert session.stats()["rewrite_cache"]["size"] == 2
+        session.apply_delta(parse_delta("+ r(9, 2)."))
+        assert not session.has_cached_answer(shaped(7))
+        assert not session.has_cached_answer(shaped(8))
+        assert session.has_cached_answer(other)
+        assert (session.delta_evictions, session.delta_retained) == (2, 1)
+        rows, _ = session.answer_with_plan(shaped(8))
+        assert session.last_cache_hit is True and (9, 5) in rows
+        assert session.has_cached_answer(shaped(8)) and not session.has_cached_answer(shaped(7))
+
+
 class TestAnswer:
     def test_answers_match_direct_evaluation(self):
         db = make_db()
