@@ -127,7 +127,8 @@ class Answer:
         entry = self._cached
         rows = entry.encoded if entry is not None else None
         if rows is None:
-            rows = json.dumps([list(row) for row in self.sorted_rows()], default=str)
+            # Tuples encode as arrays: the same text as to_json()'s lists.
+            rows = json.dumps(self.sorted_rows(), default=str)
             if entry is not None:
                 entry.encoded = rows
         return (

@@ -338,6 +338,7 @@ def _command_serve(args: argparse.Namespace, out) -> int:
 
 def _serve_http(args: argparse.Namespace, engine, out) -> int:
     """Run the repro.server HTTP API until SIGINT/SIGTERM, then drain."""
+    import gc
     import signal
 
     from repro.server import ReproServer
@@ -362,12 +363,18 @@ def _serve_http(args: argparse.Namespace, engine, out) -> int:
             previous[signum] = signal.signal(signum, stop)
         except ValueError:  # pragma: no cover - non-main thread (tests)
             pass
+    # What is loaded by now (modules, catalog, base relations) lives as long
+    # as the process: move it out of reach of every later full collection.
+    # Process-wide state, so only this command touches it — never the library.
+    gc.collect()
+    gc.freeze()
     print(f"# serving on {server.address} "
           f"(workers={server.workers}, queue_limit={server.queue_limit})", file=out)
     out.flush()
     try:
         server.serve_forever()
     finally:
+        gc.unfreeze()
         server.shutdown()
         for signum, handler in previous.items():
             signal.signal(signum, handler)
@@ -713,7 +720,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--http", type=int, metavar="PORT", default=None,
         help="serve the HTTP/JSON API on this port instead of reading stdin "
-             "(0 picks a free port)",
+             "(0 picks a free port); freezes the garbage collector's view of "
+             "everything loaded so far (gc.freeze) until the server stops",
     )
     serve_parser.add_argument(
         "--host", default="127.0.0.1", help="bind address for --http"

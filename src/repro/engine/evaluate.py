@@ -5,7 +5,7 @@ Two execution engines sit behind the :func:`evaluate` front door:
 * the **compiled, set-at-a-time engine** (:mod:`repro.exec`, the default):
   queries are compiled into physical plans — indexed scans feeding hash-join
   pipelines with cost-based join ordering — that operate on whole relations
-  at a time, with plan caching keyed by canonical query and database version;
+  at a time, with plan caching keyed by query shape and database identity;
 * the **backtracking interpreter** (this module): subgoals are ordered
   greedily, candidate tuples are fetched through hash indexes on the
   currently-bound argument positions one binding at a time, and comparison

@@ -13,10 +13,10 @@ A relation keeps its data in **per-position value arrays** plus a
 
 Hash indexes (:meth:`Relation.index_on`) map key projections to **ordered
 bucket dicts** ``{row_tuple: slot}``.  Iterating a bucket yields row tuples
-(so existing join code is unchanged), while ``bucket.values()`` yields slots
-for columnar probing — the compiled executor reads only the columns a join
-step actually needs (:mod:`repro.exec.plan`) instead of materializing whole
-rows.  Dict-backed buckets also make :meth:`discard` O(arity + #indexes):
+— what the interpreter and the compiled executor's join kernels
+(:mod:`repro.exec.plan`) both do — while ``bucket.values()`` yields slots
+into the column arrays (which no join reads any more).
+Dict-backed buckets also make :meth:`discard` O(arity + #indexes):
 deleting a row from a bucket is a dict deletion, not a list scan, so
 delete-heavy deltas are linear instead of quadratic.
 

@@ -8,12 +8,16 @@ whole relations at a time instead of one binding at a time:
 * :mod:`repro.exec.stats` — per-relation/per-position statistics
   (cardinality, distinct counts, selectivity estimates) behind a
   version-validated snapshot cache;
-* :mod:`repro.exec.compile` — admission, cost-based join ordering, and
-  operator construction;
-* :mod:`repro.exec.plan` — the physical operators and their executable form;
+* :mod:`repro.exec.compile` — admission, cost-based join ordering (by rows
+  still alive after each subgoal), and operator construction;
+* :mod:`repro.exec.plan` — the physical operators; each step runs as a
+  *kernel*, a Python function generated once for exactly its shape, whose
+  constants are run-time parameters;
 * :mod:`repro.exec.executor` — :class:`CompiledExecutor` (plan caching keyed
-  by canonical query and database version, union evaluation with shared
-  build sides, interpreter fallback) and :class:`InterpretedExecutor`;
+  by query *shape* — constants lifted to parameters — and database identity,
+  valid across data versions until a relation moves more than 2x; union
+  evaluation with shared build sides; interpreter fallback) and
+  :class:`InterpretedExecutor`;
 * :mod:`repro.exec.parallel` — :class:`ParallelExecutor`, which
   hash-partitions the compiled pipeline's scan output and fans the probe
   tail across a pool of forked workers (serial fallback below a cardinality

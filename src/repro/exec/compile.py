@@ -6,41 +6,45 @@ Compilation has three phases:
    terms (Skolem terms introduced by the inverse-rules algorithm); those take
    the interpreter fallback (:mod:`repro.engine.evaluate`).
 2. **Join ordering** — :func:`order_body` picks a left-deep pipeline order by
-   estimated output cardinality, using the per-relation/per-position
-   statistics of :mod:`repro.exec.stats`: start from the subgoal with the
-   smallest estimated size after constant restrictions, then repeatedly take
-   the connected subgoal (sharing a bound variable) with the smallest
-   estimated extension; disconnected subgoals (cartesian products) are
-   deferred until nothing connected remains.
+   the rows still *alive* after each subgoal, using the per-relation /
+   per-position statistics of :mod:`repro.exec.stats`: a candidate's rows are
+   the rows flowing in times its estimated matches, capped by the product of
+   the distinct counts of the variables anything later still reads (the
+   compiler drops the others and deduplicates).  So a chain whose head sits
+   at one end is walked *towards* the head, every intermediate result one
+   column wide.  Ties go to the smallest estimated extension; disconnected
+   subgoals (cartesian products) wait until nothing connected remains.
 3. **Operator construction** — every subgoal becomes a
    :class:`~repro.exec.plan.HashJoinStep` whose index key combines the
-   subgoal's constants with its already-bound variables (positions sorted
-   ascending, so isomorphic subgoals in different plans — e.g. the disjuncts
-   of a union rewriting — share one relation index as their build side).
-   Comparison subgoals become row filters attached to the earliest step that
-   binds all their variables; ground comparisons are folded at compile time.
+   subgoal's constants and parameters with its already-bound variables
+   (positions sorted ascending, so isomorphic subgoals in different plans —
+   e.g. the disjuncts of a union rewriting — share one relation index as
+   their build side).  Comparison subgoals become filters of the earliest
+   step that binds all their variables; ground comparisons (constants and
+   parameters only) become the plan's ``checks``, decided once per binding.
    Row layouts are per step and **liveness-aware**: a step keeps only the
    variables the head, a later subgoal or a later comparison still reads, so
    existential variables are dropped (and the rows deduplicated) by the step
    that last uses them, and a subgoal none of whose new variables survive
-   compiles to a semi-join.
+   compiles to a semi-join.  Each step generates its kernel as it is built
+   (see :mod:`repro.exec.plan`).
+
+**Parameters** are variables of the query bound from outside the pipeline
+(``try_compile(..., parameters={variable: value})``): they never occupy a row
+column, compile to reads of the plan's ``params`` tuple, and
+:meth:`~repro.exec.plan.PhysicalPlan.bind` rebinds them by position.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from math import prod
+from typing import Any, Collection, Dict, List, Mapping, Optional, Tuple
 
 from repro.datalog.atoms import Atom, Comparison
 from repro.datalog.queries import ConjunctiveQuery
 from repro.datalog.terms import Constant, FunctionTerm, Term, Variable
 from repro.engine.database import Database
-from repro.exec.plan import (
-    HashJoinStep,
-    PhysicalPlan,
-    Source,
-    compare_values,
-    make_comparison_filter,
-)
+from repro.exec.plan import Filter, HashJoinStep, PhysicalPlan, Source
 from repro.exec.stats import DatabaseStatistics, statistics_for
 
 
@@ -64,37 +68,60 @@ def is_compilable(query: ConjunctiveQuery) -> bool:
 
 
 def order_body(
-    query: ConjunctiveQuery, database: Database, stats: Optional[DatabaseStatistics] = None
+    query: ConjunctiveQuery,
+    database: Database,
+    stats: Optional[DatabaseStatistics] = None,
+    parameters: Collection[Variable] = (),
 ) -> List[Atom]:
-    """Cost-based left-deep join order for the query's body subgoals."""
+    """Cost-based left-deep join order for the query's body subgoals.
+
+    ``parameters`` restrict a position the way a constant does (and, like a
+    constant, connect nothing).
+    """
     stats = stats if stats is not None else statistics_for(database)
     remaining = list(query.body)
     ordered: List[Atom] = []
-    bound: set = set()
+    # The variables the ordered subgoals bind, each with a bound on the
+    # distinct values it can still take.
+    domain: Dict[Variable, int] = {}
+    alive = 1.0  # estimated rows in flight
     while remaining:
-        best_index = 0
-        best_key: Optional[Tuple[int, float, int]] = None
+        best: Optional[Tuple[Tuple[int, float, float, int], Dict[Variable, int]]] = None
         for index, atom in enumerate(remaining):
             restricted: List[int] = []
-            connected = False
+            connected = not ordered
+            seen = dict(domain)
             for position, term in enumerate(atom.args):
-                if isinstance(term, Constant):
+                if isinstance(term, Constant) or term in parameters:
                     restricted.append(position)
-                elif isinstance(term, Variable) and term in bound:
+                    continue
+                if term in domain:
                     restricted.append(position)
                     connected = True
+                distinct = stats.distinct(atom.predicate, position)
+                seen[term] = min(seen.get(term, distinct), distinct)
             estimated = stats.estimated_rows(atom.predicate, tuple(restricted))
+            # What is read after this subgoal: the head, the other subgoals,
+            # and the comparisons it leaves undecided.  Everything else is
+            # dropped here, so no more rows survive than those variables have
+            # value combinations.
+            read = set(query.head.variables())
+            for other in remaining:
+                if other is not atom:
+                    read.update(other.variables())
+            for comparison in query.comparisons:
+                if not all(v in seen or v in parameters for v in comparison.variables()):
+                    read.update(comparison.variables())
+            live = min(alive * estimated, prod(seen[v] for v in read if v in seen))
             # Prefer connected subgoals (or any subgoal for the first pick);
-            # among those, the smallest estimated extension wins.  Index is
-            # the deterministic tie-break.
-            rank = 0 if (connected or not ordered) else 1
-            key = (rank, estimated, index)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_index = index
-        chosen = remaining.pop(best_index)
-        ordered.append(chosen)
-        bound.update(chosen.variables())
+            # among those, the fewest live rows, then the smallest estimated
+            # extension.  Index is the deterministic tie-break.
+            key = (0 if connected else 1, live, estimated, index)
+            if best is None or key < best[0]:
+                best = (key, seen)
+        assert best is not None
+        (_rank, alive, _estimated, index), domain = best
+        ordered.append(remaining.pop(index))
     return ordered
 
 
@@ -102,29 +129,30 @@ def try_compile(
     query: ConjunctiveQuery,
     database: Database,
     stats: Optional[DatabaseStatistics] = None,
+    parameters: Optional[Mapping[Variable, Any]] = None,
 ) -> Optional[PhysicalPlan]:
-    """Compile ``query`` into a :class:`PhysicalPlan`, or None if unsupported."""
+    """Compile ``query`` into a :class:`PhysicalPlan`, or None if unsupported.
+
+    ``parameters`` maps the variables bound from outside the pipeline to the
+    values the returned plan is bound to, in ``params`` order.
+    """
     if not is_compilable(query):
         return None
 
-    # Ground comparisons fold at compile time; a false one empties the plan.
-    pending: List[Comparison] = []
-    for comparison in query.comparisons:
-        if not comparison.variables():
-            left = comparison.left
-            right = comparison.right
-            assert isinstance(left, Constant) and isinstance(right, Constant)
-            if not compare_values(comparison.op, left.value, right.value):
-                return PhysicalPlan(query.name, (), (), always_empty=True)
-        else:
-            pending.append(comparison)
+    parameters = parameters or {}
+    given: Dict[Variable, Source] = {
+        variable: (None, index) for index, variable in enumerate(parameters)
+    }
+    # A ground comparison is decided when the plan is bound, not per row.
+    checks = [c for c in query.comparisons if given.keys() >= set(c.variables())]
+    pending = [c for c in query.comparisons if c not in checks]
 
-    ordered = order_body(query, database, stats)
+    ordered = order_body(query, database, stats, given.keys())
     # Each comparison attaches to the earliest step binding all its variables
     # (those the body never binds are unreachable — the interpreter silently
     # never evaluates them, and neither do we).
     attached: List[List[Comparison]] = []
-    bound: set = set()
+    bound: set = set(given)
     for atom in ordered:
         bound.update(atom.variables())
         ready = [c for c in pending if bound.issuperset(c.variables())]
@@ -144,28 +172,29 @@ def try_compile(
     layout: Tuple[Variable, ...] = ()  # the variables of an in-flight row
     steps: List[HashJoinStep] = []
     for atom, comparisons, live in zip(ordered, attached, live_after):
-        slots = {variable: slot for slot, variable in enumerate(layout)}
+        sources = dict(given)
+        sources.update((variable, (True, slot)) for slot, variable in enumerate(layout))
         keyed: List[Tuple[int, Source]] = []
         eq_pairs: List[Tuple[int, int]] = []
         first_new: Dict[Variable, int] = {}
         for position, term in enumerate(atom.args):
-            if isinstance(term, Constant):
-                keyed.append((position, (False, term.value)))
-            elif isinstance(term, Variable):
-                if term in slots:
-                    keyed.append((position, (True, slots[term])))
-                elif term in first_new:
-                    eq_pairs.append((first_new[term], position))
-                else:
-                    first_new[term] = position
+            if isinstance(term, Constant) or term in sources:
+                keyed.append((position, _source(term, sources)))
+            elif term in first_new:
+                eq_pairs.append((first_new[term], position))
+            else:
+                assert isinstance(term, Variable)
+                first_new[term] = position
         # Sorted key positions so every plan joining this relation on the
         # same columns (notably sibling union disjuncts) shares one index.
         keyed.sort(key=lambda item: item[0])
         # Filters see the full row: the input columns, then the new ones.
         full = layout + tuple(first_new)
-        for variable in first_new:
-            slots[variable] = len(slots)
+        sources.update(
+            (variable, (True, len(layout) + k)) for k, variable in enumerate(first_new)
+        )
         keep = tuple(slot for slot, variable in enumerate(full) if variable in live)
+        kept = tuple(full[slot] for slot in keep)
         steps.append(
             HashJoinStep(
                 predicate=atom.predicate,
@@ -174,17 +203,15 @@ def try_compile(
                 key_sources=tuple(source for _p, source in keyed),
                 eq_pairs=tuple(eq_pairs),
                 new_positions=tuple(first_new.values()),
-                filters=tuple(
-                    make_comparison_filter(
-                        c.op, _source(c.left, slots), _source(c.right, slots)
-                    )
-                    for c in comparisons
-                ),
+                filters=tuple(_filter(c, sources) for c in comparisons),
                 width=len(layout),
                 keep=keep,
+                # Projecting hashes every row anyway: a set built by the last
+                # step would be hashed twice.
+                rehashed=len(steps) + 1 == len(ordered) and query.head.args != kept,
             )
         )
-        layout = tuple(full[slot] for slot in keep)
+        layout = kept
 
     slots = {variable: slot for slot, variable in enumerate(layout)}
     projection: List[Source] = []
@@ -202,11 +229,17 @@ def try_compile(
         steps,
         tuple(projection),
         unbound_head_terms=tuple(unbound),
+        checks=tuple(_filter(c, given) for c in checks),
+        params=tuple(parameters.values()),
     )
 
 
-def _source(term: Term, slots: Dict[Variable, int]) -> Source:
+def _source(term: Term, sources: Mapping[Variable, Source]) -> Source:
     if isinstance(term, Constant):
         return (False, term.value)
     assert isinstance(term, Variable)
-    return (True, slots[term])
+    return sources[term]
+
+
+def _filter(comparison: Comparison, sources: Mapping[Variable, Source]) -> Filter:
+    return (comparison.op, _source(comparison.left, sources), _source(comparison.right, sources))

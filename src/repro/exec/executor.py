@@ -2,16 +2,22 @@
 
 :class:`CompiledExecutor` is the object :func:`repro.engine.evaluate.evaluate`
 delegates to by default.  It keeps a bounded LRU of compiled plans keyed by
-``(canonical query, database identity, database version)``:
+``(query shape, database identity)``:
 
-* the *canonical query* (:meth:`ConjunctiveQuery.canonical`) makes plans
-  shareable across queries that differ only in variable names and subgoal
-  order — exactly the sharing the service layer's fingerprint caches exploit;
-* the *database version* retires a plan when the data changes, because the
-  cost-based join order was chosen against the old statistics (a stale plan
-  would still be correct, but could be slow);
+* the *shape* is the canonical query (:meth:`ConjunctiveQuery.canonical`:
+  variable names and subgoal order abstracted away) with every body and
+  comparison constant lifted to a parameter, so one plan — one join order,
+  one set of generated kernels (:mod:`repro.exec.plan`) — serves every query
+  that differs from it only in its constants; a hit binds the request's
+  constants (:meth:`~repro.exec.plan.PhysicalPlan.bind`), which is where a
+  ground comparison is decided;
+* an entry outlives ``database.version``: kernels look relations and indexes
+  up by name on every run, so a plan is *correct* over any contents, and only
+  the cost-based join order can go stale — an entry is retired when some
+  relation it reads has grown or shrunk more than 2x since it was costed;
 * database identity is held weakly and revalidated, so an ``id()`` reuse
-  after garbage collection can never resurrect another database's plan.
+  after garbage collection can never resurrect another database's plan (and a
+  re-materialized view instance, being a new object, starts cold).
 
 Union queries are evaluated disjunct by disjunct through the same cache; the
 hash-join build sides live on the relations themselves (see
@@ -30,8 +36,9 @@ from collections import OrderedDict
 from typing import Any, Dict, FrozenSet, Optional, Tuple
 
 from repro.errors import StorageError
+from repro.datalog.atoms import Atom, Comparison
 from repro.datalog.queries import ConjunctiveQuery, UnionQuery
-from repro.datalog.terms import Constant, Variable
+from repro.datalog.terms import Constant, Term, Variable
 from repro.engine.database import Database
 from repro.engine.evaluate import (
     EvaluationStatistics,
@@ -96,16 +103,46 @@ def pushdown_single_atom(
     return frozenset(answers)
 
 
+def _lift(query: ConjunctiveQuery) -> Tuple[ConjunctiveQuery, Dict[Variable, Any]]:
+    """The query with its body and comparison constants lifted to parameters.
+
+    Returns the constant-free shape and ``{parameter variable: value}`` in
+    order of occurrence; one parameter per occurrence, so ``r(X, 1), s(X, 1)``
+    and ``r(X, 1), s(X, 2)`` share a shape.  Parameter names start with ``$``
+    and cannot collide with a canonical query's ``V1, V2, ...``.
+    """
+    parameters: Dict[Variable, Any] = {}
+
+    def lifted(term: Term) -> Term:
+        if not isinstance(term, Constant):
+            return term
+        parameter = Variable(f"${len(parameters)}")
+        parameters[parameter] = term.value
+        return parameter
+
+    body = [Atom(atom.predicate, map(lifted, atom.args)) for atom in query.body]
+    comparisons = [Comparison(lifted(c.left), c.op, lifted(c.right)) for c in query.comparisons]
+    if not parameters:
+        return query, parameters
+    return ConjunctiveQuery(query.head, body, comparisons, require_safe=False), parameters
+
+
+def _sizes(plan: Optional[PhysicalPlan], database: Database) -> Tuple[int, ...]:
+    """The cardinality of the relation each step of ``plan`` reads."""
+    steps = plan.steps if plan is not None else ()
+    return tuple(len(database.relation(step.predicate) or ()) for step in steps)
+
+
 class CompiledExecutor:
-    """Set-at-a-time evaluation with a bounded, version-validated plan cache."""
+    """Set-at-a-time evaluation with a bounded cache of shape-keyed plans."""
 
     name = "compiled"
 
     def __init__(self, plan_cache_size: int = 256):
         self.plan_cache_size = plan_cache_size
-        self._plans: "OrderedDict[Tuple[Any, int, int], Tuple[Any, Optional[PhysicalPlan]]]" = (
-            OrderedDict()
-        )
+        # (shape, id(database)) -> (weak database, plan bound to the first
+        # query's constants or None, relation sizes the order was costed at)
+        self._plans: "OrderedDict[Tuple[ConjunctiveQuery, int], Tuple[Any, ...]]" = OrderedDict()
         self.plan_hits = 0
         self.plan_misses = 0
         #: Evaluations that took the interpreter fallback (function terms).
@@ -143,28 +180,32 @@ class CompiledExecutor:
     ) -> Optional[PhysicalPlan]:
         """The cached (or freshly compiled) plan for a query over a database.
 
-        Returns None for queries the compiler does not support; the negative
-        result is cached too, so unsupported hot queries pay the admission
-        check only once per database version.
+        The plan is bound to this query's constants.  Returns None for
+        queries the compiler does not support; the negative result is cached
+        too, so unsupported hot queries pay the admission check only once.
         """
         if self.plan_cache_size <= 0:
             return try_compile(query, database)
-        canonical = query.canonical()
-        key = (canonical, id(database), database.version)
-        entry = self._plans.get(key)
-        if entry is not None:
-            ref, plan = entry
-            if ref() is database:
-                self.plan_hits += 1
-                self._plans.move_to_end(key)
-                return plan
-            del self._plans[key]
-        self.plan_misses += 1
         # Compile from the canonical variant: its answer set is identical
         # (variables are renamed bijectively), and the plan then serves every
         # isomorphic-with-matching-canonical-form query.
-        plan = try_compile(canonical, database)
-        self._plans[key] = (weakref.ref(database), plan)
+        shape, parameters = _lift(query.canonical())
+        key = (shape, id(database))
+        entry = self._plans.get(key)
+        if entry is not None:
+            ref, plan, costed = entry
+            if ref() is database and all(
+                now <= 2 * then and then <= 2 * now
+                for now, then in zip(_sizes(plan, database), costed)
+            ):
+                self.plan_hits += 1
+                self._plans.move_to_end(key)
+                return None if plan is None else plan.bind(tuple(parameters.values()))
+            del self._plans[key]
+        self.plan_misses += 1
+        # Costed now, against these sizes, and bound to this query's constants.
+        plan = try_compile(shape, database, parameters=parameters)
+        self._plans[key] = (weakref.ref(database), plan, _sizes(plan, database))
         while len(self._plans) > self.plan_cache_size:
             self._plans.popitem(last=False)
         return plan

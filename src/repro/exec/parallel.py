@@ -9,11 +9,10 @@ pipeline** (remaining probes + projection) across a pool of forked workers:
 * workers are created with the ``fork`` start method, so they inherit the
   database — relations, columnar arrays *and* every already-built hash index
   — by copy-on-write without pickling a byte of it;
-* the query crosses the process boundary as datalog text (the printed form
-  round-trips through the parser, the same trick as
-  :mod:`repro.service.batch`); each worker re-compiles it against the
-  inherited database, which is deterministic, so parent and workers agree on
-  the plan's slot layout;
+* the *plan* crosses the process boundary — step descriptions, bound
+  parameters and the kernels' source text (:mod:`repro.exec.plan`) — so a
+  worker runs exactly the join order and slot layout the parent ran, however
+  long ago that plan was costed;
 * partitions are formed by ``hash(row[k]) % P`` on the first bound join-key
   slot of the second step (equal keys land in one worker, preserving probe
   locality), falling back to round-robin when the next step has no bound key;
@@ -57,8 +56,6 @@ from collections import Counter
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import EvaluationError
-from repro.datalog.parser import parse_query
-from repro.datalog.printer import to_datalog
 from repro.datalog.queries import ConjunctiveQuery, UnionQuery
 from repro.engine.database import Database
 from repro.engine.evaluate import (
@@ -96,30 +93,19 @@ def _default_processes() -> int:
 #: reference lives in the children's (copy-on-write) address space.
 _FORK_DB: Optional[Database] = None
 
-#: Per-worker compiled executor, created lazily inside each child so every
-#: worker keeps its own plan cache across tasks from the same pool.
-_FORK_EXECUTOR: Optional[CompiledExecutor] = None
-
 
 def _run_partition(
-    payload: Tuple[str, int, List[Row]]
+    payload: Tuple[PhysicalPlan, int, List[Row]]
 ) -> Tuple[FrozenSet[Row], int, int, int, float]:
     """Run the pipeline tail + projection over one partition (in a worker).
 
     Returns ``(answers, probes, extensions, answer_rows, seconds)``.
     """
-    global _FORK_EXECUTOR
-    query_text, start, rows = payload
+    plan, start, rows = payload
     database = _FORK_DB
     if database is None:  # pragma: no cover - defensive: fork misconfigured
         raise EvaluationError("parallel worker has no inherited database")
-    if _FORK_EXECUTOR is None:
-        _FORK_EXECUTOR = CompiledExecutor()
     started = time.perf_counter()
-    query = parse_query(query_text)
-    plan = _FORK_EXECUTOR.plan_for(query, database)
-    if plan is None:  # pragma: no cover - parent compiled the same text
-        raise EvaluationError(f"worker could not compile shipped query {query_text!r}")
     stats = EvaluationStatistics()
     surviving = plan.run_steps(database, rows, stats, start=start)
     answers = plan.project_rows(surviving, stats)
@@ -229,7 +215,7 @@ class ParallelExecutor:
         if reason is not None:
             self.fallback_reasons[reason] += 1
             return plan.execute(database, stats)
-        return self._evaluate_partitioned(query, plan, database, stats)
+        return self._evaluate_partitioned(plan, database, stats)
 
     def _parallel_blocker(
         self, plan: PhysicalPlan, database: Database
@@ -272,13 +258,12 @@ class ParallelExecutor:
 
     def _evaluate_partitioned(
         self,
-        query: ConjunctiveQuery,
         plan: PhysicalPlan,
         database: Database,
         stats: EvaluationStatistics,
     ) -> FrozenSet[Row]:
         stats.subgoals += len(plan.steps)
-        rows = plan.steps[0].run(database, [()], stats)
+        rows = plan.steps[0].run(database, [()], stats, plan.params)
         if not rows:
             return frozenset()
         if len(rows) < self.min_partition_rows:
@@ -287,8 +272,7 @@ class ParallelExecutor:
             return plan.project_rows(plan.run_steps(database, rows, stats, 1), stats)
         processes = self._resolved_processes()
         partitions = self._partition(rows, self._partition_slot(plan), processes)
-        query_text = to_datalog(query.canonical())
-        payloads = [(query_text, 1, chunk) for chunk in partitions if chunk]
+        payloads = [(plan, 1, chunk) for chunk in partitions if chunk]
         try:
             pool = self._pool_for(database, processes)
             results = pool.map(_run_partition, payloads)

@@ -8,18 +8,27 @@ conjunctive query (see :mod:`repro.exec.compile`):
 Each :class:`HashJoinStep` extends every in-flight row with the matching
 tuples of one relation, probing the relation's incrementally-maintained hash
 index (:meth:`repro.engine.relation.Relation.index_on`) on the step's key
-positions.  Constants and already-bound join variables both contribute to the
-index key, so the first step degenerates to an (indexed) scan and later steps
-are hash joins whose *build side is the relation index itself* — built once,
-maintained across deltas, and shared by every plan (and every disjunct of a
-union rewriting) that joins on the same positions.
+positions.  Constants, parameters and already-bound join variables all
+contribute to the index key, so the first step degenerates to an (indexed)
+scan and later steps are hash joins whose *build side is the relation index
+itself* — built once, maintained across deltas, and shared by every plan
+(and every disjunct of a union rewriting) that joins on the same positions.
 
-Relations store their data columnar (per-position arrays addressed by slot;
-see :mod:`repro.engine.relation`), and index buckets map row tuples to slots.
-Probe and scan therefore read **column slices**: a step fetches only the
-columns carrying its newly-bound variables (plus any within-atom equality
-columns) and extends rows via slot lookups into those arrays — matched rows
-are never materialized as whole tuples on the probe path.
+**Kernels.**  A step does not interpret its description row by row: at
+construction it generates one Python function for exactly its shape (text on
+``step.kernel.source``) — one ``for row in rows``, one index lookup, one ``for
+r in bucket`` over the relation's own row tuples, equalities and ``=``/``!=``
+filters inlined, order comparisons as calls to :func:`compare_values`, the
+output row a tuple display of the columns that stay live.  The text is
+assembled from integers the compiler computed (positions, slot and parameter
+indexes) and nothing else: constants, operators and names reach the function
+through its globals or arguments.  The head projection is generated likewise.
+
+**Parameters.**  A value source is a row slot, a literal, or an index into
+the ``params`` tuple the plan is bound to (:meth:`PhysicalPlan.bind`), so one
+plan serves every query of its shape (the executor lifts constants before
+compiling).  Kernels look relations and indexes up by name on every run: a
+plan stays *correct* across any change to the data; only its order goes stale.
 
 Rows are plain tuples whose layout is **per step**: the compiler knows which
 variables the head, later subgoals and later comparisons still read after
@@ -27,10 +36,6 @@ each step, and a step emits only those (its ``keep`` positions).  A step that
 drops a column deduplicates as it emits — so existential variables stop
 multiplying rows at the step that last uses them — and a subgoal none of
 whose new variables survive is a semi-join that never enumerates its bucket.
-The per-row work in the inner loop is tuple indexing and concatenation — no
-per-binding dictionaries, no term matching, no recursion.  Comparison
-subgoals are compiled to closures and applied at the earliest step where
-both sides are bound.
 
 Plans return exactly the interpreter's answer *sets* and raise the same
 :class:`~repro.errors.EvaluationError` s (arity mismatches always raise; an
@@ -45,17 +50,10 @@ projection.
 
 from __future__ import annotations
 
-from operator import itemgetter
-from typing import (
-    Any,
-    Callable,
-    Collection,
-    FrozenSet,
-    Iterator,
-    Optional,
-    Sequence,
-    Tuple,
-)
+import copy
+import linecache
+from functools import lru_cache
+from typing import Any, Collection, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.errors import EvaluationError
 from repro.datalog.atoms import ComparisonOperator
@@ -64,11 +62,14 @@ from repro.engine.evaluate import EvaluationStatistics
 from repro.engine.relation import SkolemValue
 
 #: A value source in a compiled row: ``(True, slot_index)`` reads the current
-#: row, ``(False, constant_value)`` is a literal.
-Source = Tuple[bool, Any]
+#: row, ``(False, constant_value)`` is a literal, ``(None, index)`` reads the
+#: parameters the plan is bound to.
+Source = Tuple[Optional[bool], Any]
+
+#: One comparison subgoal: operator and the two sides' sources.
+Filter = Tuple[ComparisonOperator, Source, Source]
 
 Row = Tuple[Any, ...]
-RowFilter = Callable[[Row], bool]
 
 _ORDER_OPS = frozenset(("<", "<=", ">", ">="))
 
@@ -85,54 +86,65 @@ def compare_values(op: ComparisonOperator, left: Any, right: Any) -> bool:
     return op.evaluate(left, right)
 
 
-def make_comparison_filter(
-    op: ComparisonOperator, left: Source, right: Source
-) -> RowFilter:
-    """Compile one comparison subgoal into a row predicate.
+@lru_cache(maxsize=1024)
+def _code(source: str) -> Any:
+    """Compile a kernel's text, once per distinct text.
 
-    ``=`` / ``!=`` compile to direct closures: :func:`compare_values` guards
-    only the order operators (Skolem operands, incomparable types), so for
-    (dis)equality the plain Python operator is the whole semantics.
+    A text names no constant, predicate or operator, so the steps of many
+    plans share a few dozen of them and ``compile`` — most of what a kernel
+    costs to build — runs for the first only.  The text is registered with
+    :mod:`linecache`, so a traceback through a kernel shows the failing line.
     """
-    left_is_slot, a = left
-    right_is_slot, b = right
-    if not left_is_slot and not right_is_slot:
-        verdict = compare_values(op, a, b)
-        return lambda row: verdict
-    if op is ComparisonOperator.EQ or op is ComparisonOperator.NE:
-        if not left_is_slot:  # symmetric operators: put the slot on the left
-            left_is_slot, a, right_is_slot, b = True, b, False, a
-        if op is ComparisonOperator.NE:
-            if right_is_slot:
-                return lambda row: row[a] != row[b]
-            return lambda row: row[a] != b
-        if right_is_slot:
-            return lambda row: row[a] == row[b]
-        return lambda row: row[a] == b
-    if left_is_slot and right_is_slot:
-        return lambda row: compare_values(op, row[a], row[b])
-    if left_is_slot:
-        return lambda row: compare_values(op, row[a], b)
-    return lambda row: compare_values(op, a, row[b])
+    filename = f"<repro.exec kernel {hash(source) & 0xFFFFFFFFFFFF:012x}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    return compile(source, filename, "exec")
 
 
-def _picker(positions: Tuple[int, ...]) -> Callable[[Row], Row]:
-    """A row → tuple-of-``positions`` function (``itemgetter`` that always
-    returns a tuple)."""
-    if not positions:
-        return lambda row: ()
-    if len(positions) == 1:
-        position = positions[0]
-        return lambda row: (row[position],)
-    return itemgetter(*positions)
+class _Kernel:
+    """A function generated as Python source, and the text it came from.
+
+    ``namespace`` holds every object the text names (literals, operators,
+    :func:`compare_values`).  A kernel pickles as its text and namespace (the
+    parallel executor ships plans to its workers).
+    """
+
+    __slots__ = ("source", "namespace", "function")
+
+    def __init__(self, source: str, namespace: Dict[str, Any]):
+        self.source = source
+        self.namespace = namespace
+        scope = dict(namespace)
+        exec(_code(source), scope)
+        self.function = scope["kernel"]
+
+    def __reduce__(self):
+        return (_Kernel, (self.source, self.namespace))
+
+
+def _literal(namespace: Dict[str, Any], value: Any) -> str:
+    """Bind ``value`` in a kernel's namespace; the name that reads it."""
+    name = f"k{len(namespace):d}"
+    namespace[name] = value
+    return name
+
+
+def _comparison(namespace: Dict[str, Any], op: ComparisonOperator, a: str, b: str) -> str:
+    """The expression testing ``a op b``: :func:`compare_values` guards only
+    the order operators (Skolem operands, incomparable types), so for
+    (dis)equality the plain Python operator is the whole semantics."""
+    if op is ComparisonOperator.EQ:
+        return f"{a} == {b}"
+    if op is ComparisonOperator.NE:
+        return f"{a} != {b}"
+    return f"compare({_literal(namespace, op)}, {a}, {b})"
 
 
 class HashJoinStep:
     """Join every in-flight row with the matching tuples of one relation.
 
     The step probes ``relation.index_on(key_positions)`` with a key assembled
-    from constants and input-row slots (``key_sources``, aligned with
-    ``key_positions``).  With no key positions the step is a scan (first
+    from literals, parameters and input-row slots (``key_sources``, aligned
+    with ``key_positions``).  With no key positions the step is a scan (first
     step) or a cartesian product (disconnected subgoal).  ``eq_pairs`` are
     within-atom equality checks between positions carrying the same new
     variable; ``new_positions`` carry the newly-bound variables in
@@ -147,8 +159,10 @@ class HashJoinStep:
     bucket.  A step that drops a column it enumerated emits a **set**
     (:attr:`distinct`): duplicates can only arise where a column is dropped,
     so every row collection in the pipeline stays duplicate-free and steps
-    that drop nothing stay append loops.  (The plan clears the flag on a last
-    step whose rows the head projection hashes anyway.)
+    that drop nothing stay append loops.  ``rehashed`` says the consumer
+    hashes every row again (a head projection that is not the identity), so
+    a set built here would only be hashed twice.  All of this is fixed at
+    construction, when the step's :attr:`kernel` is generated.
     """
 
     __slots__ = (
@@ -163,6 +177,7 @@ class HashJoinStep:
         "keep",
         "distinct",
         "exists",
+        "kernel",
     )
 
     def __init__(
@@ -173,9 +188,10 @@ class HashJoinStep:
         key_sources: Tuple[Source, ...],
         eq_pairs: Tuple[Tuple[int, int], ...],
         new_positions: Tuple[int, ...],
-        filters: Tuple[RowFilter, ...],
+        filters: Tuple[Filter, ...],
         width: int,
         keep: Tuple[int, ...],
+        rehashed: bool = False,
     ):
         self.predicate = predicate
         self.arity = arity
@@ -190,7 +206,8 @@ class HashJoinStep:
         # A semi-join never enumerates its new columns, so only a dropped
         # input column can make two of its output rows equal.
         enumerated = width if self.exists else width + len(new_positions)
-        self.distinct = len(keep) < enumerated
+        self.distinct = len(keep) < enumerated and not rehashed
+        self.kernel = self._generate()
 
     def operator(self, first: bool) -> str:
         """The step's name in explain output (``first``: it opens the pipeline)."""
@@ -200,32 +217,77 @@ class HashJoinStep:
             return "semi_join"
         return "hash_join" if self.key_positions else "product"
 
-    def _matches(self, relation: Any, rows: Collection[Row]) -> Iterator[Tuple[Row, Any]]:
-        """Each input row that has matches, with the slots of its matches."""
-        if not self.key_positions:
-            # Scan (first step) or cartesian product (disconnected subgoal):
-            # every row meets every live slot.
-            slots = list(relation.slots())
-            for row in rows:
-                yield row, slots
-            return
-        get = relation.index_on(self.key_positions).get
-        sources = self.key_sources
-        if len(sources) == 1 and sources[0][0]:
-            # The common chain/star join: one bound slot is the whole key.
-            slot = sources[0][1]
-            for row in rows:
-                bucket = get((row[slot],))
-                if bucket:
-                    yield row, bucket.values()
+    def _generate(self) -> _Kernel:
+        """``kernel(rows, matches, p) -> (out, probes)`` for this step's shape.
+
+        ``matches`` is the index's ``get`` for a keyed step and, for a scan or
+        product, the relation itself as the one bucket every row meets; ``r``
+        is one of the relation's own row tuples.
+        """
+        namespace: Dict[str, Any] = {"compare": compare_values}
+        params: set = set()
+        width = self.width
+
+        def value(source: Source) -> str:
+            kind, v = source
+            if kind:  # a column of the full row: input slots, then new positions
+                return f"row[{v:d}]" if v < width else f"r[{self.new_positions[v - width]:d}]"
+            if kind is None:
+                params.add(v)
+                return f"p{v:d}"
+            return _literal(namespace, v)
+
+        tests = [f"r[{a:d}] == r[{b:d}]" for a, b in self.eq_pairs]
+        tests += [
+            _comparison(namespace, op, value(left), value(right))
+            for op, left, right in self.filters
+        ]
+        kept = [value((True, k)) for k in self.keep]
+        if self.keep == tuple(range(width)):
+            emitted = "row"
+        elif not width and len(kept) == self.arity:  # every column, in order
+            emitted = "r"
         else:
-            for row in rows:
-                bucket = get(tuple(row[v] if is_slot else v for is_slot, v in sources))
-                if bucket:
-                    yield row, bucket.values()
+            emitted = "(" + "".join(cell + ", " for cell in kept) + ")"
+        key = "".join(value(source) + ", " for source in self.key_sources)
+
+        body: List[str] = []
+        if self.exists and not tests:
+            body += ["probes += 1", f"emit({emitted})"]
+        elif self.exists:  # one passing match decides
+            body += [
+                "for r in bucket:",
+                "    probes += 1",
+                f"    if {' and '.join(tests)}:",
+                f"        emit({emitted})",
+                "        break",
+            ]
+        else:
+            body += ["probes += len(bucket)", "for r in bucket:"]
+            if tests:
+                body += [f"    if {' and '.join(tests)}:", f"        emit({emitted})"]
+            else:
+                body += [f"    emit({emitted})"]
+        if self.key_positions:
+            body = [f"bucket = get(({key}))", "if bucket:"] + ["    " + line for line in body]
+        lines = [f"def kernel(rows, {'get' if self.key_positions else 'bucket'}, p):"]
+        lines += [f"    p{index:d} = p[{index:d}]" for index in sorted(params)]
+        lines += [
+            "    out = set()" if self.distinct else "    out = []",
+            "    emit = out.add" if self.distinct else "    emit = out.append",
+            "    probes = 0",
+            "    for row in rows:",
+        ]
+        lines += ["        " + line for line in body]
+        lines += ["    return out, probes", ""]
+        return _Kernel("\n".join(lines), namespace)
 
     def run(
-        self, database: Database, rows: Collection[Row], stats: EvaluationStatistics
+        self,
+        database: Database,
+        rows: Collection[Row],
+        stats: EvaluationStatistics,
+        params: Row = (),
     ) -> Collection[Row]:
         relation = database.relation(self.predicate)
         if relation is None or len(relation) == 0:
@@ -235,83 +297,23 @@ class HashJoinStep:
                 f"subgoal {self.predicate} has arity {self.arity} but relation "
                 f"{relation.name} has arity {relation.arity}"
             )
-        eq_pairs = self.eq_pairs
-        filters = self.filters
-        keep = self.keep
-        width = self.width
-        out: Any = set() if self.distinct else []
-        emit = out.add if self.distinct else out.append
-        probes = 0
-        # Column slices: only the arrays this step actually reads.  Matched
-        # rows are addressed by slot (bucket values / live slots); their full
-        # tuples are never rebuilt on the probe path.
-        columns = relation.columns()
-        new_columns = tuple(columns[p] for p in self.new_positions)
-        check = (
-            None if not filters
-            else filters[0] if len(filters) == 1
-            else lambda row: all(f(row) for f in filters)
-        )
-        matched = self._matches(relation, rows)
-
-        if self.exists:
-            # Semi-join: no new column survives, so one passing match decides.
-            pick = _picker(keep) if len(keep) < width else None
-            for row, matches in matched:
-                if check is None:
-                    probes += 1
-                else:
-                    for match_slot in matches:
-                        probes += 1
-                        if check(row + tuple(c[match_slot] for c in new_columns)):
-                            break
-                    else:
-                        continue
-                emit(row if pick is None else pick(row))
-        elif check is None and not eq_pairs:
-            # Nothing to re-check per match: project the input row once, then
-            # append only the new columns that stay live.
-            pick = None
-            if len(keep) < width + len(new_columns):
-                pick = _picker(tuple(k for k in keep if k < width))
-                new_columns = tuple(new_columns[k - width] for k in keep if k >= width)
-            column = new_columns[0] if len(new_columns) == 1 else None
-            for row, matches in matched:
-                probes += len(matches)
-                base = row if pick is None else pick(row)
-                if column is not None:
-                    for match_slot in matches:
-                        emit(base + (column[match_slot],))
-                else:
-                    for match_slot in matches:
-                        emit(base + tuple(c[match_slot] for c in new_columns))
-        else:
-            pick = _picker(keep) if len(keep) < width + len(new_columns) else None
-            for row, matches in matched:
-                probes += len(matches)
-                for match_slot in matches:
-                    if eq_pairs and any(
-                        columns[a][match_slot] != columns[b][match_slot]
-                        for a, b in eq_pairs
-                    ):
-                        continue
-                    new_row = row + tuple(c[match_slot] for c in new_columns)
-                    if check is not None and not check(new_row):
-                        continue
-                    emit(new_row if pick is None else pick(new_row))
+        matches = relation.index_on(self.key_positions).get if self.key_positions else relation
+        out, probes = self.kernel.function(rows, matches, params)
         stats.probes += probes
         stats.extensions += len(out)
         return out
 
 
 class PhysicalPlan:
-    """A compiled pipeline for one conjunctive query."""
+    """A compiled pipeline for one conjunctive query, bound to parameter values."""
 
     __slots__ = (
         "query_name",
         "steps",
         "projection",
         "unbound_head_terms",
+        "checks",
+        "params",
         "always_empty",
         "_project",
     )
@@ -322,7 +324,8 @@ class PhysicalPlan:
         steps: Sequence[HashJoinStep],
         projection: Tuple[Source, ...],
         unbound_head_terms: Tuple[str, ...] = (),
-        always_empty: bool = False,
+        checks: Tuple[Filter, ...] = (),
+        params: Row = (),
     ):
         self.query_name = query_name
         self.steps = tuple(steps)
@@ -331,32 +334,49 @@ class PhysicalPlan:
         #: Head terms not bound by the body; evaluation raises if any
         #: assignment reaches projection (mirroring the interpreter).
         self.unbound_head_terms = unbound_head_terms
-        #: True when a ground comparison is false: the plan returns no rows.
-        self.always_empty = always_empty
+        #: The ground comparisons (literals and parameters only): decided once
+        #: per binding, not per row.
+        self.checks = checks
         # None when the last step's layout already is the head: its rows are
         # the answers, and a set of them is not hashed a second time.
-        self._project: Optional[Callable[[Row], Row]]
+        self._project: Optional[_Kernel] = None
         width = len(self.steps[-1].keep) if self.steps else 0
-        if projection == tuple((True, k) for k in range(width)):
-            self._project = None
-        elif all(is_slot for is_slot, _value in projection):
-            self._project = _picker(tuple(value for _is_slot, value in projection))
-        else:
-            self._project = lambda row: tuple(
-                row[v] if is_slot else v for is_slot, v in projection
+        if projection != tuple((True, k) for k in range(width)):
+            namespace: Dict[str, Any] = {}
+            cells = "".join(
+                (f"row[{v:d}]" if is_slot else _literal(namespace, v)) + ", "
+                for is_slot, v in projection
             )
-        if self._project is not None and self.steps:
-            # Projecting hashes every row anyway: a set built by the last
-            # step would be hashed twice.
-            self.steps[-1].distinct = False
+            self._project = _Kernel(
+                f"def kernel(rows):\n    return frozenset([({cells}) for row in rows])\n",
+                namespace,
+            )
+        self._bind(params)
+
+    def _bind(self, params: Row) -> None:
+        def value(source: Source) -> Any:
+            kind, v = source
+            return v if kind is False else params[v]
+
+        self.params = params
+        #: True when a ground comparison is false: the plan returns no rows.
+        self.always_empty = not all(
+            compare_values(op, value(left), value(right)) for op, left, right in self.checks
+        )
+
+    def bind(self, params: Row) -> "PhysicalPlan":
+        """This pipeline over other parameter values (steps and kernels shared)."""
+        bound = copy.copy(self)
+        bound._bind(params)
+        return bound
 
     def execute(
         self, database: Database, statistics: Optional[EvaluationStatistics] = None
     ) -> FrozenSet[Row]:
         stats = statistics if statistics is not None else EvaluationStatistics()
-        stats.subgoals += len(self.steps)
         if self.always_empty:
             return frozenset()
+        stats.subgoals += len(self.steps)
         rows = self.run_steps(database, [()], stats)
         return self.project_rows(rows, stats)
 
@@ -374,7 +394,7 @@ class PhysicalPlan:
         output.  Returns the surviving rows (possibly empty).
         """
         for step in self.steps[start:]:
-            rows = step.run(database, rows, stats)
+            rows = step.run(database, rows, stats, self.params)
             if not rows:
                 return []
         return rows
@@ -399,7 +419,7 @@ class PhysicalPlan:
         stats.answers += len(rows)
         if self._project is None:
             return frozenset(rows)
-        return frozenset(map(self._project, rows))
+        return self._project.function(rows)
 
     def explain(self) -> str:
         """A human-readable rendering of the pipeline (for tests and debugging)."""
@@ -408,8 +428,9 @@ class PhysicalPlan:
             lines.append("  <always empty: a ground comparison is false>")
         for index, step in enumerate(self.steps):
             key = ", ".join(
-                f"{step.predicate}[{p}]={'slot ' + str(v) if is_slot else repr(v)}"
-                for p, (is_slot, v) in zip(step.key_positions, step.key_sources)
+                f"{step.predicate}[{p}]="
+                + (f"slot {v}" if kind else repr(v if kind is False else self.params[v]))
+                for p, (kind, v) in zip(step.key_positions, step.key_sources)
             )
             extras = []
             if step.eq_pairs:

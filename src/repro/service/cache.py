@@ -11,7 +11,7 @@ which lives in :mod:`repro.service.session`.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, Iterator, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterator
 
 
 class LRUCache:
@@ -19,15 +19,31 @@ class LRUCache:
 
     ``maxsize <= 0`` disables caching entirely (every ``get`` misses and
     ``put`` is a no-op), which keeps the session code free of special cases.
+
+    With a ``weigh`` function the entries are also held to a total ``budget``
+    of weight: least-recently-used entries are evicted while the sum is over
+    it, and a value heavier than the whole budget is not kept at all.
+    ``weigh`` must return the same weight for a value for as long as it is
+    stored (it is asked again when the value leaves); by default every value
+    weighs nothing and only ``maxsize`` bounds the cache.
     """
 
-    __slots__ = ("maxsize", "_data", "hits", "misses", "evictions")
+    __slots__ = ("maxsize", "_weigh", "budget", "weight", "_data", "hits", "misses", "evictions")
 
     #: Sentinel distinguishing "absent" from a cached ``None``.
     _MISSING = object()
 
-    def __init__(self, maxsize: int = 512):
+    def __init__(
+        self,
+        maxsize: int = 512,
+        weigh: Callable[[Any], int] = lambda value: 0,
+        budget: int = 0,
+    ):
         self.maxsize = int(maxsize)
+        self._weigh = weigh
+        self.budget = budget
+        #: The summed weight of the stored values.
+        self.weight = 0
         self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -44,14 +60,17 @@ class LRUCache:
         return value
 
     def put(self, key: Hashable, value: Any) -> None:
-        """Insert or update an entry, evicting the LRU entry when full."""
+        """Insert or update an entry, evicting LRU entries while over a bound."""
         if self.maxsize <= 0:
             return
-        if key in self._data:
-            self._data.move_to_end(key)
+        self.discard(key)
+        weight = self._weigh(value)
+        if weight > self.budget:
+            return
+        self.weight += weight
         self._data[key] = value
-        while len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
+        while len(self._data) > self.maxsize or self.weight > self.budget:
+            self.discard(next(iter(self._data)))
             self.evictions += 1
 
     def peek(self, key: Hashable, default: Any = None) -> Any:
@@ -65,12 +84,17 @@ class LRUCache:
 
     def discard(self, key: Hashable) -> bool:
         """Remove one entry if present; returns whether it was there."""
-        return self._data.pop(key, self._MISSING) is not self._MISSING
+        value = self._data.pop(key, self._MISSING)
+        if value is self._MISSING:
+            return False
+        self.weight -= self._weigh(value)
+        return True
 
     def clear(self) -> int:
         """Drop every entry (counters are kept); returns how many were dropped."""
         dropped = len(self._data)
         self._data.clear()
+        self.weight = 0
         return dropped
 
     def __contains__(self, key: Hashable) -> bool:

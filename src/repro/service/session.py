@@ -326,7 +326,11 @@ class RewritingSession:
         # variables and constants; repeated identical (or identically-named)
         # queries skip the substitution work entirely.
         self._translation_cache = LRUCache(cache_size)
-        self._answer_cache = LRUCache(cache_size)
+        # Answers are bounded in rows as well as in entries: a few one-shot
+        # 10k-row answers would otherwise outweigh every hot entry together.
+        self._answer_cache = LRUCache(
+            cache_size, weigh=lambda entry: len(entry.rows), budget=128 * cache_size
+        )
         self._containment_cache = LRUCache(cache_size)
         self.requests = 0
         self.invalidations = 0

@@ -74,6 +74,59 @@ class TestLRUCache:
         assert cache.hits == 1
 
 
+class TestWeighedLRUCache:
+    """``weigh`` + ``budget``: a second bound, on the summed weight."""
+
+    @staticmethod
+    def cache(maxsize=8, budget=10):
+        return LRUCache(maxsize, weigh=len, budget=budget)
+
+    def test_least_recently_used_go_while_over_budget(self):
+        cache = self.cache()
+        cache.put("a", "xxxx")
+        cache.put("b", "xxxx")
+        cache.get("a")            # "b" is now LRU
+        cache.put("c", "xxxxxx")  # 14 > 10: "b" goes, 10 fits
+        assert list(cache) == ["a", "c"] and cache.weight == 10
+        cache.put("d", "xxxxxxxxx")  # 19: "a" then "c" go
+        assert list(cache) == ["d"] and cache.weight == 9
+        assert cache.evictions == 3
+
+    def test_heavier_than_the_whole_budget_is_not_kept(self):
+        cache = self.cache()
+        cache.put("a", "xxxx")
+        cache.put("big", "x" * 11)
+        assert "big" not in cache and "a" in cache
+        assert cache.evictions == 0 and cache.weight == 4
+        cache.put("a", "x" * 11)  # nor does it leave the stale value behind
+        assert len(cache) == 0 and cache.weight == 0
+
+    def test_update_discard_and_clear_keep_the_running_weight(self):
+        cache = self.cache()
+        cache.put("a", "xxxx")
+        cache.put("a", "xx")
+        cache.put("b", "xxx")
+        assert cache.weight == 5
+        assert cache.discard("a") and not cache.discard("a")
+        assert cache.weight == 3
+        assert cache.clear() == 1 and cache.weight == 0
+        cache.put("c", "x" * 10)  # the whole budget is free again
+        assert "c" in cache
+
+    def test_maxsize_still_bounds_the_entries(self):
+        cache = self.cache(maxsize=2, budget=100)
+        for key in "abc":
+            cache.put(key, "")
+        assert list(cache) == ["b", "c"] and cache.evictions == 1
+
+    def test_unweighed_cache_ignores_the_budget(self):
+        cache = LRUCache(4)
+        for key in "abcd":
+            cache.put(key, "x" * 100)
+        assert len(cache) == 4 and cache.weight == 0 and cache.evictions == 0
+        assert set(cache.stats()) == {"size", "maxsize", "hits", "misses", "evictions", "hit_rate"}
+
+
 class TestDatabaseVersion:
     def test_new_database_starts_at_zero(self):
         assert Database().version == 0

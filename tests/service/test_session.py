@@ -371,3 +371,47 @@ class TestLRUBoundOnSession:
         session.rewrite_cached(q1)
         assert session.last_cache_hit is False
         assert session.stats()["rewrite_cache"]["evictions"] >= 1
+
+
+class TestAnswerCacheIsWeighedInRows:
+    """The answer cache holds at most ``128 x cache_size`` rows in total."""
+
+    @staticmethod
+    def session(rows, cache_size=1):
+        db = Database.from_dict({"r": [(i, i + 1) for i in range(rows)], "s": [(1, 1)]})
+        return RewritingSession(VIEWS, database=db, cache_size=cache_size), db
+
+    def test_an_answer_heavier_than_the_budget_is_served_but_not_kept(self):
+        session, db = self.session(rows=129)
+        query = parse_query("q(X, Y) :- r(X, Y).")
+        assert session.answer(query) == evaluate(query, db)
+        assert session.answer_with_plan(query)[0] == evaluate(query, db)
+        assert not session.has_cached_answer(query)
+        stats = session.stats()["answer_cache"]
+        assert (stats["size"], stats["hits"], stats["evictions"]) == (0, 0, 0)
+
+    def test_heavy_answers_evict_by_weight_before_the_entry_bound(self):
+        session, db = self.session(rows=200, cache_size=4)  # 512 rows, 4 entries
+        texts = [f"q(X, Y, {tag}) :- r(X, Y)." for tag in range(3)]  # 200 rows each
+        for text in texts:
+            session.answer(parse_query(text))
+        # Two fit the row budget; the third pushed the oldest out with only
+        # three of the four entries in use.
+        cached = [session.has_cached_answer(parse_query(text)) for text in texts]
+        assert cached == [False, True, True]
+        assert session.stats()["answer_cache"]["evictions"] == 1
+        session.answer(parse_query("q(X) :- s(X, X)."))  # one row: room for it
+        stats = session.stats()["answer_cache"]
+        assert (stats["size"], stats["evictions"]) == (3, 1)
+
+    def test_a_delta_gives_the_evicted_rows_back_to_the_budget(self):
+        from repro.materialize import Delta
+
+        session, db = self.session(rows=100, cache_size=1)  # 128 rows
+        query, other = parse_query("q(X, Y) :- r(X, Y)."), parse_query("q(X, Y, 1) :- r(X, Y).")
+        session.answer(query)
+        session.apply_delta(Delta.insertion("r", [(500, 501)]))  # evicts by predicate
+        assert session._answer_cache.weight == 0
+        session.answer(other)  # 101 rows fit only because the 100 were given back
+        assert session.has_cached_answer(other)
+        assert session.stats()["answer_cache"]["evictions"] == 0

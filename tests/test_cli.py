@@ -460,3 +460,35 @@ class TestServeHttpCommand:
         # --stats-json: the post-drain stats block is one JSON document.
         data = json.loads(stdout.strip().splitlines()[-1])
         assert data["session"]["requests"] == 1
+
+    def test_the_command_freezes_the_gc_only_while_it_serves(self, tmp_path, monkeypatch):
+        """``gc.freeze()`` is process-wide state: taken after the engine is
+        built, given back when the server stops, and never by the library."""
+        import gc
+        import io
+
+        import repro.server
+
+        frozen_while_serving = []
+
+        class FakeServer:
+            address, workers, queue_limit = "http://127.0.0.1:0", 4, 32
+
+            def __init__(self, engine, **options):
+                frozen_while_serving.append(gc.get_freeze_count())  # built before the freeze
+
+            def serve_forever(self):
+                frozen_while_serving.append(gc.get_freeze_count())
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(repro.server, "ReproServer", FakeServer)
+        assert gc.get_freeze_count() == 0
+        out = io.StringIO()
+        code = main(
+            ["serve", "--views", VIEWS, "--database", DATABASE, "--http", "0"], out=out
+        )
+        assert code == 0 and "# serving on" in out.getvalue()
+        assert frozen_while_serving[0] == 0 and frozen_while_serving[1] > 0
+        assert gc.get_freeze_count() == 0
