@@ -26,8 +26,10 @@ supported underneath it.
 from __future__ import annotations
 
 import os
+import re
 import time
 from contextlib import nullcontext
+from dataclasses import replace
 from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import (
@@ -40,6 +42,7 @@ from repro.errors import (
 from repro.datalog.parser import parse_database, parse_program, parse_query
 from repro.datalog.printer import to_datalog
 from repro.datalog.queries import ConjunctiveQuery, UnionQuery
+from repro.datalog.terms import Variable
 from repro.engine.database import Database
 from repro.materialize.changelog import ChangeLog
 from repro.materialize.compare import verify_extents
@@ -231,6 +234,17 @@ def _fsync_policy(wal: "None | bool | str") -> str:
     return str(wal)
 
 
+#: The mark of hole ``i`` in a bound form's printed texts.
+_HOLE = re.compile("\0(\\d+)\0")
+
+
+def _spell(pieces: Sequence[str], spelled: Mapping[str, str]) -> str:
+    """A printed text (``text, hole, text, ...``) with its holes spelled."""
+    out = list(pieces)
+    out[1::2] = [spelled[hole] for hole in pieces[1::2]]
+    return "".join(out)
+
+
 class PreparedQuery:
     """One validated query bound to an engine; the verbs live here.
 
@@ -242,18 +256,40 @@ class PreparedQuery:
     per-text half of the answer (printed query, provenance of the plan).
     """
 
-    __slots__ = ("engine", "query", "_text", "_fingerprint", "_plan")
+    __slots__ = ("engine", "_query", "_text", "_fingerprint", "_plan",
+                 "_form", "_form_key", "_literals")
 
-    def __init__(self, engine: "Engine", query: ConjunctiveQuery):
+    def __init__(self, engine: "Engine", query: Optional[ConjunctiveQuery]):
         self.engine = engine
-        self.query = query
+        self._query = query
         #: The text this was parsed from (None for a query object).
         self._text: Optional[str] = None
         self._fingerprint: Optional[QueryFingerprint] = None
-        #: ``(best rewriting, printed query, {hit flags: Provenance})`` of the
-        #: last answer; reused for as long as the session hands back that
-        #: very rewriting object.
-        self._plan: Optional[Tuple[Any, str, Dict[Tuple[bool, bool], Provenance]]] = None
+        #: ``(best rewriting or bound form, printed query, printed rewriting,
+        #: Provenance less its hit flags, {hit flags: Provenance})`` of the
+        #: last answer; reused for as long as the session serves the text
+        #: from that very object.
+        self._plan: Optional[Tuple[Any, ...]] = None
+        #: The bound form the text resolved to -- it was not parsed, and
+        #: ``query`` is built when first read -- or else the key to leave one
+        #: under; and the text's literals as constants.
+        self._form = self._form_key = None
+        self._literals: Tuple[Any, ...] = ()
+
+    @property
+    def query(self) -> ConjunctiveQuery:
+        if self._query is None:
+            self._query = self._form.instance(self._literals)
+        return self._query
+
+    def coalescing_key(self) -> Tuple[str, bool]:
+        """What a front end needs before it runs a verb: the canonical
+        fingerprint text (equal for renamed and reordered copies), and
+        whether the text is new to the engine's memos -- cold work ahead."""
+        if self._fingerprint is None:
+            self._fingerprint = fingerprint(self.query)
+        known = self._form is not None or self.engine._prepared.get(self._text) is self
+        return self._fingerprint.text, not known
 
     def rewrite(self) -> RewritingResult:
         """Rewrite this query using the engine's views (fingerprint-cached)."""
@@ -360,8 +396,11 @@ class Engine:
 
         A text that has been through a verb comes back as the PreparedQuery
         it was given then — nothing is parsed, validated or fingerprinted
-        again.  This method only *reads* that memo (a new text joins it on
-        its first verb, a failing one never), so unlike the verbs it needs no
+        again; a new text whose skeleton, literal order and literal ranks
+        (``RewritingSession.bound_lookup``) are those of an answered one is
+        not parsed either, only scanned for its literals.  This method only
+        *reads* the two memos (a text and its bound form join them inside its
+        first verb, a failing one never), so unlike the verbs it needs no
         lock around it in a threaded front end.
         """
         if isinstance(query, ConjunctiveQuery):
@@ -372,24 +411,30 @@ class Engine:
                 f"expected datalog text or a ConjunctiveQuery, got {query!r}"
             )
         prepared = self._prepared.get(query)
-        if prepared is None:
-            if self._obs is not None:
-                with self._obs.stage("parse"):
-                    parsed = parse_query(query)
-            else:
+        if prepared is not None:
+            return prepared
+        key, literals, form = self._session.bound_lookup(query)
+        if form is not None:
+            prepared = PreparedQuery(self, None)
+            prepared._fingerprint = form.fingerprint(literals)
+        else:
+            with self._obs.stage("parse") if self._obs is not None else nullcontext():
                 parsed = parse_query(query)
             self._catalog.validate_query(parsed)
             prepared = PreparedQuery(self, parsed)
-            prepared._text = query
             prepared._fingerprint = fingerprint(parsed)
+        prepared._text, prepared._form, prepared._form_key = query, form, key
+        prepared._literals = literals
         return prepared
 
     def _remember(self, prepared: PreparedQuery) -> None:
-        """Memoise a text's PreparedQuery; called by every verb, i.e. under
-        whatever lock the caller guards the session caches with."""
+        """Memoise a text's PreparedQuery, and count what ``query`` found for
+        it among the bound forms; called by every verb, i.e. under whatever
+        lock the caller guards the session caches with."""
         memo, bound = self._prepared, self._session.cache_size
         if prepared._text is None or prepared._text in memo or bound <= 0:
             return
+        self._session.bound_counted(prepared._form_key)
         if len(memo) >= bound:
             del memo[next(iter(memo))]
         memo[prepared._text] = prepared
@@ -667,39 +712,74 @@ class Engine:
     def _answer(self, prepared: PreparedQuery) -> Answer:
         started = time.perf_counter()
         self._remember(prepared)
-        session = self._session
+        session, form, result = self._session, prepared._form, None
         with self._request("query"):
             self._require_database("answer queries")
-            entry, result = session._answer_entry(prepared.query, prepared._fingerprint)
+            entry = None
+            if form is not None:
+                entry = session._answer_bound(form, prepared._literals, prepared._fingerprint)
+                if entry is None:
+                    # Stale: answered the long way, which leaves a fresh form.
+                    prepared._query, prepared._form = prepared.query, None
+            if entry is None:
+                entry, result = session._answer_entry(prepared.query, prepared._fingerprint)
         flags = (session.last_cache_hit, session.last_answer_from_cache)
         self.queries_served += 1
-        best = result.best
+        served = form if result is None else result.best
         plan = prepared._plan
-        if plan is None or plan[0] is not best:
-            plan = prepared._plan = (best, to_datalog(prepared.query), {})
-        _, text, provenances = plan
-        provenance = provenances.get(flags)
-        if provenance is None:
-            source = self._plan_target(best)
-            used = best if source != SOURCE_BASE else None
-            provenance = provenances[flags] = Provenance(
-                source=source,
-                rewriting=to_datalog(used.query) if used is not None else None,
-                kind=used.kind.value if used is not None else None,
-                algorithm=result.algorithm,
-                views_used=used.views_used if used is not None else (),
-                cache_hit=flags[0],
-                answered_from_cache=flags[1],
-                fingerprint=session.last_fingerprint,
-                executor=session.executor,
+        if plan is None or plan[0] is not served:
+            plan = prepared._plan = (served, *self._reply(prepared, result), {})
+        _, text, rewriting, provenance, flagged = plan
+        if flags not in flagged:
+            flagged[flags] = replace(
+                provenance, rewriting=rewriting, fingerprint=session.last_fingerprint,
+                cache_hit=flags[0], answered_from_cache=flags[1],
             )
         return Answer(
             rows=entry.rows,
             query=text,
-            provenance=provenance,
+            provenance=flagged[flags],
             elapsed=time.perf_counter() - started,
             _cached=entry if flags[1] else None,
         )
+
+    def _reply(
+        self, prepared: PreparedQuery, result: Optional[RewritingResult]
+    ) -> Tuple[str, Optional[str], Provenance]:
+        """The per-text half of an answer: printed query, printed rewriting
+        and a provenance to fill them (and the hit flags) into.  A text served
+        from a bound form (``result`` is None) spells its literals into the
+        form's; any other prints its objects and, if it can, leaves a form."""
+        literals, form = prepared._literals, prepared._form
+        spelled = {str(i): str(constant) for i, constant in enumerate(literals)}
+        if result is None:
+            *pieces, provenance = form.reply
+            return (*(p and _spell(p, spelled) for p in pieces), provenance)
+        best = result.best
+        source = self._plan_target(best)
+        used = best if source != SOURCE_BASE else None
+        texts = [to_datalog(prepared.query), to_datalog(used.query) if used is not None else None]
+        provenance = Provenance(
+            source=source,
+            rewriting=None,
+            kind=used.kind.value if used is not None else None,
+            algorithm=result.algorithm,
+            views_used=used.views_used if used is not None else (),
+            executor=self._session.executor,
+        )
+        if prepared._form_key is not None:
+            holes = {c: Variable(f"\0{i}\0") for i, c in enumerate(literals)}
+            pieces = [
+                obj and _HOLE.split(to_datalog(obj.replace_terms(holes)))
+                for obj in (prepared.query, used and used.query)
+            ]
+            # A view constant spelling a hole's mark would be split as one.
+            if [p and _spell(p, spelled) for p in pieces] == texts:
+                prepared._form = self._session.record_form(
+                    prepared._form_key, prepared.query, literals, prepared._fingerprint,
+                    result, (*pieces, provenance),
+                )
+        return (*texts, provenance)
 
     def _certain(self, prepared: PreparedQuery, method: str) -> Answer:
         started = time.perf_counter()

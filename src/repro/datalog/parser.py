@@ -33,8 +33,12 @@ from repro.datalog.terms import Constant, Term, Variable
 from repro.datalog.views import View, ViewSet
 
 
+_UNSIGNED = r"\d+(?:\.\d+)?(?:[eE][-+]?\d+)?"
+_NUMBER = "-?" + _UNSIGNED
+_STRING = r"""'(?:\\.|[^'\\])*'|"(?:\\.|[^"\\])*\""""
+
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<ws>\s+)
   | (?P<comment>[%\#][^\n]*)
   | (?P<implies>:-|<-)
@@ -43,8 +47,8 @@ _TOKEN_RE = re.compile(
   | (?P<rparen>\))
   | (?P<comma>,)
   | (?P<period>\.(?!\d))
-  | (?P<number>-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)
-  | (?P<string>'(?:\\.|[^'\\])*'|"(?:\\.|[^"\\])*")
+  | (?P<number>{_NUMBER})
+  | (?P<string>{_STRING})
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     """,
     re.VERBOSE,
@@ -134,6 +138,51 @@ def _unescape_string(body: str, text: str, position: int) -> str:
     return "".join(out)
 
 
+def _number(text: str) -> Union[int, float]:
+    return float(text) if "." in text or "e" in text or "E" in text else int(text)
+
+
+#: What :func:`scan_literals` blanks or collapses: a run of whitespace and
+#: comments, a number token, a string token.  Everything else is verbatim, so
+#: a number may not start inside an identifier (``X2``), nor with the ``-`` of
+#: an ``:-`` / ``<-`` -- the two places where the token grammar above, which
+#: tries its alternatives at every position in turn, would not try one.
+_SCAN_RE = re.compile(
+    rf"(?:\s+|[%\#][^\n]*)+|(?<![A-Za-z0-9_])((?:(?<![:<])-)?{_UNSIGNED})|({_STRING})"
+)
+
+
+def scan_literals(text: str) -> Optional[Tuple[str, Tuple[Union[int, float, str], ...]]]:
+    """A query text's *skeleton* and the values of its literals, in one pass.
+
+    The skeleton is the text with every number token replaced by a tab, every
+    string token by a newline and every run of whitespace and comments by one
+    space; identifiers -- variables and lower-case symbolic constants alike --
+    and punctuation stay as written.  Two texts of one skeleton are the same
+    token sequence up to the values of their literals (no token contains
+    whitespace, so the three marks cannot be confused with anything kept),
+    hence parse to the same tree up to those values, or fail alike.  Returns
+    None when a string's escapes are malformed (the parser words the error).
+    """
+    parts = _SCAN_RE.split(text)  # kept, number | None, string | None, kept, ...
+    values: List[Union[int, float, str]] = []
+    try:
+        for index in range(1, len(parts), 3):
+            number, string = parts[index], parts[index + 1]
+            parts[index + 1] = ""
+            if number is not None:
+                values.append(_number(number))
+                parts[index] = "\t"
+            elif string is not None:
+                values.append(_unescape_string(string[1:-1], text, 0))
+                parts[index] = "\n"
+            else:
+                parts[index] = " "
+    except ParseError:
+        return None
+    return "".join(parts).strip(" "), tuple(values)
+
+
 class _Parser:
     """Recursive-descent parser over the token stream."""
 
@@ -177,10 +226,7 @@ class _Parser:
     def parse_term(self) -> Term:
         token = self._next()
         if token.kind == "number":
-            text = token.text
-            is_float = "." in text or "e" in text or "E" in text
-            value = float(text) if is_float else int(text)
-            return Constant(value)
+            return Constant(_number(token.text))
         if token.kind == "string":
             return Constant(
                 _unescape_string(token.text[1:-1], self.text, token.position)

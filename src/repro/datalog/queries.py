@@ -404,6 +404,10 @@ class UnionQuery:
             out |= query.predicates()
         return frozenset(out)
 
+    def replace_terms(self, mapping: Mapping[Term, Term]) -> "UnionQuery":
+        """:meth:`ConjunctiveQuery.replace_terms`, applied to every disjunct."""
+        return UnionQuery(q.replace_terms(mapping) for q in self.disjuncts)
+
     def simplified(self) -> "UnionQuery":
         """Remove duplicate disjuncts (up to the cheap canonical form)."""
         seen = set()

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import weakref
 from collections import OrderedDict
-from typing import Any, Dict, FrozenSet, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import StorageError
 from repro.datalog.atoms import Atom, Comparison
@@ -103,28 +103,27 @@ def pushdown_single_atom(
     return frozenset(answers)
 
 
-def _lift(query: ConjunctiveQuery) -> Tuple[ConjunctiveQuery, Dict[Variable, Any]]:
+def _lift(query: ConjunctiveQuery) -> Tuple[ConjunctiveQuery, Tuple[Any, ...]]:
     """The query with its body and comparison constants lifted to parameters.
 
-    Returns the constant-free shape and ``{parameter variable: value}`` in
-    order of occurrence; one parameter per occurrence, so ``r(X, 1), s(X, 1)``
-    and ``r(X, 1), s(X, 2)`` share a shape.  Parameter names start with ``$``
-    and cannot collide with a canonical query's ``V1, V2, ...``.
+    Returns the constant-free shape and the lifted values in order of
+    occurrence; one parameter ``$i`` per occurrence, so ``r(X, 1), s(X, 1)``
+    and ``r(X, 1), s(X, 2)`` share a shape.  A name starting with ``$``
+    cannot collide with a canonical query's ``V1, V2, ...``.
     """
-    parameters: Dict[Variable, Any] = {}
+    values: List[Any] = []
 
     def lifted(term: Term) -> Term:
         if not isinstance(term, Constant):
             return term
-        parameter = Variable(f"${len(parameters)}")
-        parameters[parameter] = term.value
-        return parameter
+        values.append(term.value)
+        return Variable(f"${len(values) - 1}")
 
     body = [Atom(atom.predicate, map(lifted, atom.args)) for atom in query.body]
     comparisons = [Comparison(lifted(c.left), c.op, lifted(c.right)) for c in query.comparisons]
-    if not parameters:
-        return query, parameters
-    return ConjunctiveQuery(query.head, body, comparisons, require_safe=False), parameters
+    if not values:
+        return query, ()
+    return ConjunctiveQuery(query.head, body, comparisons, require_safe=False), tuple(values)
 
 
 def _sizes(plan: Optional[PhysicalPlan], database: Database) -> Tuple[int, ...]:
@@ -189,7 +188,18 @@ class CompiledExecutor:
         # Compile from the canonical variant: its answer set is identical
         # (variables are renamed bijectively), and the plan then serves every
         # isomorphic-with-matching-canonical-form query.
-        shape, parameters = _lift(query.canonical())
+        return self.bound_plan(*self.plan_key(query), database)
+
+    @staticmethod
+    def plan_key(query: ConjunctiveQuery) -> Tuple[ConjunctiveQuery, Tuple[Any, ...]]:
+        """``(shape, values)`` such that ``bound_plan(shape, values, database)``
+        is the plan of ``query``."""
+        return _lift(query.canonical())
+
+    def bound_plan(
+        self, shape: ConjunctiveQuery, values: Tuple[Any, ...], database: Database
+    ) -> Optional[PhysicalPlan]:
+        """The plan of a lifted ``shape``, bound to ``values`` for its ``$i``."""
         key = (shape, id(database))
         entry = self._plans.get(key)
         if entry is not None:
@@ -200,10 +210,11 @@ class CompiledExecutor:
             ):
                 self.plan_hits += 1
                 self._plans.move_to_end(key)
-                return None if plan is None else plan.bind(tuple(parameters.values()))
+                return None if plan is None else plan.bind(values)
             del self._plans[key]
         self.plan_misses += 1
         # Costed now, against these sizes, and bound to this query's constants.
+        parameters = {Variable(f"${i}"): value for i, value in enumerate(values)}
         plan = try_compile(shape, database, parameters=parameters)
         self._plans[key] = (weakref.ref(database), plan, _sizes(plan, database))
         while len(self._plans) > self.plan_cache_size:

@@ -9,8 +9,8 @@ name                           type       labels                       meaning
 ``repro_requests_total``       counter    ``verb``, ``outcome``        engine verbs served (ok / error)
 ``repro_stage_seconds``        histogram  ``stage``                    per-stage latency (parse, rewrite_cold,
                                                                        rewrite_hit, execute, delta_apply)
-``repro_cache_events_total``   counter    ``cache``, ``outcome``       rewrite/answer/plan cache hits & misses,
-                                                                       containment-memo outcomes
+``repro_cache_events_total``   counter    ``cache``, ``outcome``       rewrite/answer/plan/bound-form hits &
+                                                                       misses, containment-memo outcomes
 ``repro_deltas_total``         counter    —                            deltas applied through the engine
 =============================  =========  ===========================  ==========================================
 
@@ -63,8 +63,8 @@ class Instrumentation:
         )
         self.cache_events = self.registry.counter(
             "repro_cache_events_total",
-            "Cache lookups by cache (rewrite/answer/plan/containment_memo) "
-            "and outcome.",
+            "Cache lookups by cache (rewrite/answer/plan/bound_form/"
+            "containment_memo) and outcome.",
             labels=("cache", "outcome"),
         )
         self.deltas = self.registry.counter(

@@ -378,10 +378,8 @@ class ReproServer:
             # Off the engine lock on purpose: query() touches no engine state.
             # Only /query coalesces (explain is cheap, apply-delta mutates), on
             # the canonical fingerprint, so renamed/reordered copies join too.
-            text = _required_field(body, "query")
-            prepared = self._engine.query(text)
-            key = prepared._fingerprint.text
-            first_seen = self._engine._prepared.get(text) is not prepared
+            prepared = self._engine.query(_required_field(body, "query"))
+            key, first_seen = prepared.coalescing_key()
         with self._admission:
             leader = self._inflight.get(key) if key is not None else None
             if leader is not None:
@@ -417,21 +415,21 @@ class ReproServer:
                 if not self._pending:
                     self._admission.notify_all()
 
-    # -- the work (engine lock held) -----------------------------------------------
-    def _traced(self, text: str, inline: bool = False) -> _Reply:
-        """A reply object's text plus the trace of the verb that just ran."""
+    # -- the work (engine lock held, except to encode a /query reply) ----------------
+    def _traced(self, inline: bool = False) -> Tuple[Optional[str], str]:
+        """The id of the trace of the verb that just ran, and the members
+        (``inline``: the trace itself) to follow it in the reply object."""
         trace = self._engine.trace()
         if trace is None:
-            return text[:-1], None, ""
+            return None, ""
         tail = f', "trace": {json.dumps(trace.to_json(), default=str)}' if inline else ""
-        return text[:-1], trace.trace_id, tail
+        return trace.trace_id, tail
 
     def _work_query(self, body: Dict[str, Any], prepared: PreparedQuery) -> _Reply:
         engine = self._engine
         with self._engine_lock:
-            if engine.database is not None:
-                text = prepared.answers()._json_text()
-            else:
+            answer = prepared.answers() if engine.database is not None else None
+            if answer is None:
                 best = prepared.rewrite().best
                 text = json.dumps({
                     "query": body["query"],
@@ -440,19 +438,25 @@ class ReproServer:
                     "kind": best.kind.value if best is not None else None,
                     "cache_hit": engine.last_cache_hit,
                 })
-            return self._traced(text, inline=bool(body.get("trace")))
+            traced = self._traced(inline=bool(body.get("trace")))
+        if answer is not None:
+            # Off the lock: rows are immutable, and keeping their encoding on
+            # the cache entry is an idempotent write.
+            text = answer._json_text()
+        return (text[:-1], *traced)
 
     def _work_explain(self, body: Any, prepared: None) -> _Reply:
         text = _required_field(body, "query")
         with self._engine_lock:
             explanation = self._engine.query(text).explain()
-            return self._traced(json.dumps({"explanation": explanation.to_json()}, default=str))
+            reply = json.dumps({"explanation": explanation.to_json()}, default=str)
+            return (reply[:-1], *self._traced())
 
     def _work_apply_delta(self, body: Any, prepared: None) -> _Reply:
         text = _required_field(body, "delta")
         with self._engine_lock:
             log = self._engine.apply(text)
-            return self._traced(json.dumps({"changelog": log.to_dict()}, default=str))
+            return (json.dumps({"changelog": log.to_dict()}, default=str)[:-1], *self._traced())
 
 
 # -- plumbing ----------------------------------------------------------------------

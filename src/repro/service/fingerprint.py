@@ -96,6 +96,17 @@ class QueryFingerprint:
     def __hash__(self) -> int:
         return hash(self.text)
 
+    def with_params(self, params: Tuple[Constant, ...]) -> "QueryFingerprint":
+        """The fingerprint of this query with ``params`` for its constants.
+
+        For a caller that knows the replacement keeps every constant's class
+        and their mutual order (which is all that numbers the placeholders):
+        shape and renaming are then the same, and no refinement is run.
+        """
+        return QueryFingerprint(
+            _text_of(self.shape, params), self.renaming, self.exact, self.shape, params
+        )
+
     def inverse_renaming(self) -> Substitution:
         """The substitution mapping canonical variables back to query variables."""
         return Substitution({term: var for var, term in self.renaming.items()})
@@ -280,17 +291,18 @@ def fingerprint(
 def _fingerprint_of(
     shape: str, order: Sequence[Variable], exact: bool, params: Tuple[Constant, ...]
 ) -> QueryFingerprint:
-    text = shape
-    if params:
-        # The placeholders' numbering is a function of the params alone, so
-        # shape plus params determines the query as the old inline form did.
-        text += " @ " + ",".join(_constant_key(constant) for constant in params)
     renaming = Substitution(
         {var: Variable(f"{CANONICAL_PREFIX}{i + 1}") for i, var in enumerate(order)}
     )
-    return QueryFingerprint(
-        text=text, renaming=renaming, exact=exact, shape=shape, params=params
-    )
+    return QueryFingerprint(_text_of(shape, params), renaming, exact, shape, params)
+
+
+def _text_of(shape: str, params: Tuple[Constant, ...]) -> str:
+    if not params:
+        return shape
+    # The placeholders' numbering is a function of the params alone, so
+    # shape plus params determines the query as the old inline form did.
+    return shape + " @ " + ",".join([_constant_key(constant) for constant in params])
 
 
 def fingerprint_text(query: ConjunctiveQuery) -> str:

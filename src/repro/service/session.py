@@ -9,6 +9,10 @@ bounded LRU caches:
   apart, share one entry) — plus algorithm, mode and one tag per parameter;
 * **instantiations**, keyed by the full fingerprint text and the query's own
   variable names: a template in one query's variables and constants;
+* **bound forms**, keyed by a query *text's* skeleton, the order type of its
+  literals and their tags: what the first answered text of a key left
+  behind, so that the next is answered without being parsed, fingerprinted,
+  instantiated or canonicalised (:class:`_BoundForm`);
 * **answers**, keyed by the full fingerprint text (constants included) and
   explicitly invalidated whenever the database's version counter moves;
 * **containment verdicts**, keyed by the fingerprint pair (containment is
@@ -55,18 +59,21 @@ from __future__ import annotations
 import time
 import warnings
 from bisect import bisect_left
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import RewritingError
 from repro.datalog.freshen import FreshVariableFactory
+from repro.datalog.parser import scan_literals
 from repro.datalog.queries import ConjunctiveQuery, UnionQuery
-from repro.datalog.terms import Term, term_sort_key
+from repro.datalog.terms import Constant, Term, term_sort_key
 from repro.datalog.views import View, ViewSet
 from repro.containment.containment import is_contained
 from repro.containment.memo import containment_memo_stats
 from repro.engine.database import Database
 from repro.engine.evaluate import evaluate
+from repro.exec.compile import is_compilable
 from repro.exec import (
     EXECUTORS,
     CompiledExecutor,
@@ -172,6 +179,41 @@ class _AnswerEntry:
         self.rows = rows
         self.predicates = predicates
         self.encoded: Any = None
+
+
+class _BoundForm:
+    """What the first answered text of a skeleton leaves for the next ones of
+    its key (:meth:`RewritingSession.bound_lookup`): that text's query,
+    literals and fingerprint, the template it was served from, and per
+    disjunct of what it evaluated the plan shape and the constants lifted out
+    of it -- all a text of equal key changes is the literals.  ``reply`` is
+    the front end's (:meth:`RewritingSession.record_form`)."""
+
+    __slots__ = ("key", "query", "literals", "fp", "template_key", "template",
+                 "kind", "plans", "reply")
+
+    def __init__(self, *fields: Any):
+        for name, value in zip(self.__slots__, fields):
+            setattr(self, name, value)
+
+    def swap(self, literals: Tuple[Constant, ...]) -> Dict[Term, Term]:
+        """The replacement that turns the first text's constants into another's."""
+        return dict(zip(self.literals, literals))
+
+    def fingerprint(self, literals: Tuple[Constant, ...]) -> QueryFingerprint:
+        """The fingerprint of the text with these literals; no refinement run."""
+        swap = self.swap(literals)
+        return self.fp.with_params(tuple(swap.get(c, c) for c in self.fp.params))
+
+    def instance(self, literals: Tuple[Constant, ...]) -> ConjunctiveQuery:
+        """The query the text with these literals would have parsed to."""
+        return self.query.replace_terms(self.swap(literals))
+
+
+def _plan_kind(best: Optional[Rewriting]) -> Optional[RewritingKind]:
+    """The kind of a rewriting that is evaluated in the query's stead, else None."""
+    kind = best.kind if best is not None else None
+    return kind if kind in (RewritingKind.EQUIVALENT, RewritingKind.PARTIAL) else None
 
 
 def _retarget(obj: Any, mapping: Dict[Term, Term], avoid_names: FrozenSet[str]) -> Any:
@@ -332,6 +374,7 @@ class RewritingSession:
             cache_size, weigh=lambda entry: len(entry.rows), budget=128 * cache_size
         )
         self._containment_cache = LRUCache(cache_size)
+        self._bound_forms = LRUCache(cache_size)
         self.requests = 0
         self.invalidations = 0
         #: Deltas applied through apply_delta (the fine-grained churn path).
@@ -399,12 +442,15 @@ class RewritingSession:
             self._views = view_set
             return
         self._views = view_set
-        self._views_token = view_set.version_token()
         self._index = ViewRelevanceIndex(view_set) if self.use_view_index else None
         self._index_view_constants()
+        # Last: bound_lookup, which runs under no lock, reads the token first, so
+        # a key carrying the new token was ranked against the new constants.
+        self._views_token = view_set.version_token()
         self._store = None
         self._rewrite_cache.clear()
         self._translation_cache.clear()
+        self._bound_forms.clear()
         self._answer_cache.clear()
         self.invalidations += 1
 
@@ -420,6 +466,7 @@ class RewritingSession:
         """Drop every cached rewriting, answer, verdict and materialization."""
         self._rewrite_cache.clear()
         self._translation_cache.clear()
+        self._bound_forms.clear()
         self._answer_cache.clear()
         self._containment_cache.clear()
         self._store = None
@@ -540,6 +587,73 @@ class RewritingSession:
             for constant, value in zip(fp.params, values)
         )
 
+    def bound_lookup(
+        self, text: str
+    ) -> Tuple[Optional[tuple], Tuple[Constant, ...], Optional[_BoundForm]]:
+        """A query text's bound-form key, its literals as constants, and the
+        form recorded under that key, if any.  Reads only: needs no lock.
+
+        Beside the skeleton the key holds, per literal in value order, its
+        class, its place in the text and its rank among the view constants:
+        the literals' order type and their :meth:`_param_tags`.  None when a
+        literal would be pinned -- no other text may stand in for this one.
+        """
+        token = self._views_token
+        scanned = None if self.algorithm == "inverse-rules" else scan_literals(text)
+        if scanned is None:
+            return None, (), None
+        ranked = sorted((2 if v.__class__ is str else 1, v, i) for i, v in enumerate(scanned[1]))
+        if any(v != v or v in self._view_values for _, v, _ in ranked) or any(
+            a[:2] == b[:2] for a, b in zip(ranked, ranked[1:])
+        ):
+            return None, (), None
+        tags = tuple((k, i, bisect_left(self._view_order[k], v)) for k, v, i in ranked)
+        key = (scanned[0], tags, self.algorithm, self.mode, token)
+        return key, tuple(map(Constant, scanned[1])), self._bound_forms.peek(key)
+
+    def bound_counted(self, key: Optional[tuple]) -> None:
+        """Count (and refresh) what :meth:`bound_lookup` found under ``key``;
+        unlike it, a write: for the first verb of a text, under its lock."""
+        hit = self._bound_forms.get(key) is not None
+        if self._obs is not None:
+            self._obs.cache_event("bound_form", "hit" if hit else "miss")
+
+    def record_form(
+        self, key: tuple, query: ConjunctiveQuery, literals: Tuple[Constant, ...],
+        fp: QueryFingerprint, result: RewritingResult, reply: Any,
+    ) -> Optional[_BoundForm]:
+        """Leave under ``key`` the form of a just-answered text, ``reply``
+        being the front end's part of it; None when the next text could not
+        use one: a string literal beside a symbolic constant (their order, or
+        equality, is in no key), a literal that stays in a plan shape's head,
+        a fingerprint that is not exact, an executor or database that caches
+        no plans."""
+        template_key = (fp.shape, self.algorithm, self.mode, self._param_tags(fp))
+        template = self._rewrite_cache.peek(template_key)
+        kind = _plan_kind(result.best)
+        target = query if kind is None else result.best.query
+        database = self._database_for(kind)
+        terms = [t for atom in (query.head, *query.body) for t in atom.args]
+        terms += [t for c in query.comparisons for t in (c.left, c.right)]
+        strings = sum(t.__class__ is Constant and t.value.__class__ is str for t in terms)
+        if (
+            template is None
+            or not fp.exact
+            or 0 < sum(c.value.__class__ is str for c in literals) < strings
+            or type(self._executor) is not CompiledExecutor
+            or getattr(database, "storage_scan", None) is not None
+        ):
+            return None
+        plans = []
+        for disjunct in target.disjuncts if isinstance(target, UnionQuery) else (target,):
+            shape, lifted = self._executor.plan_key(disjunct)
+            if not is_compilable(shape) or set(literals) & set(shape.constants()):
+                return None
+            plans.append((shape, tuple(map(Constant, lifted))))
+        form = _BoundForm(key, query, literals, fp, template_key, template, kind, plans, reply)
+        self._bound_forms.put(key, form)
+        return form
+
     def _observed_cold_rewrite(
         self, query: ConjunctiveQuery, fp: QueryFingerprint, obs: Instrumentation
     ) -> RewritingResult:
@@ -634,7 +748,7 @@ class RewritingSession:
         if self._obs is not None:
             self._obs.cache_event("answer", "miss")
         result = self._rewrite_with_fp(query, fp)
-        answers = self._evaluate_observed(query, result)
+        answers = self._evaluate_observed(lambda: self._evaluate_plan(query, result))
         self.last_cache_hit = False
         self._answer_cache.put(key, _AnswerEntry(answers, _query_predicates(query)))
         return answers
@@ -661,37 +775,71 @@ class RewritingSession:
         if fp is None:
             fp = fingerprint(query)
         result = self._rewrite_with_fp(query, fp)
-        rewrite_hit = self.last_cache_hit
+        return self._entry(fp, query, lambda: self._evaluate_plan(query, result)), result
+
+    def _answer_bound(
+        self, form: _BoundForm, literals: Tuple[Constant, ...], fp: QueryFingerprint
+    ) -> Optional[_AnswerEntry]:
+        """:meth:`_answer_entry` for a text resolved to a bound form: a
+        rewrite hit that builds no rewriting.  None when the form is stale
+        (the views, or the template it was recorded against, are gone)."""
+        if (
+            form.key[2:] != (self.algorithm, self.mode, self._views_token)
+            or self._rewrite_cache.peek(form.template_key) is not form.template
+        ):
+            return None
+        self._require_database()
+        self.requests += 1
+        self.last_fingerprint = fp.text
+        self.last_cache_hit = True
+        obs = self._obs
+        with obs.stage("rewrite_hit", fingerprint=fp.text) if obs else nullcontext():
+            self._rewrite_cache.get(form.template_key)
+        if obs is not None:
+            obs.cache_event("rewrite", "hit")
+
+        def run() -> FrozenSet[Tuple[Any, ...]]:
+            swap = form.swap(literals)
+            database = self._database_for(form.kind)
+            answers = [
+                self._executor.bound_plan(
+                    shape, tuple(swap.get(c, c).value for c in lifted), database
+                ).execute(database)
+                for shape, lifted in form.plans
+            ]
+            return answers[0] if len(answers) == 1 else frozenset().union(*answers)
+
+        return self._entry(fp, form.query, run)
+
+    def _entry(
+        self, fp: QueryFingerprint, query: ConjunctiveQuery, run: Callable[[], FrozenSet[tuple]]
+    ) -> _AnswerEntry:
+        """The cached answer of ``fp``; ``run`` evaluates it when there is none."""
         key = (fp.text, self.algorithm, self.mode)
         entry = self._answer_cache.get(key)
         self.last_answer_from_cache = entry is not None
         if self._obs is not None:
             self._obs.cache_event("answer", "hit" if entry is not None else "miss")
         if entry is None:
-            entry = _AnswerEntry(
-                self._evaluate_observed(query, result), _query_predicates(query)
-            )
+            entry = _AnswerEntry(self._evaluate_observed(run), _query_predicates(query))
             self._answer_cache.put(key, entry)
-        self.last_cache_hit = rewrite_hit
-        return entry, result
+        return entry
 
     def _require_database(self) -> None:
         if self._database is None:
             raise RewritingError("this session has no database; pass one to answer queries")
         self._refresh_database_version()
 
-    def _evaluate_observed(
-        self, query: ConjunctiveQuery, result: RewritingResult
-    ) -> FrozenSet[Tuple[Any, ...]]:
+    def _evaluate_observed(self, run: Callable[[], FrozenSet[tuple]]) -> FrozenSet[tuple]:
         """Evaluate the chosen plan, recording latency and plan-cache outcomes."""
         obs = self._obs
         if obs is None:
-            return self._evaluate_plan(query, result)
+            return run()
         executor = self._executor
         hits_before = getattr(executor, "plan_hits", 0)
         misses_before = getattr(executor, "plan_misses", 0)
         with obs.stage("execute", executor=self.executor):
-            answers = self._evaluate_plan(query, result)
+            answers = run()
         obs.cache_event("plan", "hit", getattr(executor, "plan_hits", 0) - hits_before)
         obs.cache_event(
             "plan", "compile", getattr(executor, "plan_misses", 0) - misses_before
@@ -707,14 +855,18 @@ class RewritingSession:
     def _evaluate_plan(
         self, query: ConjunctiveQuery, result: RewritingResult
     ) -> FrozenSet[Tuple[Any, ...]]:
+        kind = _plan_kind(result.best)
+        target = query if kind is None else result.best.query
+        return evaluate(target, self._database_for(kind), executor=self._executor)
+
+    def _database_for(self, kind: Optional[RewritingKind]) -> Database:
+        """What a plan of this kind reads: view extents, those merged with the
+        base relations, or (no rewriting stands in for the query) the base."""
         assert self._database is not None
-        best = result.best
-        if best is not None and best.kind is RewritingKind.EQUIVALENT:
-            return evaluate(best.query, self._materialized_instance(), executor=self._executor)
-        if best is not None and best.kind is RewritingKind.PARTIAL:
-            merged = self._materialized_instance().merge(self._database)
-            return evaluate(best.query, merged, executor=self._executor)
-        return evaluate(query, self._database, executor=self._executor)
+        if kind is None:
+            return self._database
+        instance = self._materialized_instance()
+        return instance if kind is RewritingKind.EQUIVALENT else instance.merge(self._database)
 
     def _refresh_database_version(self) -> None:
         # The coarse path: an out-of-band mutation moved the version counter,
@@ -803,6 +955,7 @@ class RewritingSession:
             "store": self._store.stats() if self._store is not None else None,
             "rewrite_cache": self._rewrite_cache.stats(),
             "translation_cache": self._translation_cache.stats(),
+            "bound_forms": self._bound_forms.stats(),
             "answer_cache": self._answer_cache.stats(),
             "containment_cache": self._containment_cache.stats(),
             # The process-wide containment memo (fingerprint-keyed verdicts

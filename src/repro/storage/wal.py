@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import os
 import struct
+import time
 import zlib
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -143,8 +144,6 @@ class WriteAheadLog:
     # -- writing -----------------------------------------------------------------
     def append(self, payload: str, db_version: int) -> int:
         """Journal one delta text; returns its sequence number."""
-        import time
-
         if self._closed:
             raise StorageError("this write-ahead log is closed")
         data = payload.encode("utf-8")
@@ -178,8 +177,6 @@ class WriteAheadLog:
             self._dirty = False
 
     def _do_fsync(self) -> None:
-        import time
-
         started = time.perf_counter()
         os.fsync(self._file.fileno())
         self._synced += 1

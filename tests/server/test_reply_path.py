@@ -200,7 +200,7 @@ METRIC_NAMES = {
 }
 STATS_KEYS = {"catalog", "deltas_applied", "queries_served", "session", "storage"}
 SESSION_KEYS = {
-    "algorithm", "answer_cache", "containment_cache", "database_version",
+    "algorithm", "answer_cache", "bound_forms", "containment_cache", "database_version",
     "delta_evictions", "delta_retained", "deltas_applied", "executor",
     "global.containment_memo", "invalidations", "materialized", "metrics", "mode",
     "requests", "rewrite_cache", "storage", "store", "translation_cache", "view_index",
@@ -313,7 +313,11 @@ class TestAFirstSeenConstantOfAKnownShape:
 
     def test_hit_flags_rows_and_counters(self, scenario, served):
         workload, _, _ = scenario
-        _, exchange = served
+        server, exchange = served
+        # Bound forms are the compiled executor's: under any other (the
+        # REPRO_DEFAULT_EXECUTOR=parallel leg) a new constant is instantiated
+        # once, and found instantiated when its text repeats, as before.
+        instantiated = 0 if server.engine.executor == "compiled" else 1
 
         def expected_rows(text):
             rows = evaluate(parse_query(text), workload.database, executor="interpreted")
@@ -325,14 +329,16 @@ class TestAFirstSeenConstantOfAKnownShape:
         assert self.flags(reply) == (False, False)
         assert series == (0, 1, 0, 1, 0, 1, 1)
         assert caches["rewrite_cache"] == (0, 1)
-        # A first-seen constant of that shape: instantiated, then evaluated.
+        # A first-seen constant of that shape and skeleton: a bound-form hit,
+        # nothing instantiated (the translation tier is not consulted), evaluated.
         reply, series, caches = self.moved(exchange, second)
         assert self.flags(reply) == (True, False)
         assert sorted(reply["rows"]) == expected_rows(second) != expected_rows(first)
         assert "X1 != 11" in reply["provenance"]["rewriting"]
         assert series == (1, 0, 0, 1, 1, 0, 1)
         assert caches == {
-            "rewrite_cache": (1, 0), "translation_cache": (0, 1), "answer_cache": (0, 1),
+            "rewrite_cache": (1, 0), "translation_cache": (0, instantiated),
+            "answer_cache": (0, 1),
         }
         # The same text again: nothing is instantiated, nothing evaluated.
         reply, series, caches = self.moved(exchange, second)
@@ -340,7 +346,8 @@ class TestAFirstSeenConstantOfAKnownShape:
         assert sorted(reply["rows"]) == expected_rows(second)
         assert series == (1, 0, 1, 0, 1, 0, 0)
         assert caches == {
-            "rewrite_cache": (1, 0), "translation_cache": (1, 0), "answer_cache": (1, 0),
+            "rewrite_cache": (1, 0), "translation_cache": (instantiated, 0),
+            "answer_cache": (1, 0),
         }
 
     def test_answers_are_cached_and_evicted_per_constant(self, scenario, served):
@@ -421,3 +428,67 @@ class TestConcurrentConnections:
                 assert engine.queries_served + coalesced.value == 8 * per_thread
         finally:
             sys.setswitchinterval(interval)
+
+    def test_query_reads_the_memos_without_the_lock(self, scenario):
+        """``Engine.query`` of 2 000 constants of one skeleton, lock-free, while
+        another thread applies deltas and the texts' verbs (under the lock, as
+        a front end holds it) fill, evict and count both memos: every reply is
+        the fresh engine's and every text is counted exactly once."""
+        workload, left, right = scenario
+        engine = connect(views=workload.views, data=workload.database.copy(),
+                         executor="compiled", backend="memory", cache_size=16)
+        lock, failures, done = threading.Lock(), [], threading.Event()
+        shape = "q(X0, X2) :- r1(X0, X1), r2(X1, X2), X1 != %d."
+
+        def writer():
+            try:
+                for delta in [d for pair in zip(left, right) for d in pair]:
+                    with lock:
+                        engine.apply(delta)
+                    time.sleep(0.002)
+            except Exception as error:  # reported by the main thread
+                failures.append(repr(error))
+            finally:
+                done.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            thread = threading.Thread(target=writer)
+            thread.start()
+            for constant in range(1000, 3000):
+                prepared = engine.query(shape % constant)  # no lock
+                with lock:
+                    answer = prepared.answers()
+                    # Judged against the state this reply was computed on.
+                    rows = evaluate(prepared.query, engine.database, executor="interpreted")
+                if answer.rows != rows or answer.query != shape % constant:
+                    failures.append(constant)
+            thread.join(timeout=60)
+            assert done.is_set() and not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures
+        forms = engine.stats()["session"]["bound_forms"]
+        assert (forms["hits"], forms["misses"], forms["size"]) == (1999, 1, 1)
+        assert engine.stats()["session"]["rewrite_cache"]["misses"] == 1
+        assert len(engine._prepared) == 16
+
+
+class TestEncodingHoldsNoLock:
+    def test_rows_are_encoded_after_the_engine_lock_is_released(self, served, monkeypatch):
+        from repro.api.results import Answer
+
+        server, exchange = served
+        owned, encode = [], Answer._json_text
+
+        def watched(answer):
+            owned.append(server._engine_lock._is_owned())
+            return encode(answer)
+
+        monkeypatch.setattr(Answer, "_json_text", watched)
+        for text in (FULL, FULL, FILTERED):
+            raw = exchange.call("POST", "/query", {"query": text, "trace": True})
+            assert raw == json.dumps(json.loads(raw), default=str).encode("utf-8")
+        assert owned == [False] * 3
+        assert cache_entry(server, FULL).encoded is not None  # still kept on the entry
