@@ -305,7 +305,7 @@ def _run_all():
     views, database, warm_queries = _workload()
     engine = connect(views=views, data=database)
     levels = []
-    with ReproServer(engine, workers=8, queue_limit=64) as server:
+    with ReproServer(engine, queue_limit=64) as server:
         address = server.address
         # Warm the fingerprint caches once so "warm" means warm at every level.
         _post(address, {"query": warm_queries[0]})

@@ -114,7 +114,6 @@ from repro.rewriting import (
 from repro.exec import (
     CompiledExecutor,
     InterpretedExecutor,
-    ParallelExecutor,
     set_default_executor,
 )
 from repro.materialize import (
@@ -182,7 +181,6 @@ __all__ = [
     "MemoryBackend",
     "MiniConRewriter",
     "OptimizationResult",
-    "ParallelExecutor",
     "ParseError",
     "PlanChoice",
     "PreparedQuery",

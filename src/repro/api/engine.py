@@ -134,8 +134,7 @@ def connect(
         :meth:`Engine.check`.
     algorithm / mode / executor / cache_size / use_view_index:
         Forwarded to the underlying :class:`RewritingSession`.  ``executor``
-        is ``"compiled"``, ``"interpreted"``, or ``"parallel"`` (partitioned
-        hash joins across a forked worker pool); ``None`` uses the
+        is ``"compiled"`` or ``"interpreted"``; ``None`` uses the
         process-wide configured default.
     observability:
         When True (the default) the engine owns a
@@ -144,7 +143,7 @@ def connect(
         :meth:`Engine.metrics` (Prometheus text) and :meth:`Engine.trace`.
         Pass False for a bare engine with zero instrumentation overhead.
     backend:
-        The storage backend: ``"memory"`` (the default columnar store) or
+        The storage backend: ``"memory"`` (the default in-memory row store) or
         ``"sqlite"`` (rows in SQLite with scan pushdown).  ``None`` reads
         the ``REPRO_DEFAULT_BACKEND`` environment variable, falling back to
         memory.  Without ``storage``, the sqlite backend uses an in-memory
@@ -491,13 +490,11 @@ class Engine:
         self,
         queries: Union[str, Sequence[QueryInput]],
         with_answers: bool = False,
-        processes: int = 1,
     ) -> BatchReport:
         """Process a workload through the engine's configuration.
 
         ``queries`` is a sequence of queries (text or objects) or one datalog
-        program text.  ``processes > 1`` fans out over worker processes, each
-        with its own session (see :func:`repro.service.batch.run_batch`).
+        program text (see :func:`repro.service.batch.run_batch`).
         """
         if isinstance(queries, str):
             queries = list(parse_program(queries))
@@ -510,7 +507,6 @@ class Engine:
             cache_size=self._session.cache_size,
             use_view_index=self._session.use_view_index,
             with_answers=with_answers,
-            processes=processes,
             executor=self._session.executor,
         )
 
@@ -649,8 +645,7 @@ class Engine:
 
     @property
     def executor(self) -> str:
-        """The configured executor name (``"compiled"`` / ``"interpreted"`` /
-        ``"parallel"``)."""
+        """The configured executor name (``"compiled"`` / ``"interpreted"``)."""
         return self._session.executor
 
     @property
@@ -903,8 +898,7 @@ class Engine:
         disjunct: ConjunctiveQuery, database: Database, executor: Any
     ) -> PlanDescription:
         text = to_datalog(disjunct)
-        # Both the serial compiled executor and the parallel executor (which
-        # composes one) expose plan_for; the interpreter does not.
+        # The compiled executor exposes plan_for; the interpreter does not.
         if not hasattr(executor, "plan_for"):
             return PlanDescription(disjunct=text, strategy="interpreted")
         hits_before = executor.plan_hits

@@ -28,8 +28,8 @@ argument-parsing shell around ``repro.connect(...)`` and the engine verbs:
     Build an engine, optionally warm it with a workload, and print the full
     stats snapshot (``--stats-json`` for machines).
 ``python -m repro batch``
-    Process a file of workload queries through one engine, optionally with
-    multiprocessing fan-out, and report per-query results and throughput.
+    Process a file of workload queries through one engine and report
+    per-query results and throughput.
 ``python -m repro snapshot``
     Checkpoint a durable storage directory: write a snapshot of the current
     (recovered) state so later restarts replay only the WAL tail.
@@ -347,7 +347,6 @@ def _serve_http(args: argparse.Namespace, engine, out) -> int:
         engine,
         host=args.host,
         port=args.http,
-        workers=args.workers,
         queue_limit=args.queue_limit,
     )
     import threading
@@ -369,7 +368,7 @@ def _serve_http(args: argparse.Namespace, engine, out) -> int:
     gc.collect()
     gc.freeze()
     print(f"# serving on {server.address} "
-          f"(workers={server.workers}, queue_limit={server.queue_limit})", file=out)
+          f"(queue_limit={server.queue_limit})", file=out)
     out.flush()
     try:
         server.serve_forever()
@@ -437,9 +436,7 @@ def _command_batch(args: argparse.Namespace, out) -> int:
     set_default_executor(args.executor)
     engine = _engine_for(args)
     queries = parse_program(_read_text(args.queries))
-    report = engine.batch(
-        queries, with_answers=args.answers, processes=args.processes
-    )
+    report = engine.batch(queries, with_answers=args.answers)
     for item in report.items:
         status = "error" if item.error else ("hit " if item.cache_hit else "miss")
         summary = item.error or item.best or "no rewriting found"
@@ -448,7 +445,7 @@ def _command_batch(args: argparse.Namespace, out) -> int:
     print(
         f"# {report.requests} queries, {report.cache_hits} cache hits, "
         f"{report.errors} errors, {report.elapsed:.3f}s "
-        f"({report.throughput:.1f} q/s, {report.processes} process(es))",
+        f"({report.throughput:.1f} q/s)",
         file=out,
     )
     if args.json:
@@ -606,10 +603,9 @@ def _add_storage_flags(parser: argparse.ArgumentParser, required: bool = False) 
 def _add_executor_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--executor", choices=EXECUTORS, default=None,
-        help="execution engine for query evaluation: compiled, interpreted, "
-             "or parallel (partitioned hash joins across a forked worker "
-             "pool); default: the configured default (REPRO_DEFAULT_EXECUTOR "
-             "or compiled)",
+        help="execution engine for query evaluation: compiled or "
+             "interpreted; default: the configured default "
+             "(REPRO_DEFAULT_EXECUTOR or compiled)",
     )
 
 
@@ -727,11 +723,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--host", default="127.0.0.1", help="bind address for --http"
     )
     serve_parser.add_argument(
-        "--workers", type=int, default=4,
-        help="accepted for compatibility and inert: an --http request runs on "
-             "its connection's thread",
-    )
-    serve_parser.add_argument(
         "--queue-limit", type=int, default=32,
         help="max in-flight POST requests before 503s (--http)",
     )
@@ -780,10 +771,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch_parser.add_argument("--algorithm", choices=ALGORITHMS, default="minicon")
     batch_parser.add_argument("--mode", choices=MODES, default="equivalent")
     batch_parser.add_argument("--cache-size", type=int, default=512)
-    batch_parser.add_argument(
-        "--processes", type=int, default=1,
-        help="worker processes (>1 enables multiprocessing fan-out)",
-    )
     batch_parser.add_argument(
         "--answers", action="store_true",
         help="also evaluate each query over the database",

@@ -1,28 +1,18 @@
-"""Relations: named sets of fixed-arity tuples in columnar storage, and Skolem values.
+"""Relations: named sets of fixed-arity tuples, and Skolem values.
 
-Storage layout (the PR-8 columnar refactor)
--------------------------------------------
-A relation keeps its data in **per-position value arrays** plus a
-**row-presence dict**:
-
-* ``_columns[p]`` is a plain Python list holding every value of column ``p``,
-  addressed by *slot* — a small integer assigned when the row is inserted and
-  recycled (via a free list) when it is discarded;
-* ``_rows`` maps each live row tuple to its slot.  It is the membership test,
-  the iteration order, and the source of truth for which slots are live.
+Storage layout
+--------------
+A relation is one **insertion-ordered row dict** (``_rows``, row tuple ->
+``None``) plus lazily built **hash indexes**.  The row dict is the
+membership test, the iteration order and the only copy of the data.
 
 Hash indexes (:meth:`Relation.index_on`) map key projections to **ordered
-bucket dicts** ``{row_tuple: slot}``.  Iterating a bucket yields row tuples
-— what the interpreter and the compiled executor's join kernels
-(:mod:`repro.exec.plan`) both do — while ``bucket.values()`` yields slots
-into the column arrays (which no join reads any more).
-Dict-backed buckets also make :meth:`discard` O(arity + #indexes):
-deleting a row from a bucket is a dict deletion, not a list scan, so
-delete-heavy deltas are linear instead of quadratic.
-
-Per-column Skolem counters are maintained on every mutation; the parallel
-executor consults them (:attr:`Relation.skolem_count`) to fall back to serial
-execution when a partitioning column carries Skolem values.
+bucket dicts** keyed by row tuple.  Iterating a bucket yields row tuples —
+what the interpreter and the compiled executor's join kernels
+(:mod:`repro.exec.plan`) both do.  Dict-backed buckets make
+:meth:`discard` O(arity + #indexes): deleting a row from a bucket is a dict
+deletion, not a list scan, so delete-heavy deltas are linear instead of
+quadratic.
 """
 
 from __future__ import annotations
@@ -34,7 +24,6 @@ from typing import (
     FrozenSet,
     Iterable,
     Iterator,
-    List,
     Sequence,
     Set,
     Tuple,
@@ -64,8 +53,8 @@ class SkolemValue:
 
     def __reduce__(self):
         # Default pickling would restore slots via setattr (blocked above);
-        # reconstruct through the constructor instead so Skolem-bearing
-        # answers can cross process boundaries (the parallel executor).
+        # reconstruct through the constructor instead: snapshot store state
+        # (materialized extents) can carry Skolem values.
         return (SkolemValue, (self.function, self.args))
 
     def __eq__(self, other: object) -> bool:
@@ -90,9 +79,9 @@ def contains_skolem(values: Iterable[Any]) -> bool:
     return any(isinstance(v, SkolemValue) for v in values)
 
 
-#: A hash-index bucket: an insertion-ordered mapping from row tuple to slot.
-#: Iterate it for row tuples, read ``.values()`` for column-addressable slots.
-Bucket = Dict[Tuple[Any, ...], int]
+#: A hash-index bucket: an insertion-ordered dict keyed by row tuple (values
+#: unused).  Iterate it for row tuples.
+Bucket = Dict[Tuple[Any, ...], None]
 
 
 class Relation:
@@ -100,35 +89,18 @@ class Relation:
 
     The relation stores raw values (``str``/``int``/``float``/``bool`` or
     :class:`SkolemValue`), not term objects, which keeps joins cheap.  See the
-    module docstring for the columnar layout; the mutation/access API is
-    unchanged from the row-oriented implementation.
+    module docstring for the storage layout.
     """
 
-    __slots__ = (
-        "name",
-        "arity",
-        "_columns",
-        "_rows",
-        "_free",
-        "_skolem_counts",
-        "_indexes",
-    )
+    __slots__ = ("name", "arity", "_rows", "_indexes")
 
     def __init__(self, name: str, arity: int, tuples: Iterable[Tuple[Any, ...]] = ()):
         if arity < 0:
             raise SchemaError("relation arity must be non-negative")
         self.name = name
         self.arity = arity
-        #: Per-position value arrays, addressed by slot.  Discarded slots keep
-        #: stale values; they are unreachable because only ``_rows`` (and the
-        #: index buckets, which mirror it) hand out slots.
-        self._columns: Tuple[List[Any], ...] = tuple([] for _ in range(arity))
-        #: Row-presence dict: live row tuple -> slot (insertion-ordered).
-        self._rows: Dict[Tuple[Any, ...], int] = {}
-        #: Recycled slots of discarded rows, reused before growing columns.
-        self._free: List[int] = []
-        #: Per-column count of live rows whose value there is a SkolemValue.
-        self._skolem_counts: List[int] = [0] * arity
+        #: Row-presence dict: live row tuple -> None (insertion-ordered).
+        self._rows: Dict[Tuple[Any, ...], None] = {}
         # Lazily-built hash indexes keyed by column positions, maintained
         # incrementally by add/discard so deltas never force a rebuild.
         self._indexes: Dict[Tuple[int, ...], Dict[Tuple[Any, ...], Bucket]] = {}
@@ -145,27 +117,14 @@ class Relation:
             )
         if tup in self._rows:
             return False
-        columns = self._columns
-        if self._free:
-            slot = self._free.pop()
-            for position, value in enumerate(tup):
-                columns[position][slot] = value
-        else:
-            slot = len(self._rows)
-            for position, value in enumerate(tup):
-                columns[position].append(value)
-        self._rows[tup] = slot
-        skolem_counts = self._skolem_counts
-        for position, value in enumerate(tup):
-            if isinstance(value, SkolemValue):
-                skolem_counts[position] += 1
+        self._rows[tup] = None
         for positions, index in self._indexes.items():
             key = tuple(tup[p] for p in positions)
             bucket = index.get(key)
             if bucket is None:
-                index[key] = {tup: slot}
+                index[key] = {tup: None}
             else:
-                bucket[tup] = slot
+                bucket[tup] = None
         return True
 
     def add_all(self, rows: Iterable[Sequence[Any]]) -> int:
@@ -190,14 +149,9 @@ class Relation:
         any change log — observes the mutation.
         """
         tup = tuple(row)
-        slot = self._rows.pop(tup, None)
-        if slot is None:
+        if tup not in self._rows:
             return False
-        self._free.append(slot)
-        skolem_counts = self._skolem_counts
-        for position, value in enumerate(tup):
-            if isinstance(value, SkolemValue):
-                skolem_counts[position] -= 1
+        del self._rows[tup]
         for positions, index in self._indexes.items():
             key = tuple(tup[p] for p in positions)
             bucket = index.get(key)
@@ -232,50 +186,9 @@ class Relation:
     def __repr__(self) -> str:
         return f"Relation({self.name!r}, arity={self.arity}, size={len(self._rows)})"
 
-    # -- columnar access ---------------------------------------------------------
-    def column(self, position: int) -> Sequence[Any]:
-        """The raw backing array of one column, addressed by slot.
-
-        Slots of discarded rows hold stale values; index only with slots
-        obtained from :meth:`slots`, an index bucket's ``.values()``, or the
-        row-presence dict.  Treat the array as read-only.
-        """
-        if not 0 <= position < self.arity:
-            raise SchemaError(
-                f"column position {position} out of range for arity {self.arity}"
-            )
-        return self._columns[position]
-
-    def columns(self) -> Tuple[Sequence[Any], ...]:
-        """All column arrays (see :meth:`column` for the slot contract)."""
-        return self._columns
-
-    def slots(self) -> Iterable[int]:
-        """The live slots, in row insertion order (paired with ``__iter__``)."""
-        return self._rows.values()
-
-    def skolem_count(self, position: int) -> int:
-        """How many live rows carry a Skolem value in one column (O(1))."""
-        if not 0 <= position < self.arity:
-            raise SchemaError(
-                f"column position {position} out of range for arity {self.arity}"
-            )
-        return self._skolem_counts[position]
-
-    def has_skolems(self) -> bool:
-        """Whether any live row carries a Skolem value in any column (O(arity))."""
-        return any(count for count in self._skolem_counts)
-
     def storage_stats(self) -> Dict[str, Any]:
-        """Occupancy of the columnar store (for observability snapshots)."""
-        capacity = len(self._columns[0]) if self.arity else len(self._rows)
-        return {
-            "rows": len(self._rows),
-            "capacity": capacity,
-            "free_slots": len(self._free),
-            "indexes": len(self._indexes),
-            "skolem_counts": list(self._skolem_counts),
-        }
+        """Occupancy of the row store (for observability snapshots)."""
+        return {"rows": len(self._rows), "indexes": len(self._indexes)}
 
     # -- relational helpers -------------------------------------------------------
     def copy(self) -> "Relation":
@@ -288,8 +201,7 @@ class Relation:
                 raise SchemaError(
                     f"projection position {position} out of range for arity {self.arity}"
                 )
-        columns = [self._columns[p] for p in positions]
-        return {tuple(c[slot] for c in columns) for slot in self._rows.values()}
+        return {tuple(row[p] for p in positions) for row in self._rows}
 
     def select(self, predicate: Callable[[Tuple[Any, ...]], bool]) -> "Relation":
         """The sub-relation of tuples satisfying a Python predicate."""
@@ -297,27 +209,28 @@ class Relation:
 
     def column_values(self, position: int) -> Set[Any]:
         """Distinct values appearing in one column."""
-        column = self.column(position)
-        return {column[slot] for slot in self._rows.values()}
+        if not 0 <= position < self.arity:
+            raise SchemaError(
+                f"column position {position} out of range for arity {self.arity}"
+            )
+        return {row[position] for row in self._rows}
 
     def active_domain(self) -> Set[Any]:
         """All values appearing anywhere in the relation."""
         domain: Set[Any] = set()
-        live = self._rows.values()
-        for column in self._columns:
-            domain.update(column[slot] for slot in live)
+        for row in self._rows:
+            domain.update(row)
         return domain
 
     def index_on(self, positions: Sequence[int]) -> Dict[Tuple[Any, ...], Bucket]:
         """A hash index mapping key projections to the rows carrying them.
 
-        Each bucket is an insertion-ordered dict ``{row_tuple: slot}`` —
-        iterate it for row tuples (the pre-columnar contract) or read
-        ``.values()`` for slots into the column arrays.  The index is built
-        once per position tuple and then maintained incrementally by
-        :meth:`add`/:meth:`discard`, so repeated lookups (and lookups after
-        small deltas) never rescan the relation.  The returned mapping is the
-        live internal index: treat it as read-only.
+        Each bucket is an insertion-ordered dict keyed by row tuple — iterate
+        it for the rows.  The index is built once per position tuple and then
+        maintained incrementally by :meth:`add`/:meth:`discard`, so repeated
+        lookups (and lookups after small deltas) never rescan the relation.
+        The returned mapping is the live internal index: treat it as
+        read-only.
         """
         key_positions = tuple(positions)
         for position in key_positions:
@@ -328,12 +241,12 @@ class Relation:
         index = self._indexes.get(key_positions)
         if index is None:
             index = {}
-            for row, slot in self._rows.items():
+            for row in self._rows:
                 key = tuple(row[p] for p in key_positions)
                 bucket = index.get(key)
                 if bucket is None:
-                    index[key] = {row: slot}
+                    index[key] = {row: None}
                 else:
-                    bucket[row] = slot
+                    bucket[row] = None
             self._indexes[key_positions] = index
         return index

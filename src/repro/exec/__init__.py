@@ -17,19 +17,14 @@ whole relations at a time instead of one binding at a time:
   by query *shape* — constants lifted to parameters — and database identity,
   valid across data versions until a relation moves more than 2x; union
   evaluation with shared build sides; interpreter fallback) and
-  :class:`InterpretedExecutor`;
-* :mod:`repro.exec.parallel` — :class:`ParallelExecutor`, which
-  hash-partitions the compiled pipeline's scan output and fans the probe
-  tail across a pool of forked workers (serial fallback below a cardinality
-  threshold, for Skolem-bearing partition columns, and wherever forking is
-  unavailable).
+  :class:`InterpretedExecutor`.
 
 :func:`repro.engine.evaluate.evaluate` routes through the **default
 executor**, which is the compiled engine unless a caller opts out; flip it
 globally with :func:`set_default_executor` (the CLI's ``--executor`` flag),
 per process with the ``REPRO_DEFAULT_EXECUTOR`` environment variable (read
-once at import; CI uses it to run the whole suite under the parallel
-executor), or per call via ``evaluate(..., executor=...)``.
+at import and on every reset; an unknown name is an error), or per call via
+``evaluate(..., executor=...)``.
 
 >>> from repro.datalog.parser import parse_query
 >>> from repro.engine.database import Database
@@ -43,54 +38,48 @@ executor), or per call via ``evaluate(..., executor=...)``.
 from __future__ import annotations
 
 import os
-from typing import Optional, Union
+from typing import Union
 
 from repro.errors import EvaluationError
 from repro.exec.compile import is_compilable, order_body, try_compile
 from repro.exec.executor import CompiledExecutor, InterpretedExecutor
-from repro.exec.parallel import ParallelExecutor
 from repro.exec.plan import HashJoinStep, PhysicalPlan
 from repro.exec.stats import DatabaseStatistics, statistics_for
 
 #: The executor names accepted everywhere an executor can be chosen.
-EXECUTORS = ("compiled", "interpreted", "parallel")
+EXECUTORS = ("compiled", "interpreted")
 
 #: Environment variable naming the process-wide default executor.
 DEFAULT_EXECUTOR_ENV = "REPRO_DEFAULT_EXECUTOR"
 
-ExecutorLike = Union[
-    str, CompiledExecutor, InterpretedExecutor, ParallelExecutor, None
-]
+ExecutorLike = Union[str, CompiledExecutor, InterpretedExecutor, None]
 
 _SHARED_COMPILED = CompiledExecutor()
 _SHARED_INTERPRETED = InterpretedExecutor()
-_SHARED_PARALLEL = ParallelExecutor()
 
 
 def _configured_default() -> str:
-    """The baseline default: the env override when valid, else compiled."""
+    """The baseline default: the env override when set, else compiled.
+
+    An unset or empty override means compiled; any other name must be one of
+    :data:`EXECUTORS` (:class:`EvaluationError` otherwise).
+    """
     env = os.environ.get(DEFAULT_EXECUTOR_ENV, "").strip().lower()
-    return env if env in EXECUTORS else "compiled"
-
-
-_DEFAULT: "str | CompiledExecutor | InterpretedExecutor | ParallelExecutor" = (
-    _configured_default()
-)
+    return _validate(env) if env else "compiled"
 
 
 def set_default_executor(executor: ExecutorLike) -> None:
     """Set the executor :func:`repro.engine.evaluate.evaluate` uses by default.
 
-    Accepts ``"compiled"``, ``"interpreted"``, ``"parallel"``, or an executor
-    instance.  ``None`` resets to the configured default (the
-    ``REPRO_DEFAULT_EXECUTOR`` environment override when set and valid,
-    otherwise ``"compiled"``).
+    Accepts ``"compiled"``, ``"interpreted"``, or an executor instance.
+    ``None`` resets to the configured default (the ``REPRO_DEFAULT_EXECUTOR``
+    environment override when set, otherwise ``"compiled"``).
     """
     global _DEFAULT
     _DEFAULT = _validate(executor if executor is not None else _configured_default())
 
 
-def get_default_executor() -> "CompiledExecutor | InterpretedExecutor | ParallelExecutor":
+def get_default_executor() -> "CompiledExecutor | InterpretedExecutor":
     """The currently configured default executor instance."""
     return resolve_executor(None)
 
@@ -101,25 +90,21 @@ def default_executor_name() -> str:
     return default if isinstance(default, str) else default.name
 
 
-def make_executor(
-    name: str,
-) -> "CompiledExecutor | InterpretedExecutor | ParallelExecutor":
+def make_executor(name: str) -> "CompiledExecutor | InterpretedExecutor":
     """A fresh (unshared) executor instance for a validated name.
 
-    Session-style owners use this so their plan caches (and, for the
-    parallel engine, worker pools) are private rather than process-shared.
+    Session-style owners use this so their plan caches are private rather
+    than process-shared.
     """
     _validate(name)
     if name == "compiled":
         return CompiledExecutor()
-    if name == "interpreted":
-        return InterpretedExecutor()
-    return ParallelExecutor()
+    return InterpretedExecutor()
 
 
 def resolve_executor(
     executor: ExecutorLike,
-) -> "CompiledExecutor | InterpretedExecutor | ParallelExecutor":
+) -> "CompiledExecutor | InterpretedExecutor":
     """Resolve a name / instance / None (= the configured default)."""
     if executor is None:
         executor = _DEFAULT
@@ -128,8 +113,6 @@ def resolve_executor(
         return _SHARED_COMPILED
     if executor == "interpreted":
         return _SHARED_INTERPRETED
-    if executor == "parallel":
-        return _SHARED_PARALLEL
     return executor
 
 
@@ -145,12 +128,14 @@ def _validate(executor: ExecutorLike):
     raise EvaluationError(f"not an executor: {executor!r}")
 
 
+_DEFAULT: "str | CompiledExecutor | InterpretedExecutor" = _configured_default()
+
+
 __all__ = [
     "DEFAULT_EXECUTOR_ENV",
     "EXECUTORS",
     "CompiledExecutor",
     "InterpretedExecutor",
-    "ParallelExecutor",
     "DatabaseStatistics",
     "HashJoinStep",
     "PhysicalPlan",

@@ -104,8 +104,7 @@ class _Kernel:
     """A function generated as Python source, and the text it came from.
 
     ``namespace`` holds every object the text names (literals, operators,
-    :func:`compare_values`).  A kernel pickles as its text and namespace (the
-    parallel executor ships plans to its workers).
+    :func:`compare_values`).
     """
 
     __slots__ = ("source", "namespace", "function")
@@ -116,9 +115,6 @@ class _Kernel:
         scope = dict(namespace)
         exec(_code(source), scope)
         self.function = scope["kernel"]
-
-    def __reduce__(self):
-        return (_Kernel, (self.source, self.namespace))
 
 
 def _literal(namespace: Dict[str, Any], value: Any) -> str:
@@ -385,15 +381,12 @@ class PhysicalPlan:
         database: Database,
         rows: Collection[Row],
         stats: EvaluationStatistics,
-        start: int = 0,
     ) -> Collection[Row]:
-        """Run the pipeline steps from ``start`` over duplicate-free seed rows.
+        """Run the pipeline steps over duplicate-free seed rows.
 
-        The parallel executor uses ``start`` to replay only the tail of the
-        pipeline inside a worker, over one partition of the first step's
-        output.  Returns the surviving rows (possibly empty).
+        Returns the surviving rows (possibly empty).
         """
-        for step in self.steps[start:]:
+        for step in self.steps:
             rows = step.run(database, rows, stats, self.params)
             if not rows:
                 return []

@@ -105,12 +105,6 @@ EXPERIMENTS = [
                "the single-client warm p50, coalesces concurrent identical queries, "
                "and the observability layer costs <=5% on E13-style execution",
                "benchmarks/bench_e15_serving_latency.py"),
-    Experiment("E16", "Partitioned parallel hash joins vs serial compiled execution", "table",
-               "Hash-partitioning the probe pipeline across 4 forked workers answers "
-               "million-fact chain/star workload queries >=2.5x faster than the serial "
-               "compiled engine (enforced on hosts with >=4 cores), with identical "
-               "answer sets on every measured query and no silent serial fallbacks",
-               "benchmarks/bench_e16_parallel_scaling.py"),
     Experiment("E17", "Durability: crash recovery and snapshot-accelerated replay", "table",
                "After a simulated crash, restart-replay recovery (write-ahead delta log "
                "over a pluggable backend) restores a million-fact engine with zero probe "

@@ -1,7 +1,7 @@
 """repro.server — a threaded HTTP/JSON serving layer over :mod:`repro.api`.
 
 See :mod:`repro.server.http` for the endpoint catalog and the serving
-discipline (bounded worker pool, in-flight coalescing, graceful drain), and
+discipline (bounded concurrency, in-flight coalescing, graceful drain), and
 ``docs/observability.md`` for the metric series the server exports.
 """
 

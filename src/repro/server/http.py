@@ -109,9 +109,6 @@ class ReproServer:
         one scrape covers both layers.
     host / port:
         Bind address; port 0 picks a free port (read :attr:`port` afterwards).
-    workers:
-        Inert (a POST runs on its connection's thread); still accepted and
-        reported by ``/healthz`` so existing callers keep working.
     queue_limit:
         Maximum admitted-but-unfinished POST requests before 503s.
     """
@@ -121,7 +118,6 @@ class ReproServer:
         engine: Engine,
         host: str = "127.0.0.1",
         port: int = 0,
-        workers: int = 4,
         queue_limit: int = 32,
         result_timeout: float = DEFAULT_RESULT_TIMEOUT,
     ):
@@ -133,7 +129,6 @@ class ReproServer:
             )
         self._engine = engine
         self._obs = obs
-        self.workers = max(1, int(workers))
         self.queue_limit = max(1, int(queue_limit))
         self.result_timeout = result_timeout
         self._engine_lock = threading.RLock()
@@ -326,7 +321,6 @@ class ReproServer:
         body = {
             "status": "draining" if self.draining else "ok",
             "inflight": self._pending,
-            "workers": self.workers,
         }
         with self._engine_lock:
             storage = self._engine.storage_status()
@@ -358,7 +352,7 @@ class ReproServer:
             (head, engine_trace_id, tail), coalesced = self._run(work, body)
         except _Overloaded:
             self._rejections.inc()
-            message = "worker queue full or draining"
+            message = "queue full or draining"
             return "rejected", 503, _error_json("Overloaded", message, trace_id), trace_id
         except ReproError as error:
             kind = type(error).__name__
@@ -526,8 +520,7 @@ def _required_field(body: Any, field: str) -> str:
 
 
 def serve_http(
-    engine: Engine, host: str = "127.0.0.1", port: int = 0, workers: int = 4,
-    queue_limit: int = 32,
+    engine: Engine, host: str = "127.0.0.1", port: int = 0, queue_limit: int = 32,
 ) -> ReproServer:
     """Start a :class:`ReproServer` in the background and return it."""
-    return ReproServer(engine, host, port, workers, queue_limit).start()
+    return ReproServer(engine, host, port, queue_limit).start()

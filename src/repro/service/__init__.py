@@ -11,8 +11,7 @@ every candidate.  This package turns it into a long-lived service:
 * :mod:`repro.service.cache` — bounded LRU caches with hit accounting;
 * :mod:`repro.service.session` — the :class:`RewritingSession` facade
   (``rewrite_cached``, ``answer``, ``contained_cached``, ``stats``);
-* :mod:`repro.service.batch` — batch workloads with optional multiprocessing
-  fan-out.
+* :mod:`repro.service.batch` — batch workloads through one session.
 
 The E11 benchmark (``benchmarks/bench_e11_service_throughput.py``) measures
 the cold-vs-warm speedup this layer delivers on repeated workload queries.

@@ -2,28 +2,21 @@
 
 The batch API accepts a stream of queries (objects or datalog text), feeds
 them through one session, and reports per-query outcomes plus aggregate
-throughput.  An optional ``processes`` fan-out partitions the stream across
-worker processes, each owning its own session; queries and views travel as
-datalog text (the printed form round-trips through the parser), so nothing
-unpicklable crosses the process boundary.
-
-Per-worker caches are independent: fan-out trades cache sharing for
-parallelism and pays off when the workload is dominated by distinct queries.
+throughput.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import ReproError
-from repro.datalog.parser import parse_database, parse_query, parse_views
-from repro.datalog.printer import to_datalog, views_to_datalog
+from repro.datalog.parser import parse_query
+from repro.datalog.printer import to_datalog
 from repro.datalog.queries import ConjunctiveQuery
 from repro.datalog.views import View, ViewSet
 from repro.engine.database import Database
-from repro.exec import default_executor_name
 from repro.service.session import RewritingSession
 
 
@@ -63,7 +56,6 @@ class BatchReport:
 
     items: List[BatchItem] = field(default_factory=list)
     elapsed: float = 0.0
-    processes: int = 1
     session_stats: Optional[Dict[str, Any]] = None
 
     @property
@@ -90,7 +82,6 @@ class BatchReport:
             "errors": self.errors,
             "elapsed": self.elapsed,
             "throughput": self.throughput,
-            "processes": self.processes,
             "session_stats": self.session_stats,
             "items": [item.to_dict() for item in self.items],
         }
@@ -127,54 +118,6 @@ def _process_one(
     return item
 
 
-# ---------------------------------------------------------------------------
-# Multiprocessing workers (module-level so they pickle)
-# ---------------------------------------------------------------------------
-
-_WORKER_SESSION: Optional[RewritingSession] = None
-_WORKER_WITH_ANSWERS = False
-
-
-def _init_worker(
-    views_text: str,
-    facts_text: Optional[str],
-    algorithm: str,
-    mode: str,
-    cache_size: int,
-    use_view_index: bool,
-    with_answers: bool,
-    executor: str = "compiled",
-) -> None:
-    global _WORKER_SESSION, _WORKER_WITH_ANSWERS
-    database = (
-        Database.from_atoms(parse_database(facts_text)) if facts_text else None
-    )
-    _WORKER_SESSION = RewritingSession(
-        parse_views(views_text),
-        database=database,
-        algorithm=algorithm,
-        mode=mode,
-        cache_size=cache_size,
-        use_view_index=use_view_index,
-        executor=executor,
-    )
-    _WORKER_WITH_ANSWERS = with_answers
-
-
-def _worker_run(task: "tuple[int, str]") -> Dict[str, Any]:
-    assert _WORKER_SESSION is not None
-    index, query_text = task
-    return _process_one(_WORKER_SESSION, index, query_text, _WORKER_WITH_ANSWERS).to_dict()
-
-
-def _database_to_facts_text(database: Database) -> str:
-    return "\n".join(f"{atom}." for atom in database.facts())
-
-
-# ---------------------------------------------------------------------------
-# Front door
-# ---------------------------------------------------------------------------
-
 def run_batch(
     queries: Sequence["ConjunctiveQuery | str"],
     views: "ViewSet | Iterable[View]",
@@ -184,36 +127,19 @@ def run_batch(
     cache_size: int = 512,
     use_view_index: bool = True,
     with_answers: bool = False,
-    processes: int = 1,
     executor: Optional[str] = None,
 ) -> BatchReport:
     """Process a workload of queries and report per-query and aggregate results.
 
-    ``processes > 1`` fans the stream out over a :mod:`multiprocessing` pool
-    (one session per worker).  If the pool cannot be created the batch falls
-    back to sequential processing rather than failing.  ``executor`` picks
-    the evaluation engine of every session (see :class:`RewritingSession`);
-    ``None`` resolves to the process-wide configured default here, in the
-    parent, so workers never re-read the default themselves.
+    ``executor`` picks the session's evaluation engine (see
+    :class:`RewritingSession`; ``None`` is the process-wide default).
     """
-    if executor is None:
-        executor = default_executor_name()
     view_set = views if isinstance(views, ViewSet) else ViewSet(list(views))
     texts = [_as_query_text(q) for q in queries]
     if with_answers and database is None:
         raise ReproError("run_batch(with_answers=True) requires a database")
 
     started = time.perf_counter()
-    if processes > 1 and len(texts) > 1:
-        report = _run_parallel(
-            texts, view_set, database, algorithm, mode, cache_size,
-            use_view_index, with_answers, processes, executor,
-        )
-        if report is not None:
-            report.elapsed = time.perf_counter() - started
-            return report
-        # Pool creation failed; fall through to the sequential path.
-
     session = RewritingSession(
         view_set,
         database=database,
@@ -230,42 +156,5 @@ def run_batch(
     return BatchReport(
         items=items,
         elapsed=time.perf_counter() - started,
-        processes=1,
         session_stats=session.stats(),
     )
-
-
-def _run_parallel(
-    texts: List[str],
-    views: ViewSet,
-    database: Optional[Database],
-    algorithm: str,
-    mode: str,
-    cache_size: int,
-    use_view_index: bool,
-    with_answers: bool,
-    processes: int,
-    executor: str = "compiled",
-) -> Optional[BatchReport]:
-    try:
-        import multiprocessing
-    except ImportError:  # pragma: no cover - multiprocessing is stdlib
-        return None
-    views_text = views_to_datalog(views)
-    facts_text = _database_to_facts_text(database) if database is not None else None
-    worker_count = max(2, min(processes, len(texts)))
-    try:
-        context = multiprocessing.get_context()
-        with context.Pool(
-            processes=worker_count,
-            initializer=_init_worker,
-            initargs=(
-                views_text, facts_text, algorithm, mode, cache_size,
-                use_view_index, with_answers, executor,
-            ),
-        ) as pool:
-            raw = pool.map(_worker_run, list(enumerate(texts)))
-    except (OSError, ValueError):  # pragma: no cover - depends on host limits
-        return None
-    items = sorted((BatchItem(**entry) for entry in raw), key=lambda i: i.index)
-    return BatchReport(items=list(items), processes=worker_count, session_stats=None)

@@ -57,7 +57,6 @@ rewriting) for untouched predicates survive the churn.
 from __future__ import annotations
 
 import time
-import warnings
 from bisect import bisect_left
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -78,7 +77,6 @@ from repro.exec import (
     EXECUTORS,
     CompiledExecutor,
     InterpretedExecutor,
-    ParallelExecutor,
     default_executor_name,
     make_executor,
 )
@@ -239,42 +237,6 @@ def _retarget(obj: Any, mapping: Dict[Term, Term], avoid_names: FrozenSet[str]) 
     return obj.replace_terms(mapping)
 
 
-class _SessionStats(dict):
-    """The ``stats()`` mapping, with a deprecation shim for one renamed key.
-
-    The containment-memo entry describes *process-global* state (the memo is
-    shared by every engine in the process — see :mod:`repro.containment.memo`)
-    while every sibling entry is per-session, so it now lives under
-    ``"global.containment_memo"``.  Reading the old ``"containment_memo"``
-    key still works but warns, so multi-engine dashboards migrate instead of
-    silently misattributing global counters to one engine.
-    """
-
-    _OLD_KEY = "containment_memo"
-    _NEW_KEY = "global.containment_memo"
-
-    def __missing__(self, key: str) -> Any:
-        if key == self._OLD_KEY:
-            warnings.warn(
-                f"stats()[{self._OLD_KEY!r}] is deprecated: the containment "
-                f"memo is process-global, not per-session; read "
-                f"{self._NEW_KEY!r} instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return self[self._NEW_KEY]
-        raise KeyError(key)
-
-    def get(self, key: str, default: Any = None) -> Any:
-        try:
-            return self[key]
-        except KeyError:
-            return default
-
-    def __contains__(self, key: object) -> bool:
-        return dict.__contains__(self, key) or key == self._OLD_KEY
-
-
 def _query_predicates(query: QueryLike) -> FrozenSet[str]:
     """The base predicate names a query's answers can depend on."""
     if isinstance(query, UnionQuery):
@@ -306,8 +268,7 @@ class RewritingSession:
         cached alongside the rewriting caches and a union rewriting's many
         disjuncts share their hash-join build sides (the indexes live on the
         materialized view relations).  ``"interpreted"`` uses the
-        backtracking interpreter; ``"parallel"`` fans large probe pipelines
-        across a forked worker pool (:class:`repro.exec.ParallelExecutor`).
+        backtracking interpreter.
         ``None`` (the default) uses the process-wide configured default —
         ``"compiled"`` unless overridden by :func:`set_default_executor` or
         the ``REPRO_DEFAULT_EXECUTOR`` environment variable.
@@ -402,7 +363,7 @@ class RewritingSession:
     @property
     def evaluation_executor(
         self,
-    ) -> "CompiledExecutor | InterpretedExecutor | ParallelExecutor":
+    ) -> "CompiledExecutor | InterpretedExecutor":
         """The executor instance evaluating this session's plans."""
         return self._executor
 
@@ -844,12 +805,6 @@ class RewritingSession:
         obs.cache_event(
             "plan", "compile", getattr(executor, "plan_misses", 0) - misses_before
         )
-        # The parallel executor reports per-partition worker wall times; feed
-        # them into their own stage histogram so partition skew is visible.
-        drain = getattr(executor, "drain_partition_timings", None)
-        if drain is not None:
-            for seconds in drain():
-                obs.observe_stage("execute_partition", seconds)
         return answers
 
     def _evaluate_plan(
@@ -934,12 +889,9 @@ class RewritingSession:
         """A machine-readable snapshot of the session's state and cache health.
 
         Every entry is per-session except ``"global.containment_memo"``,
-        which snapshots the process-wide containment memo; the pre-PR-7
-        ``"containment_memo"`` key is kept as a deprecated read-only alias
-        (it warns on access and is absent from iteration, so serialized
-        stats carry only the namespaced form).
+        which snapshots the process-wide containment memo.
         """
-        return _SessionStats({
+        return {
             "algorithm": self.algorithm,
             "mode": self.mode,
             "executor": self._executor.stats(),
@@ -963,12 +915,12 @@ class RewritingSession:
             # this session issues — including the rewriting algorithms' own
             # verification, which the session-local containment_cache above
             # never sees.  Namespaced "global." because the counters are
-            # shared by every engine in the process (see _SessionStats).
+            # shared by every engine in the process.
             "global.containment_memo": containment_memo_stats(),
             "view_index": self._index.stats() if self._index is not None else None,
             "storage": self._storage_stats(),
             "metrics": self._obs.snapshot() if self._obs is not None else None,
-        })
+        }
 
     def _storage_stats(self) -> Optional[Dict[str, Any]]:
         """Physical storage counters: per-relation layout, backend when present."""

@@ -28,7 +28,7 @@ Quickstart::
 
 The backend for plain (non-durable) engines is selected by ``backend=`` on
 :func:`repro.connect` or the ``REPRO_DEFAULT_BACKEND`` environment variable
-(``memory`` — the default columnar store — or ``sqlite``).  See
+(``memory`` — the default in-memory row store — or ``sqlite``).  See
 ``docs/persistence.md`` for the WAL format, fsync policies and recovery
 semantics.
 """

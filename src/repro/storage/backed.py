@@ -1,7 +1,7 @@
 """A :class:`Database` whose rows live in (and write through to) a backend.
 
 :class:`BackedDatabase` keeps the engine's world unchanged — every consumer
-sees a normal :class:`~repro.engine.database.Database` of columnar
+sees a normal :class:`~repro.engine.database.Database` of in-memory
 :class:`~repro.engine.relation.Relation` objects — while delegating physical
 storage to a :class:`~repro.storage.backend.StorageBackend`:
 
@@ -20,7 +20,7 @@ storage to a :class:`~repro.storage.backend.StorageBackend`:
   constant-filtered scans of *cold* relations straight from the backend —
   the executors' single-atom fast path uses it to answer point queries on a
   million-row relation without hydrating it.  Hot relations are always
-  served from the columnar store (it is strictly faster).
+  served from the in-memory row store (it is strictly faster).
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ class BackedDatabase(Database):
             self._hydrate(name)
 
     def is_hydrated(self, name: str) -> bool:
-        """Whether a relation's rows are resident in the columnar store."""
+        """Whether a relation's rows are resident in the in-memory row store."""
         return name in self._relations and name not in self._cold
 
     # -- pushdown ----------------------------------------------------------------
@@ -93,7 +93,7 @@ class BackedDatabase(Database):
 
         Only cold relations of a filter-pushdown-capable backend are served
         here; for hot relations (and backends without pushdown) the caller
-        should use the hydrated columnar relation — its hash indexes beat a
+        should use the hydrated in-memory relation — its hash indexes beat a
         backend round trip.
         """
         if name in self._cold and self._backend.capabilities.filter_pushdown:
@@ -207,14 +207,6 @@ class BackedDatabase(Database):
         self._hydrate_all()
         return super().rename_relation(old, new)
 
-    # -- serialization -----------------------------------------------------------
-    def __reduce__(self):
-        # Backends hold unpicklable resources (sqlite connections); crossing
-        # a process boundary degrades gracefully to a plain-memory snapshot
-        # (exactly what the multiprocessing batch fan-out needs).
-        self._hydrate_all()
-        return (_rebuild_plain, (tuple(self._relations.values()),))
-
     # -- introspection -----------------------------------------------------------
     def storage_stats(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {}
@@ -237,6 +229,3 @@ class BackedDatabase(Database):
             f"relations={len(self._relations)}, cold={cold})"
         )
 
-
-def _rebuild_plain(relations: Tuple[Relation, ...]) -> Database:
-    return Database(relations)

@@ -10,7 +10,7 @@ is to hold rows durably and to serve scans.
 :class:`MemoryBackend` is the reference implementation (dict-of-sets, no
 durability); :class:`repro.storage.sqlite.SQLiteBackend` is the persistent
 adapter.  :class:`repro.storage.backed.BackedDatabase` sits on top of either
-and keeps the columnar :class:`~repro.engine.relation.Relation` world in sync
+and keeps the in-memory :class:`~repro.engine.relation.Relation` world in sync
 with the backend write-through.
 """
 
@@ -152,7 +152,7 @@ class MemoryBackend(StorageBackend):
     adapters against, and so a :class:`BackedDatabase` can be exercised
     without SQLite.  The default engine path does not use it — a plain
     :class:`~repro.engine.database.Database` *is* the memory backend, with
-    the columnar store as its physical layout.
+    the in-memory row store as its physical layout.
     """
 
     CAPABILITIES = BackendCapabilities(

@@ -17,7 +17,7 @@ ints — so two values that compare equal in Python (``True == 1``,
 relation could hold "duplicate" rows a memory relation would deduplicate.
 
 Scans with constant bindings become SQL ``WHERE`` clauses (the pushdown the
-capability flag advertises); full scans hydrate columnar relations.  Join
+capability flag advertises); full scans hydrate in-memory relations.  Join
 execution stays in :mod:`repro.exec`.
 """
 
@@ -164,7 +164,7 @@ class SQLiteBackend(StorageBackend):
         return f'"r_{name}"'
 
     @staticmethod
-    def _columns(arity: int) -> List[str]:
+    def _column_names(arity: int) -> List[str]:
         # Arity-0 (boolean) relations get one marker column holding ''.
         return [f"c{i}" for i in range(max(arity, 1))]
 
@@ -189,7 +189,7 @@ class SQLiteBackend(StorageBackend):
                         f"requested {arity}"
                     )
                 return
-            columns = self._columns(arity)
+            columns = self._column_names(arity)
             spec = ", ".join(f"{c} TEXT NOT NULL" for c in columns)
             keys = ", ".join(columns)
             self._conn.execute(
@@ -219,7 +219,7 @@ class SQLiteBackend(StorageBackend):
             arity = self._arities.get(name)
             if arity is None:
                 return iter(())
-            columns = self._columns(arity)
+            columns = self._column_names(arity)
             sql = f"SELECT {', '.join(columns)} FROM {self._table(name)}"
             params: List[str] = []
             if bindings:
@@ -252,7 +252,7 @@ class SQLiteBackend(StorageBackend):
         self._check_open()
         with self._lock:
             self.create_relation(name, arity)
-            columns = self._columns(arity)
+            columns = self._column_names(arity)
             sql = (
                 f"INSERT OR IGNORE INTO {self._table(name)} "
                 f"({', '.join(columns)}) VALUES ({', '.join('?' for _ in columns)})"
@@ -269,7 +269,7 @@ class SQLiteBackend(StorageBackend):
             arity = self._arities.get(name)
             if arity is None:
                 raise StorageError(f"unknown relation {name!r}")
-            columns = self._columns(arity)
+            columns = self._column_names(arity)
             sql = (
                 f"DELETE FROM {self._table(name)} WHERE "
                 + " AND ".join(f"{c} = ?" for c in columns)

@@ -21,8 +21,6 @@ from repro.workloads.generators import (
     workload,
 )
 from repro.workloads.data import (
-    hub_star_database,
-    permutation_chain_database,
     random_database,
     random_chain_database,
     scaled_database,
@@ -51,9 +49,7 @@ __all__ = [
     "complete_update_workload",
     "complete_views",
     "enterprise_schema",
-    "hub_star_database",
     "paper_example",
-    "permutation_chain_database",
     "random_chain_database",
     "random_database",
     "random_query",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Mapping
 
 from repro.engine.database import Database
 
@@ -66,71 +66,6 @@ def random_graph_database(
     for _ in range(num_edges):
         database.add_fact(relation, (rng.randrange(num_nodes), rng.randrange(num_nodes)))
     return database
-
-
-def permutation_chain_database(
-    num_relations: int = 4,
-    facts_per_relation: int = 250_000,
-    seed: int = 0,
-    relation_prefix: str = "r",
-) -> Database:
-    """A large chain instance with bounded, predictable join output.
-
-    Each relation ``r_i`` holds exactly ``facts_per_relation`` facts
-    ``(x, (a_i * x + b_i) mod n)`` where ``a_i`` is coprime to ``n`` — a
-    bijection on ``0 .. n-1``.  Composing bijections is a bijection, so the
-    ``k``-way chain query has exactly ``n`` answers regardless of ``k``:
-    extents scale to millions of facts without the answer set exploding,
-    which is what the parallel-scaling experiment (E16) needs.
-    """
-    rng = random.Random(seed)
-    n = facts_per_relation
-    database = Database()
-    for index in range(1, num_relations + 1):
-        name = f"{relation_prefix}{index}"
-        relation = database.ensure_relation(name, 2)
-        a = rng.randrange(1, n) | 1  # odd; coprime to any even n
-        while _gcd(a, n) != 1:
-            a = rng.randrange(1, n)
-        b = rng.randrange(n)
-        # Bulk-load through the relation: the database is under construction,
-        # so nothing version-keyed can be holding a stale snapshot yet.
-        relation.add_all((x, (a * x + b) % n) for x in range(n))
-    return database
-
-
-def hub_star_database(
-    num_leaves: int = 4,
-    facts_per_relation: int = 250_000,
-    seed: int = 0,
-    relation_prefix: str = "e",
-) -> Database:
-    """A large star instance: one fact per hub in every leaf relation.
-
-    Each leaf relation ``e_i`` holds ``(h, perm_i(h))`` for every hub
-    ``h in 0 .. n-1`` (``perm_i`` an affine bijection), so the ``k``-leaf
-    star query has exactly ``n`` answers — million-fact extents with a
-    bounded output, the star-shaped counterpart of
-    :func:`permutation_chain_database`.
-    """
-    rng = random.Random(seed)
-    n = facts_per_relation
-    database = Database()
-    for index in range(1, num_leaves + 1):
-        name = f"{relation_prefix}{index}"
-        relation = database.ensure_relation(name, 2)
-        a = rng.randrange(1, n) | 1
-        while _gcd(a, n) != 1:
-            a = rng.randrange(1, n)
-        b = rng.randrange(n)
-        relation.add_all((h, (a * h + b) % n) for h in range(n))
-    return database
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def scaled_database(base: Database, factor: int, seed: int = 0) -> Database:

@@ -169,5 +169,5 @@ class TestStatsSurfacing:
         engine = repro.connect(views="v1(X, Y) :- r(X, Y).", data="r(1, 2).")
         engine.query("q(X) :- r(X, Y).").answers()
         session_stats = engine.stats()["session"]
-        assert "containment_memo" in session_stats
-        assert session_stats["containment_memo"] == containment_memo_stats()
+        assert "containment_memo" not in session_stats
+        assert session_stats["global.containment_memo"] == containment_memo_stats()

@@ -90,19 +90,105 @@ class TestRelation:
             assert relation.add(hot)
         bucket = relation.index_on([0])[(3,)]
         assert sorted(bucket) == [(3, k) for k in range(3, 50, 5)]
-        # Bucket slots point at the rows they claim; churn recycled slots
-        # rather than growing the columns.
-        for row, slot in bucket.items():
-            assert (relation.column(0)[slot], relation.column(1)[slot]) == row
-        stats = relation.storage_stats()
-        assert stats["rows"] == 50
-        assert stats["capacity"] == 50
-        assert stats["free_slots"] == 0
+        assert relation.storage_stats() == {"rows": 50, "indexes": 1}
         # The maintained index equals a from-scratch rebuild, bucket for bucket.
         fresh = Relation("r", 2, relation.tuples())
         assert {key: set(b) for key, b in relation.index_on([0]).items()} == {
             key: set(b) for key, b in fresh.index_on([0]).items()
         }
+
+
+class TestRowStore:
+    """A relation is one insertion-ordered row dict plus its hash indexes."""
+
+    def test_iteration_follows_insertion_order(self):
+        relation = Relation("r", 1, [(3,), (1,), (2,)])
+        assert list(relation) == [(3,), (1,), (2,)]
+        relation.discard((3,))
+        relation.add((3,))  # a re-inserted row goes to the end
+        assert list(relation) == [(1,), (2,), (3,)]
+
+    def test_discarding_an_absent_row_changes_nothing(self):
+        relation = Relation("r", 2, [(1, 2)])
+        relation.index_on([0])
+        assert not relation.discard((9, 9))
+        assert not relation.discard((1,))  # wrong arity is simply absent
+        assert list(relation) == [(1, 2)]
+        assert relation.index_on([0]) == {(1,): {(1, 2): None}}
+
+    def test_emptied_buckets_leave_the_index(self):
+        relation = Relation("r", 2, [(1, 2), (1, 3), (2, 2)])
+        index = relation.index_on([0])
+        relation.discard((1, 2))
+        assert list(index[(1,)]) == [(1, 3)]
+        relation.discard((1, 3))
+        assert (1,) not in index
+        assert list(index) == [(2,)]
+
+    def test_index_built_after_churn_holds_only_live_rows(self):
+        relation = Relation("r", 2, [(k % 3, k) for k in range(12)])
+        for k in range(0, 12, 2):
+            relation.discard((k % 3, k))
+        index = relation.index_on([0])
+        assert {key: sorted(bucket) for key, bucket in index.items()} == {
+            (0,): [(0, 3), (0, 9)],
+            (1,): [(1, 1), (1, 7)],
+            (2,): [(2, 5), (2, 11)],
+        }
+
+    def test_every_index_is_maintained_on_add(self):
+        relation = Relation("r", 2, [(1, 2)])
+        by_first = relation.index_on([0])
+        by_both = relation.index_on([1, 0])
+        relation.add((1, 5))
+        assert list(by_first[(1,)]) == [(1, 2), (1, 5)]
+        assert by_both[(5, 1)] == {(1, 5): None}
+
+    def test_index_position_out_of_range(self):
+        with pytest.raises(SchemaError):
+            Relation("r", 2).index_on([2])
+
+    def test_column_values_position_out_of_range(self):
+        with pytest.raises(SchemaError):
+            Relation("r", 2, [(1, 2)]).column_values(-1)
+
+    def test_readers_see_only_live_rows(self):
+        relation = Relation("r", 2, [(1, 2), (3, 4), (5, 6)])
+        relation.discard((3, 4))
+        assert relation.project([1]) == {(2,), (6,)}
+        assert relation.column_values(0) == {1, 5}
+        assert relation.active_domain() == {1, 2, 5, 6}
+        assert relation.tuples() == frozenset({(1, 2), (5, 6)})
+
+    def test_storage_stats_count_rows_and_indexes(self):
+        relation = Relation("r", 2, [(1, 2), (3, 4)])
+        assert relation.storage_stats() == {"rows": 2, "indexes": 0}
+        relation.index_on([0])
+        relation.index_on([0])  # built once per position tuple
+        relation.index_on([1])
+        relation.discard((1, 2))
+        assert relation.storage_stats() == {"rows": 1, "indexes": 2}
+
+    def test_equality_ignores_insertion_order(self):
+        assert Relation("r", 1, [(1,), (2,)]) == Relation("r", 1, [(2,), (1,)])
+        assert Relation("r", 1, [(1,)]) != Relation("s", 1, [(1,)])
+
+    def test_nullary_relation_holds_the_empty_row(self):
+        relation = Relation("r", 0)
+        assert relation.add(())
+        assert not relation.add(())
+        assert list(relation) == [()]
+        assert relation.discard(())
+        assert len(relation) == 0
+
+    def test_add_all_counts_new_rows(self):
+        relation = Relation("r", 1, [(1,)])
+        assert relation.add_all([(1,), (2,), (2,), (3,)]) == 2
+        assert len(relation) == 3
+
+    def test_column_accessors_are_gone(self):
+        for name in ("column", "columns", "slots", "skolem_count", "has_skolems"):
+            assert not hasattr(Relation, name), name
 
 
 class TestDatabase:

@@ -1,5 +1,6 @@
 """Tests for the compiled executor: equivalence, caching, fallback, sharing."""
 
+import importlib
 import random
 
 import pytest
@@ -15,7 +16,6 @@ from repro.engine.relation import SkolemValue
 from repro.exec import (
     CompiledExecutor,
     InterpretedExecutor,
-    ParallelExecutor,
     default_executor_name,
     get_default_executor,
     resolve_executor,
@@ -24,12 +24,9 @@ from repro.exec import (
 
 COMPILED = CompiledExecutor()
 INTERPRETED = InterpretedExecutor()
-# Two workers with no size threshold: even the small test databases take the
-# real partitioned path, so equivalence covers the fork/ship/merge machinery.
-PARALLEL = ParallelExecutor(processes=2, min_partition_rows=1)
 
 #: Every executor behind the common interface, for parametrized equivalence.
-ALL_EXECUTORS = [COMPILED, INTERPRETED, PARALLEL]
+ALL_EXECUTORS = [COMPILED, INTERPRETED]
 EXECUTOR_IDS = [executor.name for executor in ALL_EXECUTORS]
 
 
@@ -48,40 +45,59 @@ def random_db(seed=0, size=200, domain=25):
 
 def assert_engines_agree(query, db):
     interpreted = evaluate(query, db, executor=INTERPRETED)
-    for executor in (COMPILED, PARALLEL):
-        assert evaluate(query, db, executor=executor) == interpreted
+    assert evaluate(query, db, executor=COMPILED) == interpreted
     return interpreted
+
+
+#: Query shapes every executor must answer exactly as the interpreter does.
+EQUIVALENCE_QUERIES = [
+    "q(X, Z) :- r(X, Y), s(Y, Z).",
+    "q(X, W) :- r(X, Y), s(Y, Z), t(Z, W).",
+    "q(X) :- r(X, X).",
+    "q(X, Y) :- r(X, Y), X < Y.",
+    "q(X, Y) :- r(X, Y), s(Y, 3).",
+    "q(X, Y, Z) :- u(X, Y, Z), X != Z.",
+    "q(X) :- u(X, X, Y), Y > 1.",
+    "q(X, Y) :- r(X, Y), t(Y, X).",
+    "q() :- r(X, Y), X = Y.",
+    "q(X, 7) :- r(X, Y).",
+    "q(X, Y) :- r(X, Y), s(A, B), A != B.",  # cartesian product
+    "q(X, Z) :- r(X, Y), s(Y, Z), r(X, 5).",
+    "q(X, Y) :- r(X, Y), 1 < 2.",  # ground-true comparison
+    "q(X, Y) :- r(X, Y), 2 < 1.",  # ground-false comparison
+    "q(A, B) :- u(A, B, B).",
+    "q(X) :- r(3, X).",
+]
 
 
 class TestEquivalence:
     @pytest.mark.parametrize("executor", ALL_EXECUTORS, ids=EXECUTOR_IDS)
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "q(X, Z) :- r(X, Y), s(Y, Z).",
-            "q(X, W) :- r(X, Y), s(Y, Z), t(Z, W).",
-            "q(X) :- r(X, X).",
-            "q(X, Y) :- r(X, Y), X < Y.",
-            "q(X, Y) :- r(X, Y), s(Y, 3).",
-            "q(X, Y, Z) :- u(X, Y, Z), X != Z.",
-            "q(X) :- u(X, X, Y), Y > 1.",
-            "q(X, Y) :- r(X, Y), t(Y, X).",
-            "q() :- r(X, Y), X = Y.",
-            "q(X, 7) :- r(X, Y).",
-            "q(X, Y) :- r(X, Y), s(A, B), A != B.",  # cartesian product
-            "q(X, Z) :- r(X, Y), s(Y, Z), r(X, 5).",
-            "q(X, Y) :- r(X, Y), 1 < 2.",  # ground-true comparison
-            "q(X, Y) :- r(X, Y), 2 < 1.",  # ground-false comparison
-            "q(A, B) :- u(A, B, B).",
-            "q(X) :- r(3, X).",
-        ],
-    )
+    @pytest.mark.parametrize("text", EQUIVALENCE_QUERIES)
     def test_same_answers_as_interpreter(self, text, executor):
         query = parse_query(text)
         db = random_db()
         assert evaluate(query, db, executor=executor) == evaluate(
             query, db, executor=INTERPRETED
         )
+
+    @pytest.mark.parametrize("text", EQUIVALENCE_QUERIES)
+    def test_same_answers_after_add_discard_churn(self, text):
+        # The first run builds the hash indexes the plan probes; the churn then
+        # maintains them incrementally (deletes, re-inserts, fresh rows), and
+        # the second run must read exactly the live rows through them.
+        query = parse_query(text)
+        db = random_db(5)
+        assert_engines_agree(query, db)
+        rng = random.Random(text)
+        for _ in range(300):
+            name = rng.choice(("r", "s", "t", "u"))
+            rows = sorted(db.relation(name))
+            if rows and rng.random() < 0.6:
+                db.remove_fact(name, rng.choice(rows))
+            else:
+                arity = 3 if name == "u" else 2
+                db.add_fact(name, tuple(rng.randrange(25) for _ in range(arity)))
+        assert_engines_agree(query, db)
 
     def test_union_queries_agree(self):
         db = random_db(3)
@@ -153,9 +169,7 @@ class TestEarlyProjectionWorkGuard:
         return db
 
     def test_extensions_bounded_by_distinct_live_rows(self):
-        # The process default, so every CI leg (REPRO_DEFAULT_EXECUTOR=parallel
-        # runs this database serially, below its partition threshold) guards
-        # the pipeline it actually serves with.
+        # The process default, so the pipeline actually served is guarded.
         executor = get_default_executor()
         if not hasattr(executor, "plan_for"):
             executor = COMPILED
@@ -200,6 +214,95 @@ class TestFallback:
             {(1, SkolemValue("f", (1,))), (2, SkolemValue("f", (2,)))}
         )
         assert executor.fallbacks == 1
+
+
+def join_db(seed=0, size=400, domain=40):
+    rng = random.Random(seed)
+    db = Database()
+    for name in ("r", "s"):
+        db.ensure_relation(name, 2)
+        for _ in range(size):
+            db.add_fact(name, (rng.randrange(domain), rng.randrange(domain)))
+    return db
+
+
+class TestCompiledPlanShapes:
+    """Plan shapes the compiled executor must run to the interpreter's answers."""
+
+    def test_projected_chain_deduplicates_after_the_opening_scan(self):
+        rng = random.Random(7)
+        db = Database()
+        for name, size in (("r1", 200), ("r2", 300), ("r3", 300), ("r4", 300)):
+            db.ensure_relation(name, 2)
+            for _ in range(size):
+                db.add_fact(name, (rng.randrange(30), rng.randrange(30)))
+        # The smallest relation opens the pipeline and X0 is dead right after
+        # that scan, so the scan keeps one column and deduplicates it.
+        query = parse_query("q(X4) :- r1(X0, X1), r2(X1, X2), r3(X2, X3), r4(X3, X4).")
+        plan = CompiledExecutor().plan_for(query, db)
+        assert plan.steps[0].distinct and len(plan.steps[0].keep) == 1
+        assert assert_engines_agree(query, db)
+
+    def test_always_empty_plan_reads_no_relation(self):
+        executor = CompiledExecutor()
+        db = join_db(10)
+        query = parse_query("q(X, Z) :- r(X, Y), s(Y, Z), 2 < 1.")
+        assert executor.plan_for(query, db).always_empty
+        stats = EvaluationStatistics()
+        assert executor.evaluate(query, db, stats) == frozenset()
+        assert stats.subgoals == 0 and stats.probes == 0
+
+    def test_single_atom_query_over_memory_runs_a_one_step_plan(self):
+        # Backend pushdown needs a storage-backed database; in memory a
+        # single atom compiles like any other query.
+        executor = CompiledExecutor()
+        db = join_db(9)
+        query = parse_query("q(X, Y) :- r(X, Y), X < Y.")
+        assert executor.evaluate(query, db) == evaluate(query, db, executor=INTERPRETED)
+        assert len(executor.plan_for(query, db).steps) == 1
+        assert executor.pushdowns == 0
+
+    def test_skolems_on_the_join_column_of_both_relations(self):
+        db = join_db(11, size=40)
+        sk = SkolemValue("f", (1,))
+        db.add_fact("r", (1, sk))
+        db.add_fact("s", (sk, 3))
+        answers = assert_engines_agree(parse_query("q(X, Z) :- r(X, Y), s(Y, Z)."), db)
+        assert (1, 3) in answers
+
+    def test_unbound_head_over_a_join_with_no_matches(self):
+        x, y = Variable("X"), Variable("Y")
+        query = ConjunctiveQuery(
+            Atom("q", [y]),
+            [Atom("r", [x, x]), Atom("s", [x, x])],
+            require_safe=False,
+        )
+        empty = Database.from_dict({"r": [(1, 2)], "s": [(1, 1)]})
+        assert CompiledExecutor().evaluate(query, empty) == frozenset()
+
+    def test_clear_drops_every_cached_plan(self):
+        executor = CompiledExecutor()
+        db = join_db(6)
+        query = parse_query("q(X, Z) :- r(X, Y), s(Y, Z).")
+        first = executor.evaluate(query, db)
+        assert executor.stats()["plans_cached"] == 1
+        executor.clear()
+        assert executor.stats()["plans_cached"] == 0
+        assert executor.evaluate(query, db) == first
+        assert (executor.plan_misses, executor.plan_hits) == (2, 0)
+
+    def test_stats_snapshot_shape(self):
+        stats = CompiledExecutor(plan_cache_size=12).stats()
+        assert stats == {
+            "executor": "compiled",
+            "plans_cached": 0,
+            "plan_cache_size": 12,
+            "plan_hits": 0,
+            "plan_misses": 0,
+            "fallbacks": 0,
+            "pushdowns": 0,
+        }
+        assert InterpretedExecutor().stats() == {"executor": "interpreted"}
 
 
 class TestPlanCache:
@@ -288,8 +391,7 @@ class TestSharedBuildSides:
 
 class TestDefaultExecutor:
     def test_default_matches_configuration(self):
-        # "compiled" unless REPRO_DEFAULT_EXECUTOR overrides it (the CI
-        # parallel leg runs this very test with the override in place).
+        # "compiled" unless REPRO_DEFAULT_EXECUTOR overrides it.
         assert get_default_executor().name == default_executor_name()
 
     def test_set_and_restore_default(self):
@@ -305,11 +407,51 @@ class TestDefaultExecutor:
         executor = CompiledExecutor()
         assert resolve_executor(executor) is executor
         assert resolve_executor("interpreted").name == "interpreted"
-        assert resolve_executor("parallel").name == "parallel"
         with pytest.raises(EvaluationError):
             resolve_executor("vectorized")
         with pytest.raises(EvaluationError):
             resolve_executor(42)
+
+    def test_parallel_is_no_longer_an_executor(self):
+        with pytest.raises(EvaluationError, match="compiled"):
+            resolve_executor("parallel")
+
+    def test_unknown_env_default_fails_loudly(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DEFAULT_EXECUTOR", "parallel")
+        try:
+            with pytest.raises(EvaluationError, match="interpreted"):
+                set_default_executor(None)
+        finally:
+            monkeypatch.undo()
+            set_default_executor(None)
+
+    def test_env_default_selects_interpreted(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DEFAULT_EXECUTOR", "Interpreted")
+        try:
+            set_default_executor(None)
+            assert get_default_executor() is resolve_executor("interpreted")
+        finally:
+            monkeypatch.undo()
+            set_default_executor(None)
+
+    def test_one_executor_family_is_exported(self):
+        import repro
+        import repro.exec
+
+        assert repro.exec.EXECUTORS == ("compiled", "interpreted")
+        assert not hasattr(repro, "ParallelExecutor")
+        assert not hasattr(repro.exec, "ParallelExecutor")
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.exec.parallel")
+
+    def test_empty_env_default_means_compiled(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DEFAULT_EXECUTOR", " ")
+        try:
+            set_default_executor(None)
+            assert default_executor_name() == "compiled"
+        finally:
+            monkeypatch.undo()
+            set_default_executor(None)
 
     def test_evaluate_accepts_executor_names(self):
         db = random_db(4)
@@ -331,6 +473,4 @@ class TestMaterializeThroughExecutor:
         )
         compiled = materialize_views(views, db, executor=COMPILED)
         interpreted = materialize_views(views, db, executor=INTERPRETED)
-        parallel = materialize_views(views, db, executor=PARALLEL)
         assert compiled == interpreted
-        assert parallel == interpreted

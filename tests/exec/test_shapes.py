@@ -1,9 +1,9 @@
 """Shape-keyed plans: one plan per query shape, constants bound at run time.
 
 What the plan cache promises after constants became parameters — queries equal
-up to constants share a plan, a constant can never reach generated source, a
-plan outlives data versions until a relation it reads has moved more than 2x,
-and the parallel executor's workers run the very plan the parent ran.
+up to constants share a plan, a constant can never reach generated source,
+and a plan outlives data versions until a relation it reads has moved more
+than 2x.
 """
 
 import pytest
@@ -14,7 +14,7 @@ from repro.datalog.queries import ConjunctiveQuery
 from repro.datalog.terms import Variable
 from repro.engine.database import Database
 from repro.engine.evaluate import EvaluationStatistics, evaluate
-from repro.exec import CompiledExecutor, ParallelExecutor
+from repro.exec import CompiledExecutor
 from repro.exec.compile import try_compile
 from repro.materialize import MaterializedViewStore
 
@@ -179,6 +179,22 @@ class TestAPlanOutlivesDataVersions:
         assert executor.evaluate(query, db) == _interpreted(query, db)
         assert executor.plan_misses == 3  # 20 < 81 / 2
 
+    def test_an_order_costed_before_a_small_growth_still_answers_right(self):
+        db = Database()
+        for i in range(10):
+            db.add_fact("a", (i, i % 4))
+        for i in range(15):
+            db.add_fact("b", (i % 4, 100 + i))
+        query = parse_query("q(X, Z) :- a(X, Y), b(Y, Z).")
+        executor = CompiledExecutor()
+        assert executor.evaluate(query, db) == _interpreted(query, db)
+        for i in range(10, 19):  # < 2x: the plan stays, a fresh costing flips
+            db.add_fact("a", (i, i % 4))
+        assert executor.plan_for(query, db).steps[0].predicate == "a"
+        assert try_compile(query, db).steps[0].predicate == "b"
+        assert executor.evaluate(query, db) == _interpreted(query, db)
+        assert executor.plan_misses == 1
+
     def test_a_relation_that_appears_recompiles(self):
         executor, db = CompiledExecutor(), _db()
         query = parse_query("q(X, Z) :- r(X, Y), late(Y, Z).")
@@ -200,23 +216,3 @@ class TestAPlanOutlivesDataVersions:
         )
         assert (executor.plan_misses, executor.plan_hits) == (2, 1)
 
-
-class TestParallelWorkersRunTheParentsPlan:
-    def test_an_order_costed_before_a_small_growth_is_the_order_workers_run(self):
-        db = Database()
-        for i in range(10):
-            db.add_fact("a", (i, i % 4))
-        for i in range(15):
-            db.add_fact("b", (i % 4, 100 + i))
-        query = parse_query("q(X, Z) :- a(X, Y), b(Y, Z).")
-        executor = ParallelExecutor(processes=2, min_partition_rows=1)
-        try:
-            assert executor.evaluate(query, db) == _interpreted(query, db)
-            for i in range(10, 19):  # < 2x: the plan stays, a fresh costing flips
-                db.add_fact("a", (i, i % 4))
-            assert executor.plan_for(query, db).steps[0].predicate == "a"
-            assert try_compile(query, db).steps[0].predicate == "b"
-            assert executor.evaluate(query, db) == _interpreted(query, db)
-            assert executor.parallel_runs == 2 and executor.plan_misses == 1
-        finally:
-            executor.close()

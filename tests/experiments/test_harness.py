@@ -67,8 +67,9 @@ class TestTables:
 class TestRegistry:
     def test_all_experiments_registered(self):
         ids = [e.id for e in all_experiments()]
-        assert len(ids) == 17
-        assert set(ids) == {f"E{i}" for i in range(1, 18)}
+        assert len(ids) == 16
+        # E16 (parallel scaling) was retired with the parallel executor.
+        assert set(ids) == {f"E{i}" for i in range(1, 18)} - {"E16"}
 
     def test_get_experiment(self):
         e4 = get_experiment("E4")

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.engine.database import Database
 from repro.engine.evaluate import evaluate
-from repro.exec import CompiledExecutor, InterpretedExecutor, ParallelExecutor
+from repro.exec import CompiledExecutor, InterpretedExecutor
 from repro.materialize.delta import Delta, parse_delta
 from repro.storage import BackedDatabase, MemoryBackend
 from repro.storage.sqlite import SQLiteBackend
@@ -42,7 +42,6 @@ RELAXED = settings(
 
 INTERPRETED = InterpretedExecutor()
 COMPILED = CompiledExecutor()
-PARALLEL = ParallelExecutor(processes=2, min_partition_rows=1)
 
 
 def sqlite_copy(database: Database) -> BackedDatabase:
@@ -58,7 +57,7 @@ class TestBackendAgreement:
     @given(database=databases(), query=conjunctive_queries())
     def test_backends_and_executors_agree(self, database, query):
         expected = evaluate(query, database, executor=INTERPRETED)
-        for executor in (INTERPRETED, COMPILED, PARALLEL):
+        for executor in (INTERPRETED, COMPILED):
             for copy in (memory_copy, sqlite_copy):
                 assert evaluate(query, copy(database), executor=executor) == expected
 

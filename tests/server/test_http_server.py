@@ -70,6 +70,12 @@ class TestLifecycle:
         with pytest.raises(ReproError, match="observability"):
             ReproServer(engine)
 
+    def test_workers_is_not_a_parameter(self, server):
+        engine = connect(views=VIEWS, data=DATA)
+        with pytest.raises(TypeError):
+            ReproServer(engine, workers=2)
+        assert not hasattr(server, "workers")
+
     def test_port_zero_picks_a_free_port(self, server):
         assert server.port != 0
         assert server.address == f"http://{server.host}:{server.port}"
@@ -102,7 +108,7 @@ class TestGetEndpoints:
         # Engines opened with a storage backend add a "storage" block
         # (present when REPRO_DEFAULT_BACKEND selects a non-memory backend).
         payload.pop("storage", None)
-        assert payload == {"status": "ok", "inflight": 0, "workers": server.workers}
+        assert payload == {"status": "ok", "inflight": 0}
 
     def test_stats_mirrors_engine_stats(self, server):
         status, payload, _ = request(server, "GET", "/stats")
@@ -278,7 +284,7 @@ class TestCoalescing:
 
 
 class TestExecutorInvariance:
-    @pytest.mark.parametrize("name", ["compiled", "interpreted", "parallel"])
+    @pytest.mark.parametrize("name", ["compiled", "interpreted"])
     def test_concurrent_coalesced_results_are_executor_invariant(self, name):
         """HTTP query results are identical whichever executor serves them,
         including when concurrent identical requests coalesce onto one run."""
@@ -318,7 +324,7 @@ class TestBackpressure:
     def test_admission_above_queue_limit_is_503(self):
         engine = connect(views=VIEWS, data=DATA)
         results = []
-        with ReproServer(engine, workers=1, queue_limit=1) as running:
+        with ReproServer(engine, queue_limit=1) as running:
             with running._engine_lock:  # the one admitted worker blocks here
                 thread = _post_in_thread(running, "/query", {"query": QUERY}, results)
                 wait_until(lambda: running._inflight, message="first never admitted")

@@ -314,8 +314,8 @@ class TestAFirstSeenConstantOfAKnownShape:
     def test_hit_flags_rows_and_counters(self, scenario, served):
         workload, _, _ = scenario
         server, exchange = served
-        # Bound forms are the compiled executor's: under any other (the
-        # REPRO_DEFAULT_EXECUTOR=parallel leg) a new constant is instantiated
+        # Bound forms are the compiled executor's: under the interpreter
+        # (REPRO_DEFAULT_EXECUTOR=interpreted) a new constant is instantiated
         # once, and found instantiated when its text repeats, as before.
         instantiated = 0 if server.engine.executor == "compiled" else 1
 

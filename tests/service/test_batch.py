@@ -1,4 +1,4 @@
-"""Tests for the batch API (sequential and multiprocessing paths)."""
+"""Tests for the batch API."""
 
 import pytest
 
@@ -61,26 +61,9 @@ class TestSequentialBatch:
         assert len(data["items"]) == 2
         assert data["session_stats"] is not None
 
-
-class TestParallelBatch:
-    def test_fanout_produces_same_outcomes(self):
-        queries = [QUERY_TEXT, ISOMORPH_TEXT] * 3
-        sequential = run_batch(queries, VIEWS, processes=1)
-        parallel = run_batch(queries, VIEWS, processes=2)
-        assert parallel.requests == sequential.requests
-        assert parallel.errors == 0
-        assert [i.index for i in parallel.items] == list(range(len(queries)))
-        assert [i.equivalent for i in parallel.items] == [
-            i.equivalent for i in sequential.items
-        ]
-        assert {i.fingerprint for i in parallel.items} == {
-            i.fingerprint for i in sequential.items
-        }
-
-    def test_fanout_with_answers(self):
-        report = run_batch(
-            [QUERY_TEXT, ISOMORPH_TEXT], VIEWS,
-            database=make_db(), with_answers=True, processes=2,
-        )
-        assert report.errors == 0
-        assert [item.answers for item in report.items] == [2, 2]
+    def test_batches_run_in_process_only(self):
+        report = run_batch([QUERY_TEXT], VIEWS)
+        assert "processes" not in report.to_dict()
+        assert not hasattr(report, "processes")
+        with pytest.raises(TypeError):
+            run_batch([QUERY_TEXT], VIEWS, processes=2)

@@ -355,6 +355,14 @@ class TestStats:
         assert stats["requests"] == 1
         assert stats["view_index"]["queries_filtered"] == 1
 
+    def test_stats_is_a_plain_dict_without_the_memo_alias(self):
+        session = RewritingSession(VIEWS, database=make_db())
+        session.rewrite_cached(QUERY)
+        stats = session.stats()
+        assert type(stats) is dict
+        assert "containment_memo" not in stats
+        assert stats.get("containment_memo") is None
+
     def test_view_index_disabled(self):
         session = RewritingSession(VIEWS, use_view_index=False)
         session.rewrite_cached(QUERY)

@@ -9,12 +9,8 @@ The invariants under test:
 * ``storage_scan`` serves constant-filtered scans straight from a
   pushdown-capable backend while the relation is still cold, and steps
   aside (returns None) once the relation is hydrated or for backends
-  without pushdown;
-* pickling produces a plain :class:`Database` (worker processes must not
-  drag a live sqlite connection across ``fork``/``spawn``).
+  without pushdown.
 """
-
-import pickle
 
 import pytest
 
@@ -121,15 +117,7 @@ class TestPushdown:
         assert database.storage_scan("r", {0: "a"}) is None
 
 
-class TestPickling:
-    def test_pickle_produces_plain_database(self, tmp_path):
-        database = BackedDatabase(seeded_backend(tmp_path))
-        clone = pickle.loads(pickle.dumps(database))
-        assert type(clone) is Database
-        assert clone == Database.from_dict(
-            {"cites": [("a", "b"), ("b", "c")], "refs": [("a", 1)]}
-        )
-
+class TestHashing:
     def test_backed_database_is_unhashable(self, tmp_path):
         database = BackedDatabase(seeded_backend(tmp_path))
         with pytest.raises(TypeError):

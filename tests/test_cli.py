@@ -359,6 +359,22 @@ class TestBatchCommand:
         assert data["items"][0]["answers"] == 2
 
 
+class TestRemovedFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--views", VIEWS, "--workers", "2"],
+            ["batch", "--queries", QUERY, "--views", VIEWS, "--processes", "2"],
+        ],
+        ids=["serve-workers", "batch-processes"],
+    )
+    def test_flag_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestStatsCommand:
     def test_human_readable_stats(self):
         code, output = run_cli(["stats", "--views", VIEWS])
@@ -472,7 +488,7 @@ class TestServeHttpCommand:
         frozen_while_serving = []
 
         class FakeServer:
-            address, workers, queue_limit = "http://127.0.0.1:0", 4, 32
+            address, queue_limit = "http://127.0.0.1:0", 32
 
             def __init__(self, engine, **options):
                 frozen_while_serving.append(gc.get_freeze_count())  # built before the freeze
