@@ -111,11 +111,7 @@ from repro.rewriting import (
     view_is_usable,
     view_is_useful,
 )
-from repro.exec import (
-    CompiledExecutor,
-    InterpretedExecutor,
-    set_default_executor,
-)
+from repro.exec import CompiledExecutor, InterpretedExecutor
 from repro.materialize import (
     ChangeLog,
     Delta,
@@ -229,7 +225,6 @@ __all__ = [
     "maximally_contained_rewriting",
     "measured_cost",
     "minimize",
-    "set_default_executor",
     "parse_atom",
     "parse_database",
     "parse_delta",

@@ -134,8 +134,8 @@ def connect(
         :meth:`Engine.check`.
     algorithm / mode / executor / cache_size / use_view_index:
         Forwarded to the underlying :class:`RewritingSession`.  ``executor``
-        is ``"compiled"`` or ``"interpreted"``; ``None`` uses the
-        process-wide configured default.
+        is ``"compiled"`` or ``"interpreted"``; ``None`` means
+        ``"compiled"``.
     observability:
         When True (the default) the engine owns a
         :class:`repro.obs.Instrumentation` bundle: per-stage latency
@@ -232,6 +232,9 @@ def _fsync_policy(wal: "None | bool | str") -> str:
         return "none"
     return str(wal)
 
+
+#: Session stats keys whose cache is named otherwise in the metrics.
+_GAUGE_LABELS = {"bound_forms": "bound_form"}
 
 #: The mark of hole ``i`` in a bound form's printed texts.
 _HOLE = re.compile("\0(\\d+)\0")
@@ -595,18 +598,17 @@ class Engine:
             labels=("cache",),
         )
         stats = self._session.stats()
-        for cache in ("rewrite_cache", "answer_cache", "translation_cache",
-                      "containment_cache"):
-            entry = stats.get(cache)
-            if entry is not None:
-                occupancy.labels(cache.removesuffix("_cache")).set(entry["size"])
-        memo = stats.get("global.containment_memo")
-        if memo is not None:
-            occupancy.labels("containment_memo").set(memo["size"])
-            obs.registry.gauge(
-                "repro_containment_memo_hit_rate",
-                "Hit rate of the process-global containment memo.",
-            ).set(memo["hit_rate"])
+        # Every cache in the snapshot that reports a size, labelled as in
+        # repro_cache_events_total.
+        for name, entry in stats.items():
+            if isinstance(entry, dict) and "size" in entry:
+                label = name.removeprefix("global.").removesuffix("_cache")
+                occupancy.labels(_GAUGE_LABELS.get(label, label)).set(entry["size"])
+        memo = stats["global.containment_memo"]
+        obs.registry.gauge(
+            "repro_containment_memo_hit_rate",
+            "Hit rate of the process-global containment memo.",
+        ).set(memo["hit_rate"])
 
     def check(self) -> Tuple[str, ...]:
         """Re-check integrity constraints; returns violated constraint names."""

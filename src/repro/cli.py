@@ -41,7 +41,7 @@ argument-parsing shell around ``repro.connect(...)`` and the engine verbs:
     Inspect a write-ahead log: record count, last sequence number, and any
     trailing corruption (``--repair`` truncates a damaged tail in place).
 ``python -m repro experiments``
-    List the reproduced experiments (E1..E17) and the bench that regenerates
+    List the reproduced experiments (E1..E10) and the bench that regenerates
     each.
 
 Queries and views are given inline or in files, in the datalog syntax of
@@ -97,7 +97,7 @@ from repro.errors import (
 )
 from repro.api import connect
 from repro.datalog.parser import parse_program
-from repro.exec import EXECUTORS, set_default_executor
+from repro.exec import EXECUTORS
 from repro.experiments.registry import all_experiments
 from repro.materialize.delta import parse_delta
 from repro.rewriting.rewriter import ALGORITHMS, MODES
@@ -194,7 +194,6 @@ def _command_rewrite(args: argparse.Namespace, out) -> int:
 
 
 def _command_answer(args: argparse.Namespace, out) -> int:
-    set_default_executor(args.executor)
     engine = _engine_for(args)
     answer = engine.query(_read_text(args.query)).answers()
     provenance = answer.provenance
@@ -233,7 +232,6 @@ def _command_certain(args: argparse.Namespace, out) -> int:
 
 
 def _command_materialize(args: argparse.Namespace, out) -> int:
-    set_default_executor(args.executor)
     engine = _engine_for(args)
     wanted = set(args.view) if args.view else None
     for view in engine.views:
@@ -286,7 +284,6 @@ def _command_apply_delta(args: argparse.Namespace, out) -> int:
 
 
 def _command_serve(args: argparse.Namespace, out) -> int:
-    set_default_executor(args.executor)
     engine = _engine_for(args)
     if args.http is not None:
         return _serve_http(args, engine, out)
@@ -382,7 +379,6 @@ def _serve_http(args: argparse.Namespace, engine, out) -> int:
 
 
 def _command_stats(args: argparse.Namespace, out) -> int:
-    set_default_executor(args.executor)
     engine = _engine_for(args)
     if args.queries:
         with_answers = engine.database is not None and args.answers
@@ -433,7 +429,6 @@ def _print_session_stats(engine, out) -> None:
 
 
 def _command_batch(args: argparse.Namespace, out) -> int:
-    set_default_executor(args.executor)
     engine = _engine_for(args)
     queries = parse_program(_read_text(args.queries))
     report = engine.batch(queries, with_answers=args.answers)
@@ -602,10 +597,9 @@ def _add_storage_flags(parser: argparse.ArgumentParser, required: bool = False) 
 
 def _add_executor_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--executor", choices=EXECUTORS, default=None,
-        help="execution engine for query evaluation: compiled or "
-             "interpreted; default: the configured default "
-             "(REPRO_DEFAULT_EXECUTOR or compiled)",
+        "--executor", choices=EXECUTORS, default="compiled",
+        help="execution engine for query evaluation: compiled (default) "
+             "or interpreted",
     )
 
 
@@ -674,7 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
     materialize_parser.add_argument(
         "--sizes-only", action="store_true", help="print extent sizes without the rows"
     )
-    _add_executor_flag(materialize_parser)
     materialize_parser.set_defaults(handler=_command_materialize)
 
     delta_parser = subparsers.add_parser(

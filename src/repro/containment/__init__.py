@@ -25,11 +25,6 @@ from repro.containment.homomorphism import (
     find_containment_mapping,
     find_homomorphism,
     homomorphisms,
-    naive_containment_mappings,
-    naive_homomorphisms,
-    search_implementation,
-    set_search_implementation,
-    using_search_implementation,
 )
 from repro.containment.constraints import ComparisonSet
 from repro.containment.containment import (
@@ -67,11 +62,6 @@ __all__ = [
     "is_satisfiable",
     "memo_disabled",
     "minimize",
-    "naive_containment_mappings",
-    "naive_homomorphisms",
-    "search_implementation",
-    "set_search_implementation",
     "union_contained_in",
     "union_equivalent",
-    "using_search_implementation",
 ]

@@ -11,72 +11,25 @@ A *containment mapping* from query ``Q2`` to query ``Q1`` is a substitution
 By the Chandra–Merlin theorem, for pure conjunctive queries ``Q1 ⊑ Q2`` holds
 iff such a mapping exists.
 
-Two search implementations live here:
-
-* the **indexed** search (the default) builds a per-(predicate, arity)
-  candidate index over the target, fail-fasts on the atoms' precomputed
-  constant signatures, runs over one mutable binding dictionary with
-  undo-on-backtrack (no per-step :class:`Substitution` copies), and picks the
-  *most constrained* unmapped subgoal dynamically at every step — which doubles
-  as forward checking: binding a shared variable shrinks the candidate lists
-  of every subgoal mentioning it, and an empty list fails the branch at once;
-* the **naive** search is the original straightforward backtracking procedure
-  with static subgoal ordering and immutable substitutions.  It is retained
-  verbatim as the reference oracle: property tests assert the two enumerate
-  exactly the same mappings (multiplicity included), and the E14 benchmark
-  measures the cold-path speedup against it.
-
-Both enumerate one mapping per consistent assignment of source atoms to
-target atoms, so they agree mapping for mapping (only the order may differ).
+The search builds a per-(predicate, arity) candidate index over the target,
+fail-fasts on the atoms' precomputed constant signatures, runs over one
+mutable binding dictionary with undo-on-backtrack (no per-step
+:class:`Substitution` copies), and picks the *most constrained* unmapped
+subgoal dynamically at every step — which doubles as forward checking:
+binding a shared variable shrinks the candidate lists of every subgoal
+mentioning it, and an empty list fails the branch at once.  It enumerates one
+mapping per consistent assignment of source atoms to target atoms; the test
+suite checks it mapping for mapping against a plain backtracking oracle.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.datalog.atoms import Atom
 from repro.datalog.queries import ConjunctiveQuery
 from repro.datalog.substitution import Substitution, match_atom
-from repro.datalog.terms import Constant, Term, Variable
-
-#: The available search implementations (see :func:`set_search_implementation`).
-SEARCH_IMPLEMENTATIONS = ("indexed", "naive")
-
-_active_implementation = "indexed"
-
-
-def set_search_implementation(name: str) -> str:
-    """Select the homomorphism search implementation globally.
-
-    Returns the previously active name.  ``"indexed"`` (the default) is the
-    optimized search; ``"naive"`` is the reference backtracking search kept
-    for property testing and the E14 cold-path benchmark baseline.
-    """
-    global _active_implementation
-    if name not in SEARCH_IMPLEMENTATIONS:
-        raise ValueError(
-            f"unknown search implementation {name!r}; "
-            f"expected one of {', '.join(SEARCH_IMPLEMENTATIONS)}"
-        )
-    previous = _active_implementation
-    _active_implementation = name
-    return previous
-
-
-def search_implementation() -> str:
-    """The name of the currently active search implementation."""
-    return _active_implementation
-
-
-@contextmanager
-def using_search_implementation(name: str) -> Iterator[None]:
-    """Context manager scoping :func:`set_search_implementation`."""
-    previous = set_search_implementation(name)
-    try:
-        yield
-    finally:
-        set_search_implementation(previous)
+from repro.datalog.terms import Term, Variable
 
 
 def _head_seed(source: ConjunctiveQuery, target: ConjunctiveQuery) -> Optional[Substitution]:
@@ -88,57 +41,18 @@ def _head_seed(source: ConjunctiveQuery, target: ConjunctiveQuery) -> Optional[S
     return match_atom(source.head, target.head)
 
 
-# ---------------------------------------------------------------------------
-# The naive reference search (the seed implementation, kept verbatim)
-# ---------------------------------------------------------------------------
-
-def naive_homomorphisms(
+def homomorphisms(
     source_atoms: Sequence[Atom],
     target_atoms: Sequence[Atom],
     seed: Optional[Substitution] = None,
 ) -> Iterator[Substitution]:
-    """The reference backtracking enumeration (static order, immutable bindings).
+    """All substitutions mapping every atom of ``source_atoms`` into ``target_atoms``.
 
-    Semantically identical to :func:`homomorphisms`; kept as the oracle the
-    indexed search is property-tested against and as the E14 baseline.
+    ``seed`` fixes the image of some variables in advance (typically the head
+    variables).  The same target atom may serve as the image of several source
+    atoms (homomorphisms need not be injective).  See the module docstring for
+    how the search is organised.
     """
-    seed = seed if seed is not None else Substitution.empty()
-
-    # Pre-compute candidate target atoms per source atom (by predicate/arity).
-    candidates: List[List[Atom]] = []
-    for atom in source_atoms:
-        options = [t for t in target_atoms if t.signature == atom.signature]
-        candidates.append(options)
-        if not options:
-            return
-
-    # Map the most constrained subgoals first.
-    order = sorted(range(len(source_atoms)), key=lambda i: len(candidates[i]))
-
-    def extend(position: int, substitution: Substitution) -> Iterator[Substitution]:
-        if position == len(order):
-            yield substitution
-            return
-        index = order[position]
-        atom = source_atoms[index]
-        for target in candidates[index]:
-            extended = match_atom(atom, target, substitution)
-            if extended is not None:
-                yield from extend(position + 1, extended)
-
-    yield from extend(0, seed)
-
-
-# ---------------------------------------------------------------------------
-# The indexed search
-# ---------------------------------------------------------------------------
-
-def _indexed_homomorphisms(
-    source_atoms: Sequence[Atom],
-    target_atoms: Sequence[Atom],
-    seed: Optional[Substitution] = None,
-) -> Iterator[Substitution]:
-    """Indexed, trail-based enumeration; see the module docstring."""
     binding: Dict[Variable, Term] = dict(seed.items()) if seed is not None else {}
 
     count = len(source_atoms)
@@ -273,27 +187,6 @@ def _indexed_homomorphisms(
     yield from extend()
 
 
-# ---------------------------------------------------------------------------
-# Front door
-# ---------------------------------------------------------------------------
-
-def homomorphisms(
-    source_atoms: Sequence[Atom],
-    target_atoms: Sequence[Atom],
-    seed: Optional[Substitution] = None,
-) -> Iterator[Substitution]:
-    """All substitutions mapping every atom of ``source_atoms`` into ``target_atoms``.
-
-    ``seed`` fixes the image of some variables in advance (typically the head
-    variables).  The same target atom may serve as the image of several source
-    atoms (homomorphisms need not be injective).  Dispatches to the active
-    search implementation (see :func:`set_search_implementation`).
-    """
-    if _active_implementation == "naive":
-        return naive_homomorphisms(source_atoms, target_atoms, seed)
-    return _indexed_homomorphisms(source_atoms, target_atoms, seed)
-
-
 def find_homomorphism(
     source_atoms: Sequence[Atom],
     target_atoms: Sequence[Atom],
@@ -318,16 +211,6 @@ def containment_mappings(
     if seed is None:
         return
     yield from homomorphisms(source.body, target.body, seed)
-
-
-def naive_containment_mappings(
-    source: ConjunctiveQuery, target: ConjunctiveQuery
-) -> Iterator[Substitution]:
-    """All containment mappings, enumerated by the naive reference search."""
-    seed = _head_seed(source, target)
-    if seed is None:
-        return
-    yield from naive_homomorphisms(source.body, target.body, seed)
 
 
 def find_containment_mapping(

@@ -30,8 +30,8 @@ memo lookup, or search.
 
 The module-level default memo is shared process-wide (verdicts depend only on
 the two queries, never on a database or view set, so sharing is sound).  The
-E14 benchmark and the property tests disable it — and the guards — via
-:func:`memo_disabled` to measure or test the raw search.
+tests and the per-layer benchmark disable it — and the guards — via
+:func:`memo_disabled` to check or measure the raw search.
 """
 
 from __future__ import annotations

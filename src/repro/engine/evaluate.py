@@ -16,8 +16,7 @@ admit — anything containing function terms (the Skolem terms of the
 inverse-rules algorithm) — and the engine of choice for lazy enumeration
 (:func:`evaluate_substitutions`, :func:`evaluate_boolean`, and the delta
 rules of :mod:`repro.materialize.counting`, which all want bindings one at a
-time).  Pick an engine per call with ``evaluate(..., executor=...)`` or
-globally with :func:`repro.exec.set_default_executor`.
+time).  Pick an engine per call with ``evaluate(..., executor=...)``.
 
 Both engines fill the same :class:`EvaluationStatistics`, which the cost
 model (:mod:`repro.engine.cost`) uses to compare the work needed to answer a
@@ -271,8 +270,8 @@ def evaluate(
     ``executor`` picks the execution engine: ``"compiled"`` (set-at-a-time
     physical plans, the default), ``"interpreted"`` (the backtracking
     interpreter), an executor instance (e.g. a session-owned
-    :class:`repro.exec.CompiledExecutor` with its own plan cache), or None
-    for the process-wide default (:func:`repro.exec.set_default_executor`).
+    :class:`repro.exec.CompiledExecutor` with its own plan cache); None
+    means ``"compiled"``.
     Both engines return identical answer sets; the compiled engine falls
     back to the interpreter per-disjunct for queries with function terms.
     """

@@ -19,12 +19,10 @@ whole relations at a time instead of one binding at a time:
   evaluation with shared build sides; interpreter fallback) and
   :class:`InterpretedExecutor`.
 
-:func:`repro.engine.evaluate.evaluate` routes through the **default
-executor**, which is the compiled engine unless a caller opts out; flip it
-globally with :func:`set_default_executor` (the CLI's ``--executor`` flag),
-per process with the ``REPRO_DEFAULT_EXECUTOR`` environment variable (read
-at import and on every reset; an unknown name is an error), or per call via
-``evaluate(..., executor=...)``.
+:func:`repro.engine.evaluate.evaluate` runs the compiled engine unless the
+call names another (``evaluate(..., executor="interpreted")`` or an executor
+instance); engines choose theirs with ``connect(executor=...)``, the CLI's
+``--executor`` flag.
 
 >>> from repro.datalog.parser import parse_query
 >>> from repro.engine.database import Database
@@ -37,7 +35,6 @@ at import and on every reset; an unknown name is an error), or per call via
 
 from __future__ import annotations
 
-import os
 from typing import Union
 
 from repro.errors import EvaluationError
@@ -49,103 +46,52 @@ from repro.exec.stats import DatabaseStatistics, statistics_for
 #: The executor names accepted everywhere an executor can be chosen.
 EXECUTORS = ("compiled", "interpreted")
 
-#: Environment variable naming the process-wide default executor.
-DEFAULT_EXECUTOR_ENV = "REPRO_DEFAULT_EXECUTOR"
-
 ExecutorLike = Union[str, CompiledExecutor, InterpretedExecutor, None]
-
-_SHARED_COMPILED = CompiledExecutor()
-_SHARED_INTERPRETED = InterpretedExecutor()
-
-
-def _configured_default() -> str:
-    """The baseline default: the env override when set, else compiled.
-
-    An unset or empty override means compiled; any other name must be one of
-    :data:`EXECUTORS` (:class:`EvaluationError` otherwise).
-    """
-    env = os.environ.get(DEFAULT_EXECUTOR_ENV, "").strip().lower()
-    return _validate(env) if env else "compiled"
-
-
-def set_default_executor(executor: ExecutorLike) -> None:
-    """Set the executor :func:`repro.engine.evaluate.evaluate` uses by default.
-
-    Accepts ``"compiled"``, ``"interpreted"``, or an executor instance.
-    ``None`` resets to the configured default (the ``REPRO_DEFAULT_EXECUTOR``
-    environment override when set, otherwise ``"compiled"``).
-    """
-    global _DEFAULT
-    _DEFAULT = _validate(executor if executor is not None else _configured_default())
-
-
-def get_default_executor() -> "CompiledExecutor | InterpretedExecutor":
-    """The currently configured default executor instance."""
-    return resolve_executor(None)
-
-
-def default_executor_name() -> str:
-    """The name of the currently configured default executor."""
-    default = _DEFAULT
-    return default if isinstance(default, str) else default.name
 
 
 def make_executor(name: str) -> "CompiledExecutor | InterpretedExecutor":
-    """A fresh (unshared) executor instance for a validated name.
+    """A fresh (unshared) executor instance for a name in :data:`EXECUTORS`.
 
     Session-style owners use this so their plan caches are private rather
-    than process-shared.
+    than process-shared.  It is the one place an executor name is checked:
+    an unknown name raises :class:`EvaluationError`.
     """
-    _validate(name)
-    if name == "compiled":
-        return CompiledExecutor()
-    return InterpretedExecutor()
+    if name not in EXECUTORS:
+        raise EvaluationError(
+            f"unknown executor {name!r}; expected one of {', '.join(EXECUTORS)}"
+        )
+    return CompiledExecutor() if name == "compiled" else InterpretedExecutor()
+
+
+_SHARED = {name: make_executor(name) for name in EXECUTORS}
 
 
 def resolve_executor(
-    executor: ExecutorLike,
+    executor: ExecutorLike = None,
 ) -> "CompiledExecutor | InterpretedExecutor":
-    """Resolve a name / instance / None (= the configured default)."""
+    """The process-shared instance for a name (``None`` means ``"compiled"``);
+    an executor instance passes through."""
     if executor is None:
-        executor = _DEFAULT
-    executor = _validate(executor)
-    if executor == "compiled":
-        return _SHARED_COMPILED
-    if executor == "interpreted":
-        return _SHARED_INTERPRETED
+        executor = "compiled"
+    if isinstance(executor, str):
+        # A name outside _SHARED is unknown, and make_executor raises for it.
+        return _SHARED[executor] if executor in _SHARED else make_executor(executor)
+    if not hasattr(executor, "evaluate"):
+        raise EvaluationError(f"not an executor: {executor!r}")
     return executor
 
 
-def _validate(executor: ExecutorLike):
-    if isinstance(executor, str):
-        if executor not in EXECUTORS:
-            raise EvaluationError(
-                f"unknown executor {executor!r}; expected one of {', '.join(EXECUTORS)}"
-            )
-        return executor
-    if hasattr(executor, "evaluate"):
-        return executor
-    raise EvaluationError(f"not an executor: {executor!r}")
-
-
-_DEFAULT: "str | CompiledExecutor | InterpretedExecutor" = _configured_default()
-
-
 __all__ = [
-    "DEFAULT_EXECUTOR_ENV",
     "EXECUTORS",
     "CompiledExecutor",
     "InterpretedExecutor",
     "DatabaseStatistics",
     "HashJoinStep",
     "PhysicalPlan",
-    "default_executor_name",
-    "get_default_executor",
     "is_compilable",
     "make_executor",
     "order_body",
     "resolve_executor",
-    "set_default_executor",
     "statistics_for",
     "try_compile",
 ]

@@ -2,13 +2,12 @@
 
 The benchmark scripts under ``benchmarks/`` use this package to time the
 rewriting algorithms over generated workloads and to print the tables and
-figure series recorded in ``EXPERIMENTS.md``.
+figure series described in ``docs/benchmarks.md``.
 """
 
 from repro.experiments.measure import (
     Measurement,
     percentile,
-    sample_stats,
     time_call,
 )
 from repro.experiments.tables import format_series, format_table
@@ -23,6 +22,5 @@ __all__ = [
     "get_experiment",
     "percentile",
     "register",
-    "sample_stats",
     "time_call",
 ]

@@ -1,9 +1,7 @@
 """Timing helpers used by the benchmark harness.
 
-A single mean hides exactly the behavior a serving benchmark cares about
-(cold-start spikes, GC pauses, scheduler noise), so every harness records the
-per-repetition wall-clock samples and summarizes them with
-:func:`sample_stats` — min / median / p90 plus mean — in its ``BENCH_*.json``.
+:func:`time_call` keeps every per-repetition wall-clock sample, so a
+benchmark can report the best, median or p90 rather than one mean.
 """
 
 from __future__ import annotations
@@ -11,7 +9,7 @@ from __future__ import annotations
 import statistics
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Callable, List, Sequence
 
 
 def percentile(samples: Sequence[float], q: float) -> float:
@@ -31,24 +29,6 @@ def percentile(samples: Sequence[float], q: float) -> float:
     upper = min(lower + 1, len(ordered) - 1)
     fraction = position - lower
     return ordered[lower] + (ordered[upper] - ordered[lower]) * fraction
-
-
-def sample_stats(samples: Sequence[float]) -> Dict[str, float]:
-    """The summary emitted into ``BENCH_*.json`` for a list of seconds.
-
-    Keys are stable schema: ``count``, ``min``, ``median``, ``p90``, ``mean``,
-    ``max`` — all seconds except ``count``.
-    """
-    if not samples:
-        return {"count": 0}
-    return {
-        "count": len(samples),
-        "min": min(samples),
-        "median": statistics.median(samples),
-        "p90": percentile(samples, 0.90),
-        "mean": statistics.fmean(samples),
-        "max": max(samples),
-    }
 
 
 @dataclass
@@ -78,10 +58,6 @@ class Measurement:
     @property
     def stdev(self) -> float:
         return statistics.pstdev(self.timings) if len(self.timings) > 1 else 0.0
-
-    def summary(self) -> Dict[str, float]:
-        """The :func:`sample_stats` summary of this measurement's timings."""
-        return sample_stats(self.timings)
 
     def __str__(self) -> str:
         return f"{self.label}: median {self.median * 1000:.2f} ms over {len(self.timings)} runs"

@@ -1,8 +1,7 @@
-"""A small registry mapping experiment ids (E1..E17) to their descriptions.
+"""A small registry mapping experiment ids (E1..E10) to their descriptions.
 
-The registry exists so ``benchmarks/`` and ``EXPERIMENTS.md`` agree on what
-each experiment id means; benchmark modules register themselves at import
-time and the documentation generator can enumerate them.
+The registry exists so ``benchmarks/bench_e*.py``, ``docs/benchmarks.md`` and
+``repro experiments`` agree on what each experiment id means.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ class Experiment:
     title: str
     #: "table" or "figure" — the artefact shape in the evaluation.
     artefact: str
-    #: The paper claim the experiment checks (free text, mirrors DESIGN.md).
+    #: The paper claim the experiment checks (free text).
     claim: str
     #: Name of the benchmark module that regenerates it.
     bench_module: str
@@ -47,7 +46,7 @@ def all_experiments() -> List[Experiment]:
     return [_REGISTRY[key] for key in sorted(_REGISTRY)]
 
 
-# Pre-register the full experiment index (mirrors DESIGN.md §4).
+# Pre-register the paper's experiments (see docs/benchmarks.md).
 EXPERIMENTS = [
     Experiment("E1", "Paper worked examples: equivalent rewritings found and verified", "table",
                "Complete rewritings exist for the running examples and are verified by expansion",
@@ -79,38 +78,6 @@ EXPERIMENTS = [
     Experiment("E10", "Ablation: MiniCon MCD pruning vs bucket cross-product", "table",
                "MCDs prune the candidate space that the bucket algorithm enumerates",
                "benchmarks/bench_e10_ablation_mcd.py"),
-    Experiment("E11", "Service throughput: fingerprint cache vs one-shot rewriting", "table",
-               "A warm RewritingSession serves repeated (isomorphic) workload queries "
-               "at >=5x the throughput of the cold path, with identical results",
-               "benchmarks/bench_e11_service_throughput.py"),
-    Experiment("E12", "Incremental view maintenance vs full recomputation under churn", "table",
-               "Counting delta rules maintain view extents exactly (deletions included) "
-               ">=5x faster than recomputation on small deltas, and delta-scoped cache "
-               "invalidation beats the coarse version-counter flush on hit rate",
-               "benchmarks/bench_e12_incremental_maintenance.py"),
-    Experiment("E13", "Compiled set-at-a-time execution vs the backtracking interpreter", "table",
-               "The compiled physical-plan executor answers chain/star/complete workload "
-               "queries >=3x faster than the tuple-at-a-time interpreter, with identical "
-               "answer sets on every measured query",
-               "benchmarks/bench_e13_execution_engine.py"),
-    Experiment("E14", "Cold-path rewriting: indexed containment search + memo vs naive reference", "table",
-               "A cold maximally-contained rewriting request through the indexed "
-               "homomorphism search, containment memo and expansion cache runs >=3x "
-               "faster than the retained naive reference pipeline on chain/star/complete "
-               "workloads at growing view counts, with identical rewritings and answers",
-               "benchmarks/bench_e14_cold_rewriting.py"),
-    Experiment("E15", "Concurrent serving latency through the HTTP layer", "table",
-               "The instrumented HTTP server sustains mixed cold/warm workloads at "
-               "growing client concurrency with warm p50 at concurrency 8 within 2x "
-               "the single-client warm p50, coalesces concurrent identical queries, "
-               "and the observability layer costs <=5% on E13-style execution",
-               "benchmarks/bench_e15_serving_latency.py"),
-    Experiment("E17", "Durability: crash recovery and snapshot-accelerated replay", "table",
-               "After a simulated crash, restart-replay recovery (write-ahead delta log "
-               "over a pluggable backend) restores a million-fact engine with zero probe "
-               "or view-extent mismatches vs the never-crashed writer, and recovering "
-               "from a snapshot plus the WAL tail is >=3x faster than full replay",
-               "benchmarks/bench_e17_durability.py"),
 ]
 
 for _experiment in EXPERIMENTS:

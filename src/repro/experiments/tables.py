@@ -42,7 +42,7 @@ def format_series(
     """Render one or more named series over common x values (a textual "figure").
 
     Output is a table with one row per x value and one column per series,
-    which is the form recorded in ``EXPERIMENTS.md`` for every figure.
+    which is how every benchmark prints a figure.
     """
     headers = [x_label] + list(series)
     rows = []

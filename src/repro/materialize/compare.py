@@ -1,6 +1,6 @@
 """Cross-checking incremental maintenance against full recomputation.
 
-Used by the tests and the E12 benchmark: after every applied delta, the
+Used by the tests and ``Engine.verify()``: after every applied delta, the
 maintained extents must be *exactly* the extents a from-scratch
 materialization would produce (including after deletions — the case naive
 insert-only maintenance gets wrong).

@@ -17,8 +17,7 @@ its expansion is contained in the query.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.errors import RewritingError
 from repro.datalog.atoms import Atom, Comparison
@@ -28,9 +27,6 @@ from repro.datalog.substitution import Substitution, unify_terms
 from repro.datalog.terms import Variable
 from repro.datalog.views import View, ViewSet
 from repro.containment.memo import BoundedCache
-
-#: Set inside :func:`expansion_cache_disabled`: unfold the way the seed did.
-_seed_unfolding = False
 
 
 def expand_atom(
@@ -48,8 +44,7 @@ def expand_atom(
     A head of distinct variables (every view the workload generators make) is
     unfolded by one substitution.  A head with a repeated variable or a
     constant (``v(X, X)``, ``v(X, 3)``) takes the general rename-then-unify
-    path, as does every atom inside :func:`expansion_cache_disabled`, so the
-    E14 reference pipeline checks the short path against the general one.
+    path.
     """
     if atom.predicate != view.name:
         raise RewritingError(f"atom {atom} is not over view {view.name}")
@@ -60,10 +55,8 @@ def expand_atom(
         )
     definition = view.definition
     head_args = view.head.args
-    if (
-        not _seed_unfolding
-        and len(set(head_args)) == len(head_args)
-        and all(arg.__class__ is Variable for arg in head_args)
+    if len(set(head_args)) == len(head_args) and all(
+        arg.__class__ is Variable for arg in head_args
     ):
         # No unification needed: one substitution sends each head variable to
         # the atom's argument and each existential variable to a fresh one.
@@ -177,35 +170,11 @@ _EXPANSION_CACHE = BoundedCache(2048)
 _UNSATISFIABLE = object()
 
 
-def clear_expansion_cache() -> None:
-    """Drop every cached expansion (cold-start benchmarks reset between runs)."""
-    _EXPANSION_CACHE.clear()
-
-
-@contextmanager
-def expansion_cache_disabled() -> Iterator[None]:
-    """Scope in which every ``cached_expand_query`` call recomputes.
-
-    Used by the E14 benchmark's reference pipeline to reproduce the seed
-    behaviour of unfolding a candidate from scratch at every call site, each
-    view atom by the general path of :func:`expand_atom`.
-    """
-    global _seed_unfolding
-    previous = _seed_unfolding
-    _seed_unfolding = True
-    try:
-        yield
-    finally:
-        _seed_unfolding = previous
-
-
 def cached_expand_query(
     query: ConjunctiveQuery,
     views: ViewSet,
 ) -> Optional[ConjunctiveQuery]:
     """Memoized :func:`expand_query` (same result, computed once per candidate)."""
-    if _seed_unfolding:
-        return expand_query(query, views)
     key = (query, views.version_token())
     cached = _EXPANSION_CACHE.get(key)
     if cached is not None:

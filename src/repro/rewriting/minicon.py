@@ -41,9 +41,8 @@ from repro.datalog.substitution import Substitution, unify_atoms
 from repro.datalog.terms import Constant, Term, Variable
 from repro.datalog.views import View, ViewSet
 from repro.containment.containment import is_contained
-from repro.rewriting.expansion import _CandidateExpander, expand_query
+from repro.rewriting.expansion import _CandidateExpander
 from repro.rewriting.plans import Rewriting, RewritingKind, RewritingResult
-from repro.rewriting.verify import is_complete_rewriting, is_contained_rewriting
 
 
 #: A slot of an MCD atom: how one view head argument is rendered in a rewriting.
@@ -96,24 +95,9 @@ class MiniConRewriter:
         formation for each view; views it rejects are skipped entirely.  Used
         by the serving layer's view-relevance index to prune views that cannot
         contribute (see :mod:`repro.service.view_index`).
-    reference_pipeline:
-        When true, candidates are verified and classified the way the seed
-        implementation did — soundness, completeness and the result record
-        each unfold the candidate separately through :mod:`verify` — instead
-        of sharing one expansion and one containment search per direction.
-        Combined with the naive search and a disabled memo this reproduces
-        the pre-overhaul cold path (``rewrite()`` adds the seed's second
-        generator run for the union); it exists solely as the baseline of the
-        E14 cold-rewriting benchmark.  ``None`` (the default) falls back to
-        the class attribute :attr:`default_reference_pipeline`, which the
-        benchmark flips so rewriters constructed deep inside ``rewrite()``
-        follow suit.
     """
 
     algorithm_name = "minicon"
-
-    #: Class-wide default for ``reference_pipeline`` (see above).
-    default_reference_pipeline = False
 
     def __init__(
         self,
@@ -121,17 +105,11 @@ class MiniConRewriter:
         verify_rewritings: bool = True,
         max_rewritings: Optional[int] = None,
         candidate_filter: Optional["Callable[[ConjunctiveQuery, View], bool]"] = None,
-        reference_pipeline: Optional[bool] = None,
     ):
         self.views = views if isinstance(views, ViewSet) else ViewSet(list(views))
         self.verify_rewritings = verify_rewritings
         self.max_rewritings = max_rewritings
         self.candidate_filter = candidate_filter
-        self.reference_pipeline = (
-            MiniConRewriter.default_reference_pipeline
-            if reference_pipeline is None
-            else reference_pipeline
-        )
 
     # -- phase 1: MCD formation -----------------------------------------------
     def form_mcds(self, query: ConjunctiveQuery) -> List[MCD]:
@@ -455,28 +433,6 @@ class MiniConRewriter:
                 if any(canonical == other.canonical() for other in bucket):
                     continue
             bucket.append(candidate)
-            if self.reference_pipeline:
-                # Seed-era pipeline: each check unfolds the candidate again.
-                if verify and not is_contained_rewriting(candidate, query, self.views):
-                    continue
-                expansion = expand_query(candidate, self.views)
-                kind = (
-                    RewritingKind.EQUIVALENT
-                    if is_complete_rewriting(candidate, query, self.views)
-                    else RewritingKind.CONTAINED
-                )
-                result.rewritings.append(
-                    Rewriting(
-                        query=candidate,
-                        kind=kind,
-                        algorithm=self.algorithm_name,
-                        views_used=tuple(
-                            dict.fromkeys(a.predicate for a in candidate.body)
-                        ),
-                        expansion=expansion,
-                    )
-                )
-                continue
             # One unfolding serves the soundness check, the completeness
             # check and the result record, view atoms shared with earlier
             # candidates are not unfolded again, and the soundness direction

@@ -9,7 +9,7 @@ from repro.errors import RewritingError
 from repro.datalog.queries import ConjunctiveQuery
 from repro.datalog.views import View, ViewSet
 from repro.rewriting.bucket import BucketRewriter
-from repro.rewriting.contained import _union_of_contained, maximally_contained_rewriting
+from repro.rewriting.contained import _union_of_contained
 from repro.rewriting.exhaustive import ExhaustiveRewriter
 from repro.rewriting.inverse_rules import InverseRulesRewriter
 from repro.rewriting.minicon import MiniConRewriter
@@ -97,13 +97,7 @@ def rewrite(
             r for r in result.rewritings if r.kind is RewritingKind.EQUIVALENT
         ]
     elif mode == "maximally-contained" and algorithm in ("bucket", "minicon"):
-        if getattr(rewriter, "reference_pipeline", False):
-            # The E14 baseline keeps the seed's shape: a second generator run.
-            union = maximally_contained_rewriting(
-                query, view_set, algorithm=algorithm, candidate_filter=candidate_filter
-            )
-        else:
-            union = _union_of_contained(result, algorithm)
+        union = _union_of_contained(result, algorithm)
         if union is not None:
             result.rewritings.append(union)
     result.elapsed = time.perf_counter() - started

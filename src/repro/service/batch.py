@@ -132,7 +132,7 @@ def run_batch(
     """Process a workload of queries and report per-query and aggregate results.
 
     ``executor`` picks the session's evaluation engine (see
-    :class:`RewritingSession`; ``None`` is the process-wide default).
+    :class:`RewritingSession`; ``None`` means ``"compiled"``).
     """
     view_set = views if isinstance(views, ViewSet) else ViewSet(list(views))
     texts = [_as_query_text(q) for q in queries]

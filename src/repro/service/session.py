@@ -73,13 +73,7 @@ from repro.containment.memo import containment_memo_stats
 from repro.engine.database import Database
 from repro.engine.evaluate import evaluate
 from repro.exec.compile import is_compilable
-from repro.exec import (
-    EXECUTORS,
-    CompiledExecutor,
-    InterpretedExecutor,
-    default_executor_name,
-    make_executor,
-)
+from repro.exec import CompiledExecutor, InterpretedExecutor, make_executor
 from repro.materialize.changelog import ChangeLog
 from repro.materialize.delta import Delta
 from repro.materialize.store import MaterializedViewStore
@@ -269,9 +263,8 @@ class RewritingSession:
         disjuncts share their hash-join build sides (the indexes live on the
         materialized view relations).  ``"interpreted"`` uses the
         backtracking interpreter.
-        ``None`` (the default) uses the process-wide configured default —
-        ``"compiled"`` unless overridden by :func:`set_default_executor` or
-        the ``REPRO_DEFAULT_EXECUTOR`` environment variable.
+        ``None`` (the default) means ``"compiled"``.  An unknown name raises
+        :class:`~repro.errors.EvaluationError`.
     instrumentation:
         Optional :class:`repro.obs.Instrumentation`.  When given, the session
         records per-stage latency histograms (rewrite cold/hit, execute,
@@ -291,8 +284,6 @@ class RewritingSession:
         executor: Optional[str] = None,
         instrumentation: Optional[Instrumentation] = None,
     ):
-        if executor is None:
-            executor = default_executor_name()
         if algorithm not in ALGORITHMS:
             raise RewritingError(
                 f"unknown algorithm {algorithm!r}; expected one of {', '.join(ALGORITHMS)}"
@@ -301,18 +292,14 @@ class RewritingSession:
             raise RewritingError(
                 f"unknown mode {mode!r}; expected one of {', '.join(MODES)}"
             )
-        if executor not in EXECUTORS:
-            raise RewritingError(
-                f"unknown executor {executor!r}; expected one of {', '.join(EXECUTORS)}"
-            )
+        self._executor = make_executor("compiled" if executor is None else executor)
         self.algorithm = algorithm
         self.mode = mode
-        self.executor = executor
+        self.executor = self._executor.name
         #: Optional :class:`repro.obs.Instrumentation`; when None (the
         #: default for sessions built directly) every hook below is a single
         #: ``is None`` test, so the uninstrumented paths are unchanged.
         self._obs = instrumentation
-        self._executor = make_executor(executor)
         self.cache_size = cache_size
         self.use_view_index = use_view_index
         self._views: ViewSet = views if isinstance(views, ViewSet) else ViewSet(list(views))

@@ -15,8 +15,7 @@ one framed record:
 Durability is governed by the *fsync policy*: ``"always"`` syncs after every
 append (safe against power loss), ``"batch"`` syncs on :meth:`flush` and
 :meth:`close` (safe against process crash, one fsync per batch), ``"none"``
-never syncs (safe against ``kill -9`` via the OS page cache, fastest —
-the E17 benchmark's setting).
+never syncs (safe against ``kill -9`` via the OS page cache, fastest).
 
 Recovery reads the log front to back and **repairs by truncation**: a torn
 tail (partial header or payload), a CRC mismatch, or a non-monotonic

@@ -73,7 +73,6 @@ PRE_FACADE_SYMBOLS = (
     "maximally_contained_rewriting",
     "measured_cost",
     "minimize",
-    "set_default_executor",
     "parse_atom",
     "parse_database",
     "parse_delta",

@@ -15,7 +15,7 @@ from repro.errors import (
 from repro.datalog.parser import parse_query, parse_views
 from repro.engine.database import Database
 from repro.engine.evaluate import evaluate
-from repro.exec import EXECUTORS, default_executor_name
+from repro.exec import EXECUTORS
 from repro.materialize.delta import Delta
 
 VIEWS = """
@@ -143,9 +143,7 @@ class TestAnswers:
         assert answer.provenance.kind == "equivalent"
         assert answer.provenance.views_used == ("v_rs",)
         assert "v_rs" in answer.provenance.rewriting
-        # The engine resolves the configured default (compiled unless the
-        # REPRO_DEFAULT_EXECUTOR override is in play, as in the CI matrix).
-        assert answer.provenance.executor == default_executor_name()
+        assert answer.provenance.executor == "compiled"
         assert not answer.provenance.cache_hit
 
     def test_provenance_base_fallback_and_cache_hits(self):
@@ -316,7 +314,18 @@ class TestBatchAndStats:
         assert stats["catalog"]["views"] == ["v_rs", "v_r", "v_s"]
         assert stats["catalog"]["relations"] == {"r": 2, "s": 2}
         assert stats["session"]["requests"] == 1
-        assert stats["session"]["executor"]["executor"] == default_executor_name()
+        assert stats["session"]["executor"]["executor"] == "compiled"
+
+    def test_cache_entries_gauge_covers_every_sized_cache(self):
+        engine = make_engine()
+        for constant in (5, 6):  # the second is a bound-form hit
+            engine.query(f"q(X) :- r(X, Y), s(Y, {constant}).").answers()
+        stats = engine.stats()["session"]
+        lines = engine.metrics().splitlines()
+        size = stats["bound_forms"]["size"]
+        assert f'repro_cache_entries{{cache="bound_form"}} {size}' in lines
+        for cache in ("rewrite", "translation", "answer", "containment", "containment_memo"):
+            assert any(line.startswith(f'repro_cache_entries{{cache="{cache}"}} ') for line in lines)
 
     def test_interpreted_executor_is_honoured(self):
         engine = make_engine(executor="interpreted")

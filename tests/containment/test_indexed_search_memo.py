@@ -14,11 +14,6 @@ from repro.containment.homomorphism import (
     find_containment_mapping,
     find_homomorphism,
     homomorphisms,
-    naive_containment_mappings,
-    naive_homomorphisms,
-    search_implementation,
-    set_search_implementation,
-    using_search_implementation,
 )
 from repro.containment.memo import (
     ContainmentMemo,
@@ -27,25 +22,13 @@ from repro.containment.memo import (
     memo_disabled,
 )
 
+from tests.oracles import naive_containment_mappings, naive_homomorphisms
+
 
 def _keys(mappings):
     return sorted(
         tuple(sorted((v.name, str(t)) for v, t in m.items())) for m in mappings
     )
-
-
-class TestImplementationToggle:
-    def test_default_is_indexed(self):
-        assert search_implementation() == "indexed"
-
-    def test_context_manager_restores(self):
-        with using_search_implementation("naive"):
-            assert search_implementation() == "naive"
-        assert search_implementation() == "indexed"
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            set_search_implementation("quantum")
 
 
 class TestIndexedSearch:

@@ -1,10 +1,14 @@
 """Tests for the compiled executor: equivalence, caching, fallback, sharing."""
 
 import importlib
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+from repro import connect
 from repro.errors import EvaluationError
 from repro.datalog.atoms import Atom
 from repro.datalog.parser import parse_query, parse_views
@@ -13,14 +17,8 @@ from repro.datalog.terms import FunctionTerm, Variable
 from repro.engine.database import Database
 from repro.engine.evaluate import EvaluationStatistics, evaluate
 from repro.engine.relation import SkolemValue
-from repro.exec import (
-    CompiledExecutor,
-    InterpretedExecutor,
-    default_executor_name,
-    get_default_executor,
-    resolve_executor,
-    set_default_executor,
-)
+from repro.exec import CompiledExecutor, InterpretedExecutor, resolve_executor
+from repro.service.session import RewritingSession
 
 COMPILED = CompiledExecutor()
 INTERPRETED = InterpretedExecutor()
@@ -169,10 +167,8 @@ class TestEarlyProjectionWorkGuard:
         return db
 
     def test_extensions_bounded_by_distinct_live_rows(self):
-        # The process default, so the pipeline actually served is guarded.
-        executor = get_default_executor()
-        if not hasattr(executor, "plan_for"):
-            executor = COMPILED
+        # What evaluate() runs by default, so the served pipeline is guarded.
+        executor = resolve_executor(None)
         db = self.regular_chain_db()
         query = parse_query("q(X0) :- r1(X0, X1), r2(X1, X2), r3(X2, X3).")
         plan = executor.plan_for(query, db)
@@ -390,18 +386,9 @@ class TestSharedBuildSides:
 
 
 class TestDefaultExecutor:
-    def test_default_matches_configuration(self):
-        # "compiled" unless REPRO_DEFAULT_EXECUTOR overrides it.
-        assert get_default_executor().name == default_executor_name()
-
-    def test_set_and_restore_default(self):
-        configured = default_executor_name()
-        set_default_executor("interpreted")
-        try:
-            assert get_default_executor().name == "interpreted"
-        finally:
-            set_default_executor(None)  # None = back to the configured default
-        assert get_default_executor().name == configured
+    def test_none_means_compiled(self):
+        assert resolve_executor(None) is resolve_executor("compiled")
+        assert resolve_executor(None).name == "compiled"
 
     def test_resolve_accepts_instances_and_rejects_junk(self):
         executor = CompiledExecutor()
@@ -416,23 +403,34 @@ class TestDefaultExecutor:
         with pytest.raises(EvaluationError, match="compiled"):
             resolve_executor("parallel")
 
-    def test_unknown_env_default_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DEFAULT_EXECUTOR", "parallel")
-        try:
-            with pytest.raises(EvaluationError, match="interpreted"):
-                set_default_executor(None)
-        finally:
-            monkeypatch.undo()
-            set_default_executor(None)
+    def test_environment_does_not_choose_the_executor(self):
+        # A fresh interpreter, so nothing read at import time can hide.
+        script = (
+            "from repro import Database, connect, parse_query\n"
+            "from repro.engine.evaluate import evaluate\n"
+            "from repro.exec import resolve_executor\n"
+            "evaluate(parse_query('q(X) :- r(X, Y).'), Database.from_dict({'r': [(1, 2)]}))\n"
+            "engine = connect(views='v(X, Y) :- r(X, Y).', data='r(1, 2).')\n"
+            "print(resolve_executor('compiled').plan_misses, engine.executor)\n"
+        )
+        src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
+        env = dict(os.environ, REPRO_DEFAULT_EXECUTOR="interpreted", PYTHONPATH=src)
+        reply = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        assert reply.stdout.split() == ["1", "compiled"]
 
-    def test_env_default_selects_interpreted(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DEFAULT_EXECUTOR", "Interpreted")
-        try:
-            set_default_executor(None)
-            assert get_default_executor() is resolve_executor("interpreted")
-        finally:
-            monkeypatch.undo()
-            set_default_executor(None)
+    def test_bad_executor_name_raises_evaluation_error_everywhere(self):
+        query = parse_query("q(X, Y) :- r(X, Y).")
+        db = random_db(4)
+        for call in (
+            lambda: evaluate(query, db, executor="bogus"),
+            lambda: connect(views="v(X, Y) :- r(X, Y).", executor="bogus"),
+            lambda: RewritingSession([], executor="bogus"),
+        ):
+            with pytest.raises(EvaluationError, match="compiled, interpreted"):
+                call()
 
     def test_one_executor_family_is_exported(self):
         import repro
@@ -443,15 +441,6 @@ class TestDefaultExecutor:
         assert not hasattr(repro.exec, "ParallelExecutor")
         with pytest.raises(ImportError):
             importlib.import_module("repro.exec.parallel")
-
-    def test_empty_env_default_means_compiled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DEFAULT_EXECUTOR", " ")
-        try:
-            set_default_executor(None)
-            assert default_executor_name() == "compiled"
-        finally:
-            monkeypatch.undo()
-            set_default_executor(None)
 
     def test_evaluate_accepts_executor_names(self):
         db = random_db(4)

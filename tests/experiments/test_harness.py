@@ -67,9 +67,9 @@ class TestTables:
 class TestRegistry:
     def test_all_experiments_registered(self):
         ids = [e.id for e in all_experiments()]
-        assert len(ids) == 16
-        # E16 (parallel scaling) was retired with the parallel executor.
-        assert set(ids) == {f"E{i}" for i in range(1, 18)} - {"E16"}
+        # The paper's experiments; the serving-layer numbers live in the
+        # benchmarks/e2e ledger instead.
+        assert ids == sorted(f"E{i}" for i in range(1, 11))
 
     def test_get_experiment(self):
         e4 = get_experiment("E4")

@@ -1,14 +1,16 @@
 """Property tests for the indexed containment search and the verdict memo.
 
-The indexed homomorphism search must agree with the retained naive reference
-*mapping for mapping* (same multiset of substitutions, only the enumeration
-order may differ), and the memoized ``is_contained`` must be invariant under
-renaming either query — both with the memo engaged (fingerprint keys are
-renaming-invariant) and against the raw search with the memo disabled.
+The indexed homomorphism search must agree with the naive oracle of
+:mod:`tests.oracles` *mapping for mapping* (same multiset of substitutions,
+only the enumeration order may differ), and the memoized ``is_contained``
+must be invariant under renaming either query — both with the memo engaged
+(fingerprint keys are renaming-invariant) and against the raw search with the
+memo disabled.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import assume, given, settings
 
 from repro.datalog.queries import ConjunctiveQuery
@@ -20,12 +22,11 @@ from repro.containment.containment import is_contained
 from repro.containment.homomorphism import (
     containment_mappings,
     count_containment_mappings,
-    naive_containment_mappings,
-    using_search_implementation,
 )
 from repro.containment.interpreted import _contained_by_cases, _has_witness
 from repro.containment.memo import global_containment_memo, memo_disabled
 
+from tests.oracles import naive_containment_mappings, use_naive_search
 from tests.property.strategies import conjunctive_queries, queries_with_comparisons
 
 
@@ -57,7 +58,8 @@ class TestIndexedSearchMatchesNaive:
     def test_count_agreement(self, source, target):
         count = count_containment_mappings(source, target)
         assert count == sum(1 for _ in naive_containment_mappings(source, target))
-        with using_search_implementation("naive"):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            use_naive_search(monkeypatch)
             assert count == count_containment_mappings(source, target)
 
     @settings(max_examples=80, deadline=None)

@@ -365,8 +365,10 @@ class TestRemovedFlags:
         [
             ["serve", "--views", VIEWS, "--workers", "2"],
             ["batch", "--queries", QUERY, "--views", VIEWS, "--processes", "2"],
+            ["materialize", "--views", VIEWS, "--database", DATABASE,
+             "--executor", "compiled"],
         ],
-        ids=["serve-workers", "batch-processes"],
+        ids=["serve-workers", "batch-processes", "materialize-executor"],
     )
     def test_flag_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
