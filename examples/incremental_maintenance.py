@@ -41,7 +41,7 @@ def main() -> None:
     for view in engine.views:
         print(f"  {view.name}: {sorted(engine.extent(view.name))}")
     # sfo->jfk is derivable through ord AND den: two derivations, one row.
-    store = engine.session.store()
+    store = engine.store()
     print("derivations of v_route(sfo, jfk):",
           store.derivation_count("v_route", ("sfo", "jfk")))
 

@@ -23,8 +23,8 @@ verbs cover the whole lifecycle:
 >>> answer.provenance.source
 'views'
 
-The pre-facade entry points (``rewrite``, ``evaluate``, ``RewritingSession``,
-...) remain fully supported — see ``docs/migration.md``:
+The pre-facade entry points (``rewrite``, ``evaluate``, ...) remain fully
+supported; the caching ones fold into the engine — see ``docs/migration.md``:
 
 >>> from repro import parse_query, parse_views, rewrite
 >>> query = parse_query("q(S) :- enrolled(S, C), taught_by(C, 'smith').")
@@ -123,10 +123,8 @@ from repro.service import (
     BatchReport,
     LRUCache,
     QueryFingerprint,
-    RewritingSession,
     ViewRelevanceIndex,
     fingerprint,
-    run_batch,
 )
 from repro.api import (
     Answer,
@@ -187,7 +185,6 @@ __all__ = [
     "RewritingError",
     "RewritingKind",
     "RewritingResult",
-    "RewritingSession",
     "SchemaError",
     "SnapshotError",
     "StorageBackend",
@@ -234,7 +231,6 @@ __all__ = [
     "parse_views",
     "partial_rewritings",
     "rewrite",
-    "run_batch",
     "to_datalog",
     "view_is_relevant",
     "view_is_usable",

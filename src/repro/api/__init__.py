@@ -26,7 +26,7 @@ The pieces:
   ``docs/explanation.schema.json``).
 
 The pre-facade entry points (:func:`repro.rewrite`, :func:`repro.evaluate`,
-:class:`repro.RewritingSession`, ...) remain supported; see
+...) remain supported; the engine is the one object that caches.  See
 ``docs/migration.md`` for the mapping.
 """
 

@@ -14,13 +14,30 @@ of verbs::
     engine.batch([...])                                     # workload report
     engine.stats()                                          # full introspection
 
-Internally the engine owns a :class:`~repro.service.session.RewritingSession`
-(fingerprint caches, view-relevance index, delta-scoped invalidation), which
-in turn owns the executor (the compiled set-at-a-time engine by default) and
-the :class:`~repro.materialize.store.MaterializedViewStore`.  Nothing is
-reimplemented here: the facade composes the existing layers, and the old
-entry points (``rewrite``, ``evaluate``, ``RewritingSession``) remain
-supported underneath it.
+The engine is the one object that caches.  A request is looked up in one
+chain of tiers, each keyed more coarsely than the one before:
+
+1. the **exact-text memo** (``_prepared``): a text that has been through a
+   verb comes back as the same :class:`PreparedQuery` — parsed, validated and
+   fingerprinted once, and holding its template instance and reply pieces;
+2. **bound forms** (``_bound_forms``), keyed by a text's skeleton, the order
+   type of its literals and their tags: what the first answered text of a key
+   left behind, so that the next is answered without being parsed,
+   fingerprinted, instantiated or canonicalised
+   (:class:`~repro.service.templates.BoundForm`);
+3. **rewriting templates** (``_rewrite_cache``), keyed by the query's shape,
+   algorithm, mode and one tag per parameter
+   (:mod:`repro.service.templates`);
+4. **answers** (``_answer_cache``), keyed by the full fingerprint text;
+5. the executor's **plan cache**, keyed by plan shape (:mod:`repro.exec`).
+
+Every early drop goes through :meth:`Engine.invalidate`: a view-set change
+and :meth:`Engine.close` empty every tier; a database version moved behind
+the engine's back flushes every answer; a delta applied through
+:meth:`Engine.apply` flows through the
+:class:`~repro.materialize.store.MaterializedViewStore`, which maintains the
+view extents incrementally and reports which predicates changed, and only the
+answers whose query reads one of those are evicted.
 """
 
 from __future__ import annotations
@@ -28,31 +45,53 @@ from __future__ import annotations
 import os
 import re
 import time
+from bisect import bisect_left
 from contextlib import nullcontext
 from dataclasses import replace
-from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    AbstractSet, Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
+    Tuple, Union,
+)
 
 from repro.errors import (
     ConstraintViolationError,
     EvaluationError,
     MaterializationError,
     QueryConstructionError,
+    ReproError,
+    RewritingError,
     StorageError,
 )
-from repro.datalog.parser import parse_database, parse_program, parse_query
+from repro.containment.memo import containment_memo_stats
+from repro.datalog.parser import parse_database, parse_program, parse_query, scan_literals
 from repro.datalog.printer import to_datalog
 from repro.datalog.queries import ConjunctiveQuery, UnionQuery
-from repro.datalog.terms import Variable
+from repro.datalog.terms import Constant, Term, Variable, term_sort_key
 from repro.engine.database import Database
+from repro.engine.evaluate import evaluate
+from repro.exec import CompiledExecutor, make_executor
+from repro.exec.compile import is_compilable
 from repro.materialize.changelog import ChangeLog
 from repro.materialize.compare import verify_extents
 from repro.materialize.delta import Delta, parse_delta
+from repro.materialize.store import MaterializedViewStore
 from repro.obs import Instrumentation, MetricsRegistry, Trace
 from repro.rewriting.certain import certain_answers
 from repro.rewriting.plans import Rewriting, RewritingKind, RewritingResult
-from repro.service.batch import BatchReport, run_batch
+from repro.rewriting.rewriter import ALGORITHMS, MODES, rewrite
+from repro.service.batch import BatchItem, BatchReport
+from repro.service.cache import LRUCache
 from repro.service.fingerprint import QueryFingerprint, fingerprint
-from repro.service.session import RewritingSession
+from repro.service.templates import (
+    AnswerEntry,
+    BoundForm,
+    Instance,
+    Template,
+    TemplateHit,
+    plan_kind,
+    query_predicates,
+)
+from repro.service.view_index import ViewRelevanceIndex
 from repro.storage import (
     BackedDatabase,
     RecoveryResult,
@@ -132,10 +171,19 @@ def connect(
         Denial constraints (boolean conjunctive queries) that must be false
         on the data; checked once at attach time and on demand via
         :meth:`Engine.check`.
-    algorithm / mode / executor / cache_size / use_view_index:
-        Forwarded to the underlying :class:`RewritingSession`.  ``executor``
-        is ``"compiled"`` or ``"interpreted"``; ``None`` means
-        ``"compiled"``.
+    algorithm / mode:
+        The rewriting algorithm and mode of every request (see
+        :func:`repro.rewriting.rewriter.rewrite`).
+    executor:
+        ``"compiled"`` evaluates plans through the compiled set-at-a-time
+        engine of :mod:`repro.exec`, whose physical plans are cached beside
+        the rewriting caches; ``"interpreted"`` uses the backtracking
+        interpreter.  ``None`` means ``"compiled"``.
+    cache_size:
+        Bound of each cache (0 disables caching).
+    use_view_index:
+        Consult a :class:`~repro.service.view_index.ViewRelevanceIndex` to
+        prune views per request.
     observability:
         When True (the default) the engine owns a
         :class:`repro.obs.Instrumentation` bundle: per-stage latency
@@ -233,7 +281,7 @@ def _fsync_policy(wal: "None | bool | str") -> str:
     return str(wal)
 
 
-#: Session stats keys whose cache is named otherwise in the metrics.
+#: Cache stats keys whose cache is named otherwise in the metrics.
 _GAUGE_LABELS = {"bound_forms": "bound_form"}
 
 #: The mark of hole ``i`` in a bound form's printed texts.
@@ -252,13 +300,14 @@ class PreparedQuery:
 
     Obtained from :meth:`Engine.query`; cheap to create (parse + catalog
     validation only) — all real work happens in the verb methods, each of
-    which goes through the engine's session caches.  The one built from a
-    query *text* is memoised by the engine and carries what is a pure
-    function of that text: its fingerprint and, once answered, the
-    per-text half of the answer (printed query, provenance of the plan).
+    which goes through the engine's caches.  The one built from a query
+    *text* is memoised by the engine and carries what is a pure function of
+    that text: its fingerprint, its instance of the template it was served
+    from and, once answered, the per-text half of the answer (printed query,
+    provenance of the plan).
     """
 
-    __slots__ = ("engine", "_query", "_text", "_fingerprint", "_plan",
+    __slots__ = ("engine", "_query", "_text", "_fingerprint", "_instance", "_plan",
                  "_form", "_form_key", "_literals")
 
     def __init__(self, engine: "Engine", query: Optional[ConjunctiveQuery]):
@@ -266,10 +315,14 @@ class PreparedQuery:
         self._query = query
         #: The text this was parsed from (None for a query object).
         self._text: Optional[str] = None
+        #: Set by :meth:`Engine.query`.
         self._fingerprint: Optional[QueryFingerprint] = None
+        #: The template instance the last rewrite hit handed out; reused for
+        #: as long as the engine holds that very template.
+        self._instance: Optional[Instance] = None
         #: ``(best rewriting or bound form, printed query, printed rewriting,
         #: Provenance less its hit flags, {hit flags: Provenance})`` of the
-        #: last answer; reused for as long as the session serves the text
+        #: last answer; reused for as long as the engine serves the text
         #: from that very object.
         self._plan: Optional[Tuple[Any, ...]] = None
         #: The bound form the text resolved to -- it was not parsed, and
@@ -288,13 +341,11 @@ class PreparedQuery:
         """What a front end needs before it runs a verb: the canonical
         fingerprint text (equal for renamed and reordered copies), and
         whether the text is new to the engine's memos -- cold work ahead."""
-        if self._fingerprint is None:
-            self._fingerprint = fingerprint(self.query)
         known = self._form is not None or self.engine._prepared.get(self._text) is self
         return self._fingerprint.text, not known
 
     def rewrite(self) -> RewritingResult:
-        """Rewrite this query using the engine's views (fingerprint-cached)."""
+        """Rewrite this query using the engine's views (template-cached)."""
         return self.engine._rewrite(self)
 
     def answers(self) -> Answer:
@@ -314,7 +365,20 @@ class PreparedQuery:
 
 
 class Engine:
-    """A connection-style facade over rewriting, execution and maintenance."""
+    """Rewriting, execution and maintenance over one catalog, and every cache
+    between them.  Open one with :func:`connect`."""
+
+    # Declared: past 30 instance attributes CPython stops sharing dict keys
+    # between instances, and every attribute load on the request path slows.
+    __slots__ = (
+        "_answer_cache", "_bound_forms", "_db_version", "_deltas_maintained",
+        "_deltas_since_checkpoint", "_executor", "_index", "_obs", "_prepared",
+        "_rewrite_cache", "_snapshot_interval", "_storage", "_store", "_view_instance",
+        "_view_order", "_view_values", "_views_token", "algorithm", "cache_size", "catalog",
+        "database", "delta_evictions", "delta_retained", "deltas_applied", "executor",
+        "invalidations", "last_cache_hit", "mode", "queries_served", "recovery_report",
+        "requests", "use_view_index", "views",
+    )
 
     def __init__(
         self,
@@ -333,7 +397,6 @@ class Engine:
     ):
         if not isinstance(catalog, Catalog):
             raise QueryConstructionError(f"expected a Catalog, got {catalog!r}")
-        self._catalog = catalog
         if database is not None:
             catalog.validate_database(database)
             violated = catalog.check_constraints(database)
@@ -345,26 +408,56 @@ class Engine:
                 )
         if view_instance is not None:
             catalog.validate_view_instance(view_instance)
+        if algorithm not in ALGORITHMS:
+            raise RewritingError(
+                f"unknown algorithm {algorithm!r}; expected one of {', '.join(ALGORITHMS)}"
+            )
+        if mode not in MODES:
+            raise RewritingError(
+                f"unknown mode {mode!r}; expected one of {', '.join(MODES)}"
+            )
+        self._executor = make_executor("compiled" if executor is None else executor)
+        #: The executor name (``"compiled"`` / ``"interpreted"``).
+        self.executor = self._executor.name
+        self.algorithm = algorithm
+        self.mode = mode
+        self.cache_size = cache_size
+        self.use_view_index = use_view_index
+        self.catalog = catalog
+        self.views = catalog.views
+        self._index_views()
+        self._views_token = self.views.version_token()
+        self.database = database
+        self._db_version: Optional[int] = database.version if database is not None else None
+        self._store: Optional[MaterializedViewStore] = None
         self._view_instance = view_instance
         self._obs: Optional[Instrumentation] = (
             Instrumentation() if observability else None
         )
-        self._session = RewritingSession(
-            catalog.views,
-            database=database,
-            algorithm=algorithm,
-            mode=mode,
-            cache_size=cache_size,
-            use_view_index=use_view_index,
-            executor=executor,
-            instrumentation=self._obs,
-        )
         #: Query text -> its validated PreparedQuery: parsing, catalog
         #: validation and fingerprinting are pure functions of the text and
-        #: this engine's fixed catalog.  FIFO-bounded by ``cache_size``.
+        #: the catalog.  FIFO-bounded by ``cache_size``.
         self._prepared: Dict[str, PreparedQuery] = {}
+        self._bound_forms = LRUCache(cache_size)
+        self._rewrite_cache = LRUCache(cache_size)
+        # Answers are bounded in rows as well as in entries: a few one-shot
+        # 10k-row answers would otherwise outweigh every hot entry together.
+        self._answer_cache = LRUCache(
+            cache_size, weigh=lambda entry: len(entry.rows), budget=128 * cache_size
+        )
         self.queries_served = 0
+        #: Deltas applied through :meth:`apply`.
         self.deltas_applied = 0
+        #: Rewrite lookups, and early cache drops (:meth:`invalidate`).
+        self.requests = 0
+        self.invalidations = 0
+        #: Deltas the view store maintained: :meth:`apply`'s and recovery's.
+        self._deltas_maintained = 0
+        #: Answer-cache entries evicted/retained by delta-scoped invalidation.
+        self.delta_evictions = 0
+        self.delta_retained = 0
+        #: Whether the most recent rewrite lookup was a template hit.
+        self.last_cache_hit = False
         self._storage = storage_manager
         self._snapshot_interval = (
             int(snapshot_interval) if snapshot_interval else None
@@ -379,13 +472,18 @@ class Engine:
                 self._replay_recovery(recovery)
 
     def _replay_recovery(self, recovery: RecoveryResult) -> None:
-        """Apply the recovered WAL tail through the session (view-maintaining)."""
-        assert self._storage is not None
+        """Apply the recovered WAL tail through the view store (view-maintaining)."""
+        assert self._storage is not None and self.database is not None
         store_restored = False
         if recovery.store_state is not None:
-            store_restored = self._session.restore_store_state(recovery.store_state)
+            # Checkpointed counters: no extent is recomputed.  An unusable
+            # state falls back to the store's own re-materialization.
+            self._store = MaterializedViewStore(
+                self.views, self.database, state=recovery.store_state
+            )
+            store_restored = self._store.restored_views > 0 or not len(self.views)
         for record in recovery.tail:
-            self._session.apply_delta(parse_delta(record.payload))
+            self._maintain(parse_delta(record.payload))
             self._storage.mark_applied(record.seq)
         report = dict(recovery.report)
         report["store_restored"] = store_restored
@@ -399,15 +497,17 @@ class Engine:
         A text that has been through a verb comes back as the PreparedQuery
         it was given then — nothing is parsed, validated or fingerprinted
         again; a new text whose skeleton, literal order and literal ranks
-        (``RewritingSession.bound_lookup``) are those of an answered one is
-        not parsed either, only scanned for its literals.  This method only
-        *reads* the two memos (a text and its bound form join them inside its
-        first verb, a failing one never), so unlike the verbs it needs no
-        lock around it in a threaded front end.
+        (:meth:`bound_lookup`) are those of an answered one is not parsed
+        either, only scanned for its literals.  This method only *reads* the
+        two memos (a text and its bound form join them inside its first
+        verb, a failing one never), so unlike the verbs it needs no lock
+        around it in a threaded front end.
         """
         if isinstance(query, ConjunctiveQuery):
-            self._catalog.validate_query(query)
-            return PreparedQuery(self, query)
+            self.catalog.validate_query(query)
+            prepared = PreparedQuery(self, query)
+            prepared._fingerprint = fingerprint(query)
+            return prepared
         if not isinstance(query, str):
             raise QueryConstructionError(
                 f"expected datalog text or a ConjunctiveQuery, got {query!r}"
@@ -415,14 +515,14 @@ class Engine:
         prepared = self._prepared.get(query)
         if prepared is not None:
             return prepared
-        key, literals, form = self._session.bound_lookup(query)
+        key, literals, form = self.bound_lookup(query)
         if form is not None:
             prepared = PreparedQuery(self, None)
             prepared._fingerprint = form.fingerprint(literals)
         else:
             with self._obs.stage("parse") if self._obs is not None else nullcontext():
                 parsed = parse_query(query)
-            self._catalog.validate_query(parsed)
+            self.catalog.validate_query(parsed)
             prepared = PreparedQuery(self, parsed)
             prepared._fingerprint = fingerprint(parsed)
         prepared._text, prepared._form, prepared._form_key = query, form, key
@@ -432,11 +532,13 @@ class Engine:
     def _remember(self, prepared: PreparedQuery) -> None:
         """Memoise a text's PreparedQuery, and count what ``query`` found for
         it among the bound forms; called by every verb, i.e. under whatever
-        lock the caller guards the session caches with."""
-        memo, bound = self._prepared, self._session.cache_size
+        lock the caller guards the caches with."""
+        memo, bound = self._prepared, self.cache_size
         if prepared._text is None or prepared._text in memo or bound <= 0:
             return
-        self._session.bound_counted(prepared._form_key)
+        hit = self._bound_forms.get(prepared._form_key) is not None
+        if self._obs is not None:
+            self._obs.cache_event("bound_form", "hit" if hit else "miss")
         if len(memo) >= bound:
             del memo[next(iter(memo))]
         memo[prepared._text] = prepared
@@ -451,22 +553,38 @@ class Engine:
         with self._request("apply"):
             if isinstance(delta, str):
                 delta = parse_delta(delta)
-            self._require_database("apply a delta")
+            database = self._require_database("apply a delta")
             if self._storage is not None:
                 # The durable protocol: journal first, apply second, move
                 # the applied-watermark last.  Replay is idempotent, so a
                 # crash between any two steps recovers exactly.
-                assert self._session.database is not None
-                seq = self._storage.journal(delta, self._session.database.version)
-                log = self._session.apply_delta(delta)
+                seq = self._storage.journal(delta, database.version)
+                log = self._maintain(delta)
                 self._storage.mark_applied(seq)
             else:
-                log = self._session.apply_delta(delta)
+                log = self._maintain(delta)
         self.deltas_applied += 1
         if self._storage is not None and self._snapshot_interval:
             self._deltas_since_checkpoint += 1
             if self._deltas_since_checkpoint >= self._snapshot_interval:
                 self.checkpoint()
+        return log
+
+    def _maintain(self, delta: Delta) -> ChangeLog:
+        """Apply ``delta`` through the view store, which maintains every
+        extent and says which predicates changed; only the answers that read
+        one of those are evicted — cached rewritings, which depend on the
+        view definitions alone, all survive."""
+        obs = self._obs
+        with obs.stage("delta_apply", size=delta.size()) if obs is not None else nullcontext():
+            log = self._view_store().apply_delta(delta)
+        if obs is not None:
+            obs.deltas.inc()
+        assert self.database is not None
+        self._db_version = self.database.version
+        self._deltas_maintained += 1
+        if not log.delta.is_empty():
+            self.invalidate(log.affected_predicates())
         return log
 
     def checkpoint(self) -> Dict[str, Any]:
@@ -481,11 +599,11 @@ class Engine:
                 "this engine has no storage directory; open it with "
                 "repro.connect(storage=...) to checkpoint"
             )
-        self._require_database("checkpoint")
-        assert self._session.database is not None
-        info = self._storage.checkpoint(
-            self._session.database, self._session.export_store_state()
-        )
+        database = self._require_database("checkpoint")
+        # With no store live, the snapshot records no view state rather than
+        # forcing a full materialization.
+        state = self._store.export_state() if self._store is not None else None
+        info = self._storage.checkpoint(database, state)
         self._deltas_since_checkpoint = 0
         return info
 
@@ -494,34 +612,154 @@ class Engine:
         queries: Union[str, Sequence[QueryInput]],
         with_answers: bool = False,
     ) -> BatchReport:
-        """Process a workload through the engine's configuration.
+        """Run a workload through this engine's verbs, caches and metrics.
 
         ``queries`` is a sequence of queries (text or objects) or one datalog
-        program text (see :func:`repro.service.batch.run_batch`).
+        program text.  Each item is rewritten and, ``with_answers``,
+        answered; an item that fails is reported, not raised.
         """
         if isinstance(queries, str):
             queries = list(parse_program(queries))
-        return run_batch(
-            list(queries),
-            self._session.views,
-            database=self._session.database,
-            algorithm=self._session.algorithm,
-            mode=self._session.mode,
-            cache_size=self._session.cache_size,
-            use_view_index=self._session.use_view_index,
-            with_answers=with_answers,
-            executor=self._session.executor,
+        if with_answers:
+            self._require_database("answer a batch")
+        started = time.perf_counter()
+        items = [
+            self._batch_item(index, query, with_answers)
+            for index, query in enumerate(queries)
+        ]
+        return BatchReport(
+            items=items,
+            elapsed=time.perf_counter() - started,
+            session_stats=self._cache_stats(),
         )
 
+    def _batch_item(self, index: int, query: Any, with_answers: bool) -> BatchItem:
+        text = to_datalog(query) if isinstance(query, ConjunctiveQuery) else str(query)
+        item = BatchItem(index=index, query=text)
+        started = time.perf_counter()
+        try:
+            prepared = self.query(text)
+            result = prepared.rewrite()
+            item.cache_hit = self.last_cache_hit
+            if with_answers:
+                item.answers = len(prepared.answers())
+            item.fingerprint = prepared._fingerprint.text
+            item.rewritings = len(result.rewritings)
+            item.equivalent = result.has_equivalent
+            if result.best is not None:
+                item.best = to_datalog(result.best.query)
+        except ReproError as error:
+            item.error = str(error)
+        item.elapsed = time.perf_counter() - started
+        return item
+
+    def set_views(self, views: ViewsLike) -> None:
+        """Swap the view set, validated as :func:`connect` validates it.
+
+        The catalog follows the views.  Every cache is emptied, unless the
+        new views equal the old ones.
+        """
+        database = self.database
+        catalog = Catalog(
+            schema=self.catalog.declared,
+            views=views,
+            constraints=self.catalog.constraints,
+            data_schema=database.schema() if database is not None else None,
+        )
+        if database is not None:
+            catalog.validate_database(database)
+        if self._view_instance is not None:
+            catalog.validate_view_instance(self._view_instance)
+        unchanged = (
+            catalog.views.version_token() == self._views_token
+            and catalog.views == self.views
+        )
+        self.catalog, self.views = catalog, catalog.views
+        if unchanged:
+            return
+        self._index_views()
+        self.invalidate()
+        # Last: bound_lookup, which runs under no lock, reads the token first, so
+        # a key carrying the new token was ranked against the new constants.
+        self._views_token = self.views.version_token()
+
+    def invalidate(self, scope: "str | AbstractSet[str]" = "all") -> None:
+        """Drop cache entries early; the only place that does.
+
+        ``"all"`` (a view-set change, :meth:`close`) empties every tier and
+        the materialization; ``"answers"`` (the database version moved
+        behind the engine's back) every answer; a set of base predicates
+        (a delta) the answers that read one of them, counting what goes
+        and stays.  Each call that can have dropped something counts one
+        invalidation.
+        """
+        answers = self._answer_cache
+        if isinstance(scope, str):
+            answers.clear()
+            if scope == "all":
+                self._prepared.clear()
+                self._bound_forms.clear()
+                self._rewrite_cache.clear()
+                self._store = None
+        else:
+            evicted = [key for key in answers if answers.peek(key).predicates & scope]
+            for key in evicted:
+                answers.discard(key)
+            self.delta_evictions += len(evicted)
+            self.delta_retained += len(answers)
+            if not evicted:
+                return
+        self.invalidations += 1
+
     def stats(self) -> Dict[str, Any]:
-        """Catalog, engine counters, and the full session/cache/store state."""
+        """Catalog, engine counters, and the full cache/store state."""
         return {
-            "catalog": self._catalog.describe(),
+            "catalog": self.catalog.describe(),
             "queries_served": self.queries_served,
             "deltas_applied": self.deltas_applied,
-            "session": self._session.stats(),
+            "session": self._cache_stats(),
             "storage": self.storage_status(),
         }
+
+    def _cache_stats(self) -> Dict[str, Any]:
+        """``stats()["session"]``: the rewriting configuration, its counters
+        and the health of every cache.  Every entry is per-engine except
+        ``"global.containment_memo"``, which snapshots the process-wide
+        containment memo behind every ``is_contained`` call — namespaced
+        because its counters are shared by every engine in the process."""
+        return {
+            "algorithm": self.algorithm,
+            "mode": self.mode,
+            "executor": self._executor.stats(),
+            "requests": self.requests,
+            "invalidations": self.invalidations,
+            "views": len(self.views),
+            "views_token": self._views_token,
+            "database_version": self._db_version,
+            "materialized": self._store is not None,
+            "deltas_applied": self._deltas_maintained,
+            "delta_evictions": self.delta_evictions,
+            "delta_retained": self.delta_retained,
+            "store": self._store.stats() if self._store is not None else None,
+            "rewrite_cache": self._rewrite_cache.stats(),
+            "bound_forms": self._bound_forms.stats(),
+            "answer_cache": self._answer_cache.stats(),
+            "global.containment_memo": containment_memo_stats(),
+            "view_index": self._index.stats() if self._index is not None else None,
+            "storage": self._storage_stats(),
+            "metrics": self._obs.snapshot() if self._obs is not None else None,
+        }
+
+    def _storage_stats(self) -> Optional[Dict[str, Any]]:
+        """Physical storage counters: per-relation layout, backend when present."""
+        if self.database is None:
+            return None
+        stats: Dict[str, Any] = {"relations": self.database.storage_stats()}
+        backend = getattr(self.database, "backend", None)
+        if backend is not None:
+            stats["backend"] = backend.capabilities.to_dict()
+            stats["hydrations"] = getattr(self.database, "hydrations", 0)
+        return stats
 
     def storage_status(self) -> Optional[Dict[str, Any]]:
         """Durability health: backend, WAL position/lag, snapshot freshness.
@@ -529,7 +767,7 @@ class Engine:
         None for a plain in-memory engine with no storage attached; the
         server's ``/healthz`` embeds this when present.
         """
-        backend = getattr(self._session.database, "backend", None)
+        backend = getattr(self.database, "backend", None)
         if self._storage is None:
             if backend is None:
                 return None
@@ -591,13 +829,13 @@ class Engine:
         return self._obs.request(verb)
 
     def _refresh_gauges(self, obs: Instrumentation) -> None:
-        """Set the point-in-time gauges from the session's stats snapshot."""
+        """Set the point-in-time gauges from the cache stats snapshot."""
         occupancy = obs.registry.gauge(
             "repro_cache_entries",
             "Current entry count of each bounded cache.",
             labels=("cache",),
         )
-        stats = self._session.stats()
+        stats = self._cache_stats()
         # Every cache in the snapshot that reports a size, labelled as in
         # repro_cache_events_total.
         for name, entry in stats.items():
@@ -612,48 +850,36 @@ class Engine:
 
     def check(self) -> Tuple[str, ...]:
         """Re-check integrity constraints; returns violated constraint names."""
-        self._require_database("check constraints")
-        assert self._session.database is not None
-        return self._catalog.check_constraints(self._session.database)
+        return self.catalog.check_constraints(self._require_database("check constraints"))
 
     # -- materialization ----------------------------------------------------------
+    def store(self) -> MaterializedViewStore:
+        """The materialized-view store (created on first use): the extents
+        queries are answered against and deltas maintain."""
+        self._require_database("read view extents")
+        return self._view_store()
+
     def extent(self, view_name: str) -> Any:
         """The maintained extent of one view (materializing on first use)."""
-        self._require_database("read view extents")
-        return self._session.store().extent(view_name)
+        return self.store().extent(view_name)
 
     def verify(self) -> list:
         """Cross-check maintained extents against full recomputation."""
         self._require_database("verify view extents")
-        return verify_extents(self._session.store())
+        return verify_extents(self._view_store())
 
     # -- introspection ------------------------------------------------------------
     @property
-    def catalog(self) -> Catalog:
-        return self._catalog
+    def session(self) -> "Engine":
+        """This engine.  Kept only for ``benchmarks/e2e/layers.py``, which
+        reads ``engine.session.answer(query)`` and may not change until that
+        benchmark is re-based; goes with it."""
+        return self
 
-    @property
-    def views(self):
-        return self._session.views
-
-    @property
-    def database(self) -> Optional[Database]:
-        return self._session.database
-
-    @property
-    def session(self) -> RewritingSession:
-        """The underlying session (for benchmarks and advanced callers)."""
-        return self._session
-
-    @property
-    def executor(self) -> str:
-        """The configured executor name (``"compiled"`` / ``"interpreted"``)."""
-        return self._session.executor
-
-    @property
-    def last_cache_hit(self) -> bool:
-        """Whether the most recent rewrite/answer was served from cache."""
-        return self._session.last_cache_hit
+    def answer(self, query: QueryInput) -> FrozenSet[Tuple[Any, ...]]:
+        """``self.query(query).answers().rows`` — kept only for the reader
+        of :attr:`session`, and goes with it."""
+        return self.query(query).answers().rows
 
     # -- lifecycle ----------------------------------------------------------------
     @property
@@ -668,8 +894,7 @@ class Engine:
         rebuild); with a storage directory the WAL and backend are closed,
         so further :meth:`apply` calls raise :class:`StorageError`.
         """
-        self._session.invalidate()
-        self._prepared.clear()
+        self.invalidate()
         if self._storage is not None:
             self._storage.close()
 
@@ -681,18 +906,253 @@ class Engine:
 
     def __repr__(self) -> str:
         return (
-            f"Engine({self._catalog!r}, data={self.database is not None}, "
+            f"Engine({self.catalog!r}, data={self.database is not None}, "
             f"executor={self.executor!r})"
         )
 
-    # -- internals ----------------------------------------------------------------
-    def _require_database(self, action: str) -> None:
-        if self._session.database is None:
+    # -- internals: data ----------------------------------------------------------
+    def _require_database(self, action: str) -> Database:
+        """The attached database.  A version moved behind the engine's back
+        (not through :meth:`apply`) flushes every cached answer first; the
+        view store re-materializes itself when it finds itself stale."""
+        database = self.database
+        if database is None:
             raise MaterializationError(
                 f"this engine has no base data attached; cannot {action} "
                 "(pass data=... to repro.connect)"
             )
+        if database.version != self._db_version:
+            self._db_version = database.version
+            self.invalidate("answers")
+        return database
 
+    def _view_store(self) -> MaterializedViewStore:
+        assert self.database is not None
+        if self._store is None:
+            self._store = MaterializedViewStore(self.views, self.database)
+        return self._store
+
+    def _database_for(self, kind: Optional[RewritingKind]) -> Database:
+        """What a plan of this kind reads: view extents, those merged with the
+        base relations, or (no rewriting stands in for the query) the base."""
+        assert self.database is not None
+        if kind is None:
+            return self.database
+        instance = self._view_store().as_database()
+        return instance if kind is RewritingKind.EQUIVALENT else instance.merge(self.database)
+
+    # -- internals: rewriting -----------------------------------------------------
+    def _index_views(self) -> None:
+        """Index the view set: the relevance index, and what the definitions
+        can tell about a query constant — the values they mention, and those
+        values in order per class."""
+        self._index: Optional[ViewRelevanceIndex] = (
+            ViewRelevanceIndex(self.views) if self.use_view_index else None
+        )
+        constants = [c for view in self.views for c in view.definition.constants()]
+        self._view_values = {c.value for c in constants}
+        self._view_order: Tuple[List[Any], ...] = tuple(
+            sorted(
+                c.value for c in constants
+                if term_sort_key(c)[1] == kind and c.value == c.value
+            )
+            for kind in range(3)  # bool, number, str
+        )
+
+    def _param_tags(self, fp: QueryFingerprint) -> Tuple[Any, ...]:
+        """The per-parameter part of a template key: a pinned parameter's
+        value, a free one's rank (:mod:`repro.service.templates`)."""
+        values = [constant.value for constant in fp.params]
+        return tuple(
+            (value.__class__, value)
+            if (
+                self.algorithm == "inverse-rules"
+                or value != value
+                or value in self._view_values
+                or values.count(value) > 1
+            )
+            else bisect_left(self._view_order[term_sort_key(constant)[1]], value)
+            for constant, value in zip(fp.params, values)
+        )
+
+    def bound_lookup(
+        self, text: str
+    ) -> Tuple[Optional[tuple], Tuple[Constant, ...], Optional[BoundForm]]:
+        """A query text's bound-form key, its literals as constants, and the
+        form recorded under that key, if any.  Reads only: needs no lock.
+
+        Beside the skeleton the key holds, per literal in value order, its
+        class, its place in the text and its rank among the view constants:
+        the literals' order type and their :meth:`_param_tags`.  None when a
+        literal would be pinned -- no other text may stand in for this one.
+        """
+        token = self._views_token
+        scanned = None if self.algorithm == "inverse-rules" else scan_literals(text)
+        if scanned is None:
+            return None, (), None
+        ranked = sorted((2 if v.__class__ is str else 1, v, i) for i, v in enumerate(scanned[1]))
+        if any(v != v or v in self._view_values for _, v, _ in ranked) or any(
+            a[:2] == b[:2] for a, b in zip(ranked, ranked[1:])
+        ):
+            return None, (), None
+        tags = tuple((k, i, bisect_left(self._view_order[k], v)) for k, v, i in ranked)
+        key = (scanned[0], tags, self.algorithm, self.mode, token)
+        return key, tuple(map(Constant, scanned[1])), self._bound_forms.peek(key)
+
+    def _record_form(
+        self, key: tuple, query: ConjunctiveQuery, literals: Tuple[Constant, ...],
+        fp: QueryFingerprint, result: RewritingResult, reply: Any,
+    ) -> Optional[BoundForm]:
+        """Leave under ``key`` the form of a just-answered text, ``reply``
+        being its printed half; None when the next text could not use one: a
+        string literal beside a symbolic constant (their order, or equality,
+        is in no key), a literal that stays in a plan shape's head, a
+        fingerprint that is not exact, an executor or database that caches
+        no plans."""
+        template_key = (fp.shape, self.algorithm, self.mode, self._param_tags(fp))
+        template = self._rewrite_cache.peek(template_key)
+        kind = plan_kind(result.best)
+        target = query if kind is None else result.best.query
+        database = self._database_for(kind)
+        terms = [t for atom in (query.head, *query.body) for t in atom.args]
+        terms += [t for c in query.comparisons for t in (c.left, c.right)]
+        strings = sum(t.__class__ is Constant and t.value.__class__ is str for t in terms)
+        if (
+            template is None
+            or not fp.exact
+            or 0 < sum(c.value.__class__ is str for c in literals) < strings
+            or type(self._executor) is not CompiledExecutor
+            or getattr(database, "storage_scan", None) is not None
+        ):
+            return None
+        plans = []
+        for disjunct in target.disjuncts if isinstance(target, UnionQuery) else (target,):
+            shape, lifted = self._executor.plan_key(disjunct)
+            if not is_compilable(shape) or set(literals) & set(shape.constants()):
+                return None
+            plans.append((shape, tuple(map(Constant, lifted))))
+        form = BoundForm(key, query, literals, fp, template_key, template, kind, plans, reply)
+        self._bound_forms.put(key, form)
+        return form
+
+    def rewrite_cached(
+        self, query: ConjunctiveQuery, fp: Optional[QueryFingerprint] = None
+    ) -> RewritingResult:
+        """The template lookup alone for a query object — no catalog
+        validation, text memo or request trace; a hit is instantiated anew
+        on every call."""
+        return self._rewrite_with_fp(query, fp if fp is not None else fingerprint(query))
+
+    def _rewrite_with_fp(
+        self,
+        query: ConjunctiveQuery,
+        fp: QueryFingerprint,
+        prepared: Optional[PreparedQuery] = None,
+    ) -> RewritingResult:
+        """The template lookup proper; ``prepared`` keeps the instance a hit
+        hands out, for the next request of its text."""
+        started = time.perf_counter()
+        self.requests += 1
+        key = (fp.shape, self.algorithm, self.mode, self._param_tags(fp))
+        template = self._rewrite_cache.get(key)
+        obs = self._obs
+        self.last_cache_hit = template is not None
+        if template is not None:
+            if obs is not None:
+                with obs.stage("rewrite_hit", fingerprint=fp.text):
+                    result = self._instantiate(template, query, fp, prepared)
+                obs.cache_event("rewrite", "hit")
+            else:
+                result = self._instantiate(template, query, fp, prepared)
+        else:
+            if obs is not None:
+                result = self._observed_cold_rewrite(query, fp, obs)
+            else:
+                result = self._rewrite_uncached(query)
+            best = result.best
+            self._rewrite_cache.put(key, Template(
+                algorithm=result.algorithm,
+                rewritings=tuple(result.rewritings),
+                candidates_examined=result.candidates_examined,
+                best=next(
+                    (i for i, r in enumerate(result.rewritings) if r is best), None
+                ),
+                fp=fp,
+            ))
+        result.elapsed = time.perf_counter() - started
+        return result
+
+    def _instantiate(
+        self,
+        template: Template,
+        query: ConjunctiveQuery,
+        fp: QueryFingerprint,
+        prepared: Optional[PreparedQuery],
+    ) -> RewritingResult:
+        instance = prepared._instance if prepared is not None else None
+        if instance is None or instance._template is not template:
+            first = template.fp
+            own = fp.inverse_renaming()
+            mapping: Dict[Term, Term] = {
+                var: own[canonical] for var, canonical in first.renaming.items()
+            }
+            # Only constants that change: a pinned one is its own image, and
+            # may equal (as 1 equals 1.0) another key of the mapping.
+            mapping.update(
+                (old, new) for old, new in zip(first.params, fp.params)
+                if (old.value.__class__, old.value) != (new.value.__class__, new.value)
+            )
+            instance = Instance(template, mapping, frozenset(v.name for v in fp.renaming))
+            if prepared is not None:
+                prepared._instance = instance
+        return TemplateHit(query, self.views, instance)
+
+    def _observed_cold_rewrite(
+        self, query: ConjunctiveQuery, fp: QueryFingerprint, obs: Instrumentation
+    ) -> RewritingResult:
+        """A cold rewrite with its latency and containment-memo outcomes recorded.
+
+        The memo is process-global, so the per-outcome counts attributed here
+        are the *deltas* its counters moved by during this rewrite — exact in
+        single-threaded use, approximate when concurrent engines interleave
+        (the totals across engines still add up).
+        """
+        before = containment_memo_stats()
+        with obs.stage(
+            "rewrite_cold", fingerprint=fp.text, algorithm=self.algorithm
+        ):
+            result = self._rewrite_uncached(query)
+        obs.cache_event("rewrite", "miss")
+        after = containment_memo_stats()
+        for field, outcome in (
+            ("hits", "hit"),
+            ("misses", "miss"),
+            ("guard_rejections", "guard_rejection"),
+            ("bypasses", "bypass"),
+        ):
+            # max(0, ...) guards against a concurrent memo.reset() mid-rewrite.
+            obs.cache_event(
+                "containment_memo", outcome, max(0, after[field] - before[field])
+            )
+        return result
+
+    def _rewrite_uncached(self, query: ConjunctiveQuery) -> RewritingResult:
+        candidate_filter = None
+        if self._index is not None:
+            # The exhaustive search needs whole-body homomorphisms, so the
+            # stronger "cover" pruning is sound there; bucket/minicon cover
+            # subgoals individually and get "overlap".
+            mode = "cover" if self.algorithm == "exhaustive" else "overlap"
+            candidate_filter = self._index.make_filter(query, mode)
+        return rewrite(
+            query,
+            self.views,
+            algorithm=self.algorithm,
+            mode=self.mode,
+            candidate_filter=candidate_filter,
+        )
+
+    # -- internals: the verbs -----------------------------------------------------
     @staticmethod
     def _plan_target(best: Optional[Rewriting]) -> str:
         if best is not None and best.kind is RewritingKind.EQUIVALENT:
@@ -704,23 +1164,24 @@ class Engine:
     def _rewrite(self, prepared: PreparedQuery) -> RewritingResult:
         self._remember(prepared)
         with self._request("rewrite"):
-            return self._session.rewrite_cached(prepared.query, prepared._fingerprint)
+            return self._rewrite_with_fp(prepared.query, prepared._fingerprint, prepared)
 
     def _answer(self, prepared: PreparedQuery) -> Answer:
         started = time.perf_counter()
         self._remember(prepared)
-        session, form, result = self._session, prepared._form, None
+        fp, form, result = prepared._fingerprint, prepared._form, None
         with self._request("query"):
             self._require_database("answer queries")
-            entry = None
-            if form is not None:
-                entry = session._answer_bound(form, prepared._literals, prepared._fingerprint)
-                if entry is None:
+            hit = self._answer_bound(form, prepared._literals, fp) if form is not None else None
+            if hit is None:
+                if form is not None:
                     # Stale: answered the long way, which leaves a fresh form.
                     prepared._query, prepared._form = prepared.query, None
-            if entry is None:
-                entry, result = session._answer_entry(prepared.query, prepared._fingerprint)
-        flags = (session.last_cache_hit, session.last_answer_from_cache)
+                query = prepared.query
+                result = self._rewrite_with_fp(query, fp, prepared)
+                hit = self._entry(fp, query, lambda: self._evaluate_plan(query, result))
+        entry, from_cache = hit
+        flags = (self.last_cache_hit, from_cache)
         self.queries_served += 1
         served = form if result is None else result.best
         plan = prepared._plan
@@ -729,7 +1190,7 @@ class Engine:
         _, text, rewriting, provenance, flagged = plan
         if flags not in flagged:
             flagged[flags] = replace(
-                provenance, rewriting=rewriting, fingerprint=session.last_fingerprint,
+                provenance, rewriting=rewriting, fingerprint=fp.text,
                 cache_hit=flags[0], answered_from_cache=flags[1],
             )
         return Answer(
@@ -737,8 +1198,78 @@ class Engine:
             query=text,
             provenance=flagged[flags],
             elapsed=time.perf_counter() - started,
-            _cached=entry if flags[1] else None,
+            _cached=entry if from_cache else None,
         )
+
+    def _answer_bound(
+        self, form: BoundForm, literals: Tuple[Constant, ...], fp: QueryFingerprint
+    ) -> Optional[Tuple[AnswerEntry, bool]]:
+        """:meth:`_entry` for a text resolved to a bound form: a rewrite hit
+        that builds no rewriting.  None when the form is stale (the views, or
+        the template it was recorded against, are gone)."""
+        if (
+            form.key[2:] != (self.algorithm, self.mode, self._views_token)
+            or self._rewrite_cache.peek(form.template_key) is not form.template
+        ):
+            return None
+        self.requests += 1
+        self.last_cache_hit = True
+        obs = self._obs
+        with obs.stage("rewrite_hit", fingerprint=fp.text) if obs else nullcontext():
+            self._rewrite_cache.get(form.template_key)
+        if obs is not None:
+            obs.cache_event("rewrite", "hit")
+
+        def run() -> FrozenSet[Tuple[Any, ...]]:
+            swap = form.swap(literals)
+            database = self._database_for(form.kind)
+            answers = [
+                self._executor.bound_plan(
+                    shape, tuple(swap.get(c, c).value for c in lifted), database
+                ).execute(database)
+                for shape, lifted in form.plans
+            ]
+            return answers[0] if len(answers) == 1 else frozenset().union(*answers)
+
+        return self._entry(fp, form.query, run)
+
+    def _entry(
+        self, fp: QueryFingerprint, query: ConjunctiveQuery, run: Callable[[], FrozenSet[tuple]]
+    ) -> Tuple[AnswerEntry, bool]:
+        """The cached answer of ``fp`` and whether it was cached; ``run``
+        evaluates it when it was not."""
+        key = (fp.text, self.algorithm, self.mode)
+        entry = self._answer_cache.get(key)
+        if self._obs is not None:
+            self._obs.cache_event("answer", "hit" if entry is not None else "miss")
+        if entry is not None:
+            return entry, True
+        entry = AnswerEntry(self._evaluate_observed(run), query_predicates(query))
+        self._answer_cache.put(key, entry)
+        return entry, False
+
+    def _evaluate_observed(self, run: Callable[[], FrozenSet[tuple]]) -> FrozenSet[tuple]:
+        """Evaluate the chosen plan, recording latency and plan-cache outcomes."""
+        obs = self._obs
+        if obs is None:
+            return run()
+        executor = self._executor
+        hits_before = getattr(executor, "plan_hits", 0)
+        misses_before = getattr(executor, "plan_misses", 0)
+        with obs.stage("execute", executor=self.executor):
+            answers = run()
+        obs.cache_event("plan", "hit", getattr(executor, "plan_hits", 0) - hits_before)
+        obs.cache_event(
+            "plan", "compile", getattr(executor, "plan_misses", 0) - misses_before
+        )
+        return answers
+
+    def _evaluate_plan(
+        self, query: ConjunctiveQuery, result: RewritingResult
+    ) -> FrozenSet[Tuple[Any, ...]]:
+        kind = plan_kind(result.best)
+        target = query if kind is None else result.best.query
+        return evaluate(target, self._database_for(kind), executor=self._executor)
 
     def _reply(
         self, prepared: PreparedQuery, result: Optional[RewritingResult]
@@ -762,7 +1293,7 @@ class Engine:
             kind=used.kind.value if used is not None else None,
             algorithm=result.algorithm,
             views_used=used.views_used if used is not None else (),
-            executor=self._session.executor,
+            executor=self.executor,
         )
         if prepared._form_key is not None:
             holes = {c: Variable(f"\0{i}\0") for i, c in enumerate(literals)}
@@ -772,7 +1303,7 @@ class Engine:
             ]
             # A view constant spelling a hole's mark would be split as one.
             if [p and _spell(p, spelled) for p in pieces] == texts:
-                prepared._form = self._session.record_form(
+                prepared._form = self._record_form(
                     prepared._form_key, prepared.query, literals, prepared._fingerprint,
                     result, (*pieces, provenance),
                 )
@@ -788,20 +1319,18 @@ class Engine:
                 self._require_database(
                     "compute certain answers without a view instance"
                 )
-                instance = self._session.store().as_database()
-            rows = certain_answers(
-                query, self._session.views, instance, method=method
-            )
+                instance = self._view_store().as_database()
+            rows = certain_answers(query, self.views, instance, method=method)
         self.queries_served += 1
         provenance = Provenance(
             source=SOURCE_CERTAIN,
             rewriting=None,
             kind=None,
             algorithm=method,
-            views_used=self._session.views.names(),
+            views_used=self.views.names(),
             cache_hit=False,
             fingerprint="",
-            executor=self._session.executor,
+            executor=self.executor,
         )
         return Answer(
             rows=rows,
@@ -812,88 +1341,80 @@ class Engine:
 
     def _explain(self, prepared: PreparedQuery) -> Explanation:
         self._remember(prepared)
+        query, fp = prepared.query, prepared._fingerprint
         with self._request("explain"):
-            return self._explain_uncounted(prepared.query, prepared._fingerprint)
-
-    def _explain_uncounted(
-        self, query: ConjunctiveQuery, fp: Optional[QueryFingerprint]
-    ) -> Explanation:
-        answer_cached = (
-            self._session.database is not None
-            and self._session.has_cached_answer(query, fp)
-        )
-        result = self._session.rewrite_cached(query, fp)
-        rewrite_hit = self._session.last_cache_hit
-        best = result.best
-        choice = RewritingChoice(
-            found=best is not None,
-            chosen=to_datalog(best.query) if best is not None else None,
-            kind=best.kind.value if best is not None else None,
-            algorithm=result.algorithm,
-            views_used=best.views_used if best is not None else (),
-            candidates_examined=result.candidates_examined,
-            cache_hit=rewrite_hit,
-            alternatives=tuple(
-                RewritingAlternative(
-                    query=to_datalog(r.query),
-                    kind=r.kind.value,
-                    views_used=r.views_used,
-                )
-                for r in result.rewritings
-                if r is not best
-            ),
-        )
-        evaluation, materialization = self._describe_evaluation(query, best)
-        executor = self._session.evaluation_executor
-        executor_stats = executor.stats()
-        caches = CacheReport(
-            rewrite_cache_hit=rewrite_hit,
-            answer_cached=answer_cached,
-            plan_hits=executor_stats.get("plan_hits", 0),
-            plan_misses=executor_stats.get("plan_misses", 0),
-        )
-        return Explanation(
-            query=to_datalog(query),
-            fingerprint=self._session.last_fingerprint,
-            algorithm=self._session.algorithm,
-            mode=self._session.mode,
-            rewriting=choice,
-            evaluation=evaluation,
-            caches=caches,
-            materialization=materialization,
-        )
+            answer_cached = False
+            if self.database is not None:
+                self._require_database("explain")
+                answer_cached = (fp.text, self.algorithm, self.mode) in self._answer_cache
+            result = self._rewrite_with_fp(query, fp, prepared)
+            rewrite_hit = self.last_cache_hit
+            best = result.best
+            choice = RewritingChoice(
+                found=best is not None,
+                chosen=to_datalog(best.query) if best is not None else None,
+                kind=best.kind.value if best is not None else None,
+                algorithm=result.algorithm,
+                views_used=best.views_used if best is not None else (),
+                candidates_examined=result.candidates_examined,
+                cache_hit=rewrite_hit,
+                alternatives=tuple(
+                    RewritingAlternative(
+                        query=to_datalog(r.query),
+                        kind=r.kind.value,
+                        views_used=r.views_used,
+                    )
+                    for r in result.rewritings
+                    if r is not best
+                ),
+            )
+            evaluation, materialization = self._describe_evaluation(query, best)
+            executor_stats = self._executor.stats()
+            caches = CacheReport(
+                rewrite_cache_hit=rewrite_hit,
+                answer_cached=answer_cached,
+                plan_hits=executor_stats.get("plan_hits", 0),
+                plan_misses=executor_stats.get("plan_misses", 0),
+            )
+            return Explanation(
+                query=to_datalog(query),
+                fingerprint=fp.text,
+                algorithm=self.algorithm,
+                mode=self.mode,
+                rewriting=choice,
+                evaluation=evaluation,
+                caches=caches,
+                materialization=materialization,
+            )
 
     def _describe_evaluation(
         self, query: ConjunctiveQuery, best: Optional[Rewriting]
     ) -> Tuple[Evaluation, Optional[Dict[str, Any]]]:
-        executor_name = self._session.executor
-        if self._session.database is None:
-            return Evaluation(target="none", executor=executor_name, plans=()), None
+        if self.database is None:
+            return Evaluation(target="none", executor=self.executor, plans=()), None
         target = self._plan_target(best)
         if target == SOURCE_VIEWS:
             plan_query: "ConjunctiveQuery | UnionQuery" = best.query  # type: ignore[union-attr]
-            plan_db = self._session.store().as_database()
+            plan_db = self._view_store().as_database()
         elif target == SOURCE_VIEWS_AND_BASE:
             plan_query = best.query  # type: ignore[union-attr]
-            assert self._session.database is not None
-            plan_db = self._session.store().as_database().merge(self._session.database)
+            plan_db = self._view_store().as_database().merge(self.database)
         else:
             plan_query = query
-            plan_db = self._session.database
+            plan_db = self.database
         disjuncts = (
             plan_query.disjuncts
             if isinstance(plan_query, UnionQuery)
             else (plan_query,)
         )
-        executor = self._session.evaluation_executor
         plans = tuple(
-            self._describe_plan(disjunct, plan_db, executor)
+            self._describe_plan(disjunct, plan_db, self._executor)
             for disjunct in disjuncts
         )
         materialization = None
         if target in (SOURCE_VIEWS, SOURCE_VIEWS_AND_BASE):
-            materialization = self._session.store().stats()
-        return Evaluation(target=target, executor=executor_name, plans=plans), materialization
+            materialization = self._view_store().stats()
+        return Evaluation(target=target, executor=self.executor, plans=plans), materialization
 
     @staticmethod
     def _describe_plan(

@@ -47,7 +47,7 @@ class Provenance:
     algorithm: str
     #: Names of the views the plan reads.
     views_used: Tuple[str, ...] = ()
-    #: Whether the rewriting was served from the session's fingerprint cache.
+    #: Whether the rewriting was served from the engine's template cache.
     cache_hit: bool = False
     #: Whether the *rows* came straight from the answer cache (no evaluation).
     answered_from_cache: bool = False

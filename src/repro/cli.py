@@ -241,7 +241,7 @@ def _command_materialize(args: argparse.Namespace, out) -> int:
         print(f"-- {view.name}/{view.arity}: {len(rows)} rows", file=out)
         if not args.sizes_only:
             _print_rows(rows, out)
-    stats = engine.session.store().stats()
+    stats = engine.store().stats()
     print(
         f"# materialized {stats['views']} views, {stats['extent_rows']} extent rows, "
         f"{stats['tracked_derivations']} derivations tracked",

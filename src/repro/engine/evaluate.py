@@ -269,7 +269,7 @@ def evaluate(
 
     ``executor`` picks the execution engine: ``"compiled"`` (set-at-a-time
     physical plans, the default), ``"interpreted"`` (the backtracking
-    interpreter), an executor instance (e.g. a session-owned
+    interpreter), an executor instance (e.g. an engine-owned
     :class:`repro.exec.CompiledExecutor` with its own plan cache); None
     means ``"compiled"``.
     Both engines return identical answer sets; the compiled engine falls

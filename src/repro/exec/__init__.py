@@ -52,7 +52,7 @@ ExecutorLike = Union[str, CompiledExecutor, InterpretedExecutor, None]
 def make_executor(name: str) -> "CompiledExecutor | InterpretedExecutor":
     """A fresh (unshared) executor instance for a name in :data:`EXECUTORS`.
 
-    Session-style owners use this so their plan caches are private rather
+    Engines use this so their plan caches are private rather
     than process-shared.  It is the one place an executor name is checked:
     an unknown name raises :class:`EvaluationError`.
     """

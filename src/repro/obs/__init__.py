@@ -13,7 +13,7 @@ and the engine facade (:mod:`repro.api`):
   with monotonic timings, serializable to JSON
   (``docs/trace.schema.json``);
 * :class:`Instrumentation` — one registry + tracer bundle with the engine's
-  core series pre-declared; the session and engine record through it.
+  core series pre-declared; the engine records through it.
 
 Quickstart::
 

@@ -1,6 +1,6 @@
 """The :class:`Instrumentation` bundle: one registry + tracer, pre-declared series.
 
-The engine, session and server all record into the same small catalog of
+The engine and the server record into the same small catalog of
 metric families (documented in ``docs/observability.md``):
 
 =============================  =========  ===========================  ==========================================
@@ -18,10 +18,9 @@ The server adds its own ``repro_http_*`` / ``repro_server_*`` series on the
 same registry (see :mod:`repro.server`), so one ``GET /metrics`` scrape shows
 the whole picture.
 
-Instrumentation is opt-in per layer: a session constructed without it keeps
-exactly its old zero-overhead behaviour (``self._obs`` is None and every hook
-is a single ``is None`` test), while engines create a live bundle by default
-(``repro.connect(..., observability=False)`` opts out).  The
+Engines create a live bundle by default; ``repro.connect(...,
+observability=False)`` opts out, and then ``self._obs`` is None and every
+hook is a single ``is None`` test.  The
 :meth:`Instrumentation.stage` timer doubles as the trace hook — it records
 the elapsed time into ``repro_stage_seconds`` *and* opens a span on the
 active trace, so metrics and traces can never disagree about what a stage

@@ -354,8 +354,8 @@ class MetricsRegistry:
 
     Declarations are idempotent: asking twice for the same name returns the
     same family, provided the type and label names agree (a mismatch is a
-    programming error and raises).  That lets independent layers (session,
-    engine, server) share one registry without coordinating declaration
+    programming error and raises).  That lets independent layers (engine,
+    server) share one registry without coordinating declaration
     order.
     """
 

@@ -1,20 +1,21 @@
-"""The serving layer: high-throughput rewriting with caching and indexes.
+"""The serving layer's parts: what lets a long-lived engine cache rewritings.
 
 The library's :func:`repro.rewriting.rewriter.rewrite` is a one-shot call —
 every request re-canonicalizes the query, rescans every view and re-verifies
-every candidate.  This package turns it into a long-lived service:
+every candidate.  :class:`repro.api.Engine` turns it into a long-lived
+service out of these pieces:
 
 * :mod:`repro.service.fingerprint` — order-insensitive canonical fingerprints,
   so isomorphic queries share cache entries;
 * :mod:`repro.service.view_index` — a predicate → views relevance index that
   prunes views before candidate generation;
 * :mod:`repro.service.cache` — bounded LRU caches with hit accounting;
-* :mod:`repro.service.session` — the :class:`RewritingSession` facade
-  (``rewrite_cached``, ``answer``, ``contained_cached``, ``stats``);
-* :mod:`repro.service.batch` — batch workloads through one session.
+* :mod:`repro.service.templates` — what the engine's caches hold: rewriting
+  templates and their instances, answers, bound forms;
+* :mod:`repro.service.batch` — the report of :meth:`repro.api.Engine.batch`.
 """
 
-from repro.service.batch import BatchItem, BatchReport, run_batch
+from repro.service.batch import BatchItem, BatchReport
 from repro.service.cache import LRUCache
 from repro.service.fingerprint import (
     QueryFingerprint,
@@ -22,7 +23,6 @@ from repro.service.fingerprint import (
     fingerprint_text,
     isomorphism_witness,
 )
-from repro.service.session import RewritingSession
 from repro.service.view_index import ViewRelevanceIndex
 
 __all__ = [
@@ -30,10 +30,8 @@ __all__ = [
     "BatchReport",
     "LRUCache",
     "QueryFingerprint",
-    "RewritingSession",
     "ViewRelevanceIndex",
     "fingerprint",
     "fingerprint_text",
     "isomorphism_witness",
-    "run_batch",
 ]

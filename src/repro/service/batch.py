@@ -1,23 +1,11 @@
-"""Batch processing of query workloads through a :class:`RewritingSession`.
-
-The batch API accepts a stream of queries (objects or datalog text), feeds
-them through one session, and reports per-query outcomes plus aggregate
-throughput.
+"""The report of a query workload run through :meth:`repro.api.Engine.batch`:
+per-query outcomes plus aggregate throughput.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence
-
-from repro.errors import ReproError
-from repro.datalog.parser import parse_query
-from repro.datalog.printer import to_datalog
-from repro.datalog.queries import ConjunctiveQuery
-from repro.datalog.views import View, ViewSet
-from repro.engine.database import Database
-from repro.service.session import RewritingSession
+from typing import Any, Dict, List, Optional
 
 
 @dataclass
@@ -85,76 +73,3 @@ class BatchReport:
             "session_stats": self.session_stats,
             "items": [item.to_dict() for item in self.items],
         }
-
-
-def _as_query_text(query: "ConjunctiveQuery | str") -> str:
-    if isinstance(query, ConjunctiveQuery):
-        return to_datalog(query)
-    return str(query)
-
-
-def _process_one(
-    session: RewritingSession, index: int, query_text: str, with_answers: bool
-) -> BatchItem:
-    item = BatchItem(index=index, query=query_text)
-    started = time.perf_counter()
-    try:
-        query = parse_query(query_text)
-        if with_answers:
-            answers, result = session.answer_with_plan(query)
-            item.answers = len(answers)
-        else:
-            result = session.rewrite_cached(query)
-        item.fingerprint = session.last_fingerprint
-        item.cache_hit = session.last_cache_hit
-        item.rewritings = len(result.rewritings)
-        item.equivalent = result.has_equivalent
-        best = result.best
-        if best is not None:
-            item.best = to_datalog(best.query)
-    except ReproError as error:
-        item.error = str(error)
-    item.elapsed = time.perf_counter() - started
-    return item
-
-
-def run_batch(
-    queries: Sequence["ConjunctiveQuery | str"],
-    views: "ViewSet | Iterable[View]",
-    database: Optional[Database] = None,
-    algorithm: str = "minicon",
-    mode: str = "equivalent",
-    cache_size: int = 512,
-    use_view_index: bool = True,
-    with_answers: bool = False,
-    executor: Optional[str] = None,
-) -> BatchReport:
-    """Process a workload of queries and report per-query and aggregate results.
-
-    ``executor`` picks the session's evaluation engine (see
-    :class:`RewritingSession`; ``None`` means ``"compiled"``).
-    """
-    view_set = views if isinstance(views, ViewSet) else ViewSet(list(views))
-    texts = [_as_query_text(q) for q in queries]
-    if with_answers and database is None:
-        raise ReproError("run_batch(with_answers=True) requires a database")
-
-    started = time.perf_counter()
-    session = RewritingSession(
-        view_set,
-        database=database,
-        algorithm=algorithm,
-        mode=mode,
-        cache_size=cache_size,
-        use_view_index=use_view_index,
-        executor=executor,
-    )
-    items = [
-        _process_one(session, index, text, with_answers)
-        for index, text in enumerate(texts)
-    ]
-    return BatchReport(
-        items=items,
-        elapsed=time.perf_counter() - started,
-        session_stats=session.stats(),
-    )

@@ -1,11 +1,10 @@
 """Bounded LRU caches with hit/miss/eviction accounting.
 
-The serving layer keeps three of these (rewritings, answers, containment
-verdicts) plus a single-slot cache for the materialized view instance.  The
-implementation is a plain ``OrderedDict`` LRU — deliberately simple, since
-entries are small and the working sets of realistic workloads fit easily; the
-interesting part is the *keying* (canonical fingerprints and version tokens),
-which lives in :mod:`repro.service.session`.
+The engine keeps three of these (bound forms, rewriting templates, answers).
+The implementation is a plain ``OrderedDict`` LRU — deliberately simple,
+since entries are small and the working sets of realistic workloads fit
+easily; the interesting part is the *keying* (canonical fingerprints and
+version tokens), which lives in :mod:`repro.api.engine`.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ class LRUCache:
     """A bounded mapping evicting the least-recently-used entry on overflow.
 
     ``maxsize <= 0`` disables caching entirely (every ``get`` misses and
-    ``put`` is a no-op), which keeps the session code free of special cases.
+    ``put`` is a no-op), which keeps the engine code free of special cases.
 
     With a ``weigh`` function the entries are also held to a total ``budget``
     of weight: least-recently-used entries are evicted while the sum is over

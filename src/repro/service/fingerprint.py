@@ -34,7 +34,7 @@ its constants; equal shapes say the queries are isomorphic up to a
 replacement of constants that keeps each one's class and their mutual order.
 What a replacement must further preserve to keep a *rewriting* valid depends
 on the views, which this module knows nothing of — see
-:mod:`repro.service.session`.
+:mod:`repro.service.templates`.
 """
 
 from __future__ import annotations

@@ -51,7 +51,7 @@ class ViewRelevanceIndex:
             self._view_signatures[view.name] = signatures
             for signature in signatures:
                 self._by_signature.setdefault(signature, []).append(view.name)
-        # Pruning counters (reported through RewritingSession.stats()).
+        # Pruning counters (reported through Engine.stats()).
         self.queries_filtered = 0
         self.views_admitted = 0
         self.views_pruned = 0

@@ -25,10 +25,10 @@ applied-but-unmarked, marked-but-unsnapshotted).  Unreadable snapshots are
 skipped oldest-ward and the log replays from further back — corruption
 degrades recovery time, never correctness.
 
-The *durable apply* protocol (driven by the engine) is::
+The *durable apply* protocol (driven by ``Engine.apply``) is::
 
     seq = manager.journal(delta)      # WAL first
-    session.apply_delta(delta)        # then the engine (+ sqlite write-through)
+    <maintain the views>              # then the engine (+ sqlite write-through)
     manager.mark_applied(seq)         # then the applied-watermark (sqlite only)
 """
 
@@ -62,7 +62,7 @@ class RecoveryResult:
     database: Database
     #: Exported view-store state usable as-of ``base_seq``, or None.
     store_state: Optional[Dict[str, Any]]
-    #: WAL records with ``seq > base_seq``, to be replayed through a session.
+    #: WAL records with ``seq > base_seq``, to be replayed through the engine.
     tail: List[WalRecord]
     base_seq: int
     report: Dict[str, Any] = field(default_factory=dict)

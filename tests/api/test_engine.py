@@ -171,6 +171,21 @@ class TestAnswers:
         with pytest.raises(MaterializationError, match="no base data"):
             engine.query(QUERY).answers()
 
+    def test_every_path_without_data_raises_one_error(self):
+        engine = connect(views=VIEWS)
+        for call in (
+            lambda: engine.query(QUERY).answers(),
+            lambda: engine.session.answer(parse_query(QUERY)),
+            lambda: engine.apply("+ r(1, 2)."),
+            lambda: engine.store(),
+            lambda: engine.extent("v_rs"),
+            engine.verify,
+            engine.check,
+            lambda: engine.batch([QUERY], with_answers=True),
+        ):
+            with pytest.raises(MaterializationError, match="no base data"):
+                call()
+
     def test_query_accepts_parsed_objects_only_of_the_right_type(self):
         engine = make_engine()
         prepared = engine.query(parse_query(QUERY))
@@ -242,6 +257,41 @@ class TestQueryTextMemo:
         engine.query(QUERY).answers()
         engine.close()
         assert not engine._prepared
+
+
+class TestViewSetChange:
+    LOOP = "q(X) :- r(X, X)."
+
+    def test_the_catalog_follows_the_view_set(self):
+        engine = connect(views="v_rs(A, B) :- r(A, C), s(C, B).", data=DATA + " r(9, 9).")
+        engine.session.set_views(parse_views(
+            "v_rs(A, B) :- r(A, C), s(C, B). w(A) :- r(A, A)."
+        ))
+        answer = engine.query(self.LOOP).answers()
+        assert answer.rows == frozenset({(9,)})
+        assert answer.provenance.views_used == ("w",)
+        assert engine.stats()["catalog"]["views"] == ["v_rs", "w"]
+        assert engine.catalog.views is engine.views
+        certain = engine.query(self.LOOP).certain()
+        assert certain.provenance.views_used == ("v_rs", "w")
+
+    def test_new_views_are_validated_as_connect_validates_them(self):
+        engine = connect(schema={"r": 2, "s": 2}, views=VIEWS, data=DATA)
+        for views, error in (
+            ("v(A) :- t(A).", "undeclared relation"),
+            ("v(A) :- r(A).", "arity"),
+            ("r(A, B) :- s(A, B).", "shadows"),
+        ):
+            with pytest.raises(SchemaError, match=error):
+                engine.set_views(views)
+        # A failed swap changes nothing.
+        assert engine.stats()["catalog"]["views"] == ["v_rs", "v_r", "v_s"]
+        assert engine.query(QUERY).answers().provenance.views_used == ("v_rs",)
+
+    def test_a_view_named_like_a_base_relation_is_rejected(self):
+        engine = make_engine()
+        with pytest.raises(SchemaError, match="view name"):
+            engine.set_views("s(A, B) :- r(A, B).")
 
 
 class TestCertain:
@@ -324,8 +374,10 @@ class TestBatchAndStats:
         lines = engine.metrics().splitlines()
         size = stats["bound_forms"]["size"]
         assert f'repro_cache_entries{{cache="bound_form"}} {size}' in lines
-        for cache in ("rewrite", "translation", "answer", "containment", "containment_memo"):
+        for cache in ("rewrite", "answer", "containment_memo"):
             assert any(line.startswith(f'repro_cache_entries{{cache="{cache}"}} ') for line in lines)
+        for cache in ("translation", "containment"):
+            assert not any(f'repro_cache_entries{{cache="{cache}"}}' in line for line in lines)
 
     def test_interpreted_executor_is_honoured(self):
         engine = make_engine(executor="interpreted")

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from repro import connect
+from repro.api import Catalog, Engine
 from repro.errors import EvaluationError
 from repro.datalog.atoms import Atom
 from repro.datalog.parser import parse_query, parse_views
@@ -18,7 +19,6 @@ from repro.engine.database import Database
 from repro.engine.evaluate import EvaluationStatistics, evaluate
 from repro.engine.relation import SkolemValue
 from repro.exec import CompiledExecutor, InterpretedExecutor, resolve_executor
-from repro.service.session import RewritingSession
 
 COMPILED = CompiledExecutor()
 INTERPRETED = InterpretedExecutor()
@@ -427,7 +427,7 @@ class TestDefaultExecutor:
         for call in (
             lambda: evaluate(query, db, executor="bogus"),
             lambda: connect(views="v(X, Y) :- r(X, Y).", executor="bogus"),
-            lambda: RewritingSession([], executor="bogus"),
+            lambda: Engine(Catalog(), executor="bogus"),
         ):
             with pytest.raises(EvaluationError, match="compiled, interpreted"):
                 call()

@@ -17,6 +17,7 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import connect
 from repro.containment.containment import is_equivalent
 from repro.datalog.queries import ConjunctiveQuery
 from repro.datalog.substitution import Substitution
@@ -24,7 +25,6 @@ from repro.datalog.terms import Variable
 from repro.engine.evaluate import evaluate
 from repro.rewriting.rewriter import rewrite
 from repro.service.fingerprint import fingerprint, isomorphism_witness
-from repro.service.session import RewritingSession
 
 from tests.property.strategies import conjunctive_queries, databases, view_sets
 
@@ -90,7 +90,7 @@ class TestCachedRewritingProperties:
         self, query, views, seed
     ):
         variant = scrambled(query, seed)
-        session = RewritingSession(views)
+        session = connect(views=views)
         session.rewrite_cached(query)           # prime the cache
         served = session.rewrite_cached(variant)
         assert session.last_cache_hit is True
@@ -116,6 +116,6 @@ class TestCachedRewritingProperties:
         self, query, views, database, seed
     ):
         variant = scrambled(query, seed)
-        session = RewritingSession(views, database=database)
-        session.answer(query)                   # prime both caches
-        assert session.answer(variant) == evaluate(variant, database)
+        engine = connect(views=views, data=database)
+        engine.query(query).answers()           # prime both caches
+        assert engine.query(variant).answers().rows == evaluate(variant, database)

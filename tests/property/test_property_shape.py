@@ -40,7 +40,6 @@ from repro.errors import ParseError, UnsupportedFeatureError
 from repro.rewriting.plans import RewritingKind
 from repro.rewriting.rewriter import rewrite
 from repro.service.fingerprint import fingerprint
-from repro.service.session import RewritingSession
 
 from tests.property.strategies import databases, queries_with_comparisons
 
@@ -129,7 +128,7 @@ def assert_expansions_verify(result, query):
 
 def check_second_request(first, second, views, algorithm, mode, must_hit=False):
     """Serve ``first`` then ``second``; a template hit must equal from-scratch."""
-    session = RewritingSession(views, algorithm=algorithm, mode=mode)
+    session = connect(views=views, algorithm=algorithm, mode=mode)
     try:
         session.rewrite_cached(first)
         served = session.rewrite_cached(second)
@@ -315,7 +314,7 @@ class TestBenchmarkStreams:
     )
     def test_equal_shapes_share_and_equal_scratch(self, inputs, workload, requests):
         generated = getattr(inputs, workload)(seed=5)
-        session = RewritingSession(generated.views)
+        session = connect(views=generated.views)
         shapes = set()
         for text, _ in generated.reads(requests):
             query = parse_query(text)
@@ -598,7 +597,7 @@ class TestBoundFormLifecycle:
         prepared = engine.query(self.SHAPE % 4)
         answer = prepared.answers()
         assert (answer.provenance.cache_hit, answer.provenance.answered_from_cache) == (True, False)
-        assert prepared._query is None and len(engine.session._translation_cache) == 0
+        assert prepared._query is None and prepared._instance is None
         monkeypatch.undo()
         assert prepared.query == parse_query(self.SHAPE % 4)
         assert [str(r.query) for r in prepared.rewrite().rewritings] == [
@@ -614,14 +613,13 @@ class TestBoundFormLifecycle:
         after = engine.stats()["session"]
         moved = {
             (cache, field): after[cache][field] - before[cache][field]
-            for cache in ("bound_forms", "rewrite_cache", "answer_cache", "translation_cache")
+            for cache in ("bound_forms", "rewrite_cache", "answer_cache")
             for field in ("hits", "misses")
         }
         assert moved == {
             ("bound_forms", "hits"): 1, ("bound_forms", "misses"): 0,
             ("rewrite_cache", "hits"): 1, ("rewrite_cache", "misses"): 0,
             ("answer_cache", "hits"): 0, ("answer_cache", "misses"): 1,
-            ("translation_cache", "hits"): 0, ("translation_cache", "misses"): 0,
         }
         assert after["executor"]["plan_hits"] == before["executor"]["plan_hits"] + 1
         assert after["executor"]["plan_misses"] == before["executor"]["plan_misses"]

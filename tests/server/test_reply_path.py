@@ -200,10 +200,10 @@ METRIC_NAMES = {
 }
 STATS_KEYS = {"catalog", "deltas_applied", "queries_served", "session", "storage"}
 SESSION_KEYS = {
-    "algorithm", "answer_cache", "bound_forms", "containment_cache", "database_version",
+    "algorithm", "answer_cache", "bound_forms", "database_version",
     "delta_evictions", "delta_retained", "deltas_applied", "executor",
     "global.containment_memo", "invalidations", "materialized", "metrics", "mode",
-    "requests", "rewrite_cache", "storage", "store", "translation_cache", "view_index",
+    "requests", "rewrite_cache", "storage", "store", "view_index",
     "views", "views_token",
 }
 
@@ -304,7 +304,7 @@ class TestAFirstSeenConstantOfAKnownShape:
         caches = {
             cache: (stats_after[cache]["hits"] - stats[cache]["hits"],
                     stats_after[cache]["misses"] - stats[cache]["misses"])
-            for cache in ("rewrite_cache", "translation_cache", "answer_cache")
+            for cache in ("rewrite_cache", "answer_cache")
         }
         return reply, series, caches
 
@@ -314,10 +314,6 @@ class TestAFirstSeenConstantOfAKnownShape:
     def test_hit_flags_rows_and_counters(self, scenario, served):
         workload, _, _ = scenario
         server, exchange = served
-        # Bound forms are the compiled executor's: under the interpreter
-        # (REPRO_DEFAULT_EXECUTOR=interpreted) a new constant is instantiated
-        # once, and found instantiated when its text repeats, as before.
-        instantiated = 0 if server.engine.executor == "compiled" else 1
 
         def expected_rows(text):
             rows = evaluate(parse_query(text), workload.database, executor="interpreted")
@@ -330,25 +326,19 @@ class TestAFirstSeenConstantOfAKnownShape:
         assert series == (0, 1, 0, 1, 0, 1, 1)
         assert caches["rewrite_cache"] == (0, 1)
         # A first-seen constant of that shape and skeleton: a bound-form hit,
-        # nothing instantiated (the translation tier is not consulted), evaluated.
+        # nothing instantiated, evaluated.
         reply, series, caches = self.moved(exchange, second)
         assert self.flags(reply) == (True, False)
         assert sorted(reply["rows"]) == expected_rows(second) != expected_rows(first)
         assert "X1 != 11" in reply["provenance"]["rewriting"]
         assert series == (1, 0, 0, 1, 1, 0, 1)
-        assert caches == {
-            "rewrite_cache": (1, 0), "translation_cache": (0, instantiated),
-            "answer_cache": (0, 1),
-        }
+        assert caches == {"rewrite_cache": (1, 0), "answer_cache": (0, 1)}
         # The same text again: nothing is instantiated, nothing evaluated.
         reply, series, caches = self.moved(exchange, second)
         assert self.flags(reply) == (True, True)
         assert sorted(reply["rows"]) == expected_rows(second)
         assert series == (1, 0, 1, 0, 1, 0, 0)
-        assert caches == {
-            "rewrite_cache": (1, 0), "translation_cache": (instantiated, 0),
-            "answer_cache": (1, 0),
-        }
+        assert caches == {"rewrite_cache": (1, 0), "answer_cache": (1, 0)}
 
     def test_answers_are_cached_and_evicted_per_constant(self, scenario, served):
         _, left, right = scenario
