@@ -134,21 +134,13 @@ from repro.api import (
     PreparedQuery,
     connect,
 )
-from repro.storage import (
-    BackedDatabase,
-    MemoryBackend,
-    StorageBackend,
-    StorageManager,
-    WriteAheadLog,
-    make_backend,
-)
+from repro.storage import StorageManager, WriteAheadLog
 
 __version__ = "1.1.0"
 
 __all__ = [
     "Answer",
     "Atom",
-    "BackedDatabase",
     "BatchReport",
     "BucketRewriter",
     "Catalog",
@@ -172,7 +164,6 @@ __all__ = [
     "LRUCache",
     "MaterializationError",
     "MaterializedViewStore",
-    "MemoryBackend",
     "MiniConRewriter",
     "OptimizationResult",
     "ParseError",
@@ -187,7 +178,6 @@ __all__ = [
     "RewritingResult",
     "SchemaError",
     "SnapshotError",
-    "StorageBackend",
     "StorageError",
     "StorageManager",
     "Substitution",
@@ -217,7 +207,6 @@ __all__ = [
     "is_equivalent",
     "is_satisfiable",
     "fingerprint",
-    "make_backend",
     "materialize_views",
     "maximally_contained_rewriting",
     "measured_cost",

@@ -42,7 +42,6 @@ answers whose query reads one of those are evicted.
 
 from __future__ import annotations
 
-import os
 import re
 import time
 from bisect import bisect_left
@@ -92,15 +91,7 @@ from repro.service.templates import (
     query_predicates,
 )
 from repro.service.view_index import ViewRelevanceIndex
-from repro.storage import (
-    BackedDatabase,
-    RecoveryResult,
-    StorageManager,
-    default_backend_name,
-    list_snapshots,
-    make_backend,
-)
-from repro.storage.manager import SQLITE_FILENAME
+from repro.storage import RecoveryResult, StorageManager
 from repro.api.catalog import Catalog, ConstraintsLike, SchemaLike, ViewsLike
 from repro.api.results import (
     Answer,
@@ -191,17 +182,19 @@ def connect(
         :meth:`Engine.metrics` (Prometheus text) and :meth:`Engine.trace`.
         Pass False for a bare engine with zero instrumentation overhead.
     backend:
-        The storage backend: ``"memory"`` (the default in-memory row store) or
-        ``"sqlite"`` (rows in SQLite with scan pushdown).  ``None`` reads
-        the ``REPRO_DEFAULT_BACKEND`` environment variable, falling back to
-        memory.  Without ``storage``, the sqlite backend uses an in-memory
-        SQLite database (no persistence, but exercising the full adapter).
+        Where a fresh storage directory keeps its base rows between
+        restarts: ``"memory"`` (snapshots; the default) or ``"sqlite"``
+        (a SQLite file written on every applied delta).  A directory holding
+        state keeps its own backend: ``None`` accepts it, naming the other
+        raises.  Queries always run over the in-memory database.  Requires
+        ``storage``.
     storage:
         A durable storage directory (created if absent): the write-ahead
         log, snapshots and (for the sqlite backend) the base rows live
-        there.  A fresh directory ingests ``data``; a directory holding
-        prior state is *recovered* — pass no ``data`` then — and the
-        :attr:`Engine.recovery_report` says what happened.
+        there.  A fresh directory ingests ``data`` — the engine keeps that
+        very database; a directory holding prior state is *recovered* —
+        pass no ``data`` then — and the :attr:`Engine.recovery_report`
+        says what happened.
     wal:
         The WAL fsync policy for a durable directory: True / ``"always"``
         syncs every append, ``"batch"`` (the default) syncs per flush,
@@ -215,28 +208,12 @@ def connect(
     manager: Optional[StorageManager] = None
     recovery: Optional[RecoveryResult] = None
     if storage is None:
-        if wal is not None:
-            raise StorageError("wal= requires a storage directory (storage=...)")
-        if snapshot is not None:
-            raise StorageError("snapshot= requires a storage directory (storage=...)")
-        backend_name = backend if backend is not None else default_backend_name()
-        if backend_name != "memory" and database is not None:
-            database = BackedDatabase.from_database(
-                database, make_backend(backend_name)
-            )
+        for name, value in (("backend", backend), ("wal", wal), ("snapshot", snapshot)):
+            if value is not None:
+                raise StorageError(f"{name}= requires a storage directory (storage=...)")
     else:
-        backend_name = backend
-        if backend_name is None:
-            # Reopening a directory must pick the backend its base rows
-            # actually live in; only a genuinely fresh directory consults
-            # the environment default.
-            if os.path.exists(os.path.join(storage, SQLITE_FILENAME)):
-                backend_name = "sqlite"
-            else:
-                backend_name = default_backend_name()
-        manager = StorageManager(storage, backend=backend_name, fsync=_fsync_policy(wal))
-        has_state = manager.last_seq > 0 or bool(list_snapshots(storage))
-        if has_state:
+        manager = StorageManager(storage, backend=backend, fsync=_fsync_policy(wal))
+        if manager.has_state:
             if database is not None:
                 manager.close()
                 raise StorageError(
@@ -483,8 +460,8 @@ class Engine:
             )
             store_restored = self._store.restored_views > 0 or not len(self.views)
         for record in recovery.tail:
-            self._maintain(parse_delta(record.payload))
-            self._storage.mark_applied(record.seq)
+            log = self._maintain(parse_delta(record.payload))
+            self._storage.mark_applied(record.seq, log.delta)
         report = dict(recovery.report)
         report["store_restored"] = store_restored
         report["replayed"] = len(recovery.tail)
@@ -555,12 +532,13 @@ class Engine:
                 delta = parse_delta(delta)
             database = self._require_database("apply a delta")
             if self._storage is not None:
-                # The durable protocol: journal first, apply second, move
-                # the applied-watermark last.  Replay is idempotent, so a
-                # crash between any two steps recovers exactly.
+                # The durable protocol: journal first, apply second, write
+                # the base rows and move the applied-watermark last.  Replay
+                # is idempotent, so a crash between any two steps recovers
+                # exactly.
                 seq = self._storage.journal(delta, database.version)
                 log = self._maintain(delta)
-                self._storage.mark_applied(seq)
+                self._storage.mark_applied(seq, log.delta)
             else:
                 log = self._maintain(delta)
         self.deltas_applied += 1
@@ -751,30 +729,20 @@ class Engine:
         }
 
     def _storage_stats(self) -> Optional[Dict[str, Any]]:
-        """Physical storage counters: per-relation layout, backend when present."""
+        """Physical storage counters: the per-relation row-store layout."""
         if self.database is None:
             return None
-        stats: Dict[str, Any] = {"relations": self.database.storage_stats()}
-        backend = getattr(self.database, "backend", None)
-        if backend is not None:
-            stats["backend"] = backend.capabilities.to_dict()
-            stats["hydrations"] = getattr(self.database, "hydrations", 0)
-        return stats
+        return {"relations": self.database.storage_stats()}
 
     def storage_status(self) -> Optional[Dict[str, Any]]:
         """Durability health: backend, WAL position/lag, snapshot freshness.
 
-        None for a plain in-memory engine with no storage attached; the
-        server's ``/healthz`` embeds this when present.
+        None for an engine with no storage directory; the server's
+        ``/healthz`` embeds this when present.
         """
-        backend = getattr(self.database, "backend", None)
         if self._storage is None:
-            if backend is None:
-                return None
-            return {"backend": backend.capabilities.to_dict()}
+            return None
         status = self._storage.status()
-        if backend is not None:
-            status["db_backend"] = backend.capabilities.to_dict()
         if self.recovery_report is not None:
             status["recovered"] = True
         return status
@@ -1007,13 +975,11 @@ class Engine:
         being its printed half; None when the next text could not use one: a
         string literal beside a symbolic constant (their order, or equality,
         is in no key), a literal that stays in a plan shape's head, a
-        fingerprint that is not exact, an executor or database that caches
-        no plans."""
+        fingerprint that is not exact, an executor that caches no plans."""
         template_key = (fp.shape, self.algorithm, self.mode, self._param_tags(fp))
         template = self._rewrite_cache.peek(template_key)
         kind = plan_kind(result.best)
         target = query if kind is None else result.best.query
-        database = self._database_for(kind)
         terms = [t for atom in (query.head, *query.body) for t in atom.args]
         terms += [t for c in query.comparisons for t in (c.left, c.right)]
         strings = sum(t.__class__ is Constant and t.value.__class__ is str for t in terms)
@@ -1022,7 +988,6 @@ class Engine:
             or not fp.exact
             or 0 < sum(c.value.__class__ is str for c in literals) < strings
             or type(self._executor) is not CompiledExecutor
-            or getattr(database, "storage_scan", None) is not None
         ):
             return None
         plans = []

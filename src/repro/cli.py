@@ -455,7 +455,6 @@ def _command_snapshot(args: argparse.Namespace, out) -> int:
     engine = connect(
         views=_read_text(args.views) if args.views else None,
         storage=args.storage,
-        backend=args.backend or None,
     )
     try:
         info = engine.checkpoint()
@@ -472,7 +471,6 @@ def _command_restore(args: argparse.Namespace, out) -> int:
     engine = connect(
         views=_read_text(args.views) if args.views else None,
         storage=args.storage,
-        backend=args.backend or None,
     )
     try:
         report = engine.recovery_report
@@ -580,9 +578,9 @@ def _add_storage_flags(parser: argparse.ArgumentParser, required: bool = False) 
     )
     parser.add_argument(
         "--backend", choices=BACKENDS, default=None,
-        help="storage backend: memory (snapshot + full WAL replay) or sqlite "
-             "(transactional base-fact store); default: auto-detect from the "
-             "directory, else REPRO_DEFAULT_BACKEND or memory",
+        help="where a fresh --storage directory keeps its base rows: memory "
+             "(snapshots; default) or sqlite (a SQLite file); a directory "
+             "holding state keeps its own, and naming the other is an error",
     )
     parser.add_argument(
         "--wal", choices=["always", "batch", "none"], default=None,
@@ -785,10 +783,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--views", help="view definitions text or file (checkpoints the view "
                         "store too, so recovery can skip re-materialization)"
     )
-    snapshot_parser.add_argument(
-        "--backend", default=None,
-        help="override backend auto-detection (memory or sqlite)",
-    )
     snapshot_parser.set_defaults(handler=_command_snapshot)
 
     restore_parser = subparsers.add_parser(
@@ -799,10 +793,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     restore_parser.add_argument(
         "--views", help="view definitions text or file (needed for --verify)"
-    )
-    restore_parser.add_argument(
-        "--backend", default=None,
-        help="override backend auto-detection (memory or sqlite)",
     )
     restore_parser.add_argument(
         "--output", metavar="FILE", help="write the recovered facts to this file"

@@ -162,12 +162,7 @@ class Database:
         return self._relations.get(name)
 
     def schema(self) -> Dict[str, int]:
-        """Relation name → arity, without touching any relation's content.
-
-        Storage-backed databases keep this lazy: reading the schema never
-        hydrates a cold relation, so catalog validation over a recovered
-        million-fact database costs nothing.
-        """
+        """Relation name → arity, without touching any relation's content."""
         return {name: relation.arity for name, relation in self._relations.items()}
 
     def relation_names(self) -> Tuple[str, ...]:

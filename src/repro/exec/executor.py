@@ -35,7 +35,6 @@ import weakref
 from collections import OrderedDict
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.errors import StorageError
 from repro.datalog.atoms import Atom, Comparison
 from repro.datalog.queries import ConjunctiveQuery, UnionQuery
 from repro.datalog.terms import Constant, Term, Variable
@@ -46,61 +45,6 @@ from repro.engine.evaluate import (
 )
 from repro.exec.compile import try_compile
 from repro.exec.plan import PhysicalPlan
-
-
-def pushdown_single_atom(
-    query: ConjunctiveQuery, database: Database
-) -> Optional[FrozenSet[Tuple[Any, ...]]]:
-    """Answer a single-atom query straight from a storage backend, or None.
-
-    The fast path for point/selection queries over a
-    :class:`~repro.storage.backed.BackedDatabase`: when the query is one
-    atom with only constants and variables (no comparisons), its constant
-    positions become backend-side equality filters (a SQL ``WHERE`` on the
-    sqlite backend) and the head projection is applied here — the relation
-    is never hydrated.  Returns None whenever the database has no
-    ``storage_scan`` hook, the hook declines (hot relation, no pushdown
-    capability), the query shape does not fit, or the backend errors
-    (falling back to the normal in-memory path is always sound).
-    """
-    scan = getattr(database, "storage_scan", None)
-    if scan is None or query.comparisons or len(query.body) != 1:
-        return None
-    atom = query.body[0]
-    bindings: Dict[int, Any] = {}
-    var_positions: Dict[str, int] = {}
-    repeated = []  # (first, later) position pairs bound to one variable
-    for position, term in enumerate(atom.args):
-        if isinstance(term, Constant):
-            bindings[position] = term.value
-        elif isinstance(term, Variable):
-            first = var_positions.setdefault(term.name, position)
-            if first != position:
-                repeated.append((first, position))
-        else:
-            return None  # function terms etc.: not this fast path
-    projection = []  # (is_position, position_or_constant) per head slot
-    for term in query.head.args:
-        if isinstance(term, Constant):
-            projection.append((False, term.value))
-        elif isinstance(term, Variable) and term.name in var_positions:
-            projection.append((True, var_positions[term.name]))
-        else:
-            return None  # unbound head variable: let the normal path decide
-    try:
-        rows = scan(atom.predicate, bindings or None)
-        if rows is None:
-            return None
-        answers = set()
-        for row in rows:
-            if any(row[first] != row[later] for first, later in repeated):
-                continue
-            answers.add(
-                tuple(row[value] if is_pos else value for is_pos, value in projection)
-            )
-    except StorageError:
-        return None
-    return frozenset(answers)
 
 
 def _lift(query: ConjunctiveQuery) -> Tuple[ConjunctiveQuery, Tuple[Any, ...]]:
@@ -146,8 +90,6 @@ class CompiledExecutor:
         self.plan_misses = 0
         #: Evaluations that took the interpreter fallback (function terms).
         self.fallbacks = 0
-        #: Single-atom evaluations served by a storage backend scan.
-        self.pushdowns = 0
 
     # -- evaluation -------------------------------------------------------------
     def evaluate(
@@ -163,10 +105,6 @@ class CompiledExecutor:
             for disjunct in query.disjuncts:
                 answers |= self.evaluate(disjunct, database, stats)
             return frozenset(answers)
-        pushed = pushdown_single_atom(query, database)
-        if pushed is not None:
-            self.pushdowns += 1
-            return pushed
         plan = self.plan_for(query, database)
         if plan is None:
             self.fallbacks += 1
@@ -234,7 +172,6 @@ class CompiledExecutor:
             "plan_hits": self.plan_hits,
             "plan_misses": self.plan_misses,
             "fallbacks": self.fallbacks,
-            "pushdowns": self.pushdowns,
         }
 
     def __repr__(self) -> str:

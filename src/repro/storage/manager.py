@@ -1,4 +1,4 @@
-"""The :class:`StorageManager`: one durable directory = WAL + snapshots + backend.
+"""The :class:`StorageManager`: one durable directory = WAL + snapshots + base store.
 
 Directory layout::
 
@@ -6,18 +6,24 @@ Directory layout::
     <dir>/data.sqlite              base rows (sqlite backend only)
     <dir>/snapshot-<seq>.snap      checkpoints (latest kept, older pruned)
 
-The manager owns the recovery contract.  Recovered state is always *base
-state as of* ``base_seq`` *plus the WAL tail* ``seq > base_seq``:
+The manager is the only code that knows where base rows persist: the engine
+always holds a plain :class:`~repro.engine.database.Database`, and the
+manager writes and reads back its base image.  Recovered state is always
+*base state as of* ``base_seq`` *plus the WAL tail* ``seq > base_seq``:
 
 * **memory backend** — the base is the newest readable snapshot
   (``base_seq`` = its WAL sequence number, 0 when none exists: full replay
   from an empty database);
-* **sqlite backend** — the base is the sqlite file itself, which records
-  ``applied_seq`` in its metadata table inside the same transaction as each
-  delta's rows; a snapshot then only contributes the materialized-view
-  store's counters, and only when its sequence number matches
-  (otherwise the store recomputes from the recovered base — the existing
-  self-heal path).
+* **sqlite backend** — the base is the sqlite file, read eagerly.  Each
+  applied delta's rows and ``applied_seq`` commit in one transaction, so the
+  file always holds exactly the state as of its ``applied_seq``; a snapshot
+  then only contributes the materialized-view store's counters, and only
+  when its sequence number matches (otherwise the store recomputes from the
+  recovered base — the existing self-heal path).
+
+A directory that holds state keeps the backend it was created with: naming
+the other one raises :class:`~repro.errors.StorageError` before anything is
+written, and naming none accepts whichever it holds.
 
 Deltas are idempotent under set semantics, so at-least-once replay of the
 tail is safe across every crash window (journaled-but-unapplied,
@@ -27,32 +33,36 @@ degrades recovery time, never correctness.
 
 The *durable apply* protocol (driven by ``Engine.apply``) is::
 
-    seq = manager.journal(delta)      # WAL first
-    <maintain the views>              # then the engine (+ sqlite write-through)
-    manager.mark_applied(seq)         # then the applied-watermark (sqlite only)
+    seq = manager.journal(delta)         # WAL first
+    log = <maintain the views>           # then the engine
+    manager.mark_applied(seq, log.delta) # then base rows + watermark (sqlite)
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.errors import SnapshotError, StorageError
 from repro.engine.database import Database
-from repro.storage.backed import BackedDatabase
-from repro.storage.backend import StorageBackend
 from repro.storage.snapshot import (
     Snapshot,
     list_snapshots,
     read_snapshot,
     write_snapshot,
 )
-from repro.storage.wal import WalRecord, WalReplayReport, WriteAheadLog
+from repro.storage.wal import MAGIC as WAL_MAGIC, WalRecord, WalReplayReport, WriteAheadLog
+
+if TYPE_CHECKING:
+    from repro.storage.sqlite import SQLiteBackend
 
 WAL_FILENAME = "wal.log"
 SQLITE_FILENAME = "data.sqlite"
 APPLIED_SEQ_KEY = "applied_seq"
+
+#: Where a durable directory can keep its base rows, in documentation order.
+BACKENDS = ("memory", "sqlite")
 
 
 @dataclass
@@ -77,7 +87,9 @@ class StorageManager:
         The storage directory (created when absent).
     backend:
         ``"memory"`` or ``"sqlite"`` — where base rows live between
-        checkpoints (see the module docs).
+        checkpoints (see the module docs).  A directory holding state keeps
+        its own backend, and naming the other raises; None accepts it, and
+        means ``"memory"`` for a fresh directory.
     fsync:
         The WAL fsync policy (``always`` / ``batch`` / ``none``).
     """
@@ -85,16 +97,35 @@ class StorageManager:
     def __init__(
         self,
         directory: str,
-        backend: str = "memory",
+        backend: Optional[str] = None,
         fsync: str = "batch",
     ):
-        if backend not in ("memory", "sqlite"):
+        if backend is not None and backend not in BACKENDS:
             raise StorageError(
                 f"unknown storage backend {backend!r} for a durable directory "
-                "(choose 'memory' or 'sqlite')"
+                f"(choose from {', '.join(BACKENDS)})"
             )
         self._directory = str(directory)
-        self._backend_name = backend
+        self._sqlite_path = os.path.join(self._directory, SQLITE_FILENAME)
+        wal_path = os.path.join(self._directory, WAL_FILENAME)
+        existing = list_snapshots(self._directory)
+        # Which backend's state the directory holds, read from the files
+        # before anything is opened: a log holding bytes past its magic
+        # counts as state.
+        held = None
+        if os.path.exists(self._sqlite_path):
+            held = "sqlite"
+        elif existing or (
+            os.path.exists(wal_path) and os.path.getsize(wal_path) > len(WAL_MAGIC)
+        ):
+            held = "memory"
+        if backend is not None and held not in (None, backend):
+            raise StorageError(
+                f"storage directory {self._directory!r} holds {held} state; "
+                f"it cannot be reopened with backend {backend!r} (omit the "
+                "backend to use its own)"
+            )
+        self._backend_name = held or backend or "memory"
         self._closed = False
         os.makedirs(self._directory, exist_ok=True)
         # Observability hooks are late-bound (bind_metrics) because the
@@ -102,17 +133,16 @@ class StorageManager:
         self._append_hook: Optional[Callable[[float, int], None]] = None
         self._fsync_hook: Optional[Callable[[float], None]] = None
         self._wal = WriteAheadLog(
-            os.path.join(self._directory, WAL_FILENAME),
+            wal_path,
             fsync=fsync,
             on_append=self._on_append,
             on_fsync=self._on_fsync,
         )
-        self._backend: Optional[StorageBackend] = None
+        self._base: Optional[SQLiteBackend] = None
         self._applied_seq = 0
         self._checkpoints = 0
         self._last_snapshot_seq: Optional[int] = None
         self._last_snapshot_bytes = 0
-        existing = list_snapshots(self._directory)
         if existing:
             self._last_snapshot_seq = existing[0][0]
             self._last_snapshot_bytes = os.path.getsize(existing[0][1])
@@ -176,6 +206,23 @@ class StorageManager:
     def applied_seq(self) -> int:
         return self._applied_seq
 
+    @property
+    def has_state(self) -> bool:
+        """Whether the directory holds WAL records, a snapshot or a sqlite base
+        store — state to recover, which fresh data must not overwrite."""
+        return bool(
+            self.last_seq
+            or self._last_snapshot_seq is not None
+            or os.path.exists(self._sqlite_path)
+        )
+
+    def _open_base(self) -> SQLiteBackend:
+        if self._base is None:
+            from repro.storage.sqlite import SQLiteBackend  # keep sqlite3 lazy
+
+            self._base = SQLiteBackend(self._sqlite_path)
+        return self._base
+
     # -- recovery ----------------------------------------------------------------
     def recover(self) -> RecoveryResult:
         """Rebuild base state + WAL tail from the directory (see module docs)."""
@@ -188,26 +235,24 @@ class StorageManager:
             except SnapshotError as exc:
                 skipped.append({"path": path, "error": str(exc)})
         store_state: Optional[Dict[str, Any]] = None
-
+        relations: Dict[str, Any] = {}
+        base_seq = 0
         if self._backend_name == "sqlite":
-            backend = _make_sqlite_backend(
-                os.path.join(self._directory, SQLITE_FILENAME)
-            )
-            self._backend = backend
-            database: Database = BackedDatabase(backend)
-            base_seq = int(backend.get_meta(APPLIED_SEQ_KEY) or 0)
+            base = self._open_base()
+            relations = {
+                name: (base.arity(name), base.scan(name))
+                for name in base.relation_names()
+            }
+            base_seq = int(base.get_meta(APPLIED_SEQ_KEY) or 0)
             if snapshot is not None and snapshot.seq == base_seq:
                 store_state = snapshot.store_state
-        else:
-            database = Database()
-            base_seq = 0
-            if snapshot is not None:
-                base_seq = snapshot.seq
-                store_state = snapshot.store_state
-                for name, (arity, rows) in snapshot.relations.items():
-                    relation = database.ensure_relation(name, arity)
-                    for row in rows:
-                        relation.add(tuple(row))
+        elif snapshot is not None:
+            relations = snapshot.relations
+            base_seq = snapshot.seq
+            store_state = snapshot.store_state
+        database = Database()
+        for name, (arity, rows) in relations.items():
+            database.ensure_relation(name, arity).add_all(rows)
 
         tail, wal_report = self._wal.replay(after_seq=base_seq)
         self._applied_seq = base_seq
@@ -233,26 +278,25 @@ class StorageManager:
         )
 
     def attach_database(self, database: Database) -> Database:
-        """Wrap/ingest a *fresh* dataset into the managed base store.
+        """Write a *fresh* dataset as the directory's base; returns it.
 
-        Only valid when the directory holds no prior state; loading data over
-        an existing log would silently fork history.
+        Only valid when the directory holds no prior state (:attr:`has_state`);
+        loading data over an existing one would silently fork history.
         """
-        if self.last_seq or list_snapshots(self._directory):
+        if self.has_state:
             raise StorageError(
                 f"storage directory {self._directory!r} already holds state; "
                 "recover it instead of loading fresh data (or point at a new "
                 "directory)"
             )
         if self._backend_name == "sqlite":
-            backend = _make_sqlite_backend(
-                os.path.join(self._directory, SQLITE_FILENAME)
-            )
-            self._backend = backend
-            return BackedDatabase.from_database(database, backend)
-        # The memory backend has no base store: attached facts only survive a
-        # restart through a snapshot, so write the baseline one immediately.
-        if database.size():
+            base = self._open_base()
+            with base.transaction():
+                for relation in database:
+                    base.insert(relation.name, relation.arity, relation.tuples())
+        elif database.size():
+            # The memory backend's base is a snapshot: attached facts only
+            # survive a restart through one, so write the baseline now.
             self.checkpoint(database)
         return database
 
@@ -263,11 +307,26 @@ class StorageManager:
             raise StorageError("this storage manager is closed")
         return self._wal.append(delta.to_text(), db_version)
 
-    def mark_applied(self, seq: int) -> None:
-        """Record that everything up to ``seq`` is in the base store."""
+    def mark_applied(self, seq: int, delta: Any = None) -> None:
+        """Record that everything up to ``seq`` is applied.
+
+        ``delta`` is the effective delta of record ``seq`` (None: no rows to
+        write).  The sqlite base store writes its rows and ``applied_seq`` in
+        one transaction; the memory backend's base only moves at a
+        checkpoint.
+        """
+        base = self._base
+        if base is not None:
+            with base.transaction():
+                if delta is not None:
+                    for name, rows in delta.removed.items():
+                        base.delete(name, rows)
+                    for name, rows in delta.inserted.items():
+                        if rows:
+                            base.insert(name, len(next(iter(rows))), rows)
+                base.set_meta(APPLIED_SEQ_KEY, str(seq))
+        # Only once the base holds it: a failed write leaves it in wal_lag.
         self._applied_seq = seq
-        if self._backend is not None:
-            self._backend.set_meta(APPLIED_SEQ_KEY, str(seq))
 
     def checkpoint(
         self,
@@ -303,8 +362,8 @@ class StorageManager:
             return
         self._closed = True
         self._wal.close()
-        if self._backend is not None:
-            self._backend.close()
+        if self._base is not None:
+            self._base.close()
 
     @property
     def closed(self) -> bool:
@@ -323,9 +382,3 @@ class StorageManager:
             "snapshot_bytes": self._last_snapshot_bytes,
             "checkpoints": self._checkpoints,
         }
-
-
-def _make_sqlite_backend(path: str) -> StorageBackend:
-    from repro.storage.sqlite import SQLiteBackend  # local import: keep sqlite lazy
-
-    return SQLiteBackend(path)

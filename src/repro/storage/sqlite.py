@@ -1,6 +1,6 @@
-"""The SQLite storage backend: persistent rows, scans pushed down to SQL.
+"""The SQLite base store of a durable storage directory.
 
-One SQLite database file (or ``:memory:``) holds:
+One SQLite database file holds:
 
 * ``repro_catalog`` — relation name → arity;
 * ``repro_meta`` — the recovery metadata (e.g. ``applied_seq``);
@@ -13,12 +13,13 @@ Python equality intact: ``s<chars>`` for strings, ``i<digits>`` for ints,
 ``f<repr>`` for floats, ``k<json>`` for Skolem values.  Numerics are
 canonicalized before tagging — bools become ints and integral floats become
 ints — so two values that compare equal in Python (``True == 1``,
-``2.0 == 2``) always share one encoding; without this, a sqlite-backed
-relation could hold "duplicate" rows a memory relation would deduplicate.
+``2.0 == 2``) always share one encoding; without this, the store could hold
+"duplicate" rows a memory relation would deduplicate.
 
-Scans with constant bindings become SQL ``WHERE`` clauses (the pushdown the
-capability flag advertises); full scans hydrate in-memory relations.  Join
-execution stays in :mod:`repro.exec`.
+Only :class:`~repro.storage.manager.StorageManager` uses it: it writes each
+applied delta's rows here and reads every row back on recovery.  Queries
+never read this file — they run over the in-memory
+:class:`~repro.engine.database.Database`.
 """
 
 from __future__ import annotations
@@ -28,11 +29,12 @@ import re
 import sqlite3
 import threading
 from contextlib import contextmanager
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.engine.relation import SkolemValue
-from repro.storage.backend import BackendCapabilities, Row, StorageBackend
+
+Row = Tuple[Any, ...]
 
 #: Relation names must be identifier-shaped; they become (quoted) table names.
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -94,19 +96,15 @@ def _skolem_from_obj(obj: Dict[str, Any]) -> SkolemValue:
     )
 
 
-class SQLiteBackend(StorageBackend):
-    """A :class:`StorageBackend` over one SQLite database.
+class SQLiteBackend:
+    """A row store over one SQLite database file.
 
-    Parameters
-    ----------
-    path:
-        Database file path; ``None`` uses ``:memory:`` (persistence off,
-        useful for differential testing and the ``REPRO_DEFAULT_BACKEND``
-        CI leg).
+    Scans of unknown relations yield nothing; mutations of unknown relations
+    raise :class:`~repro.errors.StorageError`, and so does any mutation
+    after :meth:`close` (which may be called more than once).
     """
 
-    def __init__(self, path: Optional[str] = None):
-        self._path = str(path) if path is not None else None
+    def __init__(self, path: str):
         self._lock = threading.RLock()
         self._txn_depth = 0
         self._closed = False
@@ -114,7 +112,7 @@ class SQLiteBackend(StorageBackend):
         # engine access anyway, and check_same_thread=False lets worker
         # threads reuse it under that discipline.
         self._conn = sqlite3.connect(
-            self._path if self._path is not None else ":memory:",
+            str(path),
             check_same_thread=False,
             isolation_level=None,  # autocommit; transaction() issues BEGIN itself
         )
@@ -143,15 +141,6 @@ class SQLiteBackend(StorageBackend):
     def _check_open(self) -> None:
         if self._closed:
             raise StorageError("this sqlite backend is closed")
-
-    @property
-    def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(
-            name="sqlite",
-            persistent=self._path is not None,
-            durable=self._path is not None,
-            filter_pushdown=True,
-        )
 
     # -- SQL helpers -------------------------------------------------------------
     @staticmethod
@@ -202,38 +191,18 @@ class SQLiteBackend(StorageBackend):
             )
             self._arities[name] = arity
 
-    def drop_relation(self, name: str) -> None:
-        self._check_open()
-        with self._lock:
-            if self._arities.pop(name, None) is None:
-                return
-            self._conn.execute(f"DROP TABLE IF EXISTS {self._table(name)}")
-            self._conn.execute("DELETE FROM repro_catalog WHERE name = ?", (name,))
-
     # -- rows --------------------------------------------------------------------
-    def scan(
-        self, name: str, bindings: Optional[Mapping[int, Any]] = None
-    ) -> Iterator[Row]:
+    def scan(self, name: str) -> Iterator[Row]:
+        """Yield the rows of a relation (nothing for unknown names)."""
         self._check_open()
         with self._lock:
             arity = self._arities.get(name)
             if arity is None:
                 return iter(())
             columns = self._column_names(arity)
-            sql = f"SELECT {', '.join(columns)} FROM {self._table(name)}"
-            params: List[str] = []
-            if bindings:
-                clauses = []
-                for position, value in sorted(bindings.items()):
-                    if not 0 <= position < arity:
-                        raise StorageError(
-                            f"binding position {position} out of range for "
-                            f"{name!r}/{arity}"
-                        )
-                    clauses.append(f"c{position} = ?")
-                    params.append(encode_value(value))
-                sql += " WHERE " + " AND ".join(clauses)
-            raw = self._conn.execute(sql, params).fetchall()
+            raw = self._conn.execute(
+                f"SELECT {', '.join(columns)} FROM {self._table(name)}"
+            ).fetchall()
         if arity == 0:
             return iter([()] * len(raw))
         return (tuple(decode_value(text) for text in row) for row in raw)
@@ -280,16 +249,6 @@ class SQLiteBackend(StorageBackend):
             )
             return self._conn.total_changes - before
 
-    def count(self, name: str) -> int:
-        self._check_open()
-        with self._lock:
-            if name not in self._arities:
-                return 0
-            (count,) = self._conn.execute(
-                f"SELECT COUNT(*) FROM {self._table(name)}"
-            ).fetchone()
-            return int(count)
-
     # -- metadata ----------------------------------------------------------------
     def get_meta(self, key: str) -> Optional[str]:
         self._check_open()
@@ -327,9 +286,3 @@ class SQLiteBackend(StorageBackend):
                 self._txn_depth -= 1
                 if self._txn_depth == 0:
                     self._conn.execute("COMMIT")
-
-    # -- introspection -----------------------------------------------------------
-    def stats(self) -> Dict[str, Any]:
-        stats = super().stats()
-        stats["path"] = self._path or ":memory:"
-        return stats

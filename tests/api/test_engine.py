@@ -1,7 +1,5 @@
 """Tests for the repro.api facade: connect, Catalog, Engine, Answer."""
 
-import os
-
 import pytest
 
 from repro import connect
@@ -50,13 +48,7 @@ class TestConnect:
     def test_accepts_database_instances(self):
         db = Database.from_dict({"r": [(1, 2)], "s": [(2, 5)]})
         engine = connect(views=VIEWS, data=db)
-        if os.environ.get("REPRO_DEFAULT_BACKEND") in (None, "", "memory"):
-            assert engine.database is db
-        else:
-            # Persistent default backends copy the attached database into
-            # the managed store (docs/persistence.md).
-            assert engine.database.tuples("r") == db.tuples("r")
-            assert engine.database.tuples("s") == db.tuples("s")
+        assert engine.database is db
 
     def test_schema_can_be_declared_in_multiple_shapes(self):
         for schema in ({"r": 2, "s": 2}, ["r/2", "s/2"], "r/2 s/2"):

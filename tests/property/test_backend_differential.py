@@ -1,81 +1,41 @@
-"""Differential properties of the storage layer (PR 9).
+"""Differential properties of the storage layer.
 
-Three invariants:
+Two invariants:
 
-1. **Backend agreement** — the same random query over the same random data
-   returns identical answers whether the base facts live in a plain
-   in-process :class:`Database`, a memory-backend :class:`BackedDatabase`,
-   or a sqlite-backend one — under each of the three executors.  A fresh
-   backed database is built per executor so the single-atom pushdown path
-   (cold relation, constant-filtered SQL scan) genuinely runs before
-   hydration can hide it.
-2. **Write-path agreement** — after the same random delta churn, a
-   sqlite-backed database and a plain one hold identical extents, and the
-   backend's on-disk rows match what it reports through scans.
-3. **Delta text round-trip** — ``parse_delta(delta.to_text()) == delta``
+1. **Durable churn** — random deltas applied through a durable engine on
+   either backend, whose writer is then abandoned as a crash would leave
+   it, recover to exactly the database a plain :class:`Database` reaches by
+   applying the same deltas; on the sqlite backend the base store's own
+   rows equal it too, at ``applied_seq == len(deltas)``.
+2. **Delta text round-trip** — ``parse_delta(delta.to_text()) == delta``
    for deltas over nasty heterogeneous values (quotes, newlines, control
    characters, numerics that collide under Python equality).
 """
 
+import os
+import tempfile
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine.database import Database
-from repro.engine.evaluate import evaluate
-from repro.exec import CompiledExecutor, InterpretedExecutor
+from repro import connect
 from repro.materialize.delta import Delta, parse_delta
-from repro.storage import BackedDatabase, MemoryBackend
+from repro.storage import BACKENDS
+from repro.storage.manager import APPLIED_SEQ_KEY, SQLITE_FILENAME
 from repro.storage.sqlite import SQLiteBackend
 
-from tests.property.strategies import conjunctive_queries, databases
+from tests.property.strategies import databases
 
-DIFFERENTIAL = settings(
-    max_examples=200,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
-)
 RELAXED = settings(
     max_examples=100,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 
-INTERPRETED = InterpretedExecutor()
-COMPILED = CompiledExecutor()
 
+# -- durable churn -------------------------------------------------------------
 
-def sqlite_copy(database: Database) -> BackedDatabase:
-    return BackedDatabase.from_database(database, SQLiteBackend(None))
-
-
-def memory_copy(database: Database) -> BackedDatabase:
-    return BackedDatabase.from_database(database, MemoryBackend())
-
-
-class TestBackendAgreement:
-    @DIFFERENTIAL
-    @given(database=databases(), query=conjunctive_queries())
-    def test_backends_and_executors_agree(self, database, query):
-        expected = evaluate(query, database, executor=INTERPRETED)
-        for executor in (INTERPRETED, COMPILED):
-            for copy in (memory_copy, sqlite_copy):
-                assert evaluate(query, copy(database), executor=executor) == expected
-
-    @DIFFERENTIAL
-    @given(database=databases(), query=conjunctive_queries())
-    def test_pushdown_does_not_change_answers(self, database, query):
-        # One shared backed database per executor: earlier queries may have
-        # hydrated some relations, later ones hit the pushdown path — the
-        # answers must not depend on which path served the scan.
-        expected = evaluate(query, database, executor=COMPILED)
-        backed = sqlite_copy(database)
-        cold = evaluate(query, backed, executor=COMPILED)
-        warm = evaluate(query, backed, executor=COMPILED)
-        assert cold == expected
-        assert warm == expected
-
-
-# -- write-path agreement ----------------------------------------------------
+CHURN_VIEWS = "v(X, Z) :- r(X, Y), s(Y, Z)."
 
 churn_rows = st.frozensets(
     st.tuples(
@@ -89,20 +49,38 @@ churn_deltas = st.lists(
 )
 
 
-class TestWritePathAgreement:
+class TestDurableChurn:
     @RELAXED
     @given(database=databases(), deltas=churn_deltas)
-    def test_delta_churn_matches_plain_database(self, database, deltas):
-        plain = database.copy()
-        backed = sqlite_copy(database)
+    def test_recovered_state_matches_a_plain_database(self, database, deltas):
+        expected = database.copy()
         for delta in deltas:
-            plain.apply_delta(delta)
-            backed.apply_delta(delta)
-        assert backed == plain
-        # The backend itself must agree with the hydrated view of the world.
-        backend = backed.backend
-        for name in backed.relation_names():
-            assert frozenset(backend.scan(name)) == plain.tuples(name)
+            expected.apply_delta(delta)
+        for backend in BACKENDS:
+            with tempfile.TemporaryDirectory() as storage:
+                writer = connect(
+                    views=CHURN_VIEWS, data=database.copy(), storage=storage,
+                    backend=backend, wal="none",
+                )
+                for delta in deltas:
+                    writer.apply(delta)
+                # No close yet: recovery reads what a crash would leave.
+                recovered = connect(views=CHURN_VIEWS, storage=storage)
+                try:
+                    assert recovered.database == expected
+                    assert recovered.verify() == []
+                finally:
+                    recovered.close()
+                    writer.close()
+                if backend == "sqlite":
+                    base = SQLiteBackend(os.path.join(storage, SQLITE_FILENAME))
+                    try:
+                        assert int(base.get_meta(APPLIED_SEQ_KEY) or 0) == len(deltas)
+                        names = set(base.relation_names()) | set(expected.relation_names())
+                        for name in names:
+                            assert frozenset(base.scan(name)) == expected.tuples(name)
+                    finally:
+                        base.close()
 
 
 # -- delta text round-trip ---------------------------------------------------

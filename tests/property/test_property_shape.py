@@ -347,7 +347,7 @@ def stable(payload):
 def open_engine(views, data, **options):
     # The executor and backend are named: bound forms exist for the compiled
     # executor over in-memory relations, whatever the process default is.
-    return connect(views=views, data=data, executor="compiled", backend="memory", **options)
+    return connect(views=views, data=data, executor="compiled", **options)
 
 
 def serve(views, data, texts, **options):
@@ -648,14 +648,14 @@ class TestBoundFormDifferential:
             for _ in range(3)
         ]
         engine = connect(views=views, data=database.copy(), algorithm=algorithm, mode=mode,
-                         executor="compiled", backend="memory")
+                         executor="compiled")
         try:
             served = [stable(engine.query(text).answers().to_json()) for text in texts]
         except UnsupportedFeatureError:
             return
         for text, reply in zip(texts, served):
             fresh = connect(views=views, data=database.copy(), algorithm=algorithm, mode=mode,
-                            executor="compiled", backend="memory")
+                            executor="compiled")
             assert reply == stable(fresh.query(text).answers().to_json())
 
 

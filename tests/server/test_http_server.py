@@ -105,9 +105,6 @@ class TestGetEndpoints:
     def test_healthz(self, server):
         status, payload, _ = request(server, "GET", "/healthz")
         assert status == 200
-        # Engines opened with a storage backend add a "storage" block
-        # (present when REPRO_DEFAULT_BACKEND selects a non-memory backend).
-        payload.pop("storage", None)
         assert payload == {"status": "ok", "inflight": 0}
 
     def test_stats_mirrors_engine_stats(self, server):

@@ -426,7 +426,7 @@ class TestConcurrentConnections:
         the fresh engine's and every text is counted exactly once."""
         workload, left, right = scenario
         engine = connect(views=workload.views, data=workload.database.copy(),
-                         executor="compiled", backend="memory", cache_size=16)
+                         executor="compiled", cache_size=16)
         lock, failures, done = threading.Lock(), [], threading.Event()
         shape = "q(X0, X2) :- r1(X0, X1), r2(X1, X2), X1 != %d."
 

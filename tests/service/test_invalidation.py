@@ -24,7 +24,7 @@ Q_T = parse_query("qt(X, Y) :- t(X, Y).")
 def open_engine(views=VIEWS, database=None):
     # The in-memory backend attaches ``database`` itself, so a test can also
     # mutate it behind the engine's back.
-    return connect(views=views, data=database, backend="memory")
+    return connect(views=views, data=database)
 
 
 def make_session():

@@ -31,7 +31,7 @@ def make_db():
 def open_engine(views=VIEWS, database=None, **options):
     # The in-memory backend attaches ``database`` itself, so a test can also
     # mutate it behind the engine's back.
-    return connect(views=views, data=database, backend="memory", **options)
+    return connect(views=views, data=database, **options)
 
 
 def cached(engine, query):

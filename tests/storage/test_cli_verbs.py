@@ -146,11 +146,12 @@ class TestServeAndStatsFlags:
         relations = stats["session"]["storage"]["relations"]
         assert relations["cites"]["rows"] == 2
 
-    def test_unknown_backend_exits_74(self, tmp_path):
+    def test_naming_the_other_backend_exits_74(self, tmp_path):
+        storage = seeded_store(tmp_path, backend="sqlite")
         code, _ = run_cli(
             [
-                "restore", "--storage", str(tmp_path / "s"),
-                "--backend", "papyrus",
+                "stats", "--views", views_file(tmp_path),
+                "--storage", storage, "--backend", "memory",
             ]
         )
         assert code == 74

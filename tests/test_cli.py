@@ -367,8 +367,13 @@ class TestRemovedFlags:
             ["batch", "--queries", QUERY, "--views", VIEWS, "--processes", "2"],
             ["materialize", "--views", VIEWS, "--database", DATABASE,
              "--executor", "compiled"],
+            ["snapshot", "--storage", "store", "--backend", "sqlite"],
+            ["restore", "--storage", "store", "--backend", "sqlite"],
         ],
-        ids=["serve-workers", "batch-processes", "materialize-executor"],
+        ids=[
+            "serve-workers", "batch-processes", "materialize-executor",
+            "snapshot-backend", "restore-backend",
+        ],
     )
     def test_flag_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
