@@ -111,7 +111,7 @@ from repro.rewriting import (
     view_is_usable,
     view_is_useful,
 )
-from repro.exec import CompiledExecutor, InterpretedExecutor
+from repro.exec import CompiledExecutor
 from repro.materialize import (
     ChangeLog,
     Delta,
@@ -159,7 +159,6 @@ __all__ = [
     "ExhaustiveRewriter",
     "Explanation",
     "FunctionTerm",
-    "InterpretedExecutor",
     "InverseRulesRewriter",
     "LRUCache",
     "MaterializationError",

@@ -68,7 +68,7 @@ from repro.datalog.queries import ConjunctiveQuery, UnionQuery
 from repro.datalog.terms import Constant, Term, Variable, term_sort_key
 from repro.engine.database import Database
 from repro.engine.evaluate import evaluate
-from repro.exec import CompiledExecutor, make_executor
+from repro.exec import CompiledExecutor
 from repro.exec.compile import is_compilable
 from repro.materialize.changelog import ChangeLog
 from repro.materialize.compare import verify_extents
@@ -131,9 +131,7 @@ def connect(
     constraints: ConstraintsLike = None,
     algorithm: str = "minicon",
     mode: str = "equivalent",
-    executor: Optional[str] = None,
     cache_size: int = 512,
-    use_view_index: bool = True,
     observability: bool = True,
     backend: Optional[str] = None,
     storage: Optional[str] = None,
@@ -165,16 +163,8 @@ def connect(
     algorithm / mode:
         The rewriting algorithm and mode of every request (see
         :func:`repro.rewriting.rewriter.rewrite`).
-    executor:
-        ``"compiled"`` evaluates plans through the compiled set-at-a-time
-        engine of :mod:`repro.exec`, whose physical plans are cached beside
-        the rewriting caches; ``"interpreted"`` uses the backtracking
-        interpreter.  ``None`` means ``"compiled"``.
     cache_size:
         Bound of each cache (0 disables caching).
-    use_view_index:
-        Consult a :class:`~repro.service.view_index.ViewRelevanceIndex` to
-        prune views per request.
     observability:
         When True (the default) the engine owns a
         :class:`repro.obs.Instrumentation` bundle: per-stage latency
@@ -238,9 +228,7 @@ def connect(
         view_instance=instance,
         algorithm=algorithm,
         mode=mode,
-        executor=executor,
         cache_size=cache_size,
-        use_view_index=use_view_index,
         observability=observability,
         storage_manager=manager,
         recovery=recovery,
@@ -349,12 +337,12 @@ class Engine:
     # between instances, and every attribute load on the request path slows.
     __slots__ = (
         "_answer_cache", "_bound_forms", "_db_version", "_deltas_maintained",
-        "_deltas_since_checkpoint", "_executor", "_index", "_obs", "_prepared",
+        "_deltas_since_checkpoint", "_executor", "_index", "_merged", "_obs", "_prepared",
         "_rewrite_cache", "_snapshot_interval", "_storage", "_store", "_view_instance",
         "_view_order", "_view_values", "_views_token", "algorithm", "cache_size", "catalog",
         "database", "delta_evictions", "delta_retained", "deltas_applied", "executor",
         "invalidations", "last_cache_hit", "mode", "queries_served", "recovery_report",
-        "requests", "use_view_index", "views",
+        "requests", "views",
     )
 
     def __init__(
@@ -364,9 +352,7 @@ class Engine:
         view_instance: Optional[Database] = None,
         algorithm: str = "minicon",
         mode: str = "equivalent",
-        executor: Optional[str] = None,
         cache_size: int = 512,
-        use_view_index: bool = True,
         observability: bool = True,
         storage_manager: Optional[StorageManager] = None,
         recovery: Optional[RecoveryResult] = None,
@@ -393,13 +379,12 @@ class Engine:
             raise RewritingError(
                 f"unknown mode {mode!r}; expected one of {', '.join(MODES)}"
             )
-        self._executor = make_executor("compiled" if executor is None else executor)
-        #: The executor name (``"compiled"`` / ``"interpreted"``).
+        self._executor = CompiledExecutor()
+        #: The executor name, ``"compiled"``.
         self.executor = self._executor.name
         self.algorithm = algorithm
         self.mode = mode
         self.cache_size = cache_size
-        self.use_view_index = use_view_index
         self.catalog = catalog
         self.views = catalog.views
         self._index_views()
@@ -407,6 +392,8 @@ class Engine:
         self.database = database
         self._db_version: Optional[int] = database.version if database is not None else None
         self._store: Optional[MaterializedViewStore] = None
+        #: The views+base database partial rewritings read (_database_for).
+        self._merged: Optional[Tuple[Database, Tuple[int, int], Database]] = None
         self._view_instance = view_instance
         self._obs: Optional[Instrumentation] = (
             Instrumentation() if observability else None
@@ -678,7 +665,7 @@ class Engine:
                 self._prepared.clear()
                 self._bound_forms.clear()
                 self._rewrite_cache.clear()
-                self._store = None
+                self._store = self._merged = None
         else:
             evicted = [key for key in answers if answers.peek(key).predicates & scope]
             for key in evicted:
@@ -723,7 +710,7 @@ class Engine:
             "bound_forms": self._bound_forms.stats(),
             "answer_cache": self._answer_cache.stats(),
             "global.containment_memo": containment_memo_stats(),
-            "view_index": self._index.stats() if self._index is not None else None,
+            "view_index": self._index.stats(),
             "storage": self._storage_stats(),
             "metrics": self._obs.snapshot() if self._obs is not None else None,
         }
@@ -901,22 +888,32 @@ class Engine:
         return self._store
 
     def _database_for(self, kind: Optional[RewritingKind]) -> Database:
-        """What a plan of this kind reads: view extents, those merged with the
-        base relations, or (no rewriting stands in for the query) the base."""
+        """What a plan of this kind reads: view extents, those beside the
+        base relations, or (no rewriting stands in for the query) the base.
+
+        The views+base database holds the very relations of both -- it copies
+        no row -- and is built once per pair of their versions, so a partial
+        rewriting's plans stay cached until a write."""
         assert self.database is not None
         if kind is None:
             return self.database
         instance = self._view_store().as_database()
-        return instance if kind is RewritingKind.EQUIVALENT else instance.merge(self.database)
+        if kind is RewritingKind.EQUIVALENT:
+            return instance
+        versions = (instance.version, self.database.version)
+        merged = self._merged
+        if merged is None or merged[0] is not instance or merged[1] != versions:
+            merged = self._merged = (
+                instance, versions, Database.sharing(self.database, instance)
+            )
+        return merged[2]
 
     # -- internals: rewriting -----------------------------------------------------
     def _index_views(self) -> None:
         """Index the view set: the relevance index, and what the definitions
         can tell about a query constant — the values they mention, and those
         values in order per class."""
-        self._index: Optional[ViewRelevanceIndex] = (
-            ViewRelevanceIndex(self.views) if self.use_view_index else None
-        )
+        self._index = ViewRelevanceIndex(self.views)
         constants = [c for view in self.views for c in view.definition.constants()]
         self._view_values = {c.value for c in constants}
         self._view_order: Tuple[List[Any], ...] = tuple(
@@ -975,7 +972,7 @@ class Engine:
         being its printed half; None when the next text could not use one: a
         string literal beside a symbolic constant (their order, or equality,
         is in no key), a literal that stays in a plan shape's head, a
-        fingerprint that is not exact, an executor that caches no plans."""
+        fingerprint that is not exact."""
         template_key = (fp.shape, self.algorithm, self.mode, self._param_tags(fp))
         template = self._rewrite_cache.peek(template_key)
         kind = plan_kind(result.best)
@@ -987,7 +984,6 @@ class Engine:
             template is None
             or not fp.exact
             or 0 < sum(c.value.__class__ is str for c in literals) < strings
-            or type(self._executor) is not CompiledExecutor
         ):
             return None
         plans = []
@@ -1102,19 +1098,16 @@ class Engine:
         return result
 
     def _rewrite_uncached(self, query: ConjunctiveQuery) -> RewritingResult:
-        candidate_filter = None
-        if self._index is not None:
-            # The exhaustive search needs whole-body homomorphisms, so the
-            # stronger "cover" pruning is sound there; bucket/minicon cover
-            # subgoals individually and get "overlap".
-            mode = "cover" if self.algorithm == "exhaustive" else "overlap"
-            candidate_filter = self._index.make_filter(query, mode)
+        # The exhaustive search needs whole-body homomorphisms, so the
+        # stronger "cover" pruning is sound there; bucket/minicon cover
+        # subgoals individually and get "overlap".
+        mode = "cover" if self.algorithm == "exhaustive" else "overlap"
         return rewrite(
             query,
             self.views,
             algorithm=self.algorithm,
             mode=self.mode,
-            candidate_filter=candidate_filter,
+            candidate_filter=self._index.make_filter(query, mode),
         )
 
     # -- internals: the verbs -----------------------------------------------------
@@ -1219,14 +1212,11 @@ class Engine:
         if obs is None:
             return run()
         executor = self._executor
-        hits_before = getattr(executor, "plan_hits", 0)
-        misses_before = getattr(executor, "plan_misses", 0)
+        hits_before, misses_before = executor.plan_hits, executor.plan_misses
         with obs.stage("execute", executor=self.executor):
             answers = run()
-        obs.cache_event("plan", "hit", getattr(executor, "plan_hits", 0) - hits_before)
-        obs.cache_event(
-            "plan", "compile", getattr(executor, "plan_misses", 0) - misses_before
-        )
+        obs.cache_event("plan", "hit", executor.plan_hits - hits_before)
+        obs.cache_event("plan", "compile", executor.plan_misses - misses_before)
         return answers
 
     def _evaluate_plan(
@@ -1334,12 +1324,11 @@ class Engine:
                 ),
             )
             evaluation, materialization = self._describe_evaluation(query, best)
-            executor_stats = self._executor.stats()
             caches = CacheReport(
                 rewrite_cache_hit=rewrite_hit,
                 answer_cached=answer_cached,
-                plan_hits=executor_stats.get("plan_hits", 0),
-                plan_misses=executor_stats.get("plan_misses", 0),
+                plan_hits=self._executor.plan_hits,
+                plan_misses=self._executor.plan_misses,
             )
             return Explanation(
                 query=to_datalog(query),
@@ -1357,16 +1346,9 @@ class Engine:
     ) -> Tuple[Evaluation, Optional[Dict[str, Any]]]:
         if self.database is None:
             return Evaluation(target="none", executor=self.executor, plans=()), None
-        target = self._plan_target(best)
-        if target == SOURCE_VIEWS:
-            plan_query: "ConjunctiveQuery | UnionQuery" = best.query  # type: ignore[union-attr]
-            plan_db = self._view_store().as_database()
-        elif target == SOURCE_VIEWS_AND_BASE:
-            plan_query = best.query  # type: ignore[union-attr]
-            plan_db = self._view_store().as_database().merge(self.database)
-        else:
-            plan_query = query
-            plan_db = self.database
+        kind = plan_kind(best)
+        plan_query = query if kind is None else best.query  # type: ignore[union-attr]
+        plan_db = self._database_for(kind)
         disjuncts = (
             plan_query.disjuncts
             if isinstance(plan_query, UnionQuery)
@@ -1376,19 +1358,15 @@ class Engine:
             self._describe_plan(disjunct, plan_db, self._executor)
             for disjunct in disjuncts
         )
-        materialization = None
-        if target in (SOURCE_VIEWS, SOURCE_VIEWS_AND_BASE):
-            materialization = self._view_store().stats()
-        return Evaluation(target=target, executor=self.executor, plans=plans), materialization
+        materialization = self._view_store().stats() if kind is not None else None
+        evaluation = Evaluation(target=self._plan_target(best), executor=self.executor, plans=plans)
+        return evaluation, materialization
 
     @staticmethod
     def _describe_plan(
-        disjunct: ConjunctiveQuery, database: Database, executor: Any
+        disjunct: ConjunctiveQuery, database: Database, executor: CompiledExecutor
     ) -> PlanDescription:
         text = to_datalog(disjunct)
-        # The compiled executor exposes plan_for; the interpreter does not.
-        if not hasattr(executor, "plan_for"):
-            return PlanDescription(disjunct=text, strategy="interpreted")
         hits_before = executor.plan_hits
         try:
             plan = executor.plan_for(disjunct, database)

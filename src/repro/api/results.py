@@ -227,7 +227,7 @@ class PlanDescription:
 
     disjunct: str
     #: ``"compiled"`` (set-at-a-time pipeline), ``"interpreted"`` (the
-    #: backtracking interpreter — by choice or compiler fallback) or
+    #: backtracking interpreter, the compiler's fallback for function terms) or
     #: ``"empty"`` (a ground comparison is false; no rows possible).
     strategy: str
     steps: Tuple[PlanStep, ...] = ()

@@ -97,7 +97,6 @@ from repro.errors import (
 )
 from repro.api import connect
 from repro.datalog.parser import parse_program
-from repro.exec import EXECUTORS
 from repro.experiments.registry import all_experiments
 from repro.materialize.delta import parse_delta
 from repro.rewriting.rewriter import ALGORITHMS, MODES
@@ -153,9 +152,7 @@ def _engine_for(args: argparse.Namespace, **overrides):
         "data": _read_text(args.database) if getattr(args, "database", None) else None,
         "algorithm": getattr(args, "algorithm", "minicon"),
         "mode": getattr(args, "mode", "equivalent"),
-        "executor": getattr(args, "executor", None),
         "cache_size": getattr(args, "cache_size", 512),
-        "use_view_index": not getattr(args, "no_view_index", False),
     }
     if getattr(args, "backend", None):
         options["backend"] = args.backend
@@ -419,13 +416,12 @@ def _print_session_stats(engine, out) -> None:
             f"rejections, {memo_stats['bypasses']} bypasses",
             file=out,
         )
-    if index_stats is not None:
-        print(
-            f"# view index: {index_stats['views_pruned']} views pruned, "
-            f"{index_stats['views_admitted']} admitted across "
-            f"{index_stats['queries_filtered']} queries",
-            file=out,
-        )
+    print(
+        f"# view index: {index_stats['views_pruned']} views pruned, "
+        f"{index_stats['views_admitted']} admitted across "
+        f"{index_stats['queries_filtered']} queries",
+        file=out,
+    )
 
 
 def _command_batch(args: argparse.Namespace, out) -> int:
@@ -593,14 +589,6 @@ def _add_storage_flags(parser: argparse.ArgumentParser, required: bool = False) 
     )
 
 
-def _add_executor_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--executor", choices=EXECUTORS, default="compiled",
-        help="execution engine for query evaluation: compiled (default) "
-             "or interpreted",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -625,7 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--views", help="optional views: answer through an equivalent rewriting instead"
     )
     answer_parser.add_argument("--algorithm", choices=ALGORITHMS, default="minicon")
-    _add_executor_flag(answer_parser)
     answer_parser.set_defaults(handler=_command_answer)
 
     explain_parser = subparsers.add_parser(
@@ -637,7 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
     explain_parser.add_argument("--algorithm", choices=ALGORITHMS, default="minicon")
     explain_parser.add_argument("--mode", choices=MODES, default="equivalent")
     explain_parser.add_argument("--json", help="also write the explanation to this JSON file")
-    _add_executor_flag(explain_parser)
     explain_parser.set_defaults(handler=_command_explain)
 
     certain_parser = subparsers.add_parser(
@@ -702,9 +688,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also evaluate each query over the database",
     )
     serve_parser.add_argument(
-        "--no-view-index", action="store_true", help="disable view-relevance pruning"
-    )
-    serve_parser.add_argument(
         "--http", type=int, metavar="PORT", default=None,
         help="serve the HTTP/JSON API on this port instead of reading stdin "
              "(0 picks a free port); freezes the garbage collector's view of "
@@ -721,7 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats-json", action="store_true",
         help="print stats as one JSON object instead of '#' comment lines",
     )
-    _add_executor_flag(serve_parser)
     _add_storage_flags(serve_parser)
     serve_parser.set_defaults(handler=_command_serve)
 
@@ -741,13 +723,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate the warmup queries over the database",
     )
     stats_parser.add_argument(
-        "--no-view-index", action="store_true", help="disable view-relevance pruning"
-    )
-    stats_parser.add_argument(
         "--stats-json", action="store_true",
         help="print stats as one JSON object instead of '#' comment lines",
     )
-    _add_executor_flag(stats_parser)
     _add_storage_flags(stats_parser)
     stats_parser.set_defaults(handler=_command_stats)
 
@@ -766,10 +744,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--answers", action="store_true",
         help="also evaluate each query over the database",
     )
-    batch_parser.add_argument(
-        "--no-view-index", action="store_true", help="disable view-relevance pruning"
-    )
-    _add_executor_flag(batch_parser)
     batch_parser.add_argument("--json", help="write the full report to this JSON file")
     batch_parser.set_defaults(handler=_command_batch)
 

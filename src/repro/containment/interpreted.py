@@ -12,9 +12,10 @@ induced comparisons are implied by that preorder.
 The number of total preorders grows like the ordered Bell numbers, so the test
 is exponential in the number of *order-relevant* terms.  The implementation
 keeps that set as small as possible (only terms that can interact with a
-comparison on either side) and refuses inputs whose relevant-term set exceeds
-``MAX_ORDERED_TERMS``; within that limit it is sound and complete over dense
-domains.
+comparison on either side), builds the preorders one term at a time without
+extending one that already contradicts the query's comparisons, and refuses
+inputs whose relevant-term set exceeds ``MAX_ORDERED_TERMS``; within that
+limit it is sound and complete over dense domains.
 
 The sound half comes first: one mapping whose induced comparisons ``query``'s
 own already imply (:func:`_has_witness`; every pair equivalent up to renaming
@@ -25,7 +26,7 @@ pair without one, whatever the number of order-relevant terms.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import UnsupportedFeatureError
 from repro.datalog.atoms import Atom, Comparison, ComparisonOperator
@@ -39,26 +40,34 @@ from repro.containment.homomorphism import containment_mappings, find_containmen
 MAX_ORDERED_TERMS = 8
 
 
-def _ordered_partitions(items: Sequence[Term]) -> Iterator[List[List[Term]]]:
-    """All ordered set partitions (total preorders) of ``items``.
+def _ordered_partitions(
+    items: Sequence[Term],
+    consistent: Callable[[List[List[Term]]], bool] = lambda partition: True,
+) -> Iterator[List[List[Term]]]:
+    """All ordered set partitions (total preorders) of ``items`` that
+    ``consistent`` accepts.
 
     Each yielded value is a list of blocks; members of a block are considered
-    equal, and blocks are strictly increasing left to right.
+    equal, and blocks are strictly increasing left to right.  A partition of
+    ``items[1:]`` that ``consistent`` rejects is never extended, so the test
+    must be monotone: it rejects every extension of a partition it rejects.
     """
     if not items:
         yield []
         return
     first, rest = items[0], items[1:]
-    for partition in _ordered_partitions(rest):
+    for partition in _ordered_partitions(rest, consistent):
         # Insert `first` into an existing block or as a new block at any position.
         for index in range(len(partition)):
             updated = [list(block) for block in partition]
             updated[index].append(first)
-            yield updated
+            if consistent(updated):
+                yield updated
         for index in range(len(partition) + 1):
             updated = [list(block) for block in partition]
             updated.insert(index, [first])
-            yield updated
+            if consistent(updated):
+                yield updated
 
 
 def _relevant_terms(query: ConjunctiveQuery, other: ConjunctiveQuery) -> List[Term]:
@@ -150,11 +159,27 @@ def _contained_by_cases(
             f"containment with comparisons over {len(relevant)} order-relevant terms "
             f"exceeds the enumeration limit of {max_ordered_terms}"
         )
-    for partition in _ordered_partitions(relevant):
-        ordering = _preorder_comparisons(partition)
-        scenario = ComparisonSet(tuple(query.comparisons) + tuple(ordering))
-        if not scenario.is_satisfiable():
-            continue  # this ordering contradicts the query's own constraints
+    comparisons = tuple(query.comparisons)
+
+    def scenario_of(partition: List[List[Term]]) -> ComparisonSet:
+        # Every term of a query comparison is relevant, so a partition of
+        # some of the terms meets the comparisons among those terms.
+        ordered = {term for block in partition for term in block}
+        own = tuple(c for c in comparisons if c.left in ordered and c.right in ordered)
+        return ComparisonSet(own + tuple(_preorder_comparisons(partition)))
+
+    # An ordering of some of the terms that contradicts the query's own
+    # comparisons contradicts them however the other terms are placed, so
+    # the enumeration prunes it instead of expanding it ordered-Bell-fold.
+    checked: List = [None, None]  # the partition checked last, its scenario
+
+    def consistent(partial: List[List[Term]]) -> bool:
+        checked[:] = [partial, scenario_of(partial)]
+        return checked[1].is_satisfiable()
+
+    for partition in _ordered_partitions(relevant, consistent):
+        # A partition is yielded right after its check, whose scenario it reuses.
+        scenario = checked[1] if checked[0] is partition else scenario_of(partition)
         collapsed = _collapse(query, partition)
         witnessed = False
         for mapping in containment_mappings(container, collapsed):

@@ -210,6 +210,16 @@ class Database:
     def copy(self) -> "Database":
         return Database(self._relations.values())
 
+    @classmethod
+    def sharing(cls, *databases: "Database") -> "Database":
+        """A database over the very relations of ``databases`` (a later one's
+        taking a repeated name).  No row is copied, so it reads their rows as
+        they change, but not the relations they add or drop afterwards."""
+        shared = cls()
+        for database in databases:
+            shared._relations.update(database._relations)
+        return shared
+
     def merge(self, other: "Database") -> "Database":
         """A new database containing the facts of both (arity conflicts raise)."""
         merged = self.copy()

@@ -1,24 +1,28 @@
 """Evaluation of conjunctive queries and unions over in-memory databases.
 
-Two execution engines sit behind the :func:`evaluate` front door:
+Two evaluators sit behind the :func:`evaluate` front door:
 
-* the **compiled, set-at-a-time engine** (:mod:`repro.exec`, the default):
-  queries are compiled into physical plans — indexed scans feeding hash-join
-  pipelines with cost-based join ordering — that operate on whole relations
-  at a time, with plan caching keyed by query shape and database identity;
+* the **compiled, set-at-a-time engine** (:mod:`repro.exec`, what every
+  engine runs and what ``evaluate`` runs by default): queries are compiled
+  into physical plans — indexed scans feeding hash-join pipelines with
+  cost-based join ordering — that operate on whole relations at a time, with
+  plan caching keyed by query shape and database identity;
 * the **backtracking interpreter** (this module): subgoals are ordered
   greedily, candidate tuples are fetched through hash indexes on the
-  currently-bound argument positions one binding at a time, and comparison
-  subgoals are checked as soon as both sides are ground.
+  currently-bound argument positions one binding at a time, and each
+  comparison is checked as soon as both its sides are ground.
 
-The interpreter remains the fallback for queries the compiler does not
+The interpreter is the reference semantics (``evaluate(...,
+executor="interpreted")``), the fallback for queries the compiler does not
 admit — anything containing function terms (the Skolem terms of the
-inverse-rules algorithm) — and the engine of choice for lazy enumeration
-(:func:`evaluate_substitutions`, :func:`evaluate_boolean`, and the delta
-rules of :mod:`repro.materialize.counting`, which all want bindings one at a
-time).  Pick an engine per call with ``evaluate(..., executor=...)``.
+inverse-rules algorithm) — and the one loop that enumerates bindings lazily.
+That loop, :func:`join_subgoals`, reads one row source per subgoal:
+:func:`evaluate_substitutions` and :func:`evaluate_boolean` run it over a
+database's relations, and the delta rules of
+:mod:`repro.materialize.counting` over delta rows and overlaid relation
+states.
 
-Both engines fill the same :class:`EvaluationStatistics`, which the cost
+Both evaluators fill the same :class:`EvaluationStatistics`, which the cost
 model (:mod:`repro.engine.cost`) uses to compare the work needed to answer a
 query directly against the work needed to answer its rewriting over
 materialized views — the paper's query-optimization motivation.
@@ -26,8 +30,10 @@ materialized views — the paper's query-optimization motivation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.errors import EvaluationError
 from repro.datalog.atoms import Atom, Comparison
@@ -62,22 +68,36 @@ class EvaluationStatistics:
         return self.probes + self.extensions
 
 
-def _candidate_rows(
-    relation: Relation, positions: Tuple[int, ...], key: Tuple[Any, ...]
-) -> Sequence[Tuple[Any, ...]]:
-    """Candidate tuples matching ``key`` on ``positions``.
+Binding = Dict[Variable, Any]
+
+#: The candidate rows of one subgoal: ``source(positions, key)`` returns the
+#: rows carrying ``key`` at ``positions`` (every row when ``positions`` is
+#: empty).  More rows are harmless: the join matches every row it fetches.
+RowSource = Callable[[Tuple[int, ...], Tuple[Any, ...]], Iterable[Tuple[Any, ...]]]
+
+
+def _relation_rows(relation: Optional[Relation], atom: Atom) -> RowSource:
+    """A database relation as the row source of ``atom``.
 
     Relations maintain their per-position hash indexes incrementally (see
-    :meth:`Relation.index_on`), so this is a dictionary lookup — there is no
-    per-evaluation index build any more, and indexes survive across
-    evaluations and small data deltas.
+    :meth:`Relation.index_on`), so a keyed fetch is a dictionary lookup.  A
+    missing or empty relation has no rows; one whose arity is not the
+    subgoal's raises when a binding first reaches the subgoal.
     """
-    if not positions:
-        return tuple(relation)
-    return relation.index_on(positions).get(key, ())
 
+    def rows(positions: Tuple[int, ...], key: Tuple[Any, ...]) -> Iterable[Tuple[Any, ...]]:
+        if relation is None or len(relation) == 0:
+            return ()
+        if relation.arity != len(atom.args):
+            raise EvaluationError(
+                f"subgoal {atom} has arity {len(atom.args)} but relation "
+                f"{relation.name} has arity {relation.arity}"
+            )
+        if not positions:
+            return tuple(relation)
+        return relation.index_on(positions).get(key, ())
 
-Binding = Dict[Variable, Any]
+    return rows
 
 
 def _ground_term(term: Term, binding: Binding) -> Tuple[bool, Any]:
@@ -103,40 +123,36 @@ def _ground_term(term: Term, binding: Binding) -> Tuple[bool, Any]:
     raise EvaluationError(f"cannot evaluate term {term!r}")
 
 
-def _order_subgoals(query: ConjunctiveQuery, database: Database) -> List[Atom]:
-    """Greedy join order: smallest relations first, then maximize bound variables.
+def order_subgoals(
+    atoms: Sequence[Atom],
+    size: Callable[[int], int],
+    bound: Optional[Iterable[Variable]] = None,
+) -> List[int]:
+    """A greedy join order over ``atoms``, as indexes into it.
 
-    This is the interpreter (fallback) path's ordering; the compiled engine
-    has its own cost-based ordering in :func:`repro.exec.compile.order_body`.
-    Each iteration selects the minimum-score subgoal directly instead of
-    re-sorting the whole remaining list, so ordering is O(n²) comparisons
-    rather than O(n² log n).
+    ``size(i)`` is the row count of subgoal ``i``'s source and ``bound`` the
+    variables a subgoal already placed before them binds.  With none placed
+    (``bound`` None), the first pick is the smallest source, then the one
+    with the most constants; every other pick shares the most bound
+    variables, then has the smallest source.  Ties go in body order.  The
+    interpreter orders a query body this way, and counting the subgoals of
+    a delta rule after its seed; the compiled engine has its own cost-based
+    ordering in :func:`repro.exec.compile.order_body`.
     """
-    remaining = list(query.body)
-    if not remaining:
-        return []
-
-    def relation_size(atom: Atom) -> int:
-        relation = database.relation(atom.predicate)
-        return len(relation) if relation is not None else 0
-
-    ordered: List[Atom] = []
-    bound: set = set()
-    # Seed with the most selective subgoal (fewest tuples, most constants).
-    first = min(remaining, key=lambda a: (relation_size(a), -len(a.constants())))
-    remaining.remove(first)
-    ordered.append(first)
-    bound.update(first.variables())
-    while remaining:
-        def score(atom: Atom) -> Tuple[int, int]:
-            shared = sum(1 for v in atom.variables() if v in bound)
-            return (-shared, relation_size(atom))
-
-        chosen = min(remaining, key=score)
+    remaining = list(range(len(atoms)))
+    ordered: List[int] = []
+    if bound is None and remaining:
+        ordered.append(min(remaining, key=lambda i: (size(i), -len(atoms[i].constants()))))
+        remaining.remove(ordered[0])
+    bound = set(bound or ()).union(*(atoms[i].variables() for i in ordered))
+    while len(remaining) > 1:
+        chosen = min(
+            remaining, key=lambda i: (-sum(v in bound for v in atoms[i].variables()), size(i))
+        )
         remaining.remove(chosen)
         ordered.append(chosen)
-        bound.update(chosen.variables())
-    return ordered
+        bound.update(atoms[chosen].variables())
+    return ordered + remaining
 
 
 def _comparison_ready(comparison: Comparison, binding: Binding) -> Optional[bool]:
@@ -153,6 +169,99 @@ def _comparison_ready(comparison: Comparison, binding: Binding) -> Optional[bool
     return comparison.op.evaluate(left, right)
 
 
+_UNBOUND = object()
+
+
+def _match(args: Sequence[Term], row: Tuple[Any, ...], binding: Binding) -> Optional[Binding]:
+    """``binding`` extended so that ``args`` match ``row``, or None on a clash.
+
+    Arguments are matched left to right, so a function term matches only
+    when the variables it reads are bound before it.
+    """
+    extended = dict(binding)
+    for term, value in zip(args, row):
+        if isinstance(term, Variable):
+            bound = extended.get(term, _UNBOUND)
+            if bound is _UNBOUND:
+                extended[term] = value
+            elif bound != value:
+                return None
+        elif isinstance(term, Constant):
+            if term.value != value:
+                return None
+        else:
+            ok, ground = _ground_term(term, extended)
+            if not ok or ground != value:
+                return None
+    return extended
+
+
+def join_subgoals(
+    subgoals: Sequence[Tuple[Atom, RowSource]],
+    comparisons: Sequence[Comparison],
+    statistics: EvaluationStatistics,
+) -> Iterator[Binding]:
+    """Yield every binding that matches each subgoal's atom against a row of
+    its source, in the order given, and satisfies ``comparisons``.
+
+    The one backtracking join.  Each subgoal fetches the rows of its source
+    keyed on its arguments already ground, and a comparison is checked right
+    after the first subgoal that leaves it ground (one that never becomes
+    ground holds).  ``probes`` counts the rows fetched, ``extensions`` the
+    bindings that survive their subgoal.
+    """
+    if not subgoals:
+        if all(_comparison_ready(c, {}) for c in comparisons):
+            yield {}
+        return
+    checks: List[Sequence[Comparison]] = [()] * len(subgoals)
+    if comparisons:
+        bound: set = set()
+        pending = list(comparisons)
+        for step, (atom, _) in enumerate(subgoals):
+            bound.update(atom.variables())
+            checks[step] = [c for c in pending if bound.issuperset(c.variables())]
+            pending = [c for c in pending if not bound.issuperset(c.variables())]
+    last = len(subgoals) - 1
+
+    def rows(step: int, binding: Binding) -> Iterator[Tuple[Any, ...]]:
+        atom, source = subgoals[step]
+        positions: List[int] = []
+        key: List[Any] = []
+        for position, term in enumerate(atom.args):
+            ok, value = _ground_term(term, binding)
+            if ok:
+                positions.append(position)
+                key.append(value)
+        return iter(source(tuple(positions), tuple(key)))
+
+    # Iterative backtracking: one row iterator and one binding per open
+    # subgoal, so a yielded binding passes through one generator frame.
+    bindings: List[Binding] = [{}]
+    pending_rows = [rows(0, {})]
+    while pending_rows:
+        step = len(pending_rows) - 1
+        args, binding = subgoals[step][0].args, bindings[step]
+        for row in pending_rows[step]:
+            statistics.probes += 1
+            extended = _match(args, row, binding)
+            if extended is None or (
+                checks[step]
+                and any(_comparison_ready(c, extended) is False for c in checks[step])
+            ):
+                continue
+            statistics.extensions += 1
+            if step == last:
+                yield extended
+            else:
+                bindings.append(extended)
+                pending_rows.append(rows(step + 1, extended))
+                break
+        else:
+            pending_rows.pop()
+            bindings.pop()
+
+
 def evaluate_substitutions(
     query: ConjunctiveQuery,
     database: Database,
@@ -166,69 +275,14 @@ def evaluate_substitutions(
     the binding occurs in the body.
     """
     stats = statistics if statistics is not None else EvaluationStatistics()
-    ordered = _order_subgoals(query, database)
-    stats.subgoals += len(ordered)
-    comparisons = list(query.comparisons)
-
-    # Boolean query with empty body: the head must be ground and always holds.
-    if not ordered:
-        if all(_comparison_ready(c, {}) for c in comparisons):
-            yield {}
-        return
-
-    def check_comparisons(binding: Binding) -> bool:
-        for comparison in comparisons:
-            result = _comparison_ready(comparison, binding)
-            if result is False:
-                return False
-        return True
-
-    def extend(position: int, binding: Binding) -> Iterator[Binding]:
-        if position == len(ordered):
-            yield dict(binding)
-            return
-        atom = ordered[position]
-        relation = database.relation(atom.predicate)
-        if relation is None or len(relation) == 0:
-            return
-        if relation.arity != len(atom.args):
-            raise EvaluationError(
-                f"subgoal {atom} has arity {len(atom.args)} but relation "
-                f"{relation.name} has arity {relation.arity}"
-            )
-        bound_positions: List[int] = []
-        bound_values: List[Any] = []
-        for index, term in enumerate(atom.args):
-            ok, value = _ground_term(term, binding)
-            if ok:
-                bound_positions.append(index)
-                bound_values.append(value)
-        candidates = _candidate_rows(relation, tuple(bound_positions), tuple(bound_values))
-        for row in candidates:
-            stats.probes += 1
-            new_binding = dict(binding)
-            success = True
-            for index, term in enumerate(atom.args):
-                value = row[index]
-                ok, ground_value = _ground_term(term, new_binding)
-                if ok:
-                    if ground_value != value:
-                        success = False
-                        break
-                elif isinstance(term, Variable):
-                    new_binding[term] = value
-                else:
-                    # A non-ground function term cannot be matched against a value.
-                    success = False
-                    break
-            if not success:
-                continue
-            if not check_comparisons(new_binding):
-                continue
-            stats.extensions += 1
-            yield from extend(position + 1, new_binding)
-
-    yield from extend(0, {})
+    body = query.body
+    relations = [database.relation(atom.predicate) for atom in body]
+    order = order_subgoals(
+        body, lambda i: len(relations[i]) if relations[i] is not None else 0
+    )
+    stats.subgoals += len(order)
+    subgoals = [(body[i], _relation_rows(relations[i], body[i])) for i in order]
+    yield from join_subgoals(subgoals, query.comparisons, stats)
 
 
 def evaluate_conjunctive_interpreted(
@@ -267,18 +321,29 @@ def evaluate(
 
     For a union query, the result is the union of the disjuncts' answers.
 
-    ``executor`` picks the execution engine: ``"compiled"`` (set-at-a-time
-    physical plans, the default), ``"interpreted"`` (the backtracking
-    interpreter), an executor instance (e.g. an engine-owned
-    :class:`repro.exec.CompiledExecutor` with its own plan cache); None
-    means ``"compiled"``.
-    Both engines return identical answer sets; the compiled engine falls
-    back to the interpreter per-disjunct for queries with function terms.
+    ``executor`` is None or ``"compiled"`` (the process-shared
+    :class:`repro.exec.CompiledExecutor`), a ``CompiledExecutor`` of the
+    caller's own (an engine's, with its own plan cache), or
+    ``"interpreted"`` (the backtracking interpreter, the reference
+    semantics); anything else raises :class:`EvaluationError`.  Both
+    evaluators return identical answer sets; the compiled engine falls back
+    to the interpreter per disjunct for queries with function terms.
     """
-    from repro.exec import resolve_executor  # deferred: repro.exec imports us
+    from repro.exec.executor import SHARED_EXECUTOR, CompiledExecutor  # repro.exec imports us
 
     stats = statistics if statistics is not None else EvaluationStatistics()
-    return resolve_executor(executor).evaluate(query, database, stats)
+    if executor == "interpreted":
+        disjuncts = query.disjuncts if isinstance(query, UnionQuery) else (query,)
+        return frozenset().union(
+            *(evaluate_conjunctive_interpreted(d, database, stats) for d in disjuncts)
+        )
+    if executor is None or executor == "compiled":
+        executor = SHARED_EXECUTOR
+    elif not isinstance(executor, CompiledExecutor):
+        raise EvaluationError(
+            f"unknown executor {executor!r}; expected one of compiled, interpreted"
+        )
+    return executor.evaluate(query, database, stats)
 
 
 def evaluate_boolean(
@@ -307,9 +372,9 @@ def materialize_views(
     Returns a new database with one relation per view, named after the view
     and containing the view's answers over ``database``.  This is the "view
     instance" against which rewritings are evaluated.  Each definition is
-    evaluated through ``executor`` (default: the compiled engine).
+    evaluated through ``executor`` (see :func:`evaluate`).
     """
-    from repro.datalog.views import View, ViewSet  # local import to avoid a cycle
+    from repro.datalog.views import View  # local import to avoid a cycle
 
     out = Database()
     for view in views:

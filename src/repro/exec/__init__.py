@@ -16,13 +16,12 @@ whole relations at a time instead of one binding at a time:
 * :mod:`repro.exec.executor` — :class:`CompiledExecutor` (plan caching keyed
   by query *shape* — constants lifted to parameters — and database identity,
   valid across data versions until a relation moves more than 2x; union
-  evaluation with shared build sides; interpreter fallback) and
-  :class:`InterpretedExecutor`.
+  evaluation with shared build sides; interpreter fallback).
 
-:func:`repro.engine.evaluate.evaluate` runs the compiled engine unless the
-call names another (``evaluate(..., executor="interpreted")`` or an executor
-instance); engines choose theirs with ``connect(executor=...)``, the CLI's
-``--executor`` flag.
+Every engine holds its own :class:`CompiledExecutor`, and
+:func:`repro.engine.evaluate.evaluate` runs a process-shared one unless the
+call names the reference interpreter (``evaluate(...,
+executor="interpreted")``).
 
 >>> from repro.datalog.parser import parse_query
 >>> from repro.engine.database import Database
@@ -35,63 +34,18 @@ instance); engines choose theirs with ``connect(executor=...)``, the CLI's
 
 from __future__ import annotations
 
-from typing import Union
-
-from repro.errors import EvaluationError
 from repro.exec.compile import is_compilable, order_body, try_compile
-from repro.exec.executor import CompiledExecutor, InterpretedExecutor
+from repro.exec.executor import CompiledExecutor
 from repro.exec.plan import HashJoinStep, PhysicalPlan
 from repro.exec.stats import DatabaseStatistics, statistics_for
 
-#: The executor names accepted everywhere an executor can be chosen.
-EXECUTORS = ("compiled", "interpreted")
-
-ExecutorLike = Union[str, CompiledExecutor, InterpretedExecutor, None]
-
-
-def make_executor(name: str) -> "CompiledExecutor | InterpretedExecutor":
-    """A fresh (unshared) executor instance for a name in :data:`EXECUTORS`.
-
-    Engines use this so their plan caches are private rather
-    than process-shared.  It is the one place an executor name is checked:
-    an unknown name raises :class:`EvaluationError`.
-    """
-    if name not in EXECUTORS:
-        raise EvaluationError(
-            f"unknown executor {name!r}; expected one of {', '.join(EXECUTORS)}"
-        )
-    return CompiledExecutor() if name == "compiled" else InterpretedExecutor()
-
-
-_SHARED = {name: make_executor(name) for name in EXECUTORS}
-
-
-def resolve_executor(
-    executor: ExecutorLike = None,
-) -> "CompiledExecutor | InterpretedExecutor":
-    """The process-shared instance for a name (``None`` means ``"compiled"``);
-    an executor instance passes through."""
-    if executor is None:
-        executor = "compiled"
-    if isinstance(executor, str):
-        # A name outside _SHARED is unknown, and make_executor raises for it.
-        return _SHARED[executor] if executor in _SHARED else make_executor(executor)
-    if not hasattr(executor, "evaluate"):
-        raise EvaluationError(f"not an executor: {executor!r}")
-    return executor
-
-
 __all__ = [
-    "EXECUTORS",
     "CompiledExecutor",
-    "InterpretedExecutor",
     "DatabaseStatistics",
     "HashJoinStep",
     "PhysicalPlan",
     "is_compilable",
-    "make_executor",
     "order_body",
-    "resolve_executor",
     "statistics_for",
     "try_compile",
 ]

@@ -1,8 +1,9 @@
 """The compiled executor: plan caching, union evaluation, interpreter fallback.
 
-:class:`CompiledExecutor` is the object :func:`repro.engine.evaluate.evaluate`
-delegates to by default.  It keeps a bounded LRU of compiled plans keyed by
-``(query shape, database identity)``:
+:class:`CompiledExecutor` is what every engine holds and what
+:func:`repro.engine.evaluate.evaluate` runs (:data:`SHARED_EXECUTOR`) unless
+the call names the interpreter.  It keeps a bounded LRU of compiled plans
+keyed by ``(query shape, database identity)``:
 
 * the *shape* is the canonical query (:meth:`ConjunctiveQuery.canonical`:
   variable names and subgoal order abstracted away) with every body and
@@ -121,8 +122,6 @@ class CompiledExecutor:
         queries the compiler does not support; the negative result is cached
         too, so unsupported hot queries pay the admission check only once.
         """
-        if self.plan_cache_size <= 0:
-            return try_compile(query, database)
         # Compile from the canonical variant: its answer set is identical
         # (variables are renamed bijectively), and the plan then serves every
         # isomorphic-with-matching-canonical-form query.
@@ -181,31 +180,6 @@ class CompiledExecutor:
         )
 
 
-class InterpretedExecutor:
-    """The backtracking interpreter behind the same executor interface.
-
-    Exists so front ends can treat ``--executor interpreted`` uniformly; it
-    has no plan cache and no statistics beyond the evaluation counters.
-    """
-
-    name = "interpreted"
-
-    def evaluate(
-        self,
-        query: "ConjunctiveQuery | UnionQuery",
-        database: Database,
-        statistics: Optional[EvaluationStatistics] = None,
-    ) -> FrozenSet[Tuple[Any, ...]]:
-        stats = statistics if statistics is not None else EvaluationStatistics()
-        if isinstance(query, UnionQuery):
-            answers: set = set()
-            for disjunct in query.disjuncts:
-                answers |= self.evaluate(disjunct, database, stats)
-            return frozenset(answers)
-        return evaluate_conjunctive_interpreted(query, database, stats)
-
-    def stats(self) -> Dict[str, Any]:
-        return {"executor": self.name}
-
-    def __repr__(self) -> str:
-        return "InterpretedExecutor()"
+#: What :func:`repro.engine.evaluate.evaluate` runs when a call names no
+#: executor: one plan cache for the process.
+SHARED_EXECUTOR = CompiledExecutor()

@@ -21,10 +21,12 @@ delta rules, one per subgoal occurrence:
 
       A1@S1, ..., A(i-1)@S1,  Δ⁺Ai,  A(i+1)@S2, ..., An@S2
 
-Each rule seeds its join from the (small) delta tuples and probes the base
-relations through their incrementally-maintained hash indexes; no database
-state is ever copied — ``S0`` and ``S1`` are realized as the current state
-``S2`` plus small overlay sets.
+Each rule is one run of the interpreter's join,
+:func:`repro.engine.evaluate.join_subgoals`: the (small) delta tuples are
+the rows of its first subgoal, and every other subgoal reads its relation's
+state, probed through the base relation's incrementally-maintained hash
+indexes.  No database state is ever copied — ``S0`` and ``S1`` are realized
+as the current state ``S2`` plus small overlay sets.
 
 Self-joins are handled because every subgoal *occurrence* gets its own rule;
 comparison subgoals are checked as soon as they are ground.  Definitions
@@ -40,11 +42,16 @@ from collections import Counter
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import MaterializationError
-from repro.datalog.atoms import Atom, Comparison
+from repro.datalog.atoms import Atom
 from repro.datalog.queries import ConjunctiveQuery
 from repro.datalog.terms import Constant, Term, Variable
 from repro.engine.database import Database
-from repro.engine.evaluate import evaluate_substitutions
+from repro.engine.evaluate import (
+    EvaluationStatistics,
+    evaluate_substitutions,
+    join_subgoals,
+    order_subgoals,
+)
 from repro.engine.relation import Relation
 from repro.materialize.delta import Delta, Row
 
@@ -111,22 +118,17 @@ def delta_counts(
                 "and removed; counting maintenance needs disjoint sides"
             )
     body = definition.body
-    comparisons = definition.comparisons
-    head_args = definition.head.args
     changes: Counter = Counter()
-    if not body:
-        return changes
-
     versions = _VersionedStates(database, delta)
     for index, atom in enumerate(body):
         removed = delta.removed_rows(atom.predicate)
         if removed:
-            sources = versions.sources(body, index, later="S0")
-            _count_rule(body, comparisons, head_args, index, removed, sources, -1, changes)
+            others = versions.sources(body, index, later="S0")
+            _count_rule(definition, index, removed, others, -1, changes)
         inserted = delta.inserted_rows(atom.predicate)
         if inserted:
-            sources = versions.sources(body, index, later="S2")
-            _count_rule(body, comparisons, head_args, index, inserted, sources, +1, changes)
+            others = versions.sources(body, index, later="S2")
+            _count_rule(definition, index, inserted, others, +1, changes)
     return changes
 
 
@@ -225,13 +227,14 @@ class _VersionedStates:
 
     def sources(
         self, body: Sequence[Atom], seed_index: int, later: str
-    ) -> Dict[int, _Versioned]:
-        """Per-subgoal states for one delta rule (earlier @S1, later @``later``)."""
-        return {
-            j: self.state(body[j].predicate, "S1" if j < seed_index else later)
-            for j in range(len(body))
+    ) -> List[Tuple[Atom, _Versioned]]:
+        """The other subgoals of one delta rule, each with its state (earlier
+        @S1, later @``later``)."""
+        return [
+            (atom, self.state(atom.predicate, "S1" if j < seed_index else later))
+            for j, atom in enumerate(body)
             if j != seed_index
-        }
+        ]
 
 
 def _project_head(head_args: Sequence[Term], binding: Dict[Variable, Any]) -> Row:
@@ -244,110 +247,28 @@ def _project_head(head_args: Sequence[Term], binding: Dict[Variable, Any]) -> Ro
     return tuple(row)
 
 
-def _bind_atom(atom: Atom, row: Row) -> Optional[Dict[Variable, Any]]:
-    """Match a delta tuple against a subgoal; None when constants/joins clash."""
-    if len(row) != len(atom.args):
-        return None
-    binding: Dict[Variable, Any] = {}
-    for term, value in zip(atom.args, row):
-        if isinstance(term, Constant):
-            if term.value != value:
-                return None
-        else:
-            bound = binding.get(term, _MISSING)
-            if bound is _MISSING:
-                binding[term] = value
-            elif bound != value:
-                return None
-    return binding
-
-
-_MISSING = object()
-
-
-def _comparisons_ok(
-    comparisons: Sequence[Comparison], binding: Dict[Variable, Any]
-) -> bool:
-    """False only when some comparison is ground under ``binding`` and fails."""
-    for comparison in comparisons:
-        left = _resolve(comparison.left, binding)
-        right = _resolve(comparison.right, binding)
-        if left is _MISSING or right is _MISSING:
-            continue
-        if not comparison.op.evaluate(left, right):
-            return False
-    return True
-
-
-def _resolve(term: Term, binding: Dict[Variable, Any]) -> Any:
-    if isinstance(term, Constant):
-        return term.value
-    return binding.get(term, _MISSING)
-
-
 def _count_rule(
-    body: Sequence[Atom],
-    comparisons: Sequence[Comparison],
-    head_args: Sequence[Term],
+    definition: ConjunctiveQuery,
     seed_index: int,
     seed_rows: FrozenSet[Row],
-    sources: Dict[int, _Versioned],
+    others: List[Tuple[Atom, _Versioned]],
     sign: int,
     changes: Counter,
 ) -> None:
-    """Count the derivations of one delta rule and fold them into ``changes``."""
-    seed_atom = body[seed_index]
-    # Static greedy join order over the remaining subgoals: prefer subgoals
-    # sharing the most already-bound variables, then smaller states.  The
-    # bound-variable set after the seed is the same for every seed row, so the
-    # order is computed once per rule.
-    bound: Set[Variable] = set(seed_atom.variables())
-    remaining = [j for j in range(len(body)) if j != seed_index]
-    order: List[int] = []
-    while remaining:
-        remaining.sort(
-            key=lambda j: (
-                -sum(1 for v in body[j].variables() if v in bound),
-                sources[j].size(),
-            )
-        )
-        chosen = remaining.pop(0)
-        order.append(chosen)
-        bound.update(body[chosen].variables())
+    """Count the derivations of one delta rule and fold them into ``changes``.
 
-    def extend(step: int, binding: Dict[Variable, Any]) -> None:
-        if step == len(order):
-            changes[_project_head(head_args, binding)] += sign
-            return
-        atom = body[order[step]]
-        source = sources[order[step]]
-        positions: List[int] = []
-        key: List[Any] = []
-        for position, term in enumerate(atom.args):
-            value = _resolve(term, binding)
-            if value is not _MISSING:
-                positions.append(position)
-                key.append(value)
-        for row in source.candidates(tuple(positions), tuple(key)):
-            new_binding = dict(binding)
-            ok = True
-            for position, term in enumerate(atom.args):
-                value = row[position]
-                if isinstance(term, Constant):
-                    if term.value != value:
-                        ok = False
-                        break
-                else:
-                    bound_value = new_binding.get(term, _MISSING)
-                    if bound_value is _MISSING:
-                        new_binding[term] = value
-                    elif bound_value != value:
-                        ok = False
-                        break
-            if ok and _comparisons_ok(comparisons, new_binding):
-                extend(step + 1, new_binding)
-
-    for seed_row in seed_rows:
-        binding = _bind_atom(seed_atom, seed_row)
-        if binding is not None and _comparisons_ok(comparisons, binding):
-            extend(0, binding)
+    The seed subgoal comes first and reads ``seed_rows`` (a row of another
+    arity matches nothing; the join matches every row against the seed's
+    constants, so its source need not filter on them); the others follow in
+    the interpreter's order for what the seed binds.
+    """
+    seed = definition.body[seed_index]
+    seeds = [row for row in seed_rows if len(row) == len(seed.args)]
+    order = order_subgoals(
+        [atom for atom, _ in others], lambda k: others[k][1].size(), seed.variables()
+    )
+    subgoals = [(seed, lambda positions, key: seeds)]
+    subgoals += [(others[k][0], others[k][1].candidates) for k in order]
+    head_args = definition.head.args
+    for binding in join_subgoals(subgoals, definition.comparisons, EvaluationStatistics()):
+        changes[_project_head(head_args, binding)] += sign

@@ -31,7 +31,6 @@ PRE_FACADE_SYMBOLS = (
     "EvaluationError",
     "ExhaustiveRewriter",
     "FunctionTerm",
-    "InterpretedExecutor",
     "InverseRulesRewriter",
     "LRUCache",
     "MaterializationError",

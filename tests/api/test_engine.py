@@ -13,7 +13,6 @@ from repro.errors import (
 from repro.datalog.parser import parse_query, parse_views
 from repro.engine.database import Database
 from repro.engine.evaluate import evaluate
-from repro.exec import EXECUTORS
 from repro.materialize.delta import Delta
 
 VIEWS = """
@@ -371,21 +370,14 @@ class TestBatchAndStats:
         for cache in ("translation", "containment"):
             assert not any(f'repro_cache_entries{{cache="{cache}"}}' in line for line in lines)
 
-    def test_interpreted_executor_is_honoured(self):
-        engine = make_engine(executor="interpreted")
-        answer = engine.query(QUERY).answers()
-        assert answer.provenance.executor == "interpreted"
-        assert sorted(answer) == [(1, 5), (3, 6)]
-
 
 class TestExecutorMatrix:
-    """Every facade verb behaves identically under all three executors."""
+    """Every facade verb runs through the engine's compiled executor."""
 
-    @pytest.mark.parametrize("name", EXECUTORS)
-    def test_facade_verbs_are_executor_invariant(self, name):
-        engine = make_engine(executor=name)
+    def test_facade_verbs_are_executor_invariant(self):
+        engine = make_engine()
         answer = engine.query(QUERY).answers()
-        assert answer.provenance.executor == name
+        assert answer.provenance.executor == "compiled"
         assert answer.sorted_rows() == [(1, 5), (3, 6)]
         assert answer.provenance.source == "views"
         assert answer.provenance.kind == "equivalent"
@@ -406,4 +398,40 @@ class TestExecutorMatrix:
         assert report.items[0].answers == 3
 
         stats = engine.stats()
-        assert stats["session"]["executor"]["executor"] == name
+        assert stats["session"]["executor"]["executor"] == "compiled"
+
+
+class TestPartialRewritingDatabase:
+    """A partial rewriting reads the views beside the base relations."""
+
+    SHAPE = "q(X, Z) :- r(X, Y), s(Y, Z), t(Z, W), W != %d."
+
+    def engine(self):
+        rows = [(i, (i * 7) % 300) for i in range(300)]
+        data = Database.from_dict({"r": rows, "s": rows, "t": [(i, i % 20) for i in range(300)]})
+        return connect(views="v_rs(A, B) :- r(A, C), s(C, B).", data=data, mode="partial")
+
+    def test_requests_share_one_database_and_its_plans(self):
+        engine = self.engine()
+        for constant in range(20):
+            answer = engine.query(self.SHAPE % constant).answers()
+            assert answer.provenance.source == "views+base"
+        executor = engine.stats()["session"]["executor"]
+        assert executor["plan_misses"] <= 2
+        assert executor["plans_cached"] <= 2
+        assert engine.stats()["session"]["bound_forms"]["hits"] == 19
+        engine.query(self.SHAPE % 3).explain()
+        assert engine.stats()["session"]["executor"]["plan_misses"] <= 2
+
+    def test_answers_follow_writes_to_base_and_views(self):
+        engine = self.engine()
+        for constant in (0, 1):
+            engine.query(self.SHAPE % constant).answers()
+        engine.apply(Delta(
+            inserted={"r": {(1000, 7)}, "t": {(49, 5), (7, 1)}},
+            removed={"r": {(3, 21)}, "t": {(21, 1)}},
+        ))
+        for constant in (0, 1, 5):
+            text = self.SHAPE % constant
+            expected = evaluate(parse_query(text), engine.database, executor="interpreted")
+            assert engine.query(text).answers().rows == expected

@@ -10,8 +10,12 @@ not run a different one.
 import pytest
 
 from repro import connect, rewrite
+from repro.api import Engine
+from repro.datalog.atoms import Atom
 from repro.datalog.parser import parse_database, parse_query, parse_views
 from repro.datalog.printer import to_datalog
+from repro.datalog.queries import ConjunctiveQuery
+from repro.datalog.terms import FunctionTerm, Variable
 from repro.engine.database import Database
 from repro.engine.evaluate import materialize_views
 from repro.exec.executor import CompiledExecutor
@@ -128,16 +132,16 @@ class TestExplainShapes:
         assert explanation.evaluation.plans == ()
         assert explanation.materialization is None
 
-    def test_interpreted_executor_reported(self):
-        explanation = (
-            connect(views=VIEWS, data=DATA, executor="interpreted")
-            .query(QUERY)
-            .explain()
+    def test_function_term_disjunct_is_described_as_interpreted(self):
+        # The one evaluator reports the interpreter fallback per disjunct.
+        x = Variable("X")
+        disjunct = ConjunctiveQuery(
+            Atom("q", [x]), [Atom("r", [x, FunctionTerm("f", (x,))])], require_safe=False
         )
-        assert explanation.evaluation.executor == "interpreted"
-        assert all(
-            plan.strategy == "interpreted" for plan in explanation.evaluation.plans
-        )
+        database = Database.from_dict({"r": [(1, 2)]})
+        description = Engine._describe_plan(disjunct, database, CompiledExecutor())
+        assert description.strategy == "interpreted"
+        assert description.steps == ()
 
     def test_cache_flags_flip_after_serving(self):
         engine = connect(views=VIEWS, data=DATA)

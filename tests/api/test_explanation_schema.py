@@ -117,9 +117,6 @@ class TestSchemaContract:
     def test_no_database_explanation_validates(self, schema):
         validate(explanation_json(data=None), schema)
 
-    def test_interpreted_executor_explanation_validates(self, schema):
-        validate(explanation_json(executor="interpreted"), schema)
-
     def test_union_rewriting_explanation_validates(self, schema):
         validate(
             explanation_json(

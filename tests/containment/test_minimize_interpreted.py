@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.containment import interpreted
 from repro.errors import UnsupportedFeatureError
 from repro.datalog.parser import parse_query
 from repro.containment.containment import is_equivalent
@@ -74,6 +75,24 @@ class TestOrderedPartitions:
             flattened = [term for block in partition for term in block]
             assert sorted(v.name for v in flattened) == ["A", "B"]
 
+    def test_a_rejected_partition_is_not_extended(self):
+        items = [Variable(name) for name in "ABCD"]
+        first, second = Variable("C"), Variable("D")
+
+        def in_order(partition):
+            # Monotone: once C sits in a later block than D, it stays there.
+            blocks = {term: index for index, block in enumerate(partition) for term in block}
+            return not (first in blocks and second in blocks and blocks[first] > blocks[second])
+
+        def checking(test, seen):
+            return lambda partition: seen.append(partition) or test(partition)
+
+        pruned, everything = [], []
+        kept = list(_ordered_partitions(items, checking(in_order, pruned)))
+        assert kept == [p for p in _ordered_partitions(items) if in_order(p)]
+        list(_ordered_partitions(items, checking(lambda partition: True, everything)))
+        assert len(pruned) < len(everything)
+
 
 class TestInterpretedContainment:
     def test_simple_bound_tightening(self):
@@ -103,6 +122,27 @@ class TestInterpretedContainment:
         container = parse_query("q(X) :- r(X, Y), Y > 4.")
         assert interpreted_contained(query, container)
         assert not interpreted_contained(container, query)
+
+    def test_case_analysis_skips_orderings_the_query_contradicts(self, monkeypatch):
+        # Eight order-relevant terms (X, Y and the chain U1 < ... < U6) have
+        # 545835 total preorders, but only the few that keep the chain are
+        # scenarios: the enumeration must not build the rest.
+        built = []
+
+        class Counted(interpreted.ComparisonSet):
+            def __init__(self, comparisons=()):
+                built.append(1)
+                super().__init__(comparisons)
+
+        monkeypatch.setattr(interpreted, "ComparisonSet", Counted)
+        query = parse_query(
+            "q() :- r(X, Y), r(Y, X), t(U1, U2, U3, U4, U5, U6), "
+            "U1 < U2, U2 < U3, U3 < U4, U4 < U5, U5 < U6."
+        )
+        container = parse_query("q() :- r(A, B), A <= B.")
+        assert interpreted_contained(query, container)
+        assert not interpreted_contained(query, parse_query("q() :- r(A, B), A < B."))
+        assert len(built) < 20_000
 
     def test_enumeration_limit_raises(self):
         many_vars = parse_query(

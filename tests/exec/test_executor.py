@@ -16,16 +16,17 @@ from repro.datalog.parser import parse_query, parse_views
 from repro.datalog.queries import ConjunctiveQuery, UnionQuery
 from repro.datalog.terms import FunctionTerm, Variable
 from repro.engine.database import Database
-from repro.engine.evaluate import EvaluationStatistics, evaluate
+from repro.engine.evaluate import EvaluationStatistics, evaluate, materialize_views
 from repro.engine.relation import SkolemValue
-from repro.exec import CompiledExecutor, InterpretedExecutor, resolve_executor
+from repro.exec import CompiledExecutor
+from repro.exec.executor import SHARED_EXECUTOR
 
 COMPILED = CompiledExecutor()
-INTERPRETED = InterpretedExecutor()
+INTERPRETED = "interpreted"
 
-#: Every executor behind the common interface, for parametrized equivalence.
+#: Both evaluators, for parametrized equivalence.
 ALL_EXECUTORS = [COMPILED, INTERPRETED]
-EXECUTOR_IDS = [executor.name for executor in ALL_EXECUTORS]
+EXECUTOR_IDS = ["compiled", "interpreted"]
 
 
 def random_db(seed=0, size=200, domain=25):
@@ -168,7 +169,7 @@ class TestEarlyProjectionWorkGuard:
 
     def test_extensions_bounded_by_distinct_live_rows(self):
         # What evaluate() runs by default, so the served pipeline is guarded.
-        executor = resolve_executor(None)
+        executor = SHARED_EXECUTOR
         db = self.regular_chain_db()
         query = parse_query("q(X0) :- r1(X0, X1), r2(X1, X2), r3(X2, X3).")
         plan = executor.plan_for(query, db)
@@ -295,7 +296,6 @@ class TestCompiledPlanShapes:
             "plan_misses": 0,
             "fallbacks": 0,
         }
-        assert InterpretedExecutor().stats() == {"executor": "interpreted"}
 
 
 class TestPlanCache:
@@ -334,13 +334,6 @@ class TestPlanCache:
         for name in ("a", "b", "c", "d"):
             executor.evaluate(parse_query(f"{name}(X, Y) :- r(X, Y)."), db)
         assert executor.stats()["plans_cached"] <= 2
-
-    def test_zero_cache_size_compiles_every_time(self):
-        executor = CompiledExecutor(plan_cache_size=0)
-        db = random_db(2)
-        query = parse_query("q(X, Y) :- r(X, Y).")
-        assert executor.evaluate(query, db) == evaluate(query, db, executor=INTERPRETED)
-        assert executor.stats()["plans_cached"] == 0
 
     def test_unsupported_queries_cache_the_negative_result(self):
         executor = CompiledExecutor()
@@ -384,31 +377,36 @@ class TestSharedBuildSides:
 
 class TestDefaultExecutor:
     def test_none_means_compiled(self):
-        assert resolve_executor(None) is resolve_executor("compiled")
-        assert resolve_executor(None).name == "compiled"
+        query = parse_query("q(X, Y) :- r(X, Y), X < Y.")
+        db = random_db(4)
+        for executor in (None, "compiled"):
+            misses, hits = SHARED_EXECUTOR.plan_misses, SHARED_EXECUTOR.plan_hits
+            evaluate(query, db, executor=executor)
+            assert SHARED_EXECUTOR.plan_misses + SHARED_EXECUTOR.plan_hits == misses + hits + 1
 
-    def test_resolve_accepts_instances_and_rejects_junk(self):
+    def test_evaluate_accepts_instances_and_rejects_junk(self):
+        query = parse_query("q(X, Y) :- r(X, Y).")
+        db = random_db(4)
         executor = CompiledExecutor()
-        assert resolve_executor(executor) is executor
-        assert resolve_executor("interpreted").name == "interpreted"
-        with pytest.raises(EvaluationError):
-            resolve_executor("vectorized")
-        with pytest.raises(EvaluationError):
-            resolve_executor(42)
+        assert evaluate(query, db, executor=executor) == evaluate(query, db, executor=INTERPRETED)
+        assert executor.plan_misses == 1
+        for junk in ("vectorized", 42, "InterpretedExecutor"):
+            with pytest.raises(EvaluationError):
+                evaluate(query, db, executor=junk)
 
     def test_parallel_is_no_longer_an_executor(self):
         with pytest.raises(EvaluationError, match="compiled"):
-            resolve_executor("parallel")
+            evaluate(parse_query("q(X) :- r(X, Y)."), random_db(4), executor="parallel")
 
     def test_environment_does_not_choose_the_executor(self):
         # A fresh interpreter, so nothing read at import time can hide.
         script = (
             "from repro import Database, connect, parse_query\n"
             "from repro.engine.evaluate import evaluate\n"
-            "from repro.exec import resolve_executor\n"
+            "from repro.exec.executor import SHARED_EXECUTOR\n"
             "evaluate(parse_query('q(X) :- r(X, Y).'), Database.from_dict({'r': [(1, 2)]}))\n"
             "engine = connect(views='v(X, Y) :- r(X, Y).', data='r(1, 2).')\n"
-            "print(resolve_executor('compiled').plan_misses, engine.executor)\n"
+            "print(SHARED_EXECUTOR.plan_misses, engine.executor)\n"
         )
         src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
         env = dict(os.environ, REPRO_DEFAULT_EXECUTOR="interpreted", PYTHONPATH=src)
@@ -421,19 +419,30 @@ class TestDefaultExecutor:
     def test_bad_executor_name_raises_evaluation_error_everywhere(self):
         query = parse_query("q(X, Y) :- r(X, Y).")
         db = random_db(4)
+        views = parse_views("v(X, Y) :- r(X, Y).")
         for call in (
             lambda: evaluate(query, db, executor="bogus"),
-            lambda: connect(views="v(X, Y) :- r(X, Y).", executor="bogus"),
-            lambda: Engine(Catalog(), executor="bogus"),
+            lambda: materialize_views(views, db, executor="bogus"),
         ):
             with pytest.raises(EvaluationError, match="compiled, interpreted"):
                 call()
 
-    def test_one_executor_family_is_exported(self):
+    @pytest.mark.parametrize("option", [
+        {"executor": "compiled"}, {"executor": "interpreted"}, {"use_view_index": False},
+    ], ids=["executor-compiled", "executor-interpreted", "use-view-index"])
+    def test_engines_take_no_evaluator_or_view_index_knob(self, option):
+        with pytest.raises(TypeError):
+            connect(views="v(X, Y) :- r(X, Y).", **option)
+        with pytest.raises(TypeError):
+            Engine(Catalog(), **option)
+
+    def test_one_executor_class_is_exported(self):
         import repro
         import repro.exec
 
-        assert repro.exec.EXECUTORS == ("compiled", "interpreted")
+        for name in ("InterpretedExecutor", "EXECUTORS", "make_executor", "resolve_executor"):
+            assert not hasattr(repro.exec, name)
+            assert not hasattr(repro, name)
         assert not hasattr(repro, "ParallelExecutor")
         assert not hasattr(repro.exec, "ParallelExecutor")
         with pytest.raises(ImportError):
@@ -449,8 +458,6 @@ class TestDefaultExecutor:
 
 class TestMaterializeThroughExecutor:
     def test_materialize_views_matches_interpreter(self):
-        from repro.engine.evaluate import materialize_views
-
         db = random_db(5)
         views = parse_views(
             "v1(X, Z) :- r(X, Y), s(Y, Z).\n"

@@ -13,7 +13,7 @@ from repro.datalog.atoms import Atom, Comparison
 from repro.datalog.queries import ConjunctiveQuery
 from repro.datalog.terms import Constant, Variable
 from repro.engine.evaluate import evaluate
-from repro.exec import CompiledExecutor, InterpretedExecutor
+from repro.exec import CompiledExecutor
 
 from tests.property.strategies import conjunctive_queries, databases
 
@@ -24,7 +24,7 @@ RELAXED = settings(
 )
 
 COMPILED = CompiledExecutor()
-INTERPRETED = InterpretedExecutor()
+INTERPRETED = "interpreted"
 
 
 @st.composite

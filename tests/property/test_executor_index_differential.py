@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.engine.database import Database
 from repro.engine.evaluate import evaluate, materialize_views
 from repro.engine.relation import Relation, SkolemValue
-from repro.exec import CompiledExecutor, InterpretedExecutor
+from repro.exec import CompiledExecutor
 from repro.materialize.delta import Delta
 
 from tests.property.strategies import (
@@ -27,7 +27,7 @@ from tests.property.strategies import (
 )
 
 COMPILED = CompiledExecutor()
-INTERPRETED = InterpretedExecutor()
+INTERPRETED = "interpreted"
 
 DIFFERENTIAL = settings(
     max_examples=200,

@@ -345,9 +345,7 @@ def stable(payload):
 
 
 def open_engine(views, data, **options):
-    # The executor and backend are named: bound forms exist for the compiled
-    # executor over in-memory relations, whatever the process default is.
-    return connect(views=views, data=data, executor="compiled", **options)
+    return connect(views=views, data=data, **options)
 
 
 def serve(views, data, texts, **options):
@@ -647,15 +645,13 @@ class TestBoundFormDifferential:
             respelled(base, {key: data.draw(values) for key in constant_keys(base)})
             for _ in range(3)
         ]
-        engine = connect(views=views, data=database.copy(), algorithm=algorithm, mode=mode,
-                         executor="compiled")
+        engine = connect(views=views, data=database.copy(), algorithm=algorithm, mode=mode)
         try:
             served = [stable(engine.query(text).answers().to_json()) for text in texts]
         except UnsupportedFeatureError:
             return
         for text, reply in zip(texts, served):
-            fresh = connect(views=views, data=database.copy(), algorithm=algorithm, mode=mode,
-                            executor="compiled")
+            fresh = connect(views=views, data=database.copy(), algorithm=algorithm, mode=mode)
             assert reply == stable(fresh.query(text).answers().to_json())
 
 

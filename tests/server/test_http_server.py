@@ -281,11 +281,10 @@ class TestCoalescing:
 
 
 class TestExecutorInvariance:
-    @pytest.mark.parametrize("name", ["compiled", "interpreted"])
-    def test_concurrent_coalesced_results_are_executor_invariant(self, name):
-        """HTTP query results are identical whichever executor serves them,
-        including when concurrent identical requests coalesce onto one run."""
-        engine = connect(views=VIEWS, data=DATA, executor=name)
+    def test_concurrent_coalesced_results_are_executor_invariant(self):
+        """HTTP query results are identical when concurrent identical
+        requests coalesce onto one run."""
+        engine = connect(views=VIEWS, data=DATA)
         followers = 2
         results = []
         renamed = "q(U, W) :- r(U, V), s(V, W)."  # same fingerprint as QUERY

@@ -365,11 +365,6 @@ class TestStats:
         assert "containment_memo" not in stats
         assert stats.get("containment_memo") is None
 
-    def test_view_index_disabled(self):
-        session = open_engine(use_view_index=False)
-        session.rewrite_cached(QUERY)
-        assert session.stats()["session"]["view_index"] is None
-
 
 class TestLRUBoundOnSession:
     def test_eviction_under_tiny_cache(self):

@@ -371,8 +371,7 @@ class TestDurableServedPath:
         finally:
             engine.close()
 
-    @pytest.mark.parametrize("executor", ["interpreted", "compiled"])
-    def test_constant_filtered_scans_match_a_plain_engine(self, tmp_path, backend_name, executor):
+    def test_constant_filtered_scans_match_a_plain_engine(self, tmp_path, backend_name):
         # Single-atom queries with constants over heterogeneous values, read
         # back from the base after a restart, answer as over the original rows.
         database = Database.from_dict({
@@ -386,8 +385,8 @@ class TestDurableServedPath:
         connect(
             views="w(X) :- u(X).", data=database.copy(), storage=storage, backend=backend_name,
         ).close()
-        plain = connect(views="w(X) :- u(X).", data=database, executor=executor)
-        recovered = connect(views="w(X) :- u(X).", storage=storage, executor=executor)
+        plain = connect(views="w(X) :- u(X).", data=database)
+        recovered = connect(views="w(X) :- u(X).", storage=storage)
         try:
             assert recovered.database == database
             for text in queries:

@@ -369,10 +369,21 @@ class TestRemovedFlags:
              "--executor", "compiled"],
             ["snapshot", "--storage", "store", "--backend", "sqlite"],
             ["restore", "--storage", "store", "--backend", "sqlite"],
+            ["answer", "--query", QUERY, "--database", DATABASE, "--executor", "compiled"],
+            ["explain", "--query", QUERY, "--views", VIEWS, "--executor", "interpreted"],
+            ["serve", "--views", VIEWS, "--executor", "compiled"],
+            ["stats", "--views", VIEWS, "--executor", "compiled"],
+            ["batch", "--queries", QUERY, "--views", VIEWS, "--executor", "compiled"],
+            ["serve", "--views", VIEWS, "--no-view-index"],
+            ["stats", "--views", VIEWS, "--no-view-index"],
+            ["batch", "--queries", QUERY, "--views", VIEWS, "--no-view-index"],
         ],
         ids=[
             "serve-workers", "batch-processes", "materialize-executor",
             "snapshot-backend", "restore-backend",
+            "answer-executor", "explain-executor", "serve-executor", "stats-executor",
+            "batch-executor", "serve-no-view-index", "stats-no-view-index",
+            "batch-no-view-index",
         ],
     )
     def test_flag_is_a_usage_error(self, argv, capsys):
