@@ -484,8 +484,7 @@ class Engine:
             prepared = PreparedQuery(self, None)
             prepared._fingerprint = form.fingerprint(literals)
         else:
-            with self._obs.stage("parse") if self._obs is not None else nullcontext():
-                parsed = parse_query(query)
+            parsed = self._staged("parse", lambda: parse_query(query))
             self.catalog.validate_query(parsed)
             prepared = PreparedQuery(self, parsed)
             prepared._fingerprint = fingerprint(parsed)
@@ -540,11 +539,11 @@ class Engine:
         extent and says which predicates changed; only the answers that read
         one of those are evicted — cached rewritings, which depend on the
         view definitions alone, all survive."""
-        obs = self._obs
-        with obs.stage("delta_apply", size=delta.size()) if obs is not None else nullcontext():
-            log = self._view_store().apply_delta(delta)
-        if obs is not None:
-            obs.deltas.inc()
+        log = self._staged(
+            "delta_apply", lambda: self._view_store().apply_delta(delta), size=delta.size()
+        )
+        if self._obs is not None:
+            self._obs.deltas.inc()
         assert self.database is not None
         self._db_version = self.database.version
         self._deltas_maintained += 1
@@ -783,6 +782,16 @@ class Engine:
             return nullcontext()
         return self._obs.request(verb)
 
+    def _staged(self, stage: str, run: Callable[[], Any], **annotations: Any) -> Any:
+        """``run()`` as one pipeline stage: timed into the stage histogram and
+        traced, by one call in a ``finally``, so also when it raises."""
+        started = time.perf_counter()
+        try:
+            return run()
+        finally:
+            if self._obs is not None:
+                self._obs.stage(stage, started, **annotations)
+
     def _refresh_gauges(self, obs: Instrumentation) -> None:
         """Set the point-in-time gauges from the cache stats snapshot."""
         occupancy = obs.registry.gauge(
@@ -1019,17 +1028,14 @@ class Engine:
         obs = self._obs
         self.last_cache_hit = template is not None
         if template is not None:
+            result = self._staged(
+                "rewrite_hit", lambda: self._instantiate(template, query, fp, prepared),
+                fingerprint=fp.text,
+            )
             if obs is not None:
-                with obs.stage("rewrite_hit", fingerprint=fp.text):
-                    result = self._instantiate(template, query, fp, prepared)
                 obs.cache_event("rewrite", "hit")
-            else:
-                result = self._instantiate(template, query, fp, prepared)
         else:
-            if obs is not None:
-                result = self._observed_cold_rewrite(query, fp, obs)
-            else:
-                result = self._rewrite_uncached(query)
+            result = self._cold_rewrite(query, fp)
             best = result.best
             self._rewrite_cache.put(key, Template(
                 algorithm=result.algorithm,
@@ -1068,21 +1074,23 @@ class Engine:
                 prepared._instance = instance
         return TemplateHit(query, self.views, instance)
 
-    def _observed_cold_rewrite(
-        self, query: ConjunctiveQuery, fp: QueryFingerprint, obs: Instrumentation
-    ) -> RewritingResult:
-        """A cold rewrite with its latency and containment-memo outcomes recorded.
+    def _cold_rewrite(self, query: ConjunctiveQuery, fp: QueryFingerprint) -> RewritingResult:
+        """A cold rewrite, with its latency and containment-memo outcomes
+        recorded when the engine is instrumented.
 
         The memo is process-global, so the per-outcome counts attributed here
         are the *deltas* its counters moved by during this rewrite — exact in
         single-threaded use, approximate when concurrent engines interleave
         (the totals across engines still add up).
         """
-        before = containment_memo_stats()
-        with obs.stage(
-            "rewrite_cold", fingerprint=fp.text, algorithm=self.algorithm
-        ):
-            result = self._rewrite_uncached(query)
+        obs = self._obs
+        before = containment_memo_stats() if obs is not None else None
+        result = self._staged(
+            "rewrite_cold", lambda: self._rewrite_uncached(query),
+            fingerprint=fp.text, algorithm=self.algorithm,
+        )
+        if obs is None:
+            return result
         obs.cache_event("rewrite", "miss")
         after = containment_memo_stats()
         for field, outcome in (
@@ -1173,9 +1181,10 @@ class Engine:
         self.requests += 1
         self.last_cache_hit = True
         obs = self._obs
-        with obs.stage("rewrite_hit", fingerprint=fp.text) if obs else nullcontext():
-            self._rewrite_cache.get(form.template_key)
+        started = time.perf_counter()  # not _staged: no closure on every warm hit
+        self._rewrite_cache.get(form.template_key)
         if obs is not None:
+            obs.stage("rewrite_hit", started, fingerprint=fp.text)
             obs.cache_event("rewrite", "hit")
 
         def run() -> FrozenSet[Tuple[Any, ...]]:
@@ -1213,8 +1222,7 @@ class Engine:
             return run()
         executor = self._executor
         hits_before, misses_before = executor.plan_hits, executor.plan_misses
-        with obs.stage("execute", executor=self.executor):
-            answers = run()
+        answers = self._staged("execute", run, executor=self.executor)
         obs.cache_event("plan", "hit", executor.plan_hits - hits_before)
         obs.cache_event("plan", "compile", executor.plan_misses - misses_before)
         return answers

@@ -20,18 +20,17 @@ the whole picture.
 
 Engines create a live bundle by default; ``repro.connect(...,
 observability=False)`` opts out, and then ``self._obs`` is None and every
-hook is a single ``is None`` test.  The
-:meth:`Instrumentation.stage` timer doubles as the trace hook — it records
-the elapsed time into ``repro_stage_seconds`` *and* opens a span on the
-active trace, so metrics and traces can never disagree about what a stage
-cost.
+hook is a single ``is None`` test.  A hook site reads
+:func:`time.perf_counter` before its stage and, in a ``finally``, calls
+:meth:`Instrumentation.stage` once: that call records the elapsed time into
+``repro_stage_seconds`` *and* the span on the open trace, so metrics and
+traces can never disagree about what a stage cost, even one that raised.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -39,16 +38,29 @@ from repro.obs.trace import Tracer
 __all__ = ["Instrumentation"]
 
 
+class _Verb:
+    """``with`` around one engine verb: its trace, and its outcome counted on
+    the way out.  It holds no per-call state, so one serves every call."""
+
+    __slots__ = ("verb", "tracer", "outcomes")
+
+    def __init__(self, verb: str, tracer: Tracer, outcomes: Dict[tuple, Any]):
+        self.verb, self.tracer, self.outcomes = verb, tracer, outcomes
+
+    def __enter__(self) -> None:
+        self.tracer.enter(self.verb)
+
+    def __exit__(self, error_type: Any, error: Any, traceback: Any) -> None:
+        self.tracer.exit()
+        self.outcomes[self.verb, "ok" if error_type is None else "error"].inc()
+
+
 class Instrumentation:
     """A metrics registry and tracer wired together, with the core series declared."""
 
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
-    ):
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else Tracer()
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
+        self.tracer = Tracer()
         self.requests = self.registry.counter(
             "repro_requests_total",
             "Engine verbs served, by verb and outcome (ok/error).",
@@ -69,40 +81,29 @@ class Instrumentation:
         self.deltas = self.registry.counter(
             "repro_deltas_total", "Data deltas applied through the engine."
         )
+        self._requests = self.requests.bound()
+        self._stages = self.stage_seconds.bound()
+        self._cache_events = self.cache_events.bound()
+        self._verbs: Dict[str, _Verb] = {}
 
-    @contextmanager
-    def stage(self, stage: str, **annotations: Any) -> Iterator[None]:
-        """Time a pipeline stage: histogram sample + span on the active trace."""
-        started = time.perf_counter()
-        with self.tracer.span(stage, **annotations):
-            yield
-        self.stage_seconds.labels(stage).observe(time.perf_counter() - started)
-
-    def observe_stage(self, stage: str, seconds: float) -> None:
-        """Record an already-measured stage duration (no span)."""
-        self.stage_seconds.labels(stage).observe(seconds)
+    def stage(self, stage: str, started: float, **annotations: Any) -> None:
+        """Record a stage that ran from ``started`` (a ``perf_counter``
+        reading) until now: a histogram sample, and a span on the open trace."""
+        ended = time.perf_counter()
+        self._stages[stage].observe(ended - started)
+        self.tracer.add(stage, started, ended, annotations)
 
     def cache_event(self, cache: str, outcome: str, count: int = 1) -> None:
         """Record ``count`` lookups against one cache with one outcome."""
         if count:
-            self.cache_events.labels(cache, outcome).inc(count)
+            self._cache_events[cache, outcome].inc(count)
 
-    def count_request(self, verb: str, outcome: str = "ok") -> None:
-        self.requests.labels(verb, outcome).inc()
-
-    # -- verb wrapper --------------------------------------------------------------
-    @contextmanager
-    def request(
-        self, verb: str, trace_id: Optional[str] = None, **annotations: Any
-    ) -> Iterator[None]:
-        """Trace one engine verb and count its outcome (errors re-raise)."""
-        with self.tracer.trace(verb, trace_id=trace_id, **annotations):
-            try:
-                yield
-            except BaseException:
-                self.count_request(verb, "error")
-                raise
-            self.count_request(verb, "ok")
+    def request(self, verb: str) -> _Verb:
+        """Trace one engine verb and count its outcome: ``with`` around it."""
+        context = self._verbs.get(verb)
+        if context is None:
+            context = self._verbs[verb] = _Verb(verb, self.tracer, self._requests)
+        return context
 
     def snapshot(self) -> Dict[str, Any]:
         """The registry snapshot (``stats()`` embeds this)."""

@@ -151,8 +151,6 @@ class ReproServer:
                 "/apply-delta": self._work_apply_delta,
             },
         }
-        #: (endpoint, outcome) -> that pair's counter and histogram children.
-        self._series: Dict[Tuple[str, str], Tuple[Any, Any]] = {}
         #: The ``Date`` header, rendered once per second.
         self._date: Tuple[int, str] = (0, "")
 
@@ -161,16 +159,16 @@ class ReproServer:
             "repro_http_requests_total",
             "HTTP requests served, by endpoint and outcome.",
             labels=("endpoint", "outcome"),
-        )
+        ).bound()
         self._http_seconds = registry.histogram(
             "repro_http_request_seconds",
             "Wall-clock seconds from request receipt to response, by endpoint.",
             labels=("endpoint",),
-        )
+        ).bound()
         self._queue_depth = registry.gauge(
             "repro_server_queue_depth",
             "POST requests admitted and not yet finished.",
-        )
+        ).labels()
         self._coalesced = registry.counter(
             "repro_server_coalesced_total",
             "Requests that shared an identical in-flight query's result "
@@ -289,14 +287,8 @@ class ReproServer:
             self._send(sock, status, reply, trace_id, keep_alive, path == "/metrics")
         except OSError:
             outcome, keep_alive = "disconnect", False
-        series = self._series.get((endpoint, outcome))
-        if series is None:
-            series = self._series[endpoint, outcome] = (
-                self._http_requests.labels(endpoint, outcome),
-                self._http_seconds.labels(endpoint),
-            )
-        series[0].inc()
-        series[1].observe(time.perf_counter() - started)
+        self._http_requests[endpoint, outcome].inc()
+        self._http_seconds[endpoint].observe(time.perf_counter() - started)
         return keep_alive
 
     def _send(self, sock: socket.socket, status: int, body: bytes,
@@ -342,25 +334,22 @@ class ReproServer:
     # -- POST endpoints ------------------------------------------------------------
     def _post(self, work: Any, raw: bytes) -> Tuple[str, int, bytes, str]:
         """One POST through ``work``: (outcome, status, reply body, trace id)."""
-        trace_id = _new_trace_id()
         try:
             body = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             message = f"request body is not valid JSON: {error}"
-            return "client_error", 400, _error_json("BadRequest", message, trace_id), trace_id
+            return _failed("client_error", 400, "BadRequest", message)
         try:
-            (head, engine_trace_id, tail), coalesced = self._run(work, body)
+            (head, trace_id, tail), coalesced = self._run(work, body)
         except _Overloaded:
             self._rejections.inc()
-            message = "queue full or draining"
-            return "rejected", 503, _error_json("Overloaded", message, trace_id), trace_id
+            return _failed("rejected", 503, "Overloaded", "queue full or draining")
         except ReproError as error:
-            kind = type(error).__name__
-            return "client_error", 400, _error_json(kind, str(error), trace_id), trace_id
+            return _failed("client_error", 400, type(error).__name__, str(error))
         # Followers share the leader's reply; their own id names this HTTP
         # exchange instead (the leader owns the engine trace).
-        if engine_trace_id is not None and not coalesced:
-            trace_id = engine_trace_id
+        if trace_id is None or coalesced:
+            trace_id = _new_trace_id()
         flag = "true" if coalesced else "false"
         reply = f'{head}, "trace_id": "{trace_id}"{tail}, "coalesced": {flag}}}'
         return "ok", 200, reply.encode("utf-8"), trace_id
@@ -412,12 +401,15 @@ class ReproServer:
     # -- the work (engine lock held, except to encode a /query reply) ----------------
     def _traced(self, inline: bool = False) -> Tuple[Optional[str], str]:
         """The id of the trace of the verb that just ran, and the members
-        (``inline``: the trace itself) to follow it in the reply object."""
-        trace = self._engine.trace()
+        (``inline``: the trace itself, built for this) to follow it in the
+        reply object."""
+        tracer = self._obs.tracer
+        if not inline:
+            return tracer.last_id(), ""
+        trace = tracer.last()
         if trace is None:
             return None, ""
-        tail = f', "trace": {json.dumps(trace.to_json(), default=str)}' if inline else ""
-        return trace.trace_id, tail
+        return trace.trace_id, f', "trace": {json.dumps(trace.to_json(), default=str)}'
 
     def _work_query(self, body: Dict[str, Any], prepared: PreparedQuery) -> _Reply:
         engine = self._engine
@@ -504,6 +496,14 @@ def _read_request(
 
 def _json_bytes(payload: Any) -> bytes:
     return json.dumps(payload, default=str).encode("utf-8")
+
+
+def _failed(
+    outcome: str, status: int, error_type: str, message: str
+) -> Tuple[str, int, bytes, str]:
+    """A POST that got no engine reply, under a trace id of its own."""
+    trace_id = _new_trace_id()
+    return outcome, status, _error_json(error_type, message, trace_id), trace_id
 
 
 def _error_json(error_type: str, message: str, trace_id: Optional[str] = None) -> bytes:

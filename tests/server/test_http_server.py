@@ -263,6 +263,11 @@ class TestCoalescing:
             thread.join(timeout=30)
         trace_ids = {payload["trace_id"] for _, payload, _ in results}
         assert len(trace_ids) == 2  # leader's engine trace vs follower's HTTP id
+        for _, payload, headers in results:
+            assert headers["X-Repro-Trace-Id"] == payload["trace_id"]
+            # Only the leader's id names a trace the engine recorded.
+            recorded = server.engine.trace(payload["trace_id"]) is not None
+            assert recorded is not payload["coalesced"]
 
     def test_different_queries_do_not_coalesce(self, server):
         results = []
