@@ -257,9 +257,6 @@ class Catalog:
     def relations(self) -> Tuple[str, ...]:
         return tuple(sorted(self.schema))
 
-    def is_view(self, name: str) -> bool:
-        return name in self.views
-
     def describe(self) -> Dict[str, Any]:
         """A machine-readable snapshot (nested under ``engine.stats()``)."""
         return {

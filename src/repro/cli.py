@@ -96,6 +96,7 @@ from repro.errors import (
     UnsupportedFeatureError,
 )
 from repro.api import connect
+from repro.api.results import sort_rows
 from repro.datalog.parser import parse_program
 from repro.experiments.registry import all_experiments
 from repro.materialize.delta import parse_delta
@@ -167,7 +168,7 @@ def _engine_for(args: argparse.Namespace, **overrides):
 
 
 def _print_rows(rows, out) -> None:
-    for row in sorted(rows, key=repr):
+    for row in sort_rows(rows):
         print("\t".join(str(value) for value in row), file=out)
 
 
@@ -503,7 +504,7 @@ def _command_restore(args: argparse.Namespace, out) -> int:
 
             lines = []
             for name in sorted(database.relation_names()):
-                for row in sorted(database.tuples(name), key=repr):
+                for row in sort_rows(database.tuples(name)):
                     rendered = ", ".join(_value_to_text(value) for value in row)
                     lines.append(f"{name}({rendered}).")
             Path(args.output).write_text("\n".join(lines) + ("\n" if lines else ""))

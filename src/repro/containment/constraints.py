@@ -30,7 +30,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.datalog.atoms import Comparison, ComparisonOperator
 from repro.datalog.queries import ConjunctiveQuery
-from repro.datalog.terms import Constant, Term, Variable
+from repro.datalog.terms import Constant, Term
 
 
 def _comparable(left: object, right: object) -> bool:
@@ -222,44 +222,6 @@ class ComparisonSet:
 
     def comparisons(self) -> Tuple[Comparison, ...]:
         return self._comparisons
-
-    def _order_between(self, left: Term, right: Term) -> Optional[bool]:
-        """Strongest known order edge between the classes of two terms.
-
-        Returns ``True`` for strict ``<``, ``False`` for ``<=``, ``None`` for
-        no known relation.
-        """
-        left_root = self._uf.find(left)
-        right_root = self._uf.find(right)
-        if left_root == right_root:
-            return None
-        return self._less.get((left_root, right_root))
-
-    def _forced_equal(self, left: Term, right: Term) -> bool:
-        left_root = self._uf.find(left)
-        right_root = self._uf.find(right)
-        if left_root == right_root:
-            return True
-        forward = self._less.get((left_root, right_root))
-        backward = self._less.get((right_root, left_root))
-        return forward is False and backward is False
-
-    def _known_distinct(self, left: Term, right: Term) -> bool:
-        left_root = self._uf.find(left)
-        right_root = self._uf.find(right)
-        if left_root == right_root:
-            return False
-        if frozenset((left_root, right_root)) in self._not_equal:
-            return True
-        forward = self._less.get((left_root, right_root))
-        backward = self._less.get((right_root, left_root))
-        if forward is True or backward is True:
-            return True
-        left_const = self._class_constant(left_root)
-        right_const = self._class_constant(right_root)
-        if left_const is not None and right_const is not None:
-            return left_const.value != right_const.value
-        return False
 
     def implies(self, comparison: Comparison) -> bool:
         """Whether the conjunction logically implies the given comparison.

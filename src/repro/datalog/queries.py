@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Tuple
 
 from repro.errors import QueryConstructionError, UnsafeQueryError
 from repro.datalog.atoms import Atom, Comparison
@@ -237,9 +237,6 @@ class ConjunctiveQuery:
             ],
             require_safe=False,
         )
-
-    def with_head(self, head: Atom) -> "ConjunctiveQuery":
-        return ConjunctiveQuery(head, self.body, self.comparisons, require_safe=False)
 
     def with_body(
         self,

@@ -100,12 +100,6 @@ class Database:
             self._version += 1
         return removed
 
-    def remove_atom(self, atom: Atom) -> bool:
-        """Delete a ground atom; returns True if it was present."""
-        if not atom.is_ground():
-            raise SchemaError(f"cannot delete non-ground atom {atom}")
-        return self.remove_fact(atom.predicate, tuple(term_to_value(t) for t in atom.args))
-
     def apply_delta(self, delta: "Delta") -> "Delta":
         """Apply a batch of insertions and deletions; returns the effective delta.
 
@@ -248,15 +242,6 @@ class Database:
         """The sub-database containing only the named relations."""
         wanted = set(names)
         return Database([r for r in self._relations.values() if r.name in wanted])
-
-    def rename_relation(self, old: str, new: str) -> "Database":
-        """A copy of the database with one relation renamed."""
-        out = Database()
-        for relation in self._relations.values():
-            name = new if relation.name == old else relation.name
-            out.add_relation(Relation(name, relation.arity, relation.tuples()))
-        return out
-
 
 def _row_sort_key(row: Tuple[Any, ...]) -> Tuple:
     return tuple((str(type(v)), str(v)) for v in row)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import (
     Any,
-    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -193,19 +192,6 @@ class Relation:
     # -- relational helpers -------------------------------------------------------
     def copy(self) -> "Relation":
         return Relation(self.name, self.arity, self._rows)
-
-    def project(self, positions: Sequence[int]) -> Set[Tuple[Any, ...]]:
-        """The projection of the relation onto the given column positions."""
-        for position in positions:
-            if not 0 <= position < self.arity:
-                raise SchemaError(
-                    f"projection position {position} out of range for arity {self.arity}"
-                )
-        return {tuple(row[p] for p in positions) for row in self._rows}
-
-    def select(self, predicate: Callable[[Tuple[Any, ...]], bool]) -> "Relation":
-        """The sub-relation of tuples satisfying a Python predicate."""
-        return Relation(self.name, self.arity, (row for row in self._rows if predicate(row)))
 
     def column_values(self, position: int) -> Set[Any]:
         """Distinct values appearing in one column."""

@@ -14,6 +14,15 @@ scan and later steps are hash joins whose *build side is the relation index
 itself* — built once, maintained across deltas, and shared by every plan
 (and every disjunct of a union rewriting) that joins on the same positions.
 
+**Index-key scans.**  An opening step with no key and no repeated variable
+that reads (keeps or filters on) only a strict subset of its relation's
+columns walks the keys of the relation's index on those columns instead of
+its rows (:attr:`HashJoinStep.scan_keys`): ``q(X) :- v(X, Y)`` touches each
+distinct ``X`` once, however many rows carry it.  :meth:`Relation.discard`
+drops a bucket that empties, so the keys are exactly the live projections.
+A step that keeps every scanned column and filters nothing emits the keys as
+they stand — they are distinct already, so no set is built.
+
 **Kernels.**  A step does not interpret its description row by row: at
 construction it generates one Python function for exactly its shape (text on
 ``step.kernel.source``) — one ``for row in rows``, one index lookup, one ``for
@@ -43,9 +52,9 @@ unbound head variable raises only when at least one row reaches projection).
 The :class:`~repro.engine.evaluate.EvaluationStatistics` counters measure
 this pipeline's own work, which early projection makes smaller than the
 interpreter's assignment counts: ``probes`` = index entries touched (a
-semi-join touches one per surviving row, not the bucket), ``extensions`` =
-rows a step emits after its own dedup, ``answers`` = rows reaching
-projection.
+semi-join touches one per surviving row, not the bucket; an index-key scan
+one per key, not per row), ``extensions`` = rows a step emits after its own
+dedup, ``answers`` = rows reaching projection.
 """
 
 from __future__ import annotations
@@ -157,8 +166,9 @@ class HashJoinStep:
     so every row collection in the pipeline stays duplicate-free and steps
     that drop nothing stay append loops.  ``rehashed`` says the consumer
     hashes every row again (a head projection that is not the identity), so
-    a set built here would only be hashed twice.  All of this is fixed at
-    construction, when the step's :attr:`kernel` is generated.
+    a set built here would only be hashed twice.  All of this, and
+    :attr:`scan_keys`, is fixed at construction, when the step's
+    :attr:`kernel` is generated.
     """
 
     __slots__ = (
@@ -173,6 +183,7 @@ class HashJoinStep:
         "keep",
         "distinct",
         "exists",
+        "scan_keys",
         "kernel",
     )
 
@@ -199,9 +210,16 @@ class HashJoinStep:
         self.width = width
         self.keep = keep
         self.exists = not eq_pairs and all(k < width for k in keep)
+        #: The columns an index-key scan reads (see the module docstring).
+        self.scan_keys: Tuple[int, ...] = ()
+        if not width and not key_positions and not eq_pairs:
+            read = set(keep)  # with no input and no key, slot k is column k
+            read.update(v for _op, *sides in filters for kind, v in sides if kind)
+            if 0 < len(read) < arity:
+                self.scan_keys = tuple(sorted(read))
         # A semi-join never enumerates its new columns, so only a dropped
         # input column can make two of its output rows equal.
-        enumerated = width if self.exists else width + len(new_positions)
+        enumerated = width if self.exists else width + len(self.scan_keys or new_positions)
         self.distinct = len(keep) < enumerated and not rehashed
         self.kernel = self._generate()
 
@@ -217,17 +235,23 @@ class HashJoinStep:
         """``kernel(rows, matches, p) -> (out, probes)`` for this step's shape.
 
         ``matches`` is the index's ``get`` for a keyed step and, for a scan or
-        product, the relation itself as the one bucket every row meets; ``r``
-        is one of the relation's own row tuples.
+        product, the one bucket every row meets: the relation itself, whose
+        ``r`` is one of its own row tuples, or for an index-key scan the index
+        on :attr:`scan_keys`, whose ``r`` is one of its key tuples.
         """
         namespace: Dict[str, Any] = {"compare": compare_values}
         params: set = set()
         width = self.width
+        # Where each new column of the full row sits in ``r``.
+        if self.scan_keys:  # a key tuple holds the scanned columns only
+            at = {slot: i for i, slot in enumerate(self.scan_keys)}
+        else:
+            at = {width + k: position for k, position in enumerate(self.new_positions)}
 
         def value(source: Source) -> str:
             kind, v = source
-            if kind:  # a column of the full row: input slots, then new positions
-                return f"row[{v:d}]" if v < width else f"r[{self.new_positions[v - width]:d}]"
+            if kind:  # a column of the full row: input slots, then new columns
+                return f"row[{v:d}]" if v < width else f"r[{at[v]:d}]"
             if kind is None:
                 params.add(v)
                 return f"p{v:d}"
@@ -241,8 +265,8 @@ class HashJoinStep:
         kept = [value((True, k)) for k in self.keep]
         if self.keep == tuple(range(width)):
             emitted = "row"
-        elif not width and len(kept) == self.arity:  # every column, in order
-            emitted = "r"
+        elif not width and len(kept) == len(self.scan_keys or range(self.arity)):
+            emitted = "r"  # every column of r, in order
         else:
             emitted = "(" + "".join(cell + ", " for cell in kept) + ")"
         key = "".join(value(source) + ", " for source in self.key_sources)
@@ -259,11 +283,14 @@ class HashJoinStep:
                 "        break",
             ]
         else:
-            body += ["probes += len(bucket)", "for r in bucket:"]
+            body += ["probes += len(bucket)"]
             if tests:
-                body += [f"    if {' and '.join(tests)}:", f"        emit({emitted})"]
+                body += ["for r in bucket:", f"    if {' and '.join(tests)}:"]
+                body += [f"        emit({emitted})"]
+            elif emitted == "r":  # the bucket's own tuples, distinct already
+                body += ["out.extend(bucket)"]
             else:
-                body += [f"    emit({emitted})"]
+                body += ["for r in bucket:", f"    emit({emitted})"]
         if self.key_positions:
             body = [f"bucket = get(({key}))", "if bucket:"] + ["    " + line for line in body]
         lines = [f"def kernel(rows, {'get' if self.key_positions else 'bucket'}, p):"]
@@ -293,7 +320,10 @@ class HashJoinStep:
                 f"subgoal {self.predicate} has arity {self.arity} but relation "
                 f"{relation.name} has arity {relation.arity}"
             )
-        matches = relation.index_on(self.key_positions).get if self.key_positions else relation
+        if self.key_positions:
+            matches = relation.index_on(self.key_positions).get
+        else:
+            matches = relation.index_on(self.scan_keys) if self.scan_keys else relation
         out, probes = self.kernel.function(rows, matches, params)
         stats.probes += probes
         stats.extensions += len(out)
@@ -433,6 +463,7 @@ class PhysicalPlan:
             extras.append(f"keep={len(step.keep)}" + (" distinct" if step.distinct else ""))
             lines.append(
                 f"  {index}: {step.operator(first=index == 0)} {step.predicate}/{step.arity}"
+                + (f" keys{list(step.scan_keys)}" if step.scan_keys else "")
                 + (f" on {key}" if key else "")
                 + " "
                 + " ".join(extras)

@@ -55,10 +55,6 @@ class Measurement:
     def p90(self) -> float:
         return percentile(self.timings, 0.90)
 
-    @property
-    def stdev(self) -> float:
-        return statistics.pstdev(self.timings) if len(self.timings) > 1 else 0.0
-
     def __str__(self) -> str:
         return f"{self.label}: median {self.median * 1000:.2f} ms over {len(self.timings)} runs"
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.datalog.queries import ConjunctiveQuery, UnionQuery
 from repro.datalog.views import ViewSet
@@ -110,9 +110,6 @@ class RewritingResult:
 
     def equivalent_rewritings(self) -> List[Rewriting]:
         return [r for r in self.rewritings if r.kind is RewritingKind.EQUIVALENT]
-
-    def contained_rewritings(self) -> List[Rewriting]:
-        return [r for r in self.rewritings if r.kind is RewritingKind.CONTAINED]
 
     def __bool__(self) -> bool:
         return bool(self.rewritings)

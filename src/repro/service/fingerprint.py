@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.datalog.atoms import Atom, Comparison
@@ -308,13 +308,6 @@ def _text_of(shape: str, params: Tuple[Constant, ...]) -> str:
 def fingerprint_text(query: ConjunctiveQuery) -> str:
     """Just the cache key of a query (convenience wrapper)."""
     return fingerprint(query).text
-
-
-def canonical_names(query: ConjunctiveQuery) -> frozenset:
-    """The canonical variable names ``V1..Vk`` used for a query of this size."""
-    return frozenset(
-        f"{CANONICAL_PREFIX}{i + 1}" for i in range(len(query.variables()))
-    )
 
 
 def isomorphism_witness(

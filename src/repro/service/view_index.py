@@ -26,7 +26,7 @@ algorithms:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from repro.datalog.queries import ConjunctiveQuery
 from repro.datalog.views import View, ViewSet
@@ -57,10 +57,6 @@ class ViewRelevanceIndex:
         self.views_pruned = 0
 
     # -- lookups ---------------------------------------------------------------
-    def views_for_signature(self, signature: Signature) -> Tuple[str, ...]:
-        """Names of the views mentioning a relation signature."""
-        return tuple(self._by_signature.get(signature, ()))
-
     def signatures(self) -> Tuple[Signature, ...]:
         """All indexed relation signatures (deterministic order)."""
         return tuple(sorted(self._by_signature))
@@ -80,10 +76,6 @@ class ViewRelevanceIndex:
             for name in overlapping
             if self._view_signatures[name] <= query_signatures
         }
-
-    def relevant_views(self, query: ConjunctiveQuery, mode: str = "overlap") -> ViewSet:
-        """The subset of the indexed views relevant to ``query`` (order preserved)."""
-        return self.views.restrict(self.relevant_names(query, mode))
 
     # -- filter construction -----------------------------------------------------
     def make_filter(

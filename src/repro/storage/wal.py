@@ -136,10 +136,6 @@ class WriteAheadLog:
         """The sequence number of the newest appended record (0 when empty)."""
         return self._last_seq
 
-    @property
-    def fsync_policy(self) -> str:
-        return self._fsync
-
     # -- writing -----------------------------------------------------------------
     def append(self, payload: str, db_version: int) -> int:
         """Journal one delta text; returns its sequence number."""

@@ -234,10 +234,12 @@ class TestCompiledPlanShapes:
             for _ in range(size):
                 db.add_fact(name, (rng.randrange(30), rng.randrange(30)))
         # The smallest relation opens the pipeline and X0 is dead right after
-        # that scan, so the scan keeps one column and deduplicates it.
+        # that scan, so the scan keeps one column: it walks the keys of the
+        # index on that column, which are distinct without a set.
         query = parse_query("q(X4) :- r1(X0, X1), r2(X1, X2), r3(X2, X3), r4(X3, X4).")
         plan = CompiledExecutor().plan_for(query, db)
-        assert plan.steps[0].distinct and len(plan.steps[0].keep) == 1
+        opening = plan.steps[0]
+        assert len(opening.keep) == 1 and opening.scan_keys == (1,) and not opening.distinct
         assert assert_engines_agree(query, db)
 
     def test_always_empty_plan_reads_no_relation(self):

@@ -22,11 +22,6 @@ QUERY = parse_query("q(X, Z) :- r(X, Y), s(Y, Z).")
 
 
 class TestIndexLookups:
-    def test_views_for_signature(self):
-        index = ViewRelevanceIndex(VIEWS)
-        assert set(index.views_for_signature(("r", 2))) == {"v_rs", "v_r", "v_mixed"}
-        assert index.views_for_signature(("nope", 1)) == ()
-
     def test_overlap_mode(self):
         index = ViewRelevanceIndex(VIEWS)
         assert index.relevant_names(QUERY, "overlap") == {"v_rs", "v_r", "v_s", "v_mixed"}
@@ -35,11 +30,6 @@ class TestIndexLookups:
         index = ViewRelevanceIndex(VIEWS)
         # v_mixed mentions t/2, absent from the query, so cover drops it.
         assert index.relevant_names(QUERY, "cover") == {"v_rs", "v_r", "v_s"}
-
-    def test_relevant_views_preserves_order(self):
-        index = ViewRelevanceIndex(VIEWS)
-        names = [v.name for v in index.relevant_views(QUERY, "cover")]
-        assert names == ["v_rs", "v_r", "v_s"]
 
     def test_unknown_mode_rejected(self):
         index = ViewRelevanceIndex(VIEWS)
