@@ -29,10 +29,12 @@ class ConjunctiveQuery:
         "body",
         "comparisons",
         # Lazily computed caches (queries are immutable, so computing each
-        # once is sound): the structural hash, the variable tuple, the cheap
-        # canonical form, the canonical fingerprint text the containment
-        # memo keys verdicts by (filled in by repro.containment.memo), and
-        # the closed form of the comparisons (repro.containment.constraints).
+        # once is sound): the sorted normal form equality compares, the
+        # structural hash, the variable tuple, the cheap canonical form, the
+        # canonical fingerprint text the containment memo keys verdicts by
+        # (filled in by repro.containment.memo), and the closed form of the
+        # comparisons (repro.containment.constraints).
+        "_normal",
         "_hash",
         "_variables",
         "_canonical",
@@ -86,31 +88,35 @@ class ConjunctiveQuery:
                     )
 
     # -- basic protocol ------------------------------------------------------
+    def _normal_form(self) -> Tuple[Atom, Tuple[Atom, ...], Tuple[Comparison, ...]]:
+        """``(head, sorted body, sorted comparisons)``: what equality compares
+        and hashing hashes, computed once (queries are immutable)."""
+        try:
+            return self._normal
+        except AttributeError:
+            pass
+        normal = (
+            self.head,
+            tuple(sorted(self.body, key=Atom.sort_key)),
+            tuple(sorted(self.comparisons, key=Comparison.sort_key)),
+        )
+        object.__setattr__(self, "_normal", normal)
+        return normal
+
     def __eq__(self, other: object) -> bool:
         """Exact syntactic equality (same head, same body multiset, same comparisons)."""
+        if self is other:
+            return True
         if not isinstance(other, ConjunctiveQuery):
             return NotImplemented
-        return (
-            self.head == other.head
-            and sorted(self.body, key=Atom.sort_key) == sorted(other.body, key=Atom.sort_key)
-            and sorted(self.comparisons, key=Comparison.sort_key)
-            == sorted(other.comparisons, key=Comparison.sort_key)
-        )
+        return self._normal_form() == other._normal_form()
 
     def __hash__(self) -> int:
-        # Hashing sorts the body (order-insensitive equality), so the value is
-        # computed once and cached; queries are immutable.
         try:
             return self._hash
         except AttributeError:
             pass
-        value = hash(
-            (
-                self.head,
-                tuple(sorted(self.body, key=Atom.sort_key)),
-                tuple(sorted(self.comparisons, key=Comparison.sort_key)),
-            )
-        )
+        value = hash(self._normal_form())
         object.__setattr__(self, "_hash", value)
         return value
 

@@ -14,6 +14,19 @@ Compilation has three phases:
    at one end is walked *towards* the head, every intermediate result one
    column wide.  Ties go to the smallest estimated extension; disconnected
    subgoals (cartesian products) wait until nothing connected remains.
+   When one subgoal holds every head variable, :func:`_choose_order` also
+   costs a **witness plan** opening on it (:mod:`repro.exec.plan`), in index
+   entries touched, from the same estimates.  A pipeline touches the
+   opening's live rows plus ``alive · max(1, matches)`` per later subgoal
+   (``alive`` for a semi-join).  A witness plan over an opening of ``N``
+   rows and ``K = min(N, Π distinct(head positions))`` keys, whose rows pass
+   with ``p = (matches₀ / N) · Π_j min(1, matches_j)``, touches
+   ``K + K·min(N/K, 1/p) + Σ_j lookups_j · max(1, e_j)``: tail level ``j`` is
+   looked up at most once per memo key (``Π distinct`` of what it reads from
+   before it) and enumerates ``e_j = min(matches_j, 1 / Π_{i>j} min(1,
+   matches_i))`` entries per lookup.  It is taken only when strictly
+   cheaper, so heads spanning several subgoals and selective tails keep
+   the pipeline.
 3. **Operator construction** — every subgoal becomes a
    :class:`~repro.exec.plan.HashJoinStep` whose index key combines the
    subgoal's constants and parameters with its already-bound variables
@@ -27,7 +40,7 @@ Compilation has three phases:
    existential variables are dropped (and the rows deduplicated) by the step
    that last uses them, and a subgoal none of whose new variables survive
    compiles to a semi-join.  Each step generates its kernel as it is built
-   (see :mod:`repro.exec.plan`).
+   (see :mod:`repro.exec.plan`); a witness plan's steps drop nothing.
 
 **Parameters** are variables of the query bound from outside the pipeline
 (``try_compile(..., parameters={variable: value})``): they never occupy a row
@@ -67,18 +80,29 @@ def is_compilable(query: ConjunctiveQuery) -> bool:
     return True
 
 
+#: One pick of :func:`order_body`: the rows in flight before the subgoal, its
+#: estimated matches per row, the rows alive after it, the distinct-value
+#: bound of each variable bound before it, and whether it is a semi-join.
+_Pick = Tuple[float, float, float, Dict[Variable, int], bool]
+
+
 def order_body(
     query: ConjunctiveQuery,
     database: Database,
     stats: Optional[DatabaseStatistics] = None,
     parameters: Collection[Variable] = (),
+    first: Optional[int] = None,
+    picks: Optional[List[_Pick]] = None,
 ) -> List[Atom]:
     """Cost-based left-deep join order for the query's body subgoals.
 
     ``parameters`` restrict a position the way a constant does (and, like a
-    constant, connect nothing).
+    constant, connect nothing).  ``first`` is the index of a subgoal the
+    order must open with; ``picks``, when given, receives each pick's
+    estimates.
     """
     stats = stats if stats is not None else statistics_for(database)
+    picks = picks if picks is not None else []
     remaining = list(query.body)
     ordered: List[Atom] = []
     # The variables the ordered subgoals bind, each with a bound on the
@@ -86,8 +110,10 @@ def order_body(
     domain: Dict[Variable, int] = {}
     alive = 1.0  # estimated rows in flight
     while remaining:
-        best: Optional[Tuple[Tuple[int, float, float, int], Dict[Variable, int]]] = None
+        best: Optional[Tuple[Tuple[int, float, float, int], Dict[Variable, int], bool]] = None
         for index, atom in enumerate(remaining):
+            if first is not None and not ordered and index != first:
+                continue
             restricted: List[int] = []
             connected = not ordered
             seen = dict(domain)
@@ -118,11 +144,70 @@ def order_body(
             # extension.  Index is the deterministic tie-break.
             key = (0 if connected else 1, live, estimated, index)
             if best is None or key < best[0]:
-                best = (key, seen)
+                best = (key, seen, read.isdisjoint(set(seen) - set(domain)))
         assert best is not None
-        (_rank, alive, _estimated, index), domain = best
+        (_rank, live, estimated, index), seen, semi_join = best
+        picks.append((alive, estimated, live, domain, semi_join))
+        alive, domain = live, seen
         ordered.append(remaining.pop(index))
     return ordered
+
+
+def _pipeline_cost(picks: List[_Pick]) -> float:
+    """Index entries a pipeline touches (see the module docstring)."""
+    opening, *rest = picks
+    return opening[2] + sum(a * (1.0 if semi else max(1.0, e)) for a, e, _l, _d, semi in rest)
+
+
+def _witness_cost(
+    query: ConjunctiveQuery, ordered: List[Atom], picks: List[_Pick], stats: DatabaseStatistics
+) -> float:
+    """Index entries a witness plan opening on ``ordered[0]`` touches (see the
+    module docstring); every comparison variable counts as memo key."""
+    opening = ordered[0]
+    rows = stats.cardinality(opening.predicate)
+    if not rows:
+        return 0.0
+    position = {term: p for p, term in reversed(list(enumerate(opening.args)))}
+    keys = min(rows, prod(stats.distinct(opening.predicate, position[v]) for v in query.head.variables()))
+    passing = picks[0][1] / rows
+    found = [min(1.0, pick[1]) for pick in picks[1:]]
+    success = passing * prod(found)
+    tried = keys * min(rows / keys, 1 / success) if success else rows
+    cost, reach = keys + tried, tried * passing
+    for level, (_alive, estimated, _live, domain, _semi_join) in enumerate(picks[1:], 1):
+        read = {v for atom in ordered[level:] for v in atom.variables()}
+        read.update(v for comparison in query.comparisons for v in comparison.variables())
+        lookups = min(reach, prod(domain[v] for v in read if v in domain))
+        after = prod(found[level:])
+        entries = min(estimated, 1 / after) if after else estimated
+        cost += lookups * max(1.0, entries)
+        reach = lookups * entries
+    return cost
+
+
+def _choose_order(
+    query: ConjunctiveQuery,
+    database: Database,
+    stats: DatabaseStatistics,
+    parameters: Collection[Variable],
+) -> Tuple[List[Atom], bool]:
+    """The body order to compile, and whether it opens a witness plan (a tie
+    keeps the pipeline)."""
+    picks: List[_Pick] = []
+    best = order_body(query, database, stats, parameters, picks=picks)
+    if len(best) < 2:
+        return best, False
+    cost, witness = _pipeline_cost(picks), False
+    head = set(query.head.variables())
+    for index, atom in enumerate(query.body):
+        if head.issubset(atom.variables()):
+            picks = []
+            ordered = order_body(query, database, stats, parameters, index, picks)
+            estimate = _witness_cost(query, ordered, picks, stats)
+            if estimate < cost:
+                best, cost, witness = ordered, estimate, True
+    return best, witness
 
 
 def try_compile(
@@ -147,7 +232,8 @@ def try_compile(
     checks = [c for c in query.comparisons if given.keys() >= set(c.variables())]
     pending = [c for c in query.comparisons if c not in checks]
 
-    ordered = order_body(query, database, stats, given.keys())
+    stats = stats if stats is not None else statistics_for(database)
+    ordered, witness = _choose_order(query, database, stats, given.keys())
     # Each comparison attaches to the earliest step binding all its variables
     # (those the body never binds are unreachable — the interpreter silently
     # never evaluates them, and neither do we).
@@ -169,7 +255,11 @@ def try_compile(
             needed.update(comparison.variables())
     live_after.reverse()
 
-    layout: Tuple[Variable, ...] = ()  # the variables of an in-flight row
+    # The variables of an in-flight row; a witness plan's levels never drop
+    # one (its rows are the opening key's head columns, ``kept``).
+    layout: Tuple[Variable, ...] = ()
+    kept: Tuple[Variable, ...] = ()
+    head = set(query.head.variables())
     steps: List[HashJoinStep] = []
     for atom, comparisons, live in zip(ordered, attached, live_after):
         sources = dict(given)
@@ -193,7 +283,9 @@ def try_compile(
         sources.update(
             (variable, (True, len(layout) + k)) for k, variable in enumerate(first_new)
         )
-        keep = tuple(slot for slot, variable in enumerate(full) if variable in live)
+        keep = tuple(
+            slot for slot, variable in enumerate(full) if variable in (head if witness else live)
+        )
         kept = tuple(full[slot] for slot in keep)
         steps.append(
             HashJoinStep(
@@ -209,11 +301,14 @@ def try_compile(
                 # Projecting hashes every row anyway: a set built by the last
                 # step would be hashed twice.
                 rehashed=len(steps) + 1 == len(ordered) and query.head.args != kept,
+                # A witness opening walks the keys of its head columns.
+                scan_keys=tuple(first_new[v] for v in kept) if witness and not steps else None,
+                witness=witness,
             )
         )
-        layout = kept
+        layout = full if witness else kept
 
-    slots = {variable: slot for slot, variable in enumerate(layout)}
+    slots = {variable: slot for slot, variable in enumerate(kept)}
     projection: List[Source] = []
     unbound: List[str] = []
     for term in query.head.args:
@@ -231,6 +326,7 @@ def try_compile(
         unbound_head_terms=tuple(unbound),
         checks=tuple(_filter(c, given) for c in checks),
         params=tuple(parameters.values()),
+        witness=witness,
     )
 
 

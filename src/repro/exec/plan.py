@@ -1,7 +1,7 @@
 """Physical plans: set-at-a-time pipelines over whole relations.
 
 A :class:`PhysicalPlan` is a straight-line pipeline compiled from one
-conjunctive query (see :mod:`repro.exec.compile`):
+conjunctive query (see :mod:`repro.exec.compile`), or a *witness plan*:
 
 ``seed row () → HashJoinStep* → projection``
 
@@ -46,6 +46,17 @@ drops a column deduplicates as it emits — so existential variables stop
 multiplying rows at the step that last uses them — and a subgoal none of
 whose new variables survive is a semi-join that never enumerates its bucket.
 
+**Witness plans.**  When one subgoal holds the head, the plan may open on
+``index_on(head positions)`` of it, keeping each key's bucket, and run the
+rest of the body as one generated limit-1 kernel: for each key, the
+bucket's rows until one has a witness, through nested loops over the tail's
+index probes that ``break`` at the first match, with one memo dict per level
+keyed on what it and later levels read from before it — each connecting
+binding is searched at most once per execution, and only head rows are
+built.  Its steps only describe the levels (slots number every level's new
+variables): ``scan v/2 keys[0] (head)``, ``semi_join w/2 on w[0]=slot 1
+limit 1``.
+
 Plans return exactly the interpreter's answer *sets* and raise the same
 :class:`~repro.errors.EvaluationError` s (arity mismatches always raise; an
 unbound head variable raises only when at least one row reaches projection).
@@ -54,7 +65,10 @@ this pipeline's own work, which early projection makes smaller than the
 interpreter's assignment counts: ``probes`` = index entries touched (a
 semi-join touches one per surviving row, not the bucket; an index-key scan
 one per key, not per row), ``extensions`` = rows a step emits after its own
-dedup, ``answers`` = rows reaching projection.
+dedup, ``answers`` = rows reaching projection.  A witness plan's ``probes``
+are the opening rows tried plus the tail entries memo misses enumerate (at
+most the opening's rows plus the tail buckets touched), its ``extensions``
+and ``answers`` the head keys that have a witness.
 """
 
 from __future__ import annotations
@@ -68,7 +82,7 @@ from repro.errors import EvaluationError
 from repro.datalog.atoms import ComparisonOperator
 from repro.engine.database import Database
 from repro.engine.evaluate import EvaluationStatistics
-from repro.engine.relation import SkolemValue
+from repro.engine.relation import Relation, SkolemValue
 
 #: A value source in a compiled row: ``(True, slot_index)`` reads the current
 #: row, ``(False, constant_value)`` is a literal, ``(None, index)`` reads the
@@ -184,6 +198,7 @@ class HashJoinStep:
         "distinct",
         "exists",
         "scan_keys",
+        "witness",
         "kernel",
     )
 
@@ -199,6 +214,8 @@ class HashJoinStep:
         width: int,
         keep: Tuple[int, ...],
         rehashed: bool = False,
+        scan_keys: Optional[Tuple[int, ...]] = None,
+        witness: bool = False,
     ):
         self.predicate = predicate
         self.arity = arity
@@ -209,10 +226,11 @@ class HashJoinStep:
         self.filters = filters
         self.width = width
         self.keep = keep
-        self.exists = not eq_pairs and all(k < width for k in keep)
+        self.witness = witness  # a level of a witness plan: no kernel of its own
+        self.exists = witness or not eq_pairs and all(k < width for k in keep)
         #: The columns an index-key scan reads (see the module docstring).
-        self.scan_keys: Tuple[int, ...] = ()
-        if not width and not key_positions and not eq_pairs:
+        self.scan_keys: Tuple[int, ...] = scan_keys or ()
+        if scan_keys is None and not width and not key_positions and not eq_pairs:
             read = set(keep)  # with no input and no key, slot k is column k
             read.update(v for _op, *sides in filters for kind, v in sides if kind)
             if 0 < len(read) < arity:
@@ -220,8 +238,8 @@ class HashJoinStep:
         # A semi-join never enumerates its new columns, so only a dropped
         # input column can make two of its output rows equal.
         enumerated = width if self.exists else width + len(self.scan_keys or new_positions)
-        self.distinct = len(keep) < enumerated and not rehashed
-        self.kernel = self._generate()
+        self.distinct = len(keep) < enumerated and not rehashed and not witness
+        self.kernel: Optional[_Kernel] = None if witness else self._generate()
 
     def operator(self, first: bool) -> str:
         """The step's name in explain output (``first``: it opens the pipeline)."""
@@ -305,6 +323,18 @@ class HashJoinStep:
         lines += ["    return out, probes", ""]
         return _Kernel("\n".join(lines), namespace)
 
+    def relation(self, database: Database) -> Optional[Relation]:
+        """The relation this step reads, or None when it has no rows."""
+        relation = database.relation(self.predicate)
+        if relation is None or len(relation) == 0:
+            return None
+        if relation.arity != self.arity:
+            raise EvaluationError(
+                f"subgoal {self.predicate} has arity {self.arity} but relation "
+                f"{relation.name} has arity {relation.arity}"
+            )
+        return relation
+
     def run(
         self,
         database: Database,
@@ -312,14 +342,9 @@ class HashJoinStep:
         stats: EvaluationStatistics,
         params: Row = (),
     ) -> Collection[Row]:
-        relation = database.relation(self.predicate)
-        if relation is None or len(relation) == 0:
+        relation = self.relation(database)
+        if relation is None:
             return []
-        if relation.arity != self.arity:
-            raise EvaluationError(
-                f"subgoal {self.predicate} has arity {self.arity} but relation "
-                f"{relation.name} has arity {relation.arity}"
-            )
         if self.key_positions:
             matches = relation.index_on(self.key_positions).get
         else:
@@ -328,6 +353,76 @@ class HashJoinStep:
         stats.probes += probes
         stats.extensions += len(out)
         return out
+
+
+def _indent(lines: List[str]) -> List[str]:
+    return ["    " + line for line in lines]
+
+
+def _witness_kernel(steps: Sequence[HashJoinStep]) -> _Kernel:
+    """``kernel(pairs, g, p) -> (out, probes)`` over the opening's ``(head key,
+    bucket)`` pairs and the tail levels' ``get`` (relation, if unkeyed): level
+    ``j`` reads row ``rj`` and sets ``fj`` (the tail from ``j`` on has a match)
+    once per value ``cj`` of what it and later levels read (memo ``mj``)."""
+    namespace: Dict[str, Any] = {"compare": compare_values}
+    params: set = set()
+    where = {
+        step.width + k: f"r{level:d}[{position:d}]"
+        for level, step in enumerate(steps)
+        for k, position in enumerate(step.new_positions)
+    }
+
+    def value(source: Source) -> str:
+        kind, v = source
+        if kind:
+            return where[v]
+        if kind is None:
+            params.add(v)
+            return f"p{v:d}"
+        return _literal(namespace, v)
+
+    def passing(level: int, lines: List[str]) -> List[str]:
+        """``lines`` under the tests of level ``level``'s row."""
+        step = steps[level]
+        tests = [f"r{level:d}[{a:d}] == r{level:d}[{b:d}]" for a, b in step.eq_pairs]
+        if not level:  # the opening's constants and parameters are tests too
+            tests += [f"r0[{p:d}] == {value(v)}" for p, v in zip(step.key_positions, step.key_sources)]
+        tests += [_comparison(namespace, op, value(a), value(b)) for op, a, b in step.filters]
+        return [f"if {' and '.join(tests)}:"] + _indent(lines) if tests else lines
+
+    read: set = set()
+    lines: List[str] = []
+    for level in range(len(steps) - 1, 0, -1):  # innermost level first
+        step = steps[level]
+        read.update(v for kind, v in step.key_sources if kind)
+        read.update(v for _op, *sides in step.filters for kind, v in sides if kind)
+        cells = [where[v] for v in sorted(read) if v < step.width]
+        connecting = cells[0] if len(cells) == 1 else "(" + "".join(c + ", " for c in cells) + ")"
+        key = "".join(value(source) + ", " for source in step.key_sources)
+        bucket = f"g{level:d}(({key})) or ()" if key else f"g{level:d}"
+        found = [f"f{level:d} = True", "break"]
+        if lines:
+            found = lines + [f"if f{level + 1:d}:"] + _indent(found)
+        lines = [
+            f"c{level:d} = {connecting}",
+            f"f{level:d} = m{level:d}.get(c{level:d})",
+            f"if f{level:d} is None:",
+            f"    f{level:d} = False",
+            f"    for r{level:d} in {bucket}:",
+            *_indent(_indent(["probes += 1"] + passing(level, found))),
+            f"    m{level:d}[c{level:d}] = f{level:d}",
+        ]
+    body = ["probes += 1"] + passing(0, lines + ["if f1:", "    emit(key)", "    break"])
+    levels = range(1, len(steps))
+    source = ["def kernel(pairs, g, p):"] + _indent(
+        [f"p{index:d} = p[{index:d}]" for index in sorted(params)]
+        + ["".join(f"g{level:d}, " for level in levels) + "= g"]
+        + [f"m{level:d} = {{}}" for level in levels]
+        + ["out = []", "emit = out.append", "probes = 0", "for key, bucket in pairs:"]
+        + _indent(["for r0 in bucket:"] + _indent(body))
+        + ["return out, probes"]
+    )
+    return _Kernel("\n".join(source) + "\n", namespace)
 
 
 class PhysicalPlan:
@@ -342,6 +437,7 @@ class PhysicalPlan:
         "params",
         "always_empty",
         "_project",
+        "_witness",
     )
 
     def __init__(
@@ -352,6 +448,7 @@ class PhysicalPlan:
         unbound_head_terms: Tuple[str, ...] = (),
         checks: Tuple[Filter, ...] = (),
         params: Row = (),
+        witness: bool = False,
     ):
         self.query_name = query_name
         self.steps = tuple(steps)
@@ -377,6 +474,8 @@ class PhysicalPlan:
                 f"def kernel(rows):\n    return frozenset([({cells}) for row in rows])\n",
                 namespace,
             )
+        #: The one kernel that runs a witness plan's levels (None: a pipeline).
+        self._witness = _witness_kernel(self.steps) if witness else None
         self._bind(params)
 
     def _bind(self, params: Row) -> None:
@@ -403,8 +502,30 @@ class PhysicalPlan:
         if self.always_empty:
             return frozenset()
         stats.subgoals += len(self.steps)
+        if self._witness is not None:
+            return self.project_rows(self._witness_rows(database, stats), stats)
         rows = self.run_steps(database, [()], stats)
         return self.project_rows(rows, stats)
+
+    def _witness_rows(self, database: Database, stats: EvaluationStatistics) -> List[Row]:
+        """The opening's head keys that have a witness in the tail."""
+        relations = []
+        for step in self.steps:
+            relations.append(step.relation(database))
+            if relations[-1] is None:  # no key can have a witness
+                return []
+        (opening, *tail), (first, *rest) = self.steps, relations
+        keys = opening.scan_keys
+        if len(keys) == opening.arity:  # each row is its own key
+            pairs: Any = ((row, (row,)) for row in first)
+        else:
+            pairs = first.index_on(keys).items() if keys else [((), first)]
+        gets = [r.index_on(s.key_positions).get if s.key_positions else r for s, r in zip(tail, rest)]
+        assert self._witness is not None
+        out, probes = self._witness.function(pairs, gets, self.params)
+        stats.probes += probes
+        stats.extensions += len(out)
+        return out
 
     def run_steps(
         self,
@@ -455,18 +576,23 @@ class PhysicalPlan:
                 + (f"slot {v}" if kind else repr(v if kind is False else self.params[v]))
                 for p, (kind, v) in zip(step.key_positions, step.key_sources)
             )
+            scanned = ""
+            if step.scan_keys or step.witness and not index:
+                scanned = f" keys{list(step.scan_keys)}" + (" (head)" if step.witness else "")
             extras = []
             if step.eq_pairs:
                 extras.append(f"eq={list(step.eq_pairs)}")
             if step.filters:
                 extras.append(f"filters={len(step.filters)}")
-            extras.append(f"keep={len(step.keep)}" + (" distinct" if step.distinct else ""))
+            if not step.witness:
+                extras.append(f"keep={len(step.keep)}" + (" distinct" if step.distinct else ""))
+            elif index:
+                extras.append("limit 1")
             lines.append(
                 f"  {index}: {step.operator(first=index == 0)} {step.predicate}/{step.arity}"
-                + (f" keys{list(step.scan_keys)}" if step.scan_keys else "")
+                + scanned
                 + (f" on {key}" if key else "")
-                + " "
-                + " ".join(extras)
+                + "".join(" " + extra for extra in extras)
             )
         lines.append(f"  project -> {len(self.projection)} columns")
         return "\n".join(lines)

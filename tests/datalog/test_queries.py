@@ -1,6 +1,8 @@
 """Tests for conjunctive queries and unions."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import QueryConstructionError, UnsafeQueryError
 from repro.datalog.atoms import Atom, Comparison
@@ -8,6 +10,8 @@ from repro.datalog.queries import ConjunctiveQuery, UnionQuery, as_union
 from repro.datalog.parser import parse_query
 from repro.datalog.substitution import Substitution
 from repro.datalog.terms import Constant, Variable
+
+from tests.property.strategies import queries_with_comparisons
 
 
 class TestConstruction:
@@ -93,6 +97,35 @@ class TestEqualityAndCanonical:
         q1 = parse_query("q(A) :- r(A, B), s(B).")
         q2 = parse_query("q(A) :- r(A, B), s(A).")
         assert q1.canonical() != q2.canonical()
+
+
+def _sorted_definition(query):
+    """Equality's and hashing's definition, computed from scratch."""
+    return (
+        query.head,
+        sorted(query.body, key=Atom.sort_key),
+        sorted(query.comparisons, key=Comparison.sort_key),
+    )
+
+
+class TestCachedNormalForm:
+    """``==`` and ``hash`` read a normal form cached on the query: they must
+    agree with sorting both sides on every call."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(query=queries_with_comparisons(), other=queries_with_comparisons(), data=st.data())
+    def test_equality_and_hash_match_sorting_on_every_call(self, query, other, data):
+        body = data.draw(st.permutations(query.body))
+        comparisons = data.draw(st.permutations(query.comparisons))
+        shuffled = ConjunctiveQuery(query.head, body, comparisons)
+        for left, right in [(query, shuffled), (query, other), (shuffled, other)]:
+            same = _sorted_definition(left) == _sorted_definition(right)
+            assert (left == right) is same and (right == left) is same
+            if same:
+                assert hash(left) == hash(right)
+        head, body, comparisons = _sorted_definition(query)
+        assert hash(query) == hash((head, tuple(body), tuple(comparisons)))
+        assert query == query and not query != query
 
 
 class TestTransformation:

@@ -179,12 +179,13 @@ class TestLiveness:
 
     def test_variable_of_a_later_comparison_stays_live_until_attached(self):
         db = _chain_db()
-        text = "q(X) :- r(X, Y), s(Y, Z), t(Z, W), Y < W."
+        # The head spans r and t, so no witness plan is a candidate.
+        text = "q(X, W) :- r(X, Y), s(Y, Z), t(Z, W), Y < W."
         plan = try_compile(parse_query(text), db)
         assert [s.predicate for s in plan.steps] == ["r", "s", "t"]
         r, s, t = plan.steps
         assert s.keep == (0, 1, 2) and not s.distinct  # Y kept for the filter
-        assert len(t.filters) == 1 and t.keep == (0,) and t.distinct
+        assert len(t.filters) == 1 and t.keep == (0, 3) and t.distinct
         assert plan.execute(db) == _interpreted(text, db)
 
     def test_trailing_existential_subgoal_is_a_semi_join(self):
@@ -204,13 +205,15 @@ class TestLiveness:
 
     def test_filtered_dead_variable_stops_at_the_first_passing_match(self):
         db = _chain_db(r_rows=4)
-        text = "q(X) :- r(X, Y), s(Y, Z), Z != 0."
+        # The head is all of r: walking its keys is walking its rows, so the
+        # estimator keeps the pipeline.
+        text = "q(X, Y) :- r(X, Y), s(Y, Z), Z != 0."
         plan = try_compile(parse_query(text), db)
         assert [step.predicate for step in plan.steps] == ["r", "s"]
         probe = plan.steps[1]
         assert probe.exists and len(probe.filters) == 1
         assert plan.execute(db) == _interpreted(text, db)
-        always = "q(X) :- r(X, Y), s(Y, Z), Z != 99."
+        always = "q(X, Y) :- r(X, Y), s(Y, Z), Z != 99."
         stats = EvaluationStatistics()
         plan = try_compile(parse_query(always), db)
         rows = plan.steps[0].run(db, [()], EvaluationStatistics())

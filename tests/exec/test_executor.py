@@ -168,14 +168,17 @@ class TestEarlyProjectionWorkGuard:
         return db
 
     def test_extensions_bounded_by_distinct_live_rows(self):
-        # What evaluate() runs by default, so the served pipeline is guarded.
+        # What evaluate() runs by default, so the served plan is guarded.
         executor = SHARED_EXECUTOR
         db = self.regular_chain_db()
         query = parse_query("q(X0) :- r1(X0, X1), r2(X1, X2), r3(X2, X3).")
         plan = executor.plan_for(query, db)
-        # Towards the head: each intermediate result is one column wide.
-        assert [step.predicate for step in plan.steps] == ["r3", "r2", "r1"]
-        # What is live after each step, evaluated by the interpreter.
+        # The head sits in r1 and every tail is dense: a witness plan opens
+        # on r1's head keys and checks r2, r3 with limit-1 probes.
+        assert plan._witness is not None
+        assert [step.predicate for step in plan.steps] == ["r1", "r2", "r3"]
+        # What is live after each step of the pipeline, evaluated by the
+        # interpreter: the witness plan must stay within it too.
         live = [
             "q(X2) :- r3(X2, X3).",
             "q(X1) :- r2(X1, X2), r3(X2, X3).",
@@ -189,6 +192,17 @@ class TestEarlyProjectionWorkGuard:
         assert answers == frozenset((value,) for value in range(self.DOMAIN))
         assert stats.extensions <= bound
         assert stats.answers == self.DOMAIN
+
+    def test_a_selective_tail_keeps_the_pipeline_towards_the_head(self):
+        db = self.regular_chain_db()
+        for row in sorted(db.relation("r3"))[1:]:
+            db.remove_fact("r3", row)
+        query = parse_query("q(X0) :- r1(X0, X1), r2(X1, X2), r3(X2, X3).")
+        plan = CompiledExecutor().plan_for(query, db)
+        # Towards the head: each intermediate result is one column wide.
+        assert plan._witness is None
+        assert [step.predicate for step in plan.steps] == ["r3", "r2", "r1"]
+        assert_engines_agree(query, db)
 
     def test_ends_headed_variant_matches_the_interpreter(self):
         db = self.regular_chain_db()

@@ -25,7 +25,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import connect
@@ -36,7 +36,7 @@ from repro.datalog.printer import to_datalog
 from repro.datalog.queries import ConjunctiveQuery, UnionQuery
 from repro.datalog.terms import Constant
 from repro.datalog.views import View, ViewSet
-from repro.errors import ParseError, UnsupportedFeatureError
+from repro.errors import ParseError, UnsafeQueryError, UnsupportedFeatureError
 from repro.rewriting.plans import RewritingKind
 from repro.rewriting.rewriter import rewrite
 from repro.service.fingerprint import fingerprint
@@ -663,18 +663,20 @@ class TestScanAgreesWithTheTokenGrammar:
 
     @staticmethod
     def outcome(text):
+        """The query, or the type of the error that rejects the text."""
         try:
             return parse_query(text)
-        except ParseError:
-            return None
+        except (ParseError, UnsafeQueryError) as error:
+            return type(error)
 
     @settings(max_examples=600, deadline=None)
     @given(pieces=st.lists(st.sampled_from(ALPHABET), max_size=14))
+    @example(pieces=["q(X) :- r(X, Y), ", "E", "<", "X"])  # unsafe: E is in no subgoal
     def test_on_token_soup(self, pieces):
         text = "".join(pieces)
         scanned = scan_literals(text)
         if scanned is None:
-            assert self.outcome(text) is None
+            assert self.outcome(text) in (ParseError, UnsafeQueryError)
             return
         skeleton, values = scanned
         spelled = iter(
