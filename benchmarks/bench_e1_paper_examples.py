@@ -8,7 +8,7 @@ the expansion verifies.  The benchmarked operation is the full rewriting call
 
 import pytest
 
-from repro import is_complete_rewriting, rewrite
+from repro.rewriting import is_complete_rewriting, rewrite
 from repro.experiments.tables import format_table
 from repro.workloads.schemas import enterprise_schema, paper_example, university_schema
 

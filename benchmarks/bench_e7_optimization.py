@@ -9,7 +9,9 @@ using at all.  Answer sets are asserted identical.
 
 import pytest
 
-from repro import evaluate, materialize_views, measured_cost, minimize, rewrite
+from repro.containment import minimize
+from repro.engine import evaluate, materialize_views, measured_cost
+from repro.rewriting import rewrite
 from repro.experiments.tables import format_table
 from repro.workloads.schemas import enterprise_schema, university_schema
 

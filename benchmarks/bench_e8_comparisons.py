@@ -9,7 +9,9 @@ and the full rewriting call on the comparison-bearing inputs.
 
 import pytest
 
-from repro import is_contained, parse_query, parse_views, rewrite
+from repro import parse_query, parse_views
+from repro.containment import is_contained
+from repro.rewriting import rewrite
 from repro.experiments.tables import format_table
 
 #: (name, query, views, expected existence of an equivalent rewriting)

@@ -9,7 +9,9 @@ The benchmarked operations are the three certain-answer pipelines.
 
 import pytest
 
-from repro import certain_answers, evaluate, materialize_views, parse_query, parse_views
+from repro import parse_query, parse_views
+from repro.engine import evaluate, materialize_views
+from repro.rewriting import certain_answers
 from repro.experiments.tables import format_table
 from repro.workloads.data import random_chain_database
 from repro.workloads.generators import chain_query, chain_views

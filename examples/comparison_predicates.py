@@ -11,7 +11,9 @@ Run with:  python examples/comparison_predicates.py
 """
 
 import repro
-from repro import is_contained, is_equivalent, parse_query
+from repro import parse_query
+from repro.containment import is_contained, is_equivalent
+from repro.engine import evaluate
 
 
 def main() -> None:
@@ -75,7 +77,7 @@ def main() -> None:
     print("Answers          :", answer.sorted_rows())
     print("Computed from    :", answer.provenance.source,
           "via", answer.provenance.rewriting)
-    assert answer.rows == repro.evaluate(prepared.query, engine.database)
+    assert answer.rows == evaluate(prepared.query, engine.database)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,9 @@ Run with:  python examples/data_integration.py
 """
 
 import repro
-from repro import materialize_views, maximally_contained_rewriting, parse_query, parse_views
+from repro import parse_query, parse_views
+from repro.engine import evaluate, materialize_views
+from repro.rewriting import maximally_contained_rewriting
 from repro.rewriting.inverse_rules import inverse_rules_program
 from repro.workloads.schemas import paper_example
 
@@ -71,7 +73,7 @@ def main() -> None:
 
     by_rewriting = mediator.query(query).certain(method="rewriting").rows
     by_inverse = mediator.query(query).certain(method="inverse-rules").rows
-    truth = repro.evaluate(query, hidden_database)
+    truth = evaluate(query, hidden_database)
 
     print("\nCertain answers (rewriting)     :", len(by_rewriting))
     print("Certain answers (inverse rules) :", len(by_inverse))

@@ -19,7 +19,8 @@ Run with:  python examples/execution_engine.py
 import time
 
 import repro
-from repro import evaluate, parse_query
+from repro import parse_query
+from repro.engine import evaluate
 from repro.exec import CompiledExecutor, statistics_for
 from repro.workloads.data import random_chain_database
 

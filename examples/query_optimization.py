@@ -16,7 +16,9 @@ Run with:  python examples/query_optimization.py
 """
 
 import repro
-from repro import evaluate, materialize_views, measured_cost, minimize, view_is_useful
+from repro.containment import minimize
+from repro.engine import evaluate, materialize_views, measured_cost
+from repro.rewriting import view_is_useful
 from repro.experiments.tables import format_table
 from repro.workloads.schemas import enterprise_schema
 

@@ -16,7 +16,9 @@ Run with:  python examples/quickstart.py
 """
 
 import repro
-from repro import expand_rewriting, is_equivalent, rewrite
+from repro.containment import is_equivalent
+from repro.engine import evaluate
+from repro.rewriting import expand_rewriting, rewrite
 
 VIEWS = """
 v_enrolled_taught(S, C, P) :- enrolled(S, C), teaches(P, C).
@@ -77,7 +79,7 @@ def main() -> None:
     print()
 
     # --- the facade's answers equal direct evaluation -----------------------
-    direct = repro.evaluate(prepared.query, engine.database)
+    direct = evaluate(prepared.query, engine.database)
     print("Facade answers equal direct evaluation?", answer.rows == direct)
 
 

@@ -20,6 +20,7 @@ Run with:  python examples/service_sessions.py
 """
 
 import repro
+from repro.engine import evaluate
 
 VIEWS = """
 v_enrolled_taught(S, C, P) :- enrolled(S, C), teaches(P, C).
@@ -66,7 +67,7 @@ def main() -> None:
     # The coarse path: out-of-band mutation still yields correct answers.
     engine.database.add_fact("enrolled", ("bob", "ai"))
     answer = prepared.answers()
-    assert answer.rows == repro.evaluate(prepared.query, engine.database)
+    assert answer.rows == evaluate(prepared.query, engine.database)
     print("after out-of-band insert:", answer.sorted_rows())
     print()
 

@@ -23,10 +23,14 @@ verbs cover the whole lifecycle:
 >>> answer.provenance.source
 'views'
 
-The pre-facade entry points (``rewrite``, ``evaluate``, ...) remain fully
-supported; the caching ones fold into the engine — see ``docs/migration.md``:
+This package exports what a ``connect`` caller needs: the engine and its
+results, the parsers, the query model, :class:`Delta` and the errors.  Each
+of the paper's algorithms has one home in its sub-package —
+:mod:`repro.rewriting`, :mod:`repro.containment`, :mod:`repro.engine` —
+and is imported from there (``docs/migration.md`` lists every name's home):
 
->>> from repro import parse_query, parse_views, rewrite
+>>> from repro import parse_query, parse_views
+>>> from repro.rewriting import rewrite
 >>> query = parse_query("q(S) :- enrolled(S, C), taught_by(C, 'smith').")
 >>> views = parse_views(
 ...     "v_smith(S1) :- enrolled(S1, C1), taught_by(C1, 'smith')."
@@ -57,8 +61,6 @@ from repro.datalog import (
     ComparisonOperator,
     ConjunctiveQuery,
     Constant,
-    FunctionTerm,
-    Substitution,
     UnionQuery,
     Variable,
     View,
@@ -71,145 +73,40 @@ from repro.datalog import (
     parse_views,
     to_datalog,
 )
-from repro.containment import (
-    containment_memo_stats,
-    is_contained,
-    is_equivalent,
-    is_satisfiable,
-    minimize,
-)
-from repro.engine import (
-    Database,
-    DatalogProgram,
-    estimate_cost,
-    evaluate,
-    evaluate_boolean,
-    evaluate_program,
-    materialize_views,
-    measured_cost,
-)
-from repro.rewriting import (
-    BucketRewriter,
-    ExhaustiveRewriter,
-    InverseRulesRewriter,
-    MiniConRewriter,
-    OptimizationResult,
-    PlanChoice,
-    Rewriting,
-    RewritingKind,
-    RewritingResult,
-    certain_answers,
-    choose_best_plan,
-    enumerate_plans,
-    expand_rewriting,
-    is_complete_rewriting,
-    is_contained_rewriting,
-    maximally_contained_rewriting,
-    partial_rewritings,
-    rewrite,
-    view_is_relevant,
-    view_is_usable,
-    view_is_useful,
-)
-from repro.exec import CompiledExecutor
-from repro.materialize import (
-    ChangeLog,
-    Delta,
-    MaterializedViewStore,
-    ViewChange,
-    parse_delta,
-)
-from repro.service import (
-    BatchReport,
-    LRUCache,
-    QueryFingerprint,
-    ViewRelevanceIndex,
-    fingerprint,
-)
-from repro.api import (
-    Answer,
-    Catalog,
-    Engine,
-    Explanation,
-    PreparedQuery,
-    connect,
-)
-from repro.storage import StorageManager, WriteAheadLog
+from repro.materialize import Delta, parse_delta
+from repro.api import Answer, Engine, Explanation, PreparedQuery, connect
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Answer",
     "Atom",
-    "BatchReport",
-    "BucketRewriter",
-    "Catalog",
-    "ChangeLog",
     "Comparison",
     "ComparisonOperator",
-    "CompiledExecutor",
     "ConjunctiveQuery",
     "Constant",
     "ConstraintViolationError",
-    "Database",
-    "Engine",
-    "DatalogProgram",
     "Delta",
+    "Engine",
     "EvaluationError",
-    "ExhaustiveRewriter",
     "Explanation",
-    "FunctionTerm",
-    "InverseRulesRewriter",
-    "LRUCache",
     "MaterializationError",
-    "MaterializedViewStore",
-    "MiniConRewriter",
-    "OptimizationResult",
     "ParseError",
-    "PlanChoice",
     "PreparedQuery",
     "QueryConstructionError",
-    "QueryFingerprint",
     "ReproError",
-    "Rewriting",
     "RewritingError",
-    "RewritingKind",
-    "RewritingResult",
     "SchemaError",
     "SnapshotError",
     "StorageError",
-    "StorageManager",
-    "Substitution",
     "UnionQuery",
     "UnsafeQueryError",
     "UnsupportedFeatureError",
     "Variable",
     "View",
-    "ViewChange",
-    "ViewRelevanceIndex",
     "ViewSet",
     "WalCorruptionError",
-    "WriteAheadLog",
-    "certain_answers",
-    "choose_best_plan",
     "connect",
-    "containment_memo_stats",
-    "enumerate_plans",
-    "estimate_cost",
-    "evaluate",
-    "evaluate_boolean",
-    "evaluate_program",
-    "expand_rewriting",
-    "is_complete_rewriting",
-    "is_contained",
-    "is_contained_rewriting",
-    "is_equivalent",
-    "is_satisfiable",
-    "fingerprint",
-    "materialize_views",
-    "maximally_contained_rewriting",
-    "measured_cost",
-    "minimize",
     "parse_atom",
     "parse_database",
     "parse_delta",
@@ -217,11 +114,6 @@ __all__ = [
     "parse_query",
     "parse_view",
     "parse_views",
-    "partial_rewritings",
-    "rewrite",
     "to_datalog",
-    "view_is_relevant",
-    "view_is_usable",
-    "view_is_useful",
     "__version__",
 ]

@@ -23,39 +23,17 @@ The pieces:
 * :class:`PreparedQuery` — ``answers() / rewrite() / explain() / certain()``;
 * :class:`Answer` / :class:`Explanation` — typed results carrying provenance
   and a JSON-serializable decision tree (schema:
-  ``docs/explanation.schema.json``).
+  ``docs/explanation.schema.json``); the dataclasses they are built from
+  (``Provenance``, ``PlanStep``, ...) live in :mod:`repro.api.results`.
 
-The pre-facade entry points (:func:`repro.rewrite`, :func:`repro.evaluate`,
-...) remain supported; the engine is the one object that caches.  See
-``docs/migration.md`` for the mapping.
+The engine is the one object that caches.  The algorithms it composes are
+imported from their own packages (:func:`repro.rewriting.rewrite`,
+:func:`repro.engine.evaluate`, ...); ``docs/migration.md`` maps each
+one-shot call to the engine verb that replaces it.
 """
 
 from repro.api.catalog import Catalog
 from repro.api.engine import Engine, PreparedQuery, connect
-from repro.api.results import (
-    Answer,
-    CacheReport,
-    Evaluation,
-    Explanation,
-    PlanDescription,
-    PlanStep,
-    Provenance,
-    RewritingAlternative,
-    RewritingChoice,
-)
+from repro.api.results import Answer, Explanation
 
-__all__ = [
-    "Answer",
-    "CacheReport",
-    "Catalog",
-    "Engine",
-    "Evaluation",
-    "Explanation",
-    "PlanDescription",
-    "PlanStep",
-    "PreparedQuery",
-    "Provenance",
-    "RewritingAlternative",
-    "RewritingChoice",
-    "connect",
-]
+__all__ = ["Answer", "Catalog", "Engine", "Explanation", "PreparedQuery", "connect"]

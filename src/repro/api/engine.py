@@ -203,37 +203,45 @@ def connect(
                 raise StorageError(f"{name}= requires a storage directory (storage=...)")
     else:
         manager = StorageManager(storage, backend=backend, fsync=_fsync_policy(wal))
-        if manager.has_state:
-            if database is not None:
-                manager.close()
-                raise StorageError(
-                    f"storage directory {storage!r} already holds state; "
-                    "omit data= to recover it (or point at a new directory)"
-                )
-            recovery = manager.recover()
-            database = recovery.database
-        else:
-            database = manager.attach_database(
-                database if database is not None else Database()
-            )
-    catalog = Catalog(
-        schema=schema,
-        views=views,
-        constraints=constraints,
-        data_schema=database.schema() if database is not None else None,
-    )
-    return Engine(
-        catalog,
-        database=database,
-        view_instance=instance,
-        algorithm=algorithm,
-        mode=mode,
-        cache_size=cache_size,
-        observability=observability,
-        storage_manager=manager,
-        recovery=recovery,
-        snapshot_interval=snapshot,
-    )
+    try:
+        if manager is not None:
+            if manager.has_state:
+                if database is not None:
+                    raise StorageError(
+                        f"storage directory {storage!r} already holds state; "
+                        "omit data= to recover it (or point at a new directory)"
+                    )
+                recovery = manager.recover()
+                database = recovery.database
+            elif database is None:
+                database = Database()
+        catalog = Catalog(
+            schema=schema,
+            views=views,
+            constraints=constraints,
+            data_schema=database.schema() if database is not None else None,
+        )
+        engine = Engine(
+            catalog,
+            database=database,
+            view_instance=instance,
+            algorithm=algorithm,
+            mode=mode,
+            cache_size=cache_size,
+            observability=observability,
+            storage_manager=manager,
+            recovery=recovery,
+            snapshot_interval=snapshot,
+        )
+        if manager is not None and recovery is None:
+            # Written only once the engine has validated the catalog and the
+            # data: a rejected connect leaves a fresh directory fresh.
+            manager.attach_database(database)
+        return engine
+    except BaseException:
+        if manager is not None:
+            manager.close()
+        raise
 
 
 def _fsync_policy(wal: "None | bool | str") -> str:
@@ -1004,14 +1012,6 @@ class Engine:
         form = BoundForm(key, query, literals, fp, template_key, template, kind, plans, reply)
         self._bound_forms.put(key, form)
         return form
-
-    def rewrite_cached(
-        self, query: ConjunctiveQuery, fp: Optional[QueryFingerprint] = None
-    ) -> RewritingResult:
-        """The template lookup alone for a query object — no catalog
-        validation, text memo or request trace; a hit is instantiated anew
-        on every call."""
-        return self._rewrite_with_fp(query, fp if fp is not None else fingerprint(query))
 
     def _rewrite_with_fp(
         self,

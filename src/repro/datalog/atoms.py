@@ -275,8 +275,15 @@ class Comparison:
         """
         left_key = term_sort_key(self.left)
         right_key = term_sort_key(self.right)
-        if left_key <= right_key:
+        if left_key < right_key:
             return self
+        if left_key == right_key:
+            # Same term on both sides (``Y < Y`` equals ``Y > Y``): pick the
+            # operator orientation by symbol so the two hash alike.
+            flipped = self.op.flip()
+            if self.op.value <= flipped.value:
+                return self
+            return Comparison(self.right, flipped, self.left)
         return Comparison(self.right, self.op.flip(), self.left)
 
     def flipped(self) -> "Comparison":

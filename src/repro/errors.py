@@ -120,7 +120,7 @@ class WalCorruptionError(StorageError):
     """Raised when a write-ahead log is damaged beyond tail repair.
 
     Torn tails and CRC-corrupt trailing records are *not* errors — recovery
-    truncates them cleanly (see :meth:`repro.storage.WriteAheadLog.replay`).
+    truncates them cleanly (see :meth:`repro.storage.wal.WriteAheadLog.replay`).
     This is raised only when the file itself is unrecognizable (bad magic),
     or when a corrupt record is found while repair is disabled.
     """

@@ -14,24 +14,3 @@ service out of these pieces:
   templates and their instances, answers, bound forms;
 * :mod:`repro.service.batch` — the report of :meth:`repro.api.Engine.batch`.
 """
-
-from repro.service.batch import BatchItem, BatchReport
-from repro.service.cache import LRUCache
-from repro.service.fingerprint import (
-    QueryFingerprint,
-    fingerprint,
-    fingerprint_text,
-    isomorphism_witness,
-)
-from repro.service.view_index import ViewRelevanceIndex
-
-__all__ = [
-    "BatchItem",
-    "BatchReport",
-    "LRUCache",
-    "QueryFingerprint",
-    "ViewRelevanceIndex",
-    "fingerprint",
-    "fingerprint_text",
-    "isomorphism_witness",
-]

@@ -2,8 +2,10 @@
 
 The persistence subsystem under the engine facade:
 
-* :class:`WriteAheadLog` — the CRC-framed durable delta journal;
-* snapshots (:func:`write_snapshot` / :func:`read_snapshot`);
+* :mod:`repro.storage.wal` — the CRC-framed durable delta journal
+  (``WriteAheadLog``; :func:`read_wal` reads a log file front to back, as
+  ``repro replay`` does);
+* :mod:`repro.storage.snapshot` — ``write_snapshot`` / ``read_snapshot``;
 * the :class:`StorageManager`, which ties journal + checkpoints + base
   store into restart-replay recovery.  It is the only code that knows where
   base rows persist between restarts: a snapshot (the ``memory`` backend)
@@ -33,33 +35,6 @@ recovery semantics.
 from __future__ import annotations
 
 from repro.storage.manager import BACKENDS, RecoveryResult, StorageManager
-from repro.storage.snapshot import (
-    Snapshot,
-    latest_snapshot,
-    list_snapshots,
-    read_snapshot,
-    write_snapshot,
-)
-from repro.storage.wal import (
-    FSYNC_POLICIES,
-    WalRecord,
-    WalReplayReport,
-    WriteAheadLog,
-    read_wal,
-)
+from repro.storage.wal import read_wal
 
-__all__ = [
-    "BACKENDS",
-    "FSYNC_POLICIES",
-    "RecoveryResult",
-    "Snapshot",
-    "StorageManager",
-    "WalRecord",
-    "WalReplayReport",
-    "WriteAheadLog",
-    "latest_snapshot",
-    "list_snapshots",
-    "read_snapshot",
-    "read_wal",
-    "write_snapshot",
-]
+__all__ = ["BACKENDS", "RecoveryResult", "StorageManager", "read_wal"]

@@ -1,5 +1,8 @@
 """Tests for the repro.api facade: connect, Catalog, Engine, Answer."""
 
+import gc
+import warnings
+
 import pytest
 
 from repro import connect
@@ -14,6 +17,7 @@ from repro.datalog.parser import parse_query, parse_views
 from repro.engine.database import Database
 from repro.engine.evaluate import evaluate
 from repro.materialize.delta import Delta
+from repro.storage import StorageManager
 
 VIEWS = """
 v_rs(A, B) :- r(A, C), s(C, B).
@@ -116,6 +120,52 @@ class TestIntegrityConstraints:
     def test_constraints_must_be_boolean(self):
         with pytest.raises(QueryConstructionError, match="boolean"):
             connect(views=VIEWS, constraints="bad(X) :- r(X, Y).")
+
+
+class TestDurableConnectFailures:
+    """A connect the catalog or the data rejects writes no state and leaves
+    no file open."""
+
+    VIEW = "v(X) :- r(X)."
+    FACTS = "r(1). r(2)."
+
+    @pytest.mark.parametrize(
+        "rejected, error",
+        [
+            ({"constraints": "bad() :- r(X)."}, ConstraintViolationError),
+            ({"views": "v(X, Y) :- r(X, Y)."}, SchemaError),
+        ],
+        ids=["constraint", "arity"],
+    )
+    def test_a_fresh_directory_stays_fresh(self, tmp_path, rejected, error):
+        directory = str(tmp_path / "state")
+        options = {"views": self.VIEW, "data": self.FACTS, "storage": directory}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(error):
+                connect(**{**options, **rejected})
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        manager = StorageManager(directory)
+        assert not manager.has_state
+        manager.close()
+        with connect(**options) as engine:
+            assert engine.database.tuples("r") == frozenset({(1,), (2,)})
+
+    def test_a_rejected_recovery_leaves_the_directory_byte_identical(self, tmp_path):
+        directory = tmp_path / "state"
+        with connect(views=self.VIEW, data=self.FACTS, storage=str(directory)) as engine:
+            engine.apply("+ r(3).")
+        before = {path.name: path.read_bytes() for path in directory.iterdir()}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ConstraintViolationError):
+                connect(views=self.VIEW, constraints="bad() :- r(X).", storage=str(directory))
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert {path.name: path.read_bytes() for path in directory.iterdir()} == before
+        with connect(views=self.VIEW, storage=str(directory)) as engine:
+            assert engine.database.tuples("r") == frozenset({(1,), (2,), (3,)})
 
 
 class TestAnswers:

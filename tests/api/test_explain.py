@@ -1,7 +1,7 @@
 """Equivalence of ``engine.explain()`` with the pre-facade path.
 
 The acceptance bar for the facade: the rewriting it reports is exactly what a
-direct :func:`repro.rewrite` call produces, and the physical plan steps are
+direct :func:`repro.rewriting.rewrite` call produces, and the physical plan steps are
 exactly what a :class:`CompiledExecutor` compiles for that rewriting over the
 materialized view instance — the facade describes the old pipeline, it does
 not run a different one.
@@ -9,7 +9,8 @@ not run a different one.
 
 import pytest
 
-from repro import connect, rewrite
+from repro import connect
+from repro.rewriting import rewrite
 from repro.api import Engine
 from repro.datalog.atoms import Atom
 from repro.datalog.parser import parse_database, parse_query, parse_views

@@ -29,4 +29,4 @@ def test_snapshot_covers_both_modules():
     assert any(line.startswith("repro:") for line in snapshot)
     assert any(line.startswith("repro.api:") for line in snapshot)
     assert "repro:connect" in snapshot
-    assert "repro:rewrite" in snapshot  # the shims stay on the surface
+    assert "repro:rewrite" not in snapshot  # algorithms are imported from their packages

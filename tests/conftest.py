@@ -4,11 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro import (
-    Database,
-    parse_query,
-    parse_views,
-)
+from repro import parse_query, parse_views
+from repro.engine import Database
 from repro.workloads.schemas import enterprise_schema, paper_example, university_schema
 
 

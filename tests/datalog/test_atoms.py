@@ -104,6 +104,14 @@ class TestComparison:
         assert Comparison("X", "<", "Y") == Comparison("Y", ">", "X")
         assert hash(Comparison("X", "<", "Y")) == hash(Comparison("Y", ">", "X"))
 
+    def test_same_term_both_sides_flipped_forms_hash_alike(self):
+        for op in ("<", "<=", "=", "!="):
+            comparison = Comparison("Y", op, "Y")
+            flipped = comparison.flipped()
+            assert comparison == flipped
+            assert hash(comparison) == hash(flipped)
+            assert comparison.sort_key() == flipped.sort_key()
+
     def test_different_ops_not_equal(self):
         assert Comparison("X", "<", "Y") != Comparison("X", "<=", "Y")
 

@@ -417,7 +417,8 @@ class TestDefaultExecutor:
     def test_environment_does_not_choose_the_executor(self):
         # A fresh interpreter, so nothing read at import time can hide.
         script = (
-            "from repro import Database, connect, parse_query\n"
+            "from repro import connect, parse_query\n"
+            "from repro.engine import Database\n"
             "from repro.engine.evaluate import evaluate\n"
             "from repro.exec.executor import SHARED_EXECUTOR\n"
             "evaluate(parse_query('q(X) :- r(X, Y).'), Database.from_dict({'r': [(1, 2)]}))\n"

@@ -9,13 +9,8 @@ These tests check it over a spread of generated databases and workloads.
 
 import pytest
 
-from repro import (
-    certain_answers,
-    evaluate,
-    materialize_views,
-    maximally_contained_rewriting,
-    rewrite,
-)
+from repro.engine import evaluate, materialize_views
+from repro.rewriting import certain_answers, maximally_contained_rewriting, rewrite
 from repro.rewriting.plans import RewritingKind
 from repro.workloads.data import random_chain_database, random_database, random_graph_database
 from repro.workloads.generators import chain_query, chain_views, star_query, star_views, workload

@@ -8,15 +8,9 @@ import itertools
 
 import pytest
 
-from repro import (
-    is_complete_rewriting,
-    is_equivalent,
-    minimize,
-    parse_query,
-    parse_views,
-    rewrite,
-    view_is_usable,
-)
+from repro import parse_query, parse_views
+from repro.containment import is_equivalent, minimize
+from repro.rewriting import is_complete_rewriting, rewrite, view_is_usable
 from repro.containment.minimize import is_minimal
 from repro.rewriting.exhaustive import ExhaustiveRewriter
 from repro.rewriting.expansion import expand_query
@@ -115,7 +109,7 @@ class TestR5MaximallyContained:
         query = parse_query("q(X) :- r(X, Y), s(Y, Z).")
         views = parse_views("v(A) :- r(A, B), s(B, 5).")
         assert not rewrite(query, views, algorithm="minicon").has_equivalent
-        from repro import maximally_contained_rewriting
+        from repro.rewriting import maximally_contained_rewriting
 
         plan = maximally_contained_rewriting(query, views)
         assert plan is not None
@@ -123,7 +117,7 @@ class TestR5MaximallyContained:
 
     def test_union_dominates_every_contained_disjunct(self, citation_views):
         query = parse_query("q(X, Y) :- cites(X, Z), cites(Z, Y), same_topic(X, Y).")
-        from repro import maximally_contained_rewriting
+        from repro.rewriting import maximally_contained_rewriting
         from repro.containment.containment import is_contained
 
         plan = maximally_contained_rewriting(query, citation_views, prune=False)

@@ -15,7 +15,7 @@ from repro.materialize.changelog import (
     STRATEGY_UNAFFECTED,
 )
 from repro.materialize.compare import assert_consistent, verify_extents
-from repro.materialize.delta import Delta
+from repro.materialize.delta import Delta, parse_delta
 from repro.materialize.store import MaterializedViewStore
 
 VIEWS = parse_views(
@@ -66,6 +66,12 @@ class TestApplyDelta:
         assert log.view_change("v_t").strategy == STRATEGY_UNAFFECTED
         assert log.affected_predicates() == frozenset({"r", "v_rs", "v_r"})
         assert store.views_skipped == 1
+
+    def test_text_delta_is_maintained_like_a_built_one(self):
+        store, _db = make_store()
+        log = store.apply_delta(parse_delta("+ r(7, 2)."))
+        assert log.delta.inserted_rows("r") == frozenset({(7, 2)})
+        assert store.extent("v_rs") == frozenset({(1, 3), (7, 3)})
 
     def test_deletion_through_shared_join_witness(self):
         # Removing the only s-tuple empties v_rs but leaves v_r alone.

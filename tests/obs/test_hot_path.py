@@ -1,7 +1,7 @@
 """What observability costs a served request, pinned by structure, not time.
 
 A warm hit records into series bound on first use and into a flat trace
-record; the :class:`~repro.obs.Span` tree and :class:`~repro.obs.Trace` are
+record; the :class:`~repro.obs.trace.Span` tree and :class:`~repro.obs.Trace` are
 built only when read.  These tests count what a hit constructs, check that
 the metrics and the trace it leaves read as before, and cover the trace
 records themselves: the ring bound, late reads, nesting, and stages that
@@ -16,7 +16,9 @@ import pytest
 
 from repro import connect
 from repro.errors import ParseError
-from repro.obs import Instrumentation, MetricFamily, Span, Trace
+from repro.obs import Instrumentation, Trace
+from repro.obs.metrics import MetricFamily
+from repro.obs.trace import Span
 from repro.obs.trace import DEFAULT_KEEP
 
 VIEWS = """

@@ -5,13 +5,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.obs import (
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs import MetricsRegistry
+from repro.obs.metrics import Counter, DEFAULT_LATENCY_BUCKETS, Gauge, Histogram
 
 
 class TestCounter:

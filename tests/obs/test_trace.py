@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro import connect
-from repro.obs import Tracer
+from repro.obs.trace import Tracer
 
 SCHEMA_PATH = Path(__file__).resolve().parents[2] / "docs" / "trace.schema.json"
 

@@ -91,8 +91,8 @@ class TestCachedRewritingProperties:
     ):
         variant = scrambled(query, seed)
         session = connect(views=views)
-        session.rewrite_cached(query)           # prime the cache
-        served = session.rewrite_cached(variant)
+        session.query(query).rewrite()           # prime the cache
+        served = session.query(variant).rewrite()
         assert session.last_cache_hit is True
         uncached = rewrite(variant, views, algorithm="minicon")
         assert len(served.rewritings) == len(uncached.rewritings)

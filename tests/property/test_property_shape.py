@@ -130,8 +130,8 @@ def check_second_request(first, second, views, algorithm, mode, must_hit=False):
     """Serve ``first`` then ``second``; a template hit must equal from-scratch."""
     session = connect(views=views, algorithm=algorithm, mode=mode)
     try:
-        session.rewrite_cached(first)
-        served = session.rewrite_cached(second)
+        session.query(first).rewrite()
+        served = session.query(second).rewrite()
         hit = session.last_cache_hit
         scratch = rewrite(second, views, algorithm=algorithm, mode=mode)
     except UnsupportedFeatureError:
@@ -319,7 +319,7 @@ class TestBenchmarkStreams:
         for text, _ in generated.reads(requests):
             query = parse_query(text)
             shape = fingerprint(query).shape
-            served = session.rewrite_cached(query)
+            served = session.query(query).rewrite()
             assert session.last_cache_hit is (shape in shapes)
             shapes.add(shape)
             scratch = rewrite(query, generated.views, algorithm="minicon")

@@ -17,6 +17,14 @@ class TestRewriteFrontDoor:
         assert all(r.kind is RewritingKind.EQUIVALENT for r in result.rewritings)
         assert result.elapsed >= 0.0
 
+    def test_default_call_names_the_views_it_uses(self):
+        result = rewrite(
+            parse_query("q(X, Z) :- r(X, Y), s(Y, Z)."),
+            parse_views("v_rs(A, B) :- r(A, C), s(C, B)."),
+        )
+        assert result.has_equivalent
+        assert result.best.views_used == ("v_rs",)
+
     def test_contained_mode_keeps_contained_rewritings(self, citation_views):
         query = parse_query("q(X, Y) :- cites(X, Z), cites(Z, Y), same_topic(X, Y).")
         result = rewrite(query, citation_views, algorithm="minicon", mode="contained")

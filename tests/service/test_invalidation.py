@@ -80,9 +80,9 @@ class TestDeltaScopedInvalidation:
 
     def test_rewrite_cache_survives_data_churn(self):
         session, _db = make_session()
-        session.rewrite_cached(Q_RS)
+        session.query(Q_RS).rewrite()
         session.apply(Delta.insertion("r", [(6, 2)]))
-        session.rewrite_cached(Q_RS)
+        session.query(Q_RS).rewrite()
         assert session.last_cache_hit is True
 
     def test_out_of_band_mutation_still_coarse_but_correct(self):

@@ -42,9 +42,9 @@ def cached(engine, query):
 class TestRewriteCached:
     def test_miss_then_hit_byte_identical(self):
         session = open_engine()
-        first = session.rewrite_cached(QUERY)
+        first = session.query(QUERY).rewrite()
         assert session.last_cache_hit is False
-        second = session.rewrite_cached(QUERY)
+        second = session.query(QUERY).rewrite()
         assert session.last_cache_hit is True
         assert [str(r.query) for r in first.rewritings] == [
             str(r.query) for r in second.rewritings
@@ -55,7 +55,7 @@ class TestRewriteCached:
 
     def test_miss_matches_uncached_rewrite(self):
         session = open_engine()
-        cached = session.rewrite_cached(QUERY)
+        cached = session.query(QUERY).rewrite()
         uncached = rewrite(QUERY, VIEWS, algorithm="minicon")
         assert [str(r.query) for r in cached.rewritings] == [
             str(r.query) for r in uncached.rewritings
@@ -64,8 +64,8 @@ class TestRewriteCached:
 
     def test_isomorphic_query_hits_and_is_renamed(self):
         session = open_engine()
-        session.rewrite_cached(QUERY)
-        result = session.rewrite_cached(ISOMORPH)
+        session.query(QUERY).rewrite()
+        result = session.query(ISOMORPH).rewrite()
         assert session.last_cache_hit is True
         # The returned plan is in the *incoming* query's variables.
         assert str(result.best.query) == "q(A, B) :- v_rs(A, B)."
@@ -73,8 +73,8 @@ class TestRewriteCached:
 
     def test_isomorphic_hit_equals_uncached_result(self):
         session = open_engine()
-        session.rewrite_cached(QUERY)
-        cached = session.rewrite_cached(ISOMORPH)
+        session.query(QUERY).rewrite()
+        cached = session.query(ISOMORPH).rewrite()
         uncached = rewrite(ISOMORPH, VIEWS, algorithm="minicon")
         assert sorted(str(r.query.canonical()) for r in cached.rewritings) == sorted(
             str(r.query.canonical()) for r in uncached.rewritings
@@ -82,7 +82,7 @@ class TestRewriteCached:
 
     def test_different_mode_sessions_do_not_share(self):
         contained = open_engine(mode="contained")
-        result = contained.rewrite_cached(QUERY)
+        result = contained.query(QUERY).rewrite()
         assert contained.last_cache_hit is False
         assert len(result.rewritings) >= 1
 
@@ -125,9 +125,9 @@ class TestTemplateCache:
 
     def test_new_constant_of_a_known_shape_hits_and_equals_uncached(self):
         session = open_engine(COPIES)
-        session.rewrite_cached(shaped(7))
+        session.query(shaped(7)).rewrite()
         assert session.last_cache_hit is False
-        served = session.rewrite_cached(shaped(8))
+        served = session.query(shaped(8)).rewrite()
         assert session.last_cache_hit is True
         uncached = rewrite(shaped(8), COPIES, algorithm="minicon")
         assert len(served.rewritings) == 4
@@ -168,17 +168,17 @@ class TestTemplateCache:
 
     def test_best_is_instantiated_alone_until_the_list_is_read(self):
         session = open_engine(COPIES)
-        session.rewrite_cached(shaped(7))
-        served = session.rewrite_cached(shaped(8))
+        session.query(shaped(7)).rewrite()
+        served = session.query(shaped(8)).rewrite()
         assert "Y != 8" in str(served.best.query)
         assert served._instance._all is None
         assert len(served.rewritings) == len(served._instance._all) == 4
 
     def test_isomorphic_variant_with_a_new_constant(self):
         session = open_engine()
-        session.rewrite_cached(shaped(7))
+        session.query(shaped(7)).rewrite()
         variant = parse_query("q(A, B) :- s(C, B), r(A, C), C != 9.")
-        served = session.rewrite_cached(variant)
+        served = session.query(variant).rewrite()
         assert session.last_cache_hit is True
         assert served.query is variant
         uncached = rewrite(variant, VIEWS, algorithm="minicon")
@@ -188,22 +188,22 @@ class TestTemplateCache:
 
     def test_set_views_recomputes_what_is_pinned(self):
         session = open_engine()
-        session.rewrite_cached(shaped(7))
-        session.rewrite_cached(shaped(8))
+        session.query(shaped(7)).rewrite()
+        session.query(shaped(8)).rewrite()
         assert session.last_cache_hit is True
         session.set_views(parse_views("v_rs(A, B) :- r(A, C), s(C, B), C != 8."))
-        session.rewrite_cached(shaped(7))
-        session.rewrite_cached(shaped(8))  # now a constant of a view: pinned
+        session.query(shaped(7)).rewrite()
+        session.query(shaped(8)).rewrite()  # now a constant of a view: pinned
         assert session.last_cache_hit is False
-        session.rewrite_cached(shaped(6))  # below 8, as 7 is
+        session.query(shaped(6)).rewrite()  # below 8, as 7 is
         assert session.last_cache_hit is True
-        session.rewrite_cached(shaped(9))  # above it
+        session.query(shaped(9)).rewrite()  # above it
         assert session.last_cache_hit is False
 
     def test_cache_size_zero_disables_it(self):
         session = open_engine(cache_size=0)
-        session.rewrite_cached(shaped(7))
-        session.rewrite_cached(shaped(8))
+        session.query(shaped(7)).rewrite()
+        session.query(shaped(8)).rewrite()
         assert session.last_cache_hit is False
         assert session.stats()["session"]["rewrite_cache"]["size"] == 0
 
@@ -311,14 +311,14 @@ class TestAnswer:
 class TestInvalidation:
     def test_set_views_clears_rewrite_cache(self):
         session = open_engine()
-        session.rewrite_cached(QUERY)
+        session.query(QUERY).rewrite()
         session.set_views(parse_views("v_r(A, B) :- r(A, B)."))
-        session.rewrite_cached(QUERY)
+        session.query(QUERY).rewrite()
         assert session.last_cache_hit is False
 
     def test_set_views_with_equal_contents_keeps_cache(self):
         session = open_engine()
-        session.rewrite_cached(QUERY)
+        session.query(QUERY).rewrite()
         same = parse_views(
             """
             v_rs(A, B) :- r(A, C), s(C, B).
@@ -327,12 +327,12 @@ class TestInvalidation:
             """
         )
         session.set_views(same)
-        session.rewrite_cached(QUERY)
+        session.query(QUERY).rewrite()
         assert session.last_cache_hit is True
 
     def test_invalidate_clears_everything(self):
         session = open_engine(database=make_db())
-        session.rewrite_cached(QUERY)
+        session.query(QUERY).rewrite()
         answer(session, QUERY)
         session.invalidate()
         stats = session.stats()["session"]
@@ -346,7 +346,7 @@ class TestInvalidation:
 class TestStats:
     def test_stats_shape(self):
         session = open_engine(database=make_db())
-        session.rewrite_cached(QUERY)
+        session.query(QUERY).rewrite()
         stats = session.stats()["session"]
         for key in (
             "algorithm", "mode", "requests", "views", "rewrite_cache",
@@ -357,9 +357,16 @@ class TestStats:
         assert stats["requests"] == 1
         assert stats["view_index"]["queries_filtered"] == 1
 
+    def test_requests_count_rewrites_and_answers_alike(self):
+        db = make_db()
+        session = open_engine(database=db)
+        assert session.query(QUERY).rewrite().has_equivalent
+        assert session.query(QUERY).answers().rows == evaluate(QUERY, db)
+        assert session.stats()["session"]["requests"] == 2
+
     def test_stats_is_a_plain_dict_without_the_memo_alias(self):
         session = open_engine(database=make_db())
-        session.rewrite_cached(QUERY)
+        session.query(QUERY).rewrite()
         stats = session.stats()["session"]
         assert type(stats) is dict
         assert "containment_memo" not in stats
@@ -371,9 +378,9 @@ class TestLRUBoundOnSession:
         session = open_engine(cache_size=1)
         q1 = parse_query("q(X, Z) :- r(X, Y), s(Y, Z).")
         q2 = parse_query("p(X, Y) :- r(X, Y).")
-        session.rewrite_cached(q1)
-        session.rewrite_cached(q2)   # evicts q1's entry
-        session.rewrite_cached(q1)
+        session.query(q1).rewrite()
+        session.query(q2).rewrite()   # evicts q1's entry
+        session.query(q1).rewrite()
         assert session.last_cache_hit is False
         assert session.stats()["session"]["rewrite_cache"]["evictions"] >= 1
 

@@ -20,7 +20,8 @@ from repro.engine.database import Database
 from repro.engine.relation import SkolemValue
 from repro.errors import StorageError
 from repro.materialize.delta import Delta, parse_delta
-from repro.storage import StorageManager, list_snapshots, write_snapshot
+from repro.storage import StorageManager
+from repro.storage.snapshot import list_snapshots, write_snapshot
 from repro.storage.manager import APPLIED_SEQ_KEY, SQLITE_FILENAME, WAL_FILENAME
 from repro.storage.sqlite import SQLiteBackend
 from repro.storage.wal import MAGIC as WAL_MAGIC

@@ -10,7 +10,7 @@ import os
 import pytest
 
 from repro.errors import SnapshotError
-from repro.storage import (
+from repro.storage.snapshot import (
     latest_snapshot,
     list_snapshots,
     read_snapshot,

@@ -11,7 +11,8 @@ import struct
 import pytest
 
 from repro.errors import StorageError, WalCorruptionError
-from repro.storage import WalRecord, WriteAheadLog, read_wal
+from repro.storage import read_wal
+from repro.storage.wal import WalRecord, WriteAheadLog
 from repro.storage.wal import _HEADER, MAGIC
 
 
