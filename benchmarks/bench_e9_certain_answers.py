@@ -72,25 +72,29 @@ def _certain_rows():
     return rows
 
 
+HEADERS = [
+    "setting",
+    "true answers",
+    "inverse rules",
+    "minicon union",
+    "bucket union",
+    "methods agree",
+    "sound",
+]
+
+
+def render(rows=None) -> str:
+    """E9's table as text; ``benchmarks/golden/e9.txt`` holds the expected copy."""
+    if rows is None:
+        rows = _certain_rows()
+    return format_table(rows, headers=HEADERS, title="E9: certain answers from incomplete sources")
+
+
 def test_e9_certain_answer_table(benchmark):
     rows = benchmark.pedantic(_certain_rows, rounds=1, iterations=1)
     benchmark.extra_info["experiment"] = "E9"
     print()
-    print(
-        format_table(
-            rows,
-            headers=[
-                "setting",
-                "true answers",
-                "inverse rules",
-                "minicon union",
-                "bucket union",
-                "methods agree",
-                "sound",
-            ],
-            title="E9: certain answers from incomplete sources",
-        )
-    )
+    print(render(rows))
     assert all(row[5] and row[6] for row in rows)
 
 

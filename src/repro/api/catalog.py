@@ -203,8 +203,11 @@ class Catalog:
 
         Unknown predicates and arity mismatches raise :class:`SchemaError`
         with the known relations listed — at query time, not as silently
-        empty answers.
+        empty answers.  A function term raises
+        :class:`~repro.errors.UnsupportedFeatureError`.
         """
+        for disjunct in query.disjuncts if isinstance(query, UnionQuery) else (query,):
+            disjunct.reject_function_terms(f"query {query.name}")
         for name, arity in query.predicates():
             self._check_predicate(name, arity, f"query {query.name}")
 

@@ -54,7 +54,6 @@ from typing import (
 
 from repro.errors import (
     ConstraintViolationError,
-    EvaluationError,
     MaterializationError,
     QueryConstructionError,
     ReproError,
@@ -69,7 +68,6 @@ from repro.datalog.terms import Constant, Term, Variable, term_sort_key
 from repro.engine.database import Database
 from repro.engine.evaluate import evaluate
 from repro.exec import CompiledExecutor
-from repro.exec.compile import is_compilable
 from repro.materialize.changelog import ChangeLog
 from repro.materialize.compare import verify_extents
 from repro.materialize.delta import Delta, parse_delta
@@ -1006,7 +1004,7 @@ class Engine:
         plans = []
         for disjunct in target.disjuncts if isinstance(target, UnionQuery) else (target,):
             shape, lifted = self._executor.plan_key(disjunct)
-            if not is_compilable(shape) or set(literals) & set(shape.constants()):
+            if set(literals) & set(shape.constants()):
                 return None
             plans.append((shape, tuple(map(Constant, lifted))))
         form = BoundForm(key, query, literals, fp, template_key, template, kind, plans, reply)
@@ -1376,15 +1374,8 @@ class Engine:
     ) -> PlanDescription:
         text = to_datalog(disjunct)
         hits_before = executor.plan_hits
-        try:
-            plan = executor.plan_for(disjunct, database)
-        except EvaluationError:
-            return PlanDescription(disjunct=text, strategy="interpreted")
+        plan = executor.plan_for(disjunct, database)
         cache_hit = executor.plan_hits > hits_before
-        if plan is None:
-            return PlanDescription(
-                disjunct=text, strategy="interpreted", cache_hit=cache_hit
-            )
         if plan.always_empty:
             return PlanDescription(
                 disjunct=text, strategy="empty", cache_hit=cache_hit

@@ -286,9 +286,8 @@ class PlanDescription:
     """The physical plan of one conjunctive disjunct."""
 
     disjunct: str
-    #: ``"compiled"`` (set-at-a-time pipeline), ``"interpreted"`` (the
-    #: backtracking interpreter, the compiler's fallback for function terms) or
-    #: ``"empty"`` (a ground comparison is false; no rows possible).
+    #: ``"compiled"`` (set-at-a-time pipeline) or ``"empty"`` (a ground
+    #: comparison is false; no rows possible).
     strategy: str
     steps: Tuple[PlanStep, ...] = ()
     cache_hit: bool = False

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Tuple
 
-from repro.errors import QueryConstructionError, UnsafeQueryError
+from repro.errors import QueryConstructionError, UnsafeQueryError, UnsupportedFeatureError
 from repro.datalog.atoms import Atom, Comparison
 from repro.datalog.substitution import Substitution
 from repro.datalog.terms import Constant, Term, Variable
@@ -333,6 +333,23 @@ class ConjunctiveQuery:
             avoid = tuple(other)
         renaming = rename_apart(self.variables(), avoid)
         return self.rename_variables(renaming)
+
+    def reject_function_terms(self, what: str) -> None:
+        """Raise :class:`UnsupportedFeatureError`, naming ``what``, when a
+        term is neither a variable nor a constant.
+
+        Function terms belong to inverse-rules programs alone
+        (:mod:`repro.rewriting.inverse_rules`); views, served queries and
+        compiled plans hold none.
+        """
+        terms = [t for atom in (self.head, *self.body) for t in atom.args]
+        terms += [t for c in self.comparisons for t in (c.left, c.right)]
+        for term in terms:
+            if not isinstance(term, (Variable, Constant)):
+                raise UnsupportedFeatureError(
+                    f"{what} holds the function term {term}; only "
+                    "inverse-rules programs hold function terms"
+                )
 
     def is_safe(self) -> bool:
         """Whether the query satisfies the safety condition."""

@@ -172,7 +172,8 @@ class FunctionTerm(Term):
     Function terms never appear in user-written queries; they are introduced
     internally by the inverse-rules rewriting algorithm, where they play the
     role of Skolem terms standing for the unknown witnesses of a view's
-    existential variables.  The engine grounds them into opaque Skolem values.
+    existential variables.  That module's fixpoint grounds them into opaque
+    Skolem values; views, served queries and compiled plans reject them.
     """
 
     __slots__ = ("function", "args", "_hash")

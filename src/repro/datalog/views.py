@@ -26,6 +26,7 @@ class View:
             raise QueryConstructionError("view name must be a non-empty string")
         if not isinstance(definition, ConjunctiveQuery):
             raise QueryConstructionError("view definition must be a ConjunctiveQuery")
+        definition.reject_function_terms(f"view {name}")
         object.__setattr__(self, "name", name)
         # Normalize the definition's head predicate to the view name so that
         # `view.definition.head` doubles as the view's schema atom.

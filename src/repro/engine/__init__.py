@@ -10,15 +10,16 @@ The engine exists for two reasons:
   rewriting over (smaller) materialized views.
 
 The substrate is deliberately simple — sets of tuples with incrementally
-maintained hash indexes, naive-to-fixpoint datalog — and evaluation is
-pluggable: :func:`evaluate` routes through the compiled set-at-a-time
-engine of :mod:`repro.exec` by default, with this package's backtracking
-interpreter as the lazy-enumeration engine and compiler fallback.  Fast
-enough to serve, complete enough to run every experiment in the benchmark
-harness.
+maintained hash indexes — and :func:`evaluate` routes through the compiled
+set-at-a-time engine of :mod:`repro.exec` by default, with this package's
+backtracking interpreter as the reference and the lazy-enumeration engine.
+Values are opaque to it: the inverse-rules fixpoint
+(:mod:`repro.rewriting.inverse_rules`) is the one place that invents any.
+Fast enough to serve, complete enough to run every experiment in the
+benchmark harness.
 """
 
-from repro.engine.relation import Relation, SkolemValue
+from repro.engine.relation import Relation
 from repro.engine.database import Database
 from repro.engine.evaluate import (
     EvaluationStatistics,
@@ -27,20 +28,16 @@ from repro.engine.evaluate import (
     evaluate_substitutions,
     materialize_views,
 )
-from repro.engine.datalog import DatalogProgram, evaluate_program
 from repro.engine.cost import CostModel, estimate_cost, measured_cost
 
 __all__ = [
     "CostModel",
     "Database",
-    "DatalogProgram",
     "EvaluationStatistics",
     "Relation",
-    "SkolemValue",
     "estimate_cost",
     "evaluate",
     "evaluate_boolean",
-    "evaluate_program",
     "evaluate_substitutions",
     "materialize_views",
     "measured_cost",

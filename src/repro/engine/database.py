@@ -7,7 +7,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Seque
 from repro.errors import SchemaError
 from repro.datalog.atoms import Atom
 from repro.datalog.terms import Constant, Term
-from repro.engine.relation import Relation, SkolemValue
+from repro.engine.relation import Relation
 
 
 def term_to_value(term: Term) -> Any:
@@ -18,11 +18,7 @@ def term_to_value(term: Term) -> Any:
 
 
 def value_to_term(value: Any) -> Term:
-    """Convert a raw stored value back to a term (Skolems keep their identity)."""
-    if isinstance(value, SkolemValue):
-        # Represented as a constant wrapping a printable, unique string.  The
-        # value is only used for display; joins happen at the value level.
-        return Constant(f"@skolem:{value}")
+    """Convert a raw stored value back to a term."""
     return Constant(value)
 
 

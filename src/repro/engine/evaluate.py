@@ -13,9 +13,7 @@ Two evaluators sit behind the :func:`evaluate` front door:
   comparison is checked as soon as both its sides are ground.
 
 The interpreter is the reference semantics (``evaluate(...,
-executor="interpreted")``), the fallback for queries the compiler does not
-admit — anything containing function terms (the Skolem terms of the
-inverse-rules algorithm) — and the one loop that enumerates bindings lazily.
+executor="interpreted")``) and the one loop that enumerates bindings lazily.
 That loop, :func:`join_subgoals`, reads one row source per subgoal:
 :func:`evaluate_substitutions` and :func:`evaluate_boolean` run it over a
 database's relations, and the delta rules of
@@ -38,9 +36,9 @@ from typing import (
 from repro.errors import EvaluationError
 from repro.datalog.atoms import Atom, Comparison
 from repro.datalog.queries import ConjunctiveQuery, UnionQuery
-from repro.datalog.terms import Constant, FunctionTerm, Term, Variable
+from repro.datalog.terms import Constant, Term, Variable
 from repro.engine.database import Database
-from repro.engine.relation import Relation, SkolemValue
+from repro.engine.relation import Relation
 
 
 @dataclass
@@ -112,14 +110,6 @@ def _ground_term(term: Term, binding: Binding) -> Tuple[bool, Any]:
         if term in binding:
             return True, binding[term]
         return False, None
-    if isinstance(term, FunctionTerm):
-        values = []
-        for arg in term.args:
-            ok, value = _ground_term(arg, binding)
-            if not ok:
-                return False, None
-            values.append(value)
-        return True, SkolemValue(term.function, values)
     raise EvaluationError(f"cannot evaluate term {term!r}")
 
 
@@ -161,11 +151,6 @@ def _comparison_ready(comparison: Comparison, binding: Binding) -> Optional[bool
     right_ok, right = _ground_term(comparison.right, binding)
     if not (left_ok and right_ok):
         return None
-    if isinstance(left, SkolemValue) or isinstance(right, SkolemValue):
-        # Skolem values are only comparable by (dis)equality.
-        if comparison.op.value in ("=", "!="):
-            return comparison.op.evaluate(left, right)
-        return False
     return comparison.op.evaluate(left, right)
 
 
@@ -175,8 +160,8 @@ _UNBOUND = object()
 def _match(args: Sequence[Term], row: Tuple[Any, ...], binding: Binding) -> Optional[Binding]:
     """``binding`` extended so that ``args`` match ``row``, or None on a clash.
 
-    Arguments are matched left to right, so a function term matches only
-    when the variables it reads are bound before it.
+    Every argument is a variable or a constant: fetching the row already
+    grounded each one (:func:`_ground_term` rejects any other term).
     """
     extended = dict(binding)
     for term, value in zip(args, row):
@@ -186,13 +171,8 @@ def _match(args: Sequence[Term], row: Tuple[Any, ...], binding: Binding) -> Opti
                 extended[term] = value
             elif bound != value:
                 return None
-        elif isinstance(term, Constant):
-            if term.value != value:
-                return None
-        else:
-            ok, ground = _ground_term(term, extended)
-            if not ok or ground != value:
-                return None
+        elif term.value != value:
+            return None
     return extended
 
 
@@ -292,7 +272,7 @@ def evaluate_conjunctive_interpreted(
 ) -> FrozenSet[Tuple[Any, ...]]:
     """Evaluate one conjunctive query with the backtracking interpreter.
 
-    This is the engine the compiled executor falls back to; use
+    The reference the compiled executor is tested against; use
     :func:`evaluate` unless you specifically need the interpreter.
     """
     stats = statistics if statistics is not None else EvaluationStatistics()
@@ -326,8 +306,7 @@ def evaluate(
     caller's own (an engine's, with its own plan cache), or
     ``"interpreted"`` (the backtracking interpreter, the reference
     semantics); anything else raises :class:`EvaluationError`.  Both
-    evaluators return identical answer sets; the compiled engine falls back
-    to the interpreter per disjunct for queries with function terms.
+    evaluators return identical answer sets.
     """
     from repro.exec.executor import SHARED_EXECUTOR, CompiledExecutor  # repro.exec imports us
 

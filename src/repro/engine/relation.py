@@ -1,4 +1,4 @@
-"""Relations: named sets of fixed-arity tuples, and Skolem values.
+"""Relations: named sets of fixed-arity tuples.
 
 Storage layout
 --------------
@@ -31,53 +31,6 @@ from typing import (
 from repro.errors import SchemaError
 
 
-class SkolemValue:
-    """An opaque value invented by the inverse-rules algorithm.
-
-    A Skolem value ``f(v1, ..., vk)`` stands for the unknown witness of a
-    view's existential variable.  Two Skolem values are equal iff they were
-    built from the same function name and the same arguments; they are never
-    equal to ordinary values.  Query answers containing Skolem values are not
-    certain answers and are filtered out by the certain-answer computation.
-    """
-
-    __slots__ = ("function", "args")
-
-    def __init__(self, function: str, args: Sequence[Any] = ()):
-        object.__setattr__(self, "function", function)
-        object.__setattr__(self, "args", tuple(args))
-
-    def __setattr__(self, key: str, value: Any) -> None:  # pragma: no cover
-        raise AttributeError("SkolemValue is immutable")
-
-    def __reduce__(self):
-        # Default pickling would restore slots via setattr (blocked above);
-        # reconstruct through the constructor instead: snapshot store state
-        # (materialized extents) can carry Skolem values.
-        return (SkolemValue, (self.function, self.args))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SkolemValue)
-            and other.function == self.function
-            and other.args == self.args
-        )
-
-    def __hash__(self) -> int:
-        return hash(("skolem", self.function, self.args))
-
-    def __repr__(self) -> str:
-        return f"SkolemValue({self.function!r}, {list(self.args)!r})"
-
-    def __str__(self) -> str:
-        return f"{self.function}({', '.join(str(a) for a in self.args)})"
-
-
-def contains_skolem(values: Iterable[Any]) -> bool:
-    """Whether any value in a tuple (or iterable) is a Skolem value."""
-    return any(isinstance(v, SkolemValue) for v in values)
-
-
 #: A hash-index bucket: an insertion-ordered dict keyed by row tuple (values
 #: unused).  Iterate it for row tuples.
 Bucket = Dict[Tuple[Any, ...], None]
@@ -86,8 +39,9 @@ Bucket = Dict[Tuple[Any, ...], None]
 class Relation:
     """A named, fixed-arity set of tuples of plain Python values.
 
-    The relation stores raw values (``str``/``int``/``float``/``bool`` or
-    :class:`SkolemValue`), not term objects, which keeps joins cheap.  See the
+    The relation stores raw values (``str``/``int``/``float``/``bool``, or
+    any hashable value a caller brings), not term objects, which keeps joins
+    cheap.  See the
     module docstring for the storage layout.
     """
 

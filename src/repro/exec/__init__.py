@@ -16,7 +16,7 @@ whole relations at a time instead of one binding at a time:
 * :mod:`repro.exec.executor` — :class:`CompiledExecutor` (plan caching keyed
   by query *shape* — constants lifted to parameters — and database identity,
   valid across data versions until a relation moves more than 2x; union
-  evaluation with shared build sides; interpreter fallback).
+  evaluation with shared build sides).
 
 Every engine holds its own :class:`CompiledExecutor`, and
 :func:`repro.engine.evaluate.evaluate` runs a process-shared one unless the
@@ -34,7 +34,7 @@ executor="interpreted")``).
 
 from __future__ import annotations
 
-from repro.exec.compile import is_compilable, order_body, try_compile
+from repro.exec.compile import order_body, try_compile
 from repro.exec.executor import CompiledExecutor
 from repro.exec.plan import HashJoinStep, PhysicalPlan
 from repro.exec.stats import DatabaseStatistics, statistics_for
@@ -44,7 +44,6 @@ __all__ = [
     "DatabaseStatistics",
     "HashJoinStep",
     "PhysicalPlan",
-    "is_compilable",
     "order_body",
     "statistics_for",
     "try_compile",

@@ -2,9 +2,8 @@
 
 Compilation has three phases:
 
-1. **Admission** — :func:`is_compilable` rejects queries containing function
-   terms (Skolem terms introduced by the inverse-rules algorithm); those take
-   the interpreter fallback (:mod:`repro.engine.evaluate`).
+1. **Admission** — a query holding a function term (only inverse-rules
+   programs do) raises :class:`~repro.errors.UnsupportedFeatureError`.
 2. **Join ordering** — :func:`order_body` picks a left-deep pipeline order by
    the rows still *alive* after each subgoal, using the per-relation /
    per-position statistics of :mod:`repro.exec.stats`: a candidate's rows are
@@ -55,29 +54,10 @@ from typing import Any, Collection, Dict, List, Mapping, Optional, Tuple
 
 from repro.datalog.atoms import Atom, Comparison
 from repro.datalog.queries import ConjunctiveQuery
-from repro.datalog.terms import Constant, FunctionTerm, Term, Variable
+from repro.datalog.terms import Constant, Term, Variable
 from repro.engine.database import Database
 from repro.exec.plan import Filter, HashJoinStep, PhysicalPlan, Source
 from repro.exec.stats import DatabaseStatistics, statistics_for
-
-
-def _term_has_function(term: Term) -> bool:
-    return isinstance(term, FunctionTerm)
-
-
-def is_compilable(query: ConjunctiveQuery) -> bool:
-    """Whether the set-at-a-time compiler supports this query.
-
-    Function terms (anywhere: head, body, comparisons) need the interpreter's
-    term-level grounding and are the fallback trigger.
-    """
-    for atom in (query.head, *query.body):
-        if any(_term_has_function(term) for term in atom.args):
-            return False
-    for comparison in query.comparisons:
-        if _term_has_function(comparison.left) or _term_has_function(comparison.right):
-            return False
-    return True
 
 
 #: One pick of :func:`order_body`: the rows in flight before the subgoal, its
@@ -215,15 +195,14 @@ def try_compile(
     database: Database,
     stats: Optional[DatabaseStatistics] = None,
     parameters: Optional[Mapping[Variable, Any]] = None,
-) -> Optional[PhysicalPlan]:
-    """Compile ``query`` into a :class:`PhysicalPlan`, or None if unsupported.
+) -> PhysicalPlan:
+    """Compile ``query`` into a :class:`PhysicalPlan`.
 
     ``parameters`` maps the variables bound from outside the pipeline to the
-    values the returned plan is bound to, in ``params`` order.
+    values the returned plan is bound to, in ``params`` order.  A function
+    term raises :class:`~repro.errors.UnsupportedFeatureError`.
     """
-    if not is_compilable(query):
-        return None
-
+    query.reject_function_terms(f"query {query.name}")
     parameters = parameters or {}
     given: Dict[Variable, Source] = {
         variable: (None, index) for index, variable in enumerate(parameters)

@@ -1,4 +1,4 @@
-"""The compiled executor: plan caching, union evaluation, interpreter fallback.
+"""The compiled executor: plan caching and union evaluation.
 
 :class:`CompiledExecutor` is what every engine holds and what
 :func:`repro.engine.evaluate.evaluate` runs (:data:`SHARED_EXECUTOR`) unless
@@ -24,10 +24,6 @@ Union queries are evaluated disjunct by disjunct through the same cache; the
 hash-join build sides live on the relations themselves (see
 :mod:`repro.exec.plan`), so the many disjuncts of a maximally-contained
 rewriting probing the same views share one set of build tables.
-
-Queries the compiler rejects (function terms — see
-:func:`repro.exec.compile.is_compilable`) fall back to the backtracking
-interpreter, preserving its semantics bit for bit.
 """
 
 from __future__ import annotations
@@ -40,10 +36,7 @@ from repro.datalog.atoms import Atom, Comparison
 from repro.datalog.queries import ConjunctiveQuery, UnionQuery
 from repro.datalog.terms import Constant, Term, Variable
 from repro.engine.database import Database
-from repro.engine.evaluate import (
-    EvaluationStatistics,
-    evaluate_conjunctive_interpreted,
-)
+from repro.engine.evaluate import EvaluationStatistics
 from repro.exec.compile import try_compile
 from repro.exec.plan import PhysicalPlan
 
@@ -71,10 +64,9 @@ def _lift(query: ConjunctiveQuery) -> Tuple[ConjunctiveQuery, Tuple[Any, ...]]:
     return ConjunctiveQuery(query.head, body, comparisons, require_safe=False), tuple(values)
 
 
-def _sizes(plan: Optional[PhysicalPlan], database: Database) -> Tuple[int, ...]:
+def _sizes(plan: PhysicalPlan, database: Database) -> Tuple[int, ...]:
     """The cardinality of the relation each step of ``plan`` reads."""
-    steps = plan.steps if plan is not None else ()
-    return tuple(len(database.relation(step.predicate) or ()) for step in steps)
+    return tuple(len(database.relation(step.predicate) or ()) for step in plan.steps)
 
 
 class CompiledExecutor:
@@ -85,12 +77,10 @@ class CompiledExecutor:
     def __init__(self, plan_cache_size: int = 256):
         self.plan_cache_size = plan_cache_size
         # (shape, id(database)) -> (weak database, plan bound to the first
-        # query's constants or None, relation sizes the order was costed at)
+        # query's constants, relation sizes the order was costed at)
         self._plans: "OrderedDict[Tuple[ConjunctiveQuery, int], Tuple[Any, ...]]" = OrderedDict()
         self.plan_hits = 0
         self.plan_misses = 0
-        #: Evaluations that took the interpreter fallback (function terms).
-        self.fallbacks = 0
 
     # -- evaluation -------------------------------------------------------------
     def evaluate(
@@ -99,28 +89,21 @@ class CompiledExecutor:
         database: Database,
         statistics: Optional[EvaluationStatistics] = None,
     ) -> FrozenSet[Tuple[Any, ...]]:
-        """Evaluate a query set-at-a-time; falls back per-disjunct if needed."""
+        """Evaluate a query set-at-a-time, a union disjunct by disjunct."""
         stats = statistics if statistics is not None else EvaluationStatistics()
         if isinstance(query, UnionQuery):
             answers: set = set()
             for disjunct in query.disjuncts:
                 answers |= self.evaluate(disjunct, database, stats)
             return frozenset(answers)
-        plan = self.plan_for(query, database)
-        if plan is None:
-            self.fallbacks += 1
-            return evaluate_conjunctive_interpreted(query, database, stats)
-        return plan.execute(database, stats)
+        return self.plan_for(query, database).execute(database, stats)
 
     # -- plan cache -------------------------------------------------------------
-    def plan_for(
-        self, query: ConjunctiveQuery, database: Database
-    ) -> Optional[PhysicalPlan]:
+    def plan_for(self, query: ConjunctiveQuery, database: Database) -> PhysicalPlan:
         """The cached (or freshly compiled) plan for a query over a database.
 
-        The plan is bound to this query's constants.  Returns None for
-        queries the compiler does not support; the negative result is cached
-        too, so unsupported hot queries pay the admission check only once.
+        The plan is bound to this query's constants.  A query holding a
+        function term raises :class:`~repro.errors.UnsupportedFeatureError`.
         """
         # Compile from the canonical variant: its answer set is identical
         # (variables are renamed bijectively), and the plan then serves every
@@ -135,7 +118,7 @@ class CompiledExecutor:
 
     def bound_plan(
         self, shape: ConjunctiveQuery, values: Tuple[Any, ...], database: Database
-    ) -> Optional[PhysicalPlan]:
+    ) -> PhysicalPlan:
         """The plan of a lifted ``shape``, bound to ``values`` for its ``$i``."""
         key = (shape, id(database))
         entry = self._plans.get(key)
@@ -147,7 +130,7 @@ class CompiledExecutor:
             ):
                 self.plan_hits += 1
                 self._plans.move_to_end(key)
-                return None if plan is None else plan.bind(values)
+                return plan.bind(values)
             del self._plans[key]
         self.plan_misses += 1
         # Costed now, against these sizes, and bound to this query's constants.
@@ -170,13 +153,12 @@ class CompiledExecutor:
             "plan_cache_size": self.plan_cache_size,
             "plan_hits": self.plan_hits,
             "plan_misses": self.plan_misses,
-            "fallbacks": self.fallbacks,
         }
 
     def __repr__(self) -> str:
         return (
             f"CompiledExecutor(plans={len(self._plans)}, hits={self.plan_hits}, "
-            f"misses={self.plan_misses}, fallbacks={self.fallbacks})"
+            f"misses={self.plan_misses})"
         )
 
 

@@ -27,7 +27,8 @@ they stand — they are distinct already, so no set is built.
 construction it generates one Python function for exactly its shape (text on
 ``step.kernel.source``) — one ``for row in rows``, one index lookup, one ``for
 r in bucket`` over the relation's own row tuples, equalities and ``=``/``!=``
-filters inlined, order comparisons as calls to :func:`compare_values`, the
+filters inlined, order comparisons as calls to the operator's
+:meth:`~repro.datalog.atoms.ComparisonOperator.evaluate`, the
 output row a tuple display of the columns that stay live.  The text is
 assembled from integers the compiler computed (positions, slot and parameter
 indexes) and nothing else: constants, operators and names reach the function
@@ -82,7 +83,7 @@ from repro.errors import EvaluationError
 from repro.datalog.atoms import ComparisonOperator
 from repro.engine.database import Database
 from repro.engine.evaluate import EvaluationStatistics
-from repro.engine.relation import Relation, SkolemValue
+from repro.engine.relation import Relation
 
 #: A value source in a compiled row: ``(True, slot_index)`` reads the current
 #: row, ``(False, constant_value)`` is a literal, ``(None, index)`` reads the
@@ -93,21 +94,6 @@ Source = Tuple[Optional[bool], Any]
 Filter = Tuple[ComparisonOperator, Source, Source]
 
 Row = Tuple[Any, ...]
-
-_ORDER_OPS = frozenset(("<", "<=", ">", ">="))
-
-
-def compare_values(op: ComparisonOperator, left: Any, right: Any) -> bool:
-    """Comparison semantics shared with the interpreter.
-
-    Skolem values (unknown witnesses) are only comparable by (dis)equality;
-    an order comparison involving one is never satisfied.
-    """
-    if isinstance(left, SkolemValue) or isinstance(right, SkolemValue):
-        if op.value in _ORDER_OPS:
-            return False
-    return op.evaluate(left, right)
-
 
 @lru_cache(maxsize=1024)
 def _code(source: str) -> Any:
@@ -126,8 +112,7 @@ def _code(source: str) -> Any:
 class _Kernel:
     """A function generated as Python source, and the text it came from.
 
-    ``namespace`` holds every object the text names (literals, operators,
-    :func:`compare_values`).
+    ``namespace`` holds every object the text names (literals and operators).
     """
 
     __slots__ = ("source", "namespace", "function")
@@ -148,14 +133,15 @@ def _literal(namespace: Dict[str, Any], value: Any) -> str:
 
 
 def _comparison(namespace: Dict[str, Any], op: ComparisonOperator, a: str, b: str) -> str:
-    """The expression testing ``a op b``: :func:`compare_values` guards only
-    the order operators (Skolem operands, incomparable types), so for
-    (dis)equality the plain Python operator is the whole semantics."""
+    """The expression testing ``a op b``, with the interpreter's semantics:
+    an order operator goes through :meth:`ComparisonOperator.evaluate`,
+    which holds for no pair of incomparable values, and for (dis)equality
+    the plain Python operator is the whole semantics."""
     if op is ComparisonOperator.EQ:
         return f"{a} == {b}"
     if op is ComparisonOperator.NE:
         return f"{a} != {b}"
-    return f"compare({_literal(namespace, op)}, {a}, {b})"
+    return f"{_literal(namespace, op)}.evaluate({a}, {b})"
 
 
 class HashJoinStep:
@@ -257,7 +243,7 @@ class HashJoinStep:
         ``r`` is one of its own row tuples, or for an index-key scan the index
         on :attr:`scan_keys`, whose ``r`` is one of its key tuples.
         """
-        namespace: Dict[str, Any] = {"compare": compare_values}
+        namespace: Dict[str, Any] = {}
         params: set = set()
         width = self.width
         # Where each new column of the full row sits in ``r``.
@@ -364,7 +350,7 @@ def _witness_kernel(steps: Sequence[HashJoinStep]) -> _Kernel:
     bucket)`` pairs and the tail levels' ``get`` (relation, if unkeyed): level
     ``j`` reads row ``rj`` and sets ``fj`` (the tail from ``j`` on has a match)
     once per value ``cj`` of what it and later levels read (memo ``mj``)."""
-    namespace: Dict[str, Any] = {"compare": compare_values}
+    namespace: Dict[str, Any] = {}
     params: set = set()
     where = {
         step.width + k: f"r{level:d}[{position:d}]"
@@ -486,7 +472,7 @@ class PhysicalPlan:
         self.params = params
         #: True when a ground comparison is false: the plan returns no rows.
         self.always_empty = not all(
-            compare_values(op, value(left), value(right)) for op, left, right in self.checks
+            op.evaluate(value(left), value(right)) for op, left, right in self.checks
         )
 
     def bind(self, params: Row) -> "PhysicalPlan":

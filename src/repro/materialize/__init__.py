@@ -9,8 +9,8 @@ under data churn:
 * :mod:`~repro.materialize.counting` — the counting (multiplicity) delta
   rules that maintain conjunctive view extents exactly, deletions included;
 * :class:`~repro.materialize.store.MaterializedViewStore` — extents plus
-  derivation counts over a live base database, maintained per delta with
-  automatic fallback to full recomputation;
+  derivation counts over a live base database, maintained per delta (a view
+  whose counts turn out inconsistent is recomputed);
 * :class:`~repro.materialize.changelog.ChangeLog` — which predicates and
   views a delta actually changed, driving the serving layer's delta-scoped
   cache invalidation.
@@ -20,7 +20,6 @@ from repro.materialize.changelog import ChangeLog, ViewChange
 from repro.materialize.compare import assert_consistent, recomputed_extents, verify_extents
 from repro.materialize.counting import (
     CountInconsistencyError,
-    UnsupportedViewDefinition,
     apply_count_changes,
     delta_counts,
     derivation_counts,
@@ -33,7 +32,6 @@ __all__ = [
     "CountInconsistencyError",
     "Delta",
     "MaterializedViewStore",
-    "UnsupportedViewDefinition",
     "ViewChange",
     "apply_count_changes",
     "assert_consistent",

@@ -30,10 +30,10 @@ as the current state ``S2`` plus small overlay sets.
 
 Self-joins are handled because every subgoal *occurrence* gets its own rule;
 comparison subgoals are checked as soon as they are ground.  Definitions
-using function terms are rejected with :class:`UnsupportedViewDefinition`
-(the store falls back to full recomputation for those views), and a count
-that would go negative raises :class:`CountInconsistencyError` (defensive:
-it means the tracked counts no longer match the database).
+hold only variables and constants (:class:`~repro.datalog.views.View`
+rejects anything else), and a count that would go negative raises
+:class:`CountInconsistencyError` (defensive: it means the tracked counts no
+longer match the database).
 """
 
 from __future__ import annotations
@@ -56,37 +56,12 @@ from repro.engine.relation import Relation
 from repro.materialize.delta import Delta, Row
 
 
-class UnsupportedViewDefinition(MaterializationError):
-    """The definition uses a feature the counting rules cannot maintain."""
-
-
 class CountInconsistencyError(MaterializationError):
     """A derivation count would go negative — tracked state is out of sync."""
 
 
-def check_supported(definition: ConjunctiveQuery) -> None:
-    """Raise :class:`UnsupportedViewDefinition` for non-maintainable definitions.
-
-    The counting rules handle plain conjunctive definitions: variables and
-    constants in the head, the body and the comparisons.  Function terms
-    (Skolems) would require maintaining invented values and are rejected.
-    """
-    terms: List[Term] = list(definition.head.args)
-    for atom in definition.body:
-        terms.extend(atom.args)
-    for comparison in definition.comparisons:
-        terms.extend((comparison.left, comparison.right))
-    for term in terms:
-        if not isinstance(term, (Variable, Constant)):
-            raise UnsupportedViewDefinition(
-                f"view {definition.name} uses unsupported term {term!s}; "
-                "only variables and constants can be maintained incrementally"
-            )
-
-
 def derivation_counts(definition: ConjunctiveQuery, database: Database) -> Counter:
     """Full derivation counts: output row -> number of satisfying assignments."""
-    check_supported(definition)
     counts: Counter = Counter()
     head_args = definition.head.args
     for binding in evaluate_substitutions(definition, database):
@@ -104,7 +79,6 @@ def delta_counts(
     insertions were absent before (``Database.apply_delta`` returns exactly
     this).  The result maps output rows to signed count adjustments.
     """
-    check_supported(definition)
     # The delta rules realize S0/S1 as the current state plus overlays built
     # from the two sides independently, which is only coherent when they are
     # disjoint.  Normalized deltas always are (insertions win construction),

@@ -219,8 +219,7 @@ def _value_to_text(value: Any) -> str:
     Strings are quoted with backslash escapes; bools are written as ints
     (``True == 1`` in Python, so row equality is preserved); floats use
     ``repr`` (shortest exact form, exponents included).  Values the datalog
-    syntax cannot express — non-finite floats, Skolem values, arbitrary
-    objects — raise :class:`SchemaError` so a delta that cannot round-trip
+    syntax cannot express — non-finite floats, arbitrary objects — raise :class:`SchemaError` so a delta that cannot round-trip
     fails loudly at serialization time, not at WAL replay.
     """
     if isinstance(value, str):

@@ -38,7 +38,6 @@ from repro.materialize.changelog import (
     ViewChange,
 )
 from repro.materialize.counting import (
-    UnsupportedViewDefinition,
     CountInconsistencyError,
     apply_count_changes,
     delta_counts,
@@ -148,13 +147,7 @@ class MaterializedViewStore:
 
     def _recompute_view(self, view: View) -> Tuple[FrozenSet[Row], FrozenSet[Row]]:
         """Recompute one view; returns the extent (inserted, removed) diff."""
-        try:
-            counts = derivation_counts(view.definition, self._database)
-        except UnsupportedViewDefinition:
-            # Count-free fallback: store multiplicity 1 per distinct row.
-            from repro.engine.evaluate import evaluate
-
-            counts = Counter(dict.fromkeys(evaluate(view.definition, self._database), 1))
+        counts = derivation_counts(view.definition, self._database)
         old_rows = self._instance.tuples(view.name)
         new_rows = frozenset(counts)
         self._instance.ensure_relation(view.name, view.arity)
@@ -194,7 +187,7 @@ class MaterializedViewStore:
             inserted, removed = apply_count_changes(self._counts[view.name], changes)
             strategy = STRATEGY_INCREMENTAL
             self.views_maintained += 1
-        except (UnsupportedViewDefinition, CountInconsistencyError):
+        except CountInconsistencyError:
             inserted, removed = self._recompute_view(view)
             self.views_recomputed += 1
             return ViewChange(view.name, inserted, removed, STRATEGY_RECOMPUTE)

@@ -24,7 +24,6 @@ from repro.datalog.queries import ConjunctiveQuery
 from repro.datalog.views import View, ViewSet
 from repro.engine.database import Database
 from repro.engine.evaluate import evaluate
-from repro.engine.relation import contains_skolem
 from repro.rewriting.contained import maximally_contained_rewriting
 from repro.rewriting.inverse_rules import InverseRulesRewriter
 
@@ -50,8 +49,7 @@ def certain_answers(
         plan = maximally_contained_rewriting(query, view_set, algorithm=algorithm)
         if plan is None:
             return frozenset()
-        answers = evaluate(plan.query, view_instance)
-        return frozenset(row for row in answers if not contains_skolem(row))
+        return evaluate(plan.query, view_instance)
     raise RewritingError(
         f"unknown certain-answer method {method!r} "
         "(expected 'inverse-rules', 'rewriting', 'minicon' or 'bucket')"

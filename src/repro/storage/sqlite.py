@@ -10,7 +10,8 @@ One SQLite database file holds:
 
 Values are stored as *tagged text* so heterogeneous columns round-trip with
 Python equality intact: ``s<chars>`` for strings, ``i<digits>`` for ints,
-``f<repr>`` for floats, ``k<json>`` for Skolem values.  Numerics are
+``f<repr>`` for floats; any other value raises
+:class:`~repro.errors.StorageError`.  Numerics are
 canonicalized before tagging — bools become ints and integral floats become
 ints — so two values that compare equal in Python (``True == 1``,
 ``2.0 == 2``) always share one encoding; without this, the store could hold
@@ -24,7 +25,6 @@ never read this file — they run over the in-memory
 
 from __future__ import annotations
 
-import json
 import re
 import sqlite3
 import threading
@@ -32,7 +32,6 @@ from contextlib import contextmanager
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
-from repro.engine.relation import SkolemValue
 
 Row = Tuple[Any, ...]
 
@@ -55,11 +54,9 @@ def encode_value(value: Any) -> str:
         if value.is_integer():
             return "i" + str(int(value))
         return "f" + repr(value)
-    if isinstance(value, SkolemValue):
-        return "k" + json.dumps(_skolem_to_obj(value), separators=(",", ":"))
     raise StorageError(
         f"value {value!r} of type {type(value).__name__} cannot be stored in a "
-        "sqlite backend (str, bool, int, float and SkolemValue are supported)"
+        "sqlite backend (str, bool, int and float are supported)"
     )
 
 
@@ -71,29 +68,7 @@ def decode_value(text: str) -> Any:
         return int(body)
     if tag == "f":
         return float(body)
-    if tag == "k":
-        return _skolem_from_obj(json.loads(body))
     raise StorageError(f"unknown value tag {tag!r} in stored text {text!r}")
-
-
-def _skolem_to_obj(value: SkolemValue) -> Dict[str, Any]:
-    return {
-        "f": value.function,
-        "a": [
-            _skolem_to_obj(arg) if isinstance(arg, SkolemValue) else encode_value(arg)
-            for arg in value.args
-        ],
-    }
-
-
-def _skolem_from_obj(obj: Dict[str, Any]) -> SkolemValue:
-    return SkolemValue(
-        obj["f"],
-        tuple(
-            _skolem_from_obj(arg) if isinstance(arg, dict) else decode_value(arg)
-            for arg in obj["a"]
-        ),
-    )
 
 
 class SQLiteBackend:

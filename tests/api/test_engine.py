@@ -12,8 +12,12 @@ from repro.errors import (
     MaterializationError,
     QueryConstructionError,
     SchemaError,
+    UnsupportedFeatureError,
 )
+from repro.datalog.atoms import Atom
 from repro.datalog.parser import parse_query, parse_views
+from repro.datalog.queries import ConjunctiveQuery
+from repro.datalog.terms import FunctionTerm, Variable
 from repro.engine.database import Database
 from repro.engine.evaluate import evaluate
 from repro.materialize.delta import Delta
@@ -92,6 +96,21 @@ class TestCatalogValidation:
             engine.query("q(X) :- missing(X).")
         with pytest.raises(SchemaError, match="arity"):
             engine.query("q(X) :- r(X).")
+
+    def test_function_term_query_is_rejected_before_fingerprinting(self, monkeypatch):
+        import repro.api.engine as engine_module
+
+        def never(query):
+            raise AssertionError("fingerprinted a query the catalog should reject")
+
+        monkeypatch.setattr(engine_module, "fingerprint", never)
+        engine = connect(views="v(X,Y) :- r(X,Y).", data="r(1,2).")
+        x = Variable("X")
+        query = ConjunctiveQuery(
+            Atom("q", [x]), [Atom("r", [x, FunctionTerm("f", (x,))])], require_safe=False
+        )
+        with pytest.raises(UnsupportedFeatureError, match="function term f"):
+            engine.query(query)
 
     def test_inferred_schema_leaves_unknown_predicates_open(self):
         engine = make_engine()

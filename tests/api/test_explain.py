@@ -11,12 +11,8 @@ import pytest
 
 from repro import connect
 from repro.rewriting import rewrite
-from repro.api import Engine
-from repro.datalog.atoms import Atom
 from repro.datalog.parser import parse_database, parse_query, parse_views
 from repro.datalog.printer import to_datalog
-from repro.datalog.queries import ConjunctiveQuery
-from repro.datalog.terms import FunctionTerm, Variable
 from repro.engine.database import Database
 from repro.engine.evaluate import materialize_views
 from repro.exec.executor import CompiledExecutor
@@ -132,17 +128,6 @@ class TestExplainShapes:
         assert explanation.evaluation.target == "none"
         assert explanation.evaluation.plans == ()
         assert explanation.materialization is None
-
-    def test_function_term_disjunct_is_described_as_interpreted(self):
-        # The one evaluator reports the interpreter fallback per disjunct.
-        x = Variable("X")
-        disjunct = ConjunctiveQuery(
-            Atom("q", [x]), [Atom("r", [x, FunctionTerm("f", (x,))])], require_safe=False
-        )
-        database = Database.from_dict({"r": [(1, 2)]})
-        description = Engine._describe_plan(disjunct, database, CompiledExecutor())
-        assert description.strategy == "interpreted"
-        assert description.steps == ()
 
     def test_cache_flags_flip_after_serving(self):
         engine = connect(views=VIEWS, data=DATA)

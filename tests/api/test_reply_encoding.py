@@ -14,7 +14,7 @@ from repro.api import results
 from repro.api.results import Answer, Provenance, encode_rows, sort_rows
 from repro.datalog.parser import parse_views
 from repro.datalog.views import ViewSet
-from repro.engine.relation import SkolemValue
+from repro.rewriting.inverse_rules import SkolemValue
 from repro.workloads.updates import chain_update_workload
 
 PROVENANCE = Provenance(source="views", rewriting=None, kind=None, algorithm="minicon")

@@ -1,72 +1,10 @@
-"""Tests for datalog program evaluation and the cost model."""
+"""Tests for the cost model."""
 
 import pytest
 
-from repro.datalog.atoms import Atom
-from repro.datalog.parser import parse_program, parse_query
-from repro.datalog.queries import ConjunctiveQuery
-from repro.datalog.terms import FunctionTerm, Variable
+from repro.datalog.parser import parse_query
 from repro.engine.cost import CostModel, estimate_cost, measured_cost, plan_comparison
 from repro.engine.database import Database
-from repro.engine.datalog import DatalogProgram, evaluate_program
-from repro.engine.relation import SkolemValue
-
-
-class TestDatalogProgram:
-    def test_intensional_and_extensional(self):
-        program = DatalogProgram(parse_program("p(X) :- e(X, Y). q(X) :- p(X), f(X)."))
-        assert program.intensional_predicates() == {"p", "q"}
-        assert program.extensional_predicates() == {"e", "f"}
-
-    def test_stratify_orders_dependencies_first(self):
-        program = DatalogProgram(parse_program("q(X) :- p(X). p(X) :- e(X)."))
-        strata = program.stratify()
-        order = [rule.head.predicate for stratum in strata for rule in stratum]
-        assert order.index("p") < order.index("q")
-
-    def test_non_recursive_evaluation(self):
-        program = DatalogProgram(
-            parse_program("p(X, Z) :- e(X, Y), e(Y, Z). q(X) :- p(X, 3).")
-        )
-        database = Database.from_dict({"e": [(1, 2), (2, 3)]})
-        result = evaluate_program(program, database)
-        assert result.tuples("p") == frozenset({(1, 3)})
-        assert result.tuples("q") == frozenset({(1,)})
-
-    def test_recursive_transitive_closure(self):
-        program = DatalogProgram(
-            parse_program(
-                """
-                path(X, Y) :- edge(X, Y).
-                path(X, Z) :- path(X, Y), edge(Y, Z).
-                """
-            )
-        )
-        database = Database.from_dict({"edge": [(1, 2), (2, 3), (3, 4)]})
-        result = evaluate_program(program, database)
-        assert (1, 4) in result.tuples("path")
-        assert len(result.tuples("path")) == 6
-
-    def test_input_database_not_modified(self):
-        program = DatalogProgram(parse_program("p(X) :- e(X)."))
-        database = Database.from_dict({"e": [(1,)]})
-        evaluate_program(program, database)
-        assert "p" not in database
-
-    def test_skolem_heads_produce_skolem_values(self):
-        rule = ConjunctiveQuery(
-            Atom("base", [Variable("A"), FunctionTerm("f", [Variable("A")])]),
-            [Atom("view", [Variable("A")])],
-            require_safe=False,
-        )
-        database = Database.from_dict({"view": [(1,), (2,)]})
-        result = evaluate_program(DatalogProgram([rule]), database)
-        values = {row[1] for row in result.tuples("base")}
-        assert values == {SkolemValue("f", [1]), SkolemValue("f", [2])}
-
-    def test_program_str_lists_rules(self):
-        program = DatalogProgram(parse_program("p(X) :- e(X)."))
-        assert "p(X) :- e(X)." in str(program)
 
 
 class TestCostModel:

@@ -1,33 +1,12 @@
-"""Tests for relations, Skolem values, and databases."""
+"""Tests for relations and databases."""
 
 import pytest
 
 from repro.errors import SchemaError
 from repro.datalog.atoms import Atom
 from repro.engine.database import Database, term_to_value, value_to_term
-from repro.engine.relation import Relation, SkolemValue, contains_skolem
+from repro.engine.relation import Relation
 from repro.datalog.terms import Constant, Variable
-
-
-class TestSkolemValue:
-    def test_equality(self):
-        assert SkolemValue("f", [1, "a"]) == SkolemValue("f", [1, "a"])
-        assert SkolemValue("f", [1]) != SkolemValue("g", [1])
-        assert SkolemValue("f", [1]) != SkolemValue("f", [2])
-
-    def test_never_equals_plain_values(self):
-        assert SkolemValue("f", [1]) != 1
-        assert SkolemValue("f", ["a"]) != "a"
-
-    def test_hashable(self):
-        assert len({SkolemValue("f", [1]), SkolemValue("f", [1])}) == 1
-
-    def test_contains_skolem(self):
-        assert contains_skolem((1, SkolemValue("f", [2])))
-        assert not contains_skolem((1, "a", 2.0))
-
-    def test_str(self):
-        assert str(SkolemValue("f_v_Y", ["a", 1])) == "f_v_Y(a, 1)"
 
 
 class TestRelation:
@@ -242,4 +221,3 @@ class TestDatabase:
         with pytest.raises(SchemaError):
             term_to_value(Variable("X"))
         assert value_to_term(3) == Constant(3)
-        assert value_to_term(SkolemValue("f", [1])).value.startswith("@skolem:")

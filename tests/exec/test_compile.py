@@ -8,8 +8,9 @@ from repro.datalog.atoms import Atom
 from repro.datalog.terms import Constant, FunctionTerm, Variable
 from repro.engine.database import Database
 from repro.engine.evaluate import EvaluationStatistics, evaluate_conjunctive_interpreted
-from repro.errors import EvaluationError
-from repro.exec.compile import is_compilable, order_body, try_compile
+from repro.errors import EvaluationError, UnsupportedFeatureError
+from repro.exec.compile import order_body, try_compile
+from repro.exec.executor import CompiledExecutor
 
 
 def _db(**sizes):
@@ -22,27 +23,28 @@ def _db(**sizes):
 
 
 class TestAdmission:
-    def test_plain_queries_are_compilable(self):
-        assert is_compilable(parse_query("q(X, Z) :- r(X, Y), s(Y, Z), X < Z."))
-
-    def test_function_terms_in_body_are_rejected(self):
+    def test_function_terms_in_body_raise(self):
         x = Variable("X")
         query = ConjunctiveQuery(
             Atom("q", [x]),
             [Atom("r", [x, FunctionTerm("f", (x,))])],
             require_safe=False,
         )
-        assert not is_compilable(query)
-        assert try_compile(query, Database()) is None
+        with pytest.raises(UnsupportedFeatureError, match="function term f"):
+            try_compile(query, Database())
+        # No interpreter fallback behind the executor either.
+        with pytest.raises(UnsupportedFeatureError):
+            CompiledExecutor().evaluate(query, Database.from_dict({"r": [(1, 2)]}))
 
-    def test_function_terms_in_head_are_rejected(self):
+    def test_function_terms_in_head_raise(self):
         x = Variable("X")
         query = ConjunctiveQuery(
             Atom("q", [FunctionTerm("f", (x,))]),
             [Atom("r", [x, x])],
             require_safe=False,
         )
-        assert not is_compilable(query)
+        with pytest.raises(UnsupportedFeatureError):
+            try_compile(query, Database())
 
 
 class TestJoinOrdering:

@@ -14,10 +14,10 @@ from repro.errors import EvaluationError
 from repro.datalog.atoms import Atom
 from repro.datalog.parser import parse_query, parse_views
 from repro.datalog.queries import ConjunctiveQuery, UnionQuery
-from repro.datalog.terms import FunctionTerm, Variable
+from repro.datalog.terms import Variable
 from repro.engine.database import Database
 from repro.engine.evaluate import EvaluationStatistics, evaluate, materialize_views
-from repro.engine.relation import SkolemValue
+from repro.rewriting.inverse_rules import SkolemValue
 from repro.exec import CompiledExecutor
 from repro.exec.executor import SHARED_EXECUTOR
 
@@ -210,23 +210,6 @@ class TestEarlyProjectionWorkGuard:
         assert_engines_agree(query, db)
 
 
-class TestFallback:
-    def test_function_terms_fall_back_to_interpreter(self):
-        executor = CompiledExecutor()
-        x = Variable("X")
-        query = ConjunctiveQuery(
-            Atom("q", [x, FunctionTerm("f", (x,))]),
-            [Atom("r", [x, x])],
-            require_safe=False,
-        )
-        db = Database.from_dict({"r": [(1, 1), (2, 2)]})
-        answers = executor.evaluate(query, db)
-        assert answers == frozenset(
-            {(1, SkolemValue("f", (1,))), (2, SkolemValue("f", (2,)))}
-        )
-        assert executor.fallbacks == 1
-
-
 def join_db(seed=0, size=400, domain=40):
     rng = random.Random(seed)
     db = Database()
@@ -310,7 +293,6 @@ class TestCompiledPlanShapes:
             "plan_cache_size": 12,
             "plan_hits": 0,
             "plan_misses": 0,
-            "fallbacks": 0,
         }
 
 
@@ -350,21 +332,6 @@ class TestPlanCache:
         for name in ("a", "b", "c", "d"):
             executor.evaluate(parse_query(f"{name}(X, Y) :- r(X, Y)."), db)
         assert executor.stats()["plans_cached"] <= 2
-
-    def test_unsupported_queries_cache_the_negative_result(self):
-        executor = CompiledExecutor()
-        x = Variable("X")
-        query = ConjunctiveQuery(
-            Atom("q", [x]),
-            [Atom("r", [x, FunctionTerm("f", (x,))])],
-            require_safe=False,
-        )
-        db = Database.from_dict({"r": [(1, SkolemValue("f", (1,)))]})
-        executor.evaluate(query, db)
-        executor.evaluate(query, db)
-        assert executor.fallbacks == 2
-        assert executor.plan_misses == 1
-        assert executor.plan_hits == 1
 
 
 class TestSharedBuildSides:

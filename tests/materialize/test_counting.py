@@ -9,12 +9,12 @@ from repro.datalog.atoms import Atom
 from repro.datalog.parser import parse_query
 from repro.datalog.queries import ConjunctiveQuery
 from repro.datalog.terms import FunctionTerm, Variable
+from repro.datalog.views import View
 from repro.engine.database import Database
 from repro.engine.evaluate import evaluate
+from repro.errors import UnsupportedFeatureError
 from repro.materialize.counting import (
-    UnsupportedViewDefinition,
     apply_count_changes,
-    check_supported,
     delta_counts,
     derivation_counts,
 )
@@ -145,12 +145,14 @@ class TestDeltaRulesMatchRecomputation:
 
 
 class TestUnsupportedAndInconsistent:
-    def test_function_terms_rejected(self):
+    def test_function_term_definitions_never_become_views(self):
+        # The counting rules see variables and constants only: a definition
+        # holding a function term is refused where a view is built.
         head = Atom("v", [Variable("X")])
         body = [Atom("r", [Variable("X"), FunctionTerm("f", [Variable("X")])])]
         definition = ConjunctiveQuery(head, body)
-        with pytest.raises(UnsupportedViewDefinition):
-            check_supported(definition)
+        with pytest.raises(UnsupportedFeatureError, match="view v holds the function term"):
+            View("v", definition)
 
     def test_negative_count_raises(self):
         from repro.materialize.counting import CountInconsistencyError

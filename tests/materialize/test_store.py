@@ -2,12 +2,13 @@
 
 import pytest
 
+from repro import connect
 from repro.datalog.atoms import Atom
 from repro.datalog.parser import parse_views
 from repro.datalog.queries import ConjunctiveQuery
 from repro.datalog.terms import FunctionTerm, Variable
 from repro.datalog.views import View, ViewSet
-from repro.errors import MaterializationError
+from repro.errors import MaterializationError, UnsupportedFeatureError
 from repro.engine.database import Database
 from repro.materialize.changelog import (
     STRATEGY_INCREMENTAL,
@@ -109,15 +110,19 @@ class TestApplyDelta:
 
 
 class TestFallbackAndStaleness:
-    def test_unsupported_view_falls_back_to_recompute(self):
+    def test_function_term_view_is_refused_not_recomputed(self):
         head = Atom("v_fn", [Variable("X")])
         body = [Atom("r", [Variable("X"), FunctionTerm("f", [Variable("X")])])]
-        views = ViewSet([View("v_fn", ConjunctiveQuery(head, body))])
-        db = Database.from_dict({"r": [(1, 2)]})
-        store = MaterializedViewStore(views, db)
-        log = store.apply_delta(Delta.insertion("r", [(3, 4)]))
-        assert log.view_change("v_fn").strategy == STRATEGY_RECOMPUTE
+        with pytest.raises(UnsupportedFeatureError):
+            connect(views=ViewSet([View("v_fn", ConjunctiveQuery(head, body))]))
+
+    def test_inconsistent_counts_fall_back_to_recompute(self):
+        store, _db = make_store()
+        store._counts["v_r"].clear()  # the counters lose track of (1, 2)
+        log = store.apply_delta(Delta.deletion("r", [(1, 2)]))
+        assert log.view_change("v_r").strategy == STRATEGY_RECOMPUTE
         assert store.views_recomputed == 1
+        assert_consistent(store)
 
     def test_out_of_band_mutation_self_heals(self):
         store, db = make_store()

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from repro.engine.database import Database
 from repro.engine.evaluate import evaluate, materialize_views
-from repro.engine.relation import Relation, SkolemValue
+from repro.engine.relation import Relation
+from repro.rewriting.inverse_rules import SkolemValue
 from repro.exec import CompiledExecutor
 from repro.materialize.delta import Delta
 

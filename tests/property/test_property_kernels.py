@@ -19,7 +19,7 @@ from repro.datalog.queries import ConjunctiveQuery
 from repro.datalog.terms import Constant, Variable
 from repro.engine.database import Database
 from repro.engine.evaluate import evaluate
-from repro.engine.relation import SkolemValue
+from repro.rewriting.inverse_rules import SkolemValue
 from repro.errors import EvaluationError
 from repro.exec import CompiledExecutor
 
