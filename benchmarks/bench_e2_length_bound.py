@@ -48,18 +48,26 @@ def _bound_rows():
     return rows
 
 
+HEADERS = ["workload", "|Q|", "bound n", "rewriting exists", "smallest |Q'|", "bound holds"]
+
+
+def render(rows=None) -> str:
+    """E2's table as text; ``benchmarks/golden/e2.txt`` holds the expected copy."""
+    if rows is None:
+        rows = _bound_rows()
+    return format_table(
+        rows,
+        headers=HEADERS,
+        title="E2: rewriting-length bound (R1) — smallest rewriting never exceeds n",
+    )
+
+
 def test_e2_length_bound_table(benchmark):
     rows = benchmark(_bound_rows)
     benchmark.extra_info["experiment"] = "E2"
     benchmark.extra_info["cases"] = len(rows)
     print()
-    print(
-        format_table(
-            rows,
-            headers=["workload", "|Q|", "bound n", "rewriting exists", "smallest |Q'|", "bound holds"],
-            title="E2: rewriting-length bound (R1) — smallest rewriting never exceeds n",
-        )
-    )
+    print(render(rows))
     assert all(row[-1] for row in rows)
 
 

@@ -47,25 +47,31 @@ def _optimization_rows():
     return rows
 
 
+HEADERS = [
+    "scenario",
+    "scale",
+    "|D|",
+    "base-plan work",
+    "view-plan work",
+    "speedup",
+    "answers match",
+]
+
+
+def render(rows=None) -> str:
+    """E7's table as text; ``benchmarks/golden/e7.txt`` holds the expected copy."""
+    if rows is None:
+        rows = _optimization_rows()
+    return format_table(
+        rows, headers=HEADERS, title="E7: evaluation work — base relations vs materialized views"
+    )
+
+
 def test_e7_optimization_table(benchmark):
     rows = benchmark.pedantic(_optimization_rows, rounds=1, iterations=1)
     benchmark.extra_info["experiment"] = "E7"
     print()
-    print(
-        format_table(
-            rows,
-            headers=[
-                "scenario",
-                "scale",
-                "|D|",
-                "base-plan work",
-                "view-plan work",
-                "speedup",
-                "answers match",
-            ],
-            title="E7: evaluation work — base relations vs materialized views",
-        )
-    )
+    print(render(rows))
     assert all(row[-1] for row in rows)
     # The view plan wins on every scale point of both scenarios.
     assert all(row[5] > 1.0 for row in rows)

@@ -79,17 +79,21 @@ def _case_rows():
     return rows
 
 
+HEADERS = ["case", "#comparisons", "rewriting found", "paper prediction", "matches"]
+
+
+def render(rows=None) -> str:
+    """E8's table as text; ``benchmarks/golden/e8.txt`` holds the expected copy."""
+    if rows is None:
+        rows = _case_rows()
+    return format_table(rows, headers=HEADERS, title="E8: rewriting with comparison predicates")
+
+
 def test_e8_comparison_table(benchmark):
     rows = benchmark(_case_rows)
     benchmark.extra_info["experiment"] = "E8"
     print()
-    print(
-        format_table(
-            rows,
-            headers=["case", "#comparisons", "rewriting found", "paper prediction", "matches"],
-            title="E8: rewriting with comparison predicates",
-        )
-    )
+    print(render(rows))
     assert all(row[-1] for row in rows)
 
 
