@@ -27,15 +27,13 @@ from repro.engine.evaluate import (
     evaluate_boolean,
     evaluate_substitutions,
     materialize_views,
+    measured_cost,
 )
-from repro.engine.cost import CostModel, estimate_cost, measured_cost
 
 __all__ = [
-    "CostModel",
     "Database",
     "EvaluationStatistics",
     "Relation",
-    "estimate_cost",
     "evaluate",
     "evaluate_boolean",
     "evaluate_substitutions",

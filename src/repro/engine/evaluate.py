@@ -20,10 +20,12 @@ database's relations, and the delta rules of
 :mod:`repro.materialize.counting` over delta rows and overlaid relation
 states.
 
-Both evaluators fill the same :class:`EvaluationStatistics`, which the cost
-model (:mod:`repro.engine.cost`) uses to compare the work needed to answer a
-query directly against the work needed to answer its rewriting over
-materialized views — the paper's query-optimization motivation.
+Both evaluators fill the same :class:`EvaluationStatistics`;
+:func:`measured_cost` reads its work off them, to compare the work needed to
+answer a query directly against the work needed to answer its rewriting over
+materialized views — the paper's query-optimization motivation (E7,
+:func:`repro.rewriting.view_is_useful`).  A plan's cost *before* it runs is
+the compiler's estimate, :func:`repro.exec.estimate_cost`.
 """
 
 from __future__ import annotations
@@ -64,6 +66,28 @@ class EvaluationStatistics:
     def work(self) -> int:
         """A single scalar summarizing evaluation effort."""
         return self.probes + self.extensions
+
+
+def measured_cost(
+    query: "ConjunctiveQuery | UnionQuery",
+    database: Database,
+    executor: Optional[Any] = None,
+) -> Tuple[float, EvaluationStatistics]:
+    """Evaluate the query and report (work, statistics).
+
+    ``work`` is the evaluator's probe + extension count — a deterministic,
+    platform-independent proxy for running time that the benchmark tables use
+    alongside wall-clock timings.  ``executor`` selects the engine measured
+    (see :func:`evaluate`).  Every engine returns the same answer set and
+    fills the same counter *names*, but each counts its own work: the
+    interpreter one unit per candidate tuple and per binding extension, the
+    compiled pipeline ``probes`` = index entries touched, ``extensions`` =
+    rows a step emits after its own dedup, ``answers`` = rows reaching
+    projection — fewer wherever it projects existential variables away early.
+    """
+    stats = EvaluationStatistics()
+    evaluate(query, database, stats, executor=executor)
+    return float(stats.work), stats
 
 
 Binding = Dict[Variable, Any]
@@ -306,13 +330,16 @@ def evaluate(
     caller's own (an engine's, with its own plan cache), or
     ``"interpreted"`` (the backtracking interpreter, the reference
     semantics); anything else raises :class:`EvaluationError`.  Both
-    evaluators return identical answer sets.
+    evaluators return identical answer sets, and both raise
+    :class:`~repro.errors.UnsupportedFeatureError` for a function term.
     """
     from repro.exec.executor import SHARED_EXECUTOR, CompiledExecutor  # repro.exec imports us
 
     stats = statistics if statistics is not None else EvaluationStatistics()
     if executor == "interpreted":
         disjuncts = query.disjuncts if isinstance(query, UnionQuery) else (query,)
+        for disjunct in disjuncts:
+            disjunct.reject_function_terms(f"query {disjunct.name}")
         return frozenset().union(
             *(evaluate_conjunctive_interpreted(d, database, stats) for d in disjuncts)
         )

@@ -10,6 +10,8 @@ whole relations at a time instead of one binding at a time:
   version-validated snapshot cache;
 * :mod:`repro.exec.compile` — admission, cost-based join ordering (by rows
   still alive after each subgoal), and operator construction;
+  :func:`estimate_cost` prices the chosen plan without running it (the
+  optimizer's one cost estimate);
 * :mod:`repro.exec.plan` — the physical operators; each step runs as a
   *kernel*, a Python function generated once for exactly its shape, whose
   constants are run-time parameters;
@@ -34,7 +36,7 @@ executor="interpreted")``).
 
 from __future__ import annotations
 
-from repro.exec.compile import order_body, try_compile
+from repro.exec.compile import estimate_cost, order_body, try_compile
 from repro.exec.executor import CompiledExecutor
 from repro.exec.plan import HashJoinStep, PhysicalPlan
 from repro.exec.stats import DatabaseStatistics, statistics_for
@@ -44,6 +46,7 @@ __all__ = [
     "DatabaseStatistics",
     "HashJoinStep",
     "PhysicalPlan",
+    "estimate_cost",
     "order_body",
     "statistics_for",
     "try_compile",

@@ -25,7 +25,9 @@ Compilation has three phases:
    before it) and enumerates ``e_j = min(matches_j, 1 / Π_{i>j} min(1,
    matches_i))`` entries per lookup.  It is taken only when strictly
    cheaper, so heads spanning several subgoals and selective tails keep
-   the pipeline.
+   the pipeline.  The chosen plan's cost is what :func:`estimate_cost`
+   reports, and what the optimizer (:mod:`repro.rewriting.optimizer`)
+   compares candidate plans by.
 3. **Operator construction** — every subgoal becomes a
    :class:`~repro.exec.plan.HashJoinStep` whose index key combines the
    subgoal's constants and parameters with its already-bound variables
@@ -53,7 +55,7 @@ from math import prod
 from typing import Any, Collection, Dict, List, Mapping, Optional, Tuple
 
 from repro.datalog.atoms import Atom, Comparison
-from repro.datalog.queries import ConjunctiveQuery
+from repro.datalog.queries import ConjunctiveQuery, UnionQuery
 from repro.datalog.terms import Constant, Term, Variable
 from repro.engine.database import Database
 from repro.exec.plan import Filter, HashJoinStep, PhysicalPlan, Source
@@ -171,14 +173,14 @@ def _choose_order(
     database: Database,
     stats: DatabaseStatistics,
     parameters: Collection[Variable],
-) -> Tuple[List[Atom], bool]:
-    """The body order to compile, and whether it opens a witness plan (a tie
-    keeps the pipeline)."""
+) -> Tuple[List[Atom], bool, float]:
+    """The body order to compile, whether it opens a witness plan (a tie
+    keeps the pipeline), and its estimated cost."""
     picks: List[_Pick] = []
     best = order_body(query, database, stats, parameters, picks=picks)
+    cost, witness = (_pipeline_cost(picks) if picks else 0.0), False
     if len(best) < 2:
-        return best, False
-    cost, witness = _pipeline_cost(picks), False
+        return best, witness, cost
     head = set(query.head.variables())
     for index, atom in enumerate(query.body):
         if head.issubset(atom.variables()):
@@ -187,7 +189,17 @@ def _choose_order(
             estimate = _witness_cost(query, ordered, picks, stats)
             if estimate < cost:
                 best, cost, witness = ordered, estimate, True
-    return best, witness
+    return best, witness, cost
+
+
+def estimate_cost(query: "ConjunctiveQuery | UnionQuery", database: Database) -> float:
+    """Index entries the plan :func:`try_compile` picks for ``query`` is
+    estimated to touch (the cost it was picked by), summed over a union's
+    disjuncts.  Nothing runs: the plan is priced from the statistics alone."""
+    if isinstance(query, UnionQuery):
+        return sum(estimate_cost(disjunct, database) for disjunct in query.disjuncts)
+    query.reject_function_terms(f"query {query.name}")
+    return _choose_order(query, database, statistics_for(database), ())[2]
 
 
 def try_compile(
@@ -212,7 +224,7 @@ def try_compile(
     pending = [c for c in query.comparisons if c not in checks]
 
     stats = stats if stats is not None else statistics_for(database)
-    ordered, witness = _choose_order(query, database, stats, given.keys())
+    ordered, witness, _cost = _choose_order(query, database, stats, given.keys())
     # Each comparison attaches to the earliest step binding all its variables
     # (those the body never binds are unreachable — the interpreter silently
     # never evaluates them, and neither do we).

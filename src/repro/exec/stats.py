@@ -1,4 +1,4 @@
-"""Per-relation / per-position statistics feeding the plan compiler and cost model.
+"""Per-relation / per-position statistics feeding the plan compiler.
 
 The compiled executor (:mod:`repro.exec`) orders joins by estimated output
 cardinality, which needs two numbers per relation: its **cardinality** (tuple
@@ -10,8 +10,8 @@ snapshot over one :class:`~repro.engine.database.Database`:
 * distinct counts are computed on first use per ``(relation, position)`` and
   cached until the database's version counter moves;
 * :meth:`DatabaseStatistics.selectivity` turns them into the textbook
-  ``1/max(distinct)`` equality-selectivity estimate that both the plan
-  compiler and :func:`repro.engine.cost.estimate_cost` consume.
+  ``1/max(distinct)`` equality-selectivity estimate that the plan compiler
+  (and so :func:`repro.exec.estimate_cost`) consumes.
 
 Snapshots are shared through :func:`statistics_for`, keyed by database
 identity and revalidated against the version counter, so repeated plan

@@ -3,21 +3,23 @@
 The paper's query-optimization story does not end with *finding* rewritings:
 the optimizer must decide which plan to run — the original query over the base
 relations, a complete rewriting over the views, or a partial rewriting mixing
-both.  :func:`choose_best_plan` makes that decision with the engine's cost
-model, and :class:`PlanChoice` records enough context to explain it.
+both.  :func:`choose_best_plan` makes that decision with the compiler's own
+cost estimate (:func:`repro.exec.estimate_cost`), and :class:`PlanChoice`
+records enough context to explain it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from itertools import chain
+from typing import Iterable, List, Optional, Union
 
 from repro.datalog.queries import ConjunctiveQuery, UnionQuery
 from repro.datalog.views import View, ViewSet
 from repro.containment.minimize import minimize
-from repro.engine.cost import estimate_cost, measured_cost
 from repro.engine.database import Database
 from repro.engine.evaluate import materialize_views
+from repro.exec import estimate_cost
 from repro.rewriting.partial import partial_rewritings
 from repro.rewriting.plans import Rewriting, RewritingKind
 from repro.rewriting.rewriter import rewrite
@@ -25,13 +27,13 @@ from repro.rewriting.rewriter import rewrite
 
 @dataclass
 class PlanChoice:
-    """One candidate plan together with its estimated (or measured) cost."""
+    """One candidate plan together with its estimated cost."""
 
     #: "base" for the original query, otherwise the producing algorithm.
     source: str
     #: The executable plan (over base relations, views, or a mix).
     plan: Union[ConjunctiveQuery, UnionQuery]
-    #: Cost under the chosen metric (lower is better).
+    #: Estimated index entries touched (lower is better).
     cost: float
     #: The rewriting object the plan came from (``None`` for the base plan).
     rewriting: Optional[Rewriting] = None
@@ -58,105 +60,55 @@ class OptimizationResult:
 
 
 def enumerate_plans(
-    query: ConjunctiveQuery,
-    views: "ViewSet | Iterable[View]",
-    include_partial: bool = True,
-    algorithms: Sequence[str] = ("minicon",),
+    query: ConjunctiveQuery, views: "ViewSet | Iterable[View]"
 ) -> List[Rewriting]:
-    """Every equivalent plan the rewriting algorithms can produce.
+    """Every equivalent plan over the views: MiniCon's equivalent rewritings,
+    then the partial rewritings (views plus base relations).
 
     Only equivalent (complete or partial) rewritings are returned — the
     optimizer must never trade answers for speed.  Plans are minimized so the
     cost comparison is between the plans an optimizer would actually run.
     """
     view_set = views if isinstance(views, ViewSet) else ViewSet(list(views))
+    result = rewrite(query, view_set, algorithm="minicon", mode="equivalent")
     plans: List[Rewriting] = []
     seen = set()
-    for algorithm in algorithms:
-        result = rewrite(query, view_set, algorithm=algorithm, mode="equivalent")
-        for rewriting in result.equivalent_rewritings():
-            assert isinstance(rewriting.query, ConjunctiveQuery)
-            reduced = minimize(rewriting.query)
-            key = reduced.canonical()
-            if key in seen:
-                continue
-            seen.add(key)
-            plans.append(
-                Rewriting(
-                    query=reduced,
-                    kind=rewriting.kind,
-                    algorithm=rewriting.algorithm,
-                    views_used=rewriting.views_used,
-                    expansion=rewriting.expansion,
-                )
-            )
-    if include_partial:
-        for rewriting in partial_rewritings(query, view_set):
-            assert isinstance(rewriting.query, ConjunctiveQuery)
-            reduced = minimize(rewriting.query)
-            key = reduced.canonical()
-            if key in seen:
-                continue
-            seen.add(key)
-            plans.append(
-                Rewriting(
-                    query=reduced,
-                    kind=rewriting.kind,
-                    algorithm=rewriting.algorithm,
-                    views_used=rewriting.views_used,
-                    expansion=rewriting.expansion,
-                )
-            )
+    for rewriting in chain(result.equivalent_rewritings(), partial_rewritings(query, view_set)):
+        assert isinstance(rewriting.query, ConjunctiveQuery)
+        reduced = minimize(rewriting.query)
+        key = reduced.canonical()
+        if key in seen:
+            continue
+        seen.add(key)
+        plans.append(replace(rewriting, query=reduced))
     return plans
 
 
 def choose_best_plan(
-    query: ConjunctiveQuery,
-    views: "ViewSet | Iterable[View]",
-    database: Database,
-    metric: str = "estimate",
-    include_partial: bool = True,
-    algorithms: Sequence[str] = ("minicon",),
+    query: ConjunctiveQuery, views: "ViewSet | Iterable[View]", database: Database
 ) -> OptimizationResult:
     """Pick the cheapest way to answer ``query`` given materialized ``views``.
 
-    Parameters
-    ----------
-    metric:
-        ``"estimate"`` uses the cardinality-based estimator (no evaluation);
-        ``"measured"`` evaluates every candidate plan and uses the engine's
-        work counters (exact but as expensive as running the plans).
-    include_partial:
-        Also consider plans that mix views with base relations.
-    algorithms:
-        Which rewriting algorithms supply candidate plans.
-
-    The base plan (the query itself over the base relations) is always a
-    candidate, so the result never regresses: if no rewriting is cheaper, the
-    base plan wins.
+    The candidates are the base plan (the query itself over the base
+    relations) and every plan of :func:`enumerate_plans`, each priced by
+    :func:`repro.exec.estimate_cost` — the compiler's estimate of the plan it
+    would run, over the data that plan reads.  Nothing is evaluated.  The
+    base plan is always a candidate, so if no rewriting is cheaper, it wins.
     """
     view_set = views if isinstance(views, ViewSet) else ViewSet(list(views))
     view_instance = materialize_views(view_set, database)
     combined = view_instance.merge(database)
 
-    def plan_cost(plan: Union[ConjunctiveQuery, UnionQuery], data: Database) -> float:
-        if metric == "measured":
-            cost, _ = measured_cost(plan, data)
-            return cost
-        return estimate_cost(plan, data)
-
     choices: List[PlanChoice] = [
-        PlanChoice(source="base", plan=query, cost=plan_cost(query, database))
+        PlanChoice(source="base", plan=query, cost=estimate_cost(query, database))
     ]
-    for rewriting in enumerate_plans(
-        query, view_set, include_partial=include_partial, algorithms=algorithms
-    ):
+    for rewriting in enumerate_plans(query, view_set):
         data = combined if rewriting.kind is RewritingKind.PARTIAL else view_instance
         choices.append(
             PlanChoice(
                 source=rewriting.algorithm,
                 plan=rewriting.query,
-                cost=plan_cost(rewriting.query, data),
+                cost=estimate_cost(rewriting.query, data),
                 rewriting=rewriting,
             )
         )

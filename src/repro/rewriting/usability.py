@@ -19,9 +19,8 @@ from typing import Iterable, Optional
 
 from repro.datalog.queries import ConjunctiveQuery
 from repro.datalog.views import View, ViewSet
-from repro.engine.cost import plan_comparison
 from repro.engine.database import Database
-from repro.engine.evaluate import materialize_views
+from repro.engine.evaluate import materialize_views, measured_cost
 from repro.rewriting.candidates import candidate_atoms_for_view
 from repro.rewriting.exhaustive import ExhaustiveRewriter
 from repro.rewriting.minicon import MiniConRewriter
@@ -81,9 +80,10 @@ def view_is_useful(
 
     The check materializes the views over ``database``, finds the best
     rewriting that uses ``view`` (complete or partial), and compares the
-    measured evaluation cost of that plan against the measured cost of the
-    original query.  ``threshold`` is the minimum speedup factor required to
-    call the view useful (1.0 = any improvement).
+    measured evaluation work of that plan against the measured work of the
+    original query.  The view is useful when the original's work exceeds
+    ``threshold`` times the plan's (1.0 = any improvement; no work saved on
+    an empty database is no improvement).
     """
     others = list(other_views) if not isinstance(other_views, ViewSet) else list(other_views)
     all_views = ViewSet([view] + [v for v in others if v.name != view.name])
@@ -102,9 +102,9 @@ def view_is_useful(
     view_instance = materialize_views(all_views, database)
     # Partial plans read base relations too, so give them the merged database.
     merged = view_instance.merge(database)
-    best_speedup = 0.0
-    for plan in plans:
-        instance = merged if plan.kind is RewritingKind.PARTIAL else view_instance
-        comparison = plan_comparison(query, plan.query, database, instance)
-        best_speedup = max(best_speedup, comparison["speedup"])
-    return best_speedup > threshold
+    base_work, _ = measured_cost(query, database)
+    best_work = min(
+        measured_cost(p.query, merged if p.kind is RewritingKind.PARTIAL else view_instance)[0]
+        for p in plans
+    )
+    return base_work > threshold * best_work

@@ -234,6 +234,15 @@ class StorageManager:
                 break
             except SnapshotError as exc:
                 skipped.append({"path": path, "error": str(exc)})
+        if snapshot is None and skipped and self._backend_name == "memory":
+            # The memory backend's base *is* its snapshot: opening without
+            # one would silently drop every fact the WAL no longer holds.
+            raise SnapshotError(
+                "no snapshot in storage directory "
+                f"{self._directory!r} is readable: "
+                + "; ".join(entry["error"] for entry in skipped)
+                + " (delete the unreadable snapshots to recover by full WAL replay)"
+            )
         store_state: Optional[Dict[str, Any]] = None
         relations: Dict[str, Any] = {}
         base_seq = 0

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, UnsupportedFeatureError
+from repro.datalog.atoms import Atom
 from repro.datalog.parser import parse_query, parse_views
-from repro.datalog.queries import UnionQuery
+from repro.datalog.queries import ConjunctiveQuery, UnionQuery
+from repro.datalog.terms import FunctionTerm, Variable
 from repro.engine.database import Database
 from repro.engine.evaluate import (
     EvaluationStatistics,
@@ -12,6 +14,7 @@ from repro.engine.evaluate import (
     evaluate_boolean,
     evaluate_substitutions,
     materialize_views,
+    measured_cost,
 )
 
 
@@ -88,11 +91,44 @@ class TestEvaluate:
         assert stats.answers >= 4
         assert stats.work == stats.probes + stats.extensions
 
+    @pytest.mark.parametrize("executor", ["compiled", "interpreted"])
+    def test_both_routes_reject_a_function_term(self, executor):
+        x = Variable("X")
+        query = ConjunctiveQuery(
+            Atom("q", [x]), [Atom("r", [x, FunctionTerm("f", (x,))])], require_safe=False
+        )
+        database = Database.from_dict({"r": [(1, 2)]})
+        with pytest.raises(UnsupportedFeatureError, match="function term f"):
+            evaluate(query, database, executor=executor)
+        union = UnionQuery([parse_query("q(X) :- r(X, Y)."), query])
+        with pytest.raises(UnsupportedFeatureError, match="function term f"):
+            evaluate(union, database, executor=executor)
+
     def test_statistics_merge(self):
         a = EvaluationStatistics(probes=1, extensions=2, answers=3, subgoals=4)
         b = EvaluationStatistics(probes=10, extensions=20, answers=30, subgoals=40)
         a.merge(b)
         assert (a.probes, a.extensions, a.answers, a.subgoals) == (11, 22, 33, 44)
+
+
+class TestMeasuredCost:
+    def test_returns_work_and_stats(self):
+        database = Database.from_dict({"r": [(1, 2), (2, 3)]})
+        work, stats = measured_cost(parse_query("q(X, Z) :- r(X, Y), r(Y, Z)."), database)
+        assert work == float(stats.work)
+        assert stats.answers == 1
+
+    def test_a_rewriting_over_a_smaller_view_measures_less_work(self):
+        base = Database.from_dict({"r": [(i, i + 1) for i in range(200)]})
+        views = Database.from_dict({"v": [(i, i + 2) for i in range(0, 200, 2)]})
+        original, _ = measured_cost(parse_query("q(X, Z) :- r(X, Y), r(Y, Z)."), base)
+        rewritten, _ = measured_cost(parse_query("q(X, Z) :- v(X, Z)."), views)
+        assert original > rewritten > 0
+
+    @pytest.mark.parametrize("executor", ["compiled", "interpreted"])
+    def test_an_empty_database_measures_no_work(self, executor):
+        work, _ = measured_cost(parse_query("q(X) :- v(X, Y)."), Database(), executor=executor)
+        assert work == 0.0
 
 
 class TestEvaluateBooleanAndSubstitutions:

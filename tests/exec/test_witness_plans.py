@@ -17,11 +17,11 @@ import repro.exec.compile as compile_module
 from repro import connect
 from repro.datalog.atoms import Atom, Comparison
 from repro.datalog.parser import parse_query
-from repro.datalog.queries import ConjunctiveQuery
+from repro.datalog.queries import ConjunctiveQuery, UnionQuery
 from repro.datalog.terms import Constant, Variable
 from repro.engine.database import Database
 from repro.engine.evaluate import EvaluationStatistics, evaluate_conjunctive_interpreted
-from repro.exec import CompiledExecutor
+from repro.exec import CompiledExecutor, estimate_cost, order_body, statistics_for
 from repro.exec.compile import try_compile
 
 ARITIES = {"a": 2, "b": 2, "c": 3}
@@ -186,6 +186,47 @@ class TestTheChoiceFollowsTheData:
         (plan,) = explanation.evaluation.plans
         assert [step.operator for step in plan.steps] == ["scan", "semi_join"]
         assert plan.steps[1].key_positions == (0,) and not plan.steps[1].distinct
+
+
+class TestEstimateCost:
+    """``estimate_cost`` is the cost the compiled plan was chosen by."""
+
+    QUERY = TestTheChoiceFollowsTheData.QUERY
+
+    @staticmethod
+    def _costs(query, database):
+        """(pipeline cost, witness cost opening on the first subgoal)."""
+        stats = statistics_for(database)
+        picks = []
+        order_body(query, database, stats, picks=picks)
+        pipeline = compile_module._pipeline_cost(picks)
+        picks = []
+        ordered = order_body(query, database, stats, first=0, picks=picks)
+        return pipeline, compile_module._witness_cost(query, ordered, picks, stats)
+
+    def test_a_witness_plan_is_priced_by_its_witness_cost(self):
+        database = regular_chain(["r", "s"])
+        pipeline, witness = self._costs(self.QUERY, database)
+        assert _is_witness(try_compile(self.QUERY, database))
+        assert estimate_cost(self.QUERY, database) == witness < pipeline
+
+    def test_a_pipeline_is_priced_by_its_pipeline_cost(self):
+        database = regular_chain(["r", "s"])
+        for row in sorted(database.relation("s"))[1:]:
+            database.remove_fact("s", row)
+        pipeline, witness = self._costs(self.QUERY, database)
+        assert not _is_witness(try_compile(self.QUERY, database))
+        assert estimate_cost(self.QUERY, database) == pipeline <= witness
+
+    def test_a_union_sums_its_disjuncts(self):
+        database = regular_chain(["r", "s"])
+        other = parse_query("q(X) :- s(X, Y).")
+        union = UnionQuery([self.QUERY, other])
+        total = estimate_cost(self.QUERY, database) + estimate_cost(other, database)
+        assert estimate_cost(union, database) == total > estimate_cost(self.QUERY, database)
+
+    def test_an_empty_database_costs_nothing(self):
+        assert estimate_cost(self.QUERY, Database()) == 0.0
 
 
 class TestWitnessWork:

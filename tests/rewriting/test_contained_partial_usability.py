@@ -7,6 +7,7 @@ from repro.datalog.parser import parse_query, parse_view, parse_views
 from repro.datalog.queries import UnionQuery
 from repro.containment.containment import is_contained, is_equivalent
 from repro.engine.database import Database
+from repro.engine.evaluate import materialize_views, measured_cost
 from repro.rewriting.contained import maximally_contained_rewriting
 from repro.rewriting.expansion import expand_rewriting
 from repro.rewriting.partial import partial_rewritings
@@ -152,6 +153,28 @@ class TestUsability:
             }
         )
         assert view_is_useful(query, view, database)
+
+    def test_view_not_useful_on_an_empty_database(self):
+        # No work to save: 0 base work against 0 plan work is no speedup.
+        query = parse_query("q(X, Z) :- r(X, Y), s(Y, Z).")
+        view = parse_view("v_rs(A, B) :- r(A, C), s(C, B).")
+        assert not view_is_useful(query, view, Database())
+
+    def test_threshold_is_the_required_speedup(self):
+        query = parse_query("q(X, Z) :- r(X, Y), s(Y, Z).")
+        view = parse_view("v_rs(A, B) :- r(A, C), s(C, B).")
+        database = Database.from_dict(
+            {
+                "r": [(i, i % 10) for i in range(300)],
+                "s": [(i % 10, i) for i in range(300)],
+            }
+        )
+        base, _ = measured_cost(query, database)
+        plan, _ = measured_cost(
+            parse_query("q(X, Z) :- v_rs(X, Z)."), materialize_views([view], database)
+        )
+        assert view_is_useful(query, view, database, threshold=0.99 * base / plan)
+        assert not view_is_useful(query, view, database, threshold=base / plan)
 
     def test_view_not_useful_when_it_cannot_be_used(self):
         query = parse_query("q(X, Z) :- r(X, Y), s(Y, Z).")

@@ -4,10 +4,11 @@ import pytest
 
 from repro.datalog.parser import parse_query, parse_views
 from repro.engine.database import Database
-from repro.engine.evaluate import evaluate, materialize_views
+from repro.engine.evaluate import evaluate, materialize_views, measured_cost
+from repro.exec import estimate_cost
 from repro.rewriting.optimizer import OptimizationResult, choose_best_plan, enumerate_plans
 from repro.rewriting.plans import RewritingKind
-from repro.workloads.schemas import university_schema
+from repro.workloads.schemas import enterprise_schema, paper_example, university_schema
 
 
 @pytest.fixture
@@ -43,27 +44,42 @@ class TestEnumeratePlans:
         canons = [p.query.canonical() for p in plans]
         assert len(canons) == len(set(canons))
 
-    def test_without_partial(self, join_setting):
+    def test_complete_plans_come_from_minicon(self, join_setting):
         query, views, _ = join_setting
-        plans = enumerate_plans(query, views, include_partial=False)
-        assert all(p.kind is RewritingKind.EQUIVALENT for p in plans)
+        plans = enumerate_plans(query, views)
+        assert {p.algorithm for p in plans if p.kind is RewritingKind.EQUIVALENT} == {"minicon"}
 
-    def test_multiple_algorithms_deduplicate(self, join_setting):
-        query, views, _ = join_setting
-        single = enumerate_plans(query, views, algorithms=("minicon",))
-        double = enumerate_plans(query, views, algorithms=("minicon", "bucket"))
-        assert {p.query.canonical() for p in single} <= {p.query.canonical() for p in double}
+
+def _measured_works(result, database, views):
+    """Measured work of the winner and of every candidate, each over the data
+    it reads."""
+    instance = materialize_views(views, database)
+    merged = instance.merge(database)
+
+    def work(choice):
+        if not choice.uses_views:
+            return measured_cost(choice.plan, database)[0]
+        data = merged if choice.rewriting.kind is RewritingKind.PARTIAL else instance
+        return measured_cost(choice.plan, data)[0]
+
+    return work(result.best), [work(choice) for choice in result.alternatives]
 
 
 class TestChooseBestPlan:
-    @pytest.mark.parametrize("metric", ["estimate", "measured"])
-    def test_materialized_join_wins(self, join_setting, metric):
+    def test_materialized_join_wins(self, join_setting):
         query, views, database = join_setting
-        result = choose_best_plan(query, views, database, metric=metric)
+        result = choose_best_plan(query, views, database)
         assert isinstance(result, OptimizationResult)
         assert result.best.uses_views
         assert "v_rs" in result.best.rewriting.views_used
         assert result.speedup_over_base >= 1.0
+
+    def test_candidates_priced_by_the_compiler_estimate(self, join_setting):
+        query, views, database = join_setting
+        result = choose_best_plan(query, views, database)
+        base = next(c for c in result.alternatives if c.source == "base")
+        assert base.cost == estimate_cost(query, database)
+        assert result.best.cost == min(c.cost for c in result.alternatives)
 
     def test_base_plan_always_among_alternatives(self, join_setting):
         query, views, database = join_setting
@@ -81,7 +97,7 @@ class TestChooseBestPlan:
 
     def test_chosen_plan_returns_correct_answers(self, join_setting):
         query, views, database = join_setting
-        result = choose_best_plan(query, views, database, metric="measured")
+        result = choose_best_plan(query, views, database)
         expected = evaluate(query, database)
         if result.best.uses_views:
             instance = materialize_views(views, database)
@@ -94,6 +110,27 @@ class TestChooseBestPlan:
     def test_university_scenario_picks_materialized_view(self):
         scenario = university_schema()
         database = scenario.make_database(150, seed=3)
-        result = choose_best_plan(scenario.query, scenario.views, database, metric="measured")
+        result = choose_best_plan(scenario.query, scenario.views, database)
         assert result.best.uses_views
         assert result.speedup_over_base > 1.0
+
+
+SCENARIO_QUERIES = [
+    (factory, name)
+    for factory in (paper_example, university_schema, enterprise_schema)
+    for name in factory().queries
+]
+
+
+@pytest.mark.parametrize("scale", [100, 300, 900])
+@pytest.mark.parametrize(
+    "factory, name", SCENARIO_QUERIES, ids=[name for _factory, name in SCENARIO_QUERIES]
+)
+def test_estimated_winner_has_minimal_measured_work(factory, name, scale):
+    """The estimate picks, among every candidate, one that measures cheapest."""
+    scenario = factory()
+    database = scenario.make_database(scale, seed=17)
+    result = choose_best_plan(scenario.queries[name], scenario.views, database)
+    best, works = _measured_works(result, database, scenario.views)
+    assert len(works) >= 2
+    assert best == min(works)

@@ -9,6 +9,7 @@ typed ReproError — never a stack trace.
 """
 
 import os
+import re
 import sqlite3
 import subprocess
 import sys
@@ -17,7 +18,7 @@ import pytest
 
 from repro import connect
 from repro.engine.database import Database
-from repro.errors import StorageError
+from repro.errors import SnapshotError, StorageError
 from repro.materialize.delta import Delta, parse_delta
 from repro.storage import StorageManager
 from repro.storage.snapshot import list_snapshots, write_snapshot
@@ -328,6 +329,44 @@ class TestFaultInjection:
             assert report["replayed"] == len(DELTAS)
             [skipped] = report["snapshots_skipped"]
             assert skipped["path"] == newest_path
+        finally:
+            recovered.close()
+
+    def test_an_unreadable_only_snapshot_raises_naming_it(self, tmp_path):
+        # The memory backend's base lives only in its snapshot: opening
+        # without it would answer from an empty base.
+        storage = str(tmp_path / "store")
+        connect(views=VIEWS, data=DATA, storage=storage, backend="memory").close()
+        [(_seq, path)] = list_snapshots(storage)
+        with open(path, "r+b") as handle:
+            handle.seek(20)
+            handle.write(b"\xff" * 64)
+        with pytest.raises(SnapshotError, match=re.escape(path)):
+            connect(views=VIEWS, storage=storage, backend="memory")
+        # Deleting the unreadable file is the explicit way to recover by
+        # full WAL replay (here: nothing was journaled).
+        os.remove(path)
+        recovered = connect(views=VIEWS, storage=storage, backend="memory")
+        try:
+            assert answers_of(recovered) == []
+        finally:
+            recovered.close()
+
+    def test_an_unreadable_snapshot_over_a_sqlite_base_is_skipped(self, tmp_path):
+        storage = str(tmp_path / "store")
+        engine = run_workload(storage, backend="sqlite", wal="batch")
+        engine.checkpoint()
+        expected = answers_of(engine)
+        engine.close()
+        [(_seq, path)] = list_snapshots(storage)
+        with open(path, "r+b") as handle:
+            handle.seek(20)
+            handle.write(b"\xff" * 64)
+        recovered = connect(views=VIEWS, storage=storage, backend="sqlite")
+        try:
+            assert answers_of(recovered) == expected
+            [skipped] = recovered.recovery_report["snapshots_skipped"]
+            assert skipped["path"] == path
         finally:
             recovered.close()
 
