@@ -48,8 +48,8 @@ from bisect import bisect_left
 from contextlib import nullcontext
 from dataclasses import replace
 from typing import (
-    AbstractSet, Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
-    Tuple, Union,
+    TYPE_CHECKING, AbstractSet, Any, Callable, Dict, FrozenSet, Iterable, List, Mapping,
+    Optional, Sequence, Tuple, Union,
 )
 
 from repro.errors import (
@@ -61,7 +61,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.containment.memo import containment_memo_stats
-from repro.datalog.parser import parse_database, parse_program, parse_query, scan_literals
+from repro.datalog.parser import parse_facts, parse_program, parse_query, scan_literals
 from repro.datalog.printer import to_datalog
 from repro.datalog.queries import ConjunctiveQuery, UnionQuery
 from repro.datalog.terms import Constant, Term, Variable, term_sort_key
@@ -69,14 +69,11 @@ from repro.engine.database import Database
 from repro.engine.evaluate import evaluate
 from repro.exec import CompiledExecutor
 from repro.materialize.changelog import ChangeLog
-from repro.materialize.compare import verify_extents
 from repro.materialize.delta import Delta, parse_delta
 from repro.materialize.store import MaterializedViewStore
 from repro.obs import Instrumentation, MetricsRegistry, Trace
-from repro.rewriting.certain import certain_answers
 from repro.rewriting.plans import Rewriting, RewritingKind, RewritingResult
 from repro.rewriting.rewriter import ALGORITHMS, MODES, rewrite
-from repro.service.batch import BatchItem, BatchReport
 from repro.service.cache import LRUCache
 from repro.service.fingerprint import QueryFingerprint, fingerprint
 from repro.service.templates import (
@@ -89,7 +86,6 @@ from repro.service.templates import (
     query_predicates,
 )
 from repro.service.view_index import ViewRelevanceIndex
-from repro.storage import RecoveryResult, StorageManager
 from repro.api.catalog import Catalog, ConstraintsLike, SchemaLike, ViewsLike
 from repro.api.results import (
     Answer,
@@ -107,6 +103,10 @@ from repro.api.results import (
     SOURCE_VIEWS_AND_BASE,
 )
 
+if TYPE_CHECKING:  # these load with the verbs that use them
+    from repro.service.batch import BatchItem, BatchReport
+    from repro.storage import RecoveryResult, StorageManager
+
 DataLike = Union[None, Database, str, Mapping[str, Iterable[Sequence[Any]]]]
 QueryInput = Union[str, ConjunctiveQuery]
 DeltaLike = Union[str, Delta]
@@ -117,7 +117,10 @@ def as_database(data: DataLike) -> Optional[Database]:
     if data is None or isinstance(data, Database):
         return data
     if isinstance(data, str):
-        return Database.from_atoms(parse_database(data))
+        database = Database()
+        for name, row in parse_facts(data):
+            database.add_fact(name, row)
+        return database
     return Database.from_dict(data)
 
 
@@ -200,6 +203,8 @@ def connect(
             if value is not None:
                 raise StorageError(f"{name}= requires a storage directory (storage=...)")
     else:
+        from repro.storage import StorageManager
+
         manager = StorageManager(storage, backend=backend, fsync=_fsync_policy(wal))
     try:
         if manager is not None:
@@ -588,6 +593,8 @@ class Engine:
         program text.  Each item is rewritten and, ``with_answers``,
         answered; an item that fails is reported, not raised.
         """
+        from repro.service.batch import BatchReport
+
         if isinstance(queries, str):
             queries = list(parse_program(queries))
         if with_answers:
@@ -604,6 +611,8 @@ class Engine:
         )
 
     def _batch_item(self, index: int, query: Any, with_answers: bool) -> BatchItem:
+        from repro.service.batch import BatchItem
+
         text = to_datalog(query) if isinstance(query, ConjunctiveQuery) else str(query)
         item = BatchItem(index=index, query=text)
         started = time.perf_counter()
@@ -835,6 +844,8 @@ class Engine:
 
     def verify(self) -> list:
         """Cross-check maintained extents against full recomputation."""
+        from repro.materialize.compare import verify_extents
+
         self._require_database("verify view extents")
         return verify_extents(self._view_store())
 
@@ -1271,6 +1282,8 @@ class Engine:
         return (*texts, provenance)
 
     def _certain(self, prepared: PreparedQuery, method: str) -> Answer:
+        from repro.rewriting.certain import certain_answers
+
         started = time.perf_counter()
         self._remember(prepared)
         query = prepared.query

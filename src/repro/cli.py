@@ -98,7 +98,6 @@ from repro.errors import (
 from repro.api import connect
 from repro.api.results import sort_rows
 from repro.datalog.parser import parse_program
-from repro.experiments.registry import all_experiments
 from repro.materialize.delta import parse_delta
 from repro.rewriting.rewriter import ALGORITHMS, MODES
 
@@ -558,6 +557,8 @@ def _command_replay(args: argparse.Namespace, out) -> int:
 
 
 def _command_experiments(args: argparse.Namespace, out) -> int:
+    from repro.experiments.registry import all_experiments
+
     for experiment in all_experiments():
         print(f"{experiment.id:<4} [{experiment.artefact:<6}] {experiment.title}", file=out)
         print(f"     claim : {experiment.claim}", file=out)
@@ -565,9 +566,11 @@ def _command_experiments(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _add_storage_flags(parser: argparse.ArgumentParser, required: bool = False) -> None:
-    from repro.storage import BACKENDS
+#: ``repro.storage.BACKENDS``, spelled out: that package loads only with ``--storage``.
+BACKENDS = ("memory", "sqlite")
 
+
+def _add_storage_flags(parser: argparse.ArgumentParser, required: bool = False) -> None:
     parser.add_argument(
         "--storage", required=required, default=None, metavar="DIR",
         help="persistent storage directory (write-ahead log + snapshots); "

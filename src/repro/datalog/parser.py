@@ -14,6 +14,15 @@ Syntax
 * **Comparisons** are infix: ``X < Y``, ``X != 'a'``, ``Z >= 10``.
 * ``%`` and ``#`` start a comment that runs to the end of the line.
 
+Facts load by shape
+-------------------
+:func:`parse_facts` cuts the skeleton of a facts text (:func:`scan_literals`:
+``e1(0, 109). e1(4, -2).`` is ``e1(\\t, \\t). e1(\\t, \\t).``) at its
+periods, parses each distinct piece once, and fills the rows of every piece
+of that shape from the literal values: no token, term or atom is built per
+fact.  Shapes are remembered for one call, never process-wide.  A text the
+shapes cannot take whole goes to the full parser, whose errors it raises.
+
 Example
 -------
 >>> q = parse_query("q(X, Y) :- cites(X, Z), cites(Z, Y), X != Y.")
@@ -23,8 +32,9 @@ Example
 
 from __future__ import annotations
 
+import itertools
 import re
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ParseError
 from repro.datalog.atoms import Atom, Comparison, ComparisonOperator
@@ -358,10 +368,64 @@ def parse_views(text: str) -> ViewSet:
     return ViewSet([View(q.name, q) for q in parse_program(text)])
 
 
-def parse_database(text: str) -> List[Atom]:
-    """Parse a list of ground facts, e.g. ``"cites(a,b). cites(b,c)."``."""
+def _parse_facts(text: str) -> List[Atom]:
+    """Every fact of ``text`` through the full parser."""
     parser = _Parser(text)
     facts: List[Atom] = []
     while not parser.at_end():
         facts.append(parser.parse_fact())
     return facts
+
+
+_PLACEHOLDER_RE = re.compile("[\t\n]")
+
+
+def _shape(piece: str) -> Optional[Tuple[int, List[Tuple[str, Any]]]]:
+    """How many literal values a skeleton piece reads, and its facts: each a
+    predicate and, per argument, the index of the value it reads or
+    ``(constant,)`` -- None when it reads them all, in order.  None unless
+    the piece parses to facts.  Its literals parse as the strings ``"0"``,
+    ``"1"``, ...: no symbolic constant is all digits."""
+    count = itertools.count()
+    try:
+        atoms = _parse_facts(_PLACEHOLDER_RE.sub(lambda _: f'"{next(count)}"', piece))
+    except ParseError:
+        return None
+    size, facts = next(count), []
+    for atom in atoms:
+        values = [term.value for term in atom.args]  # a fact's terms are constants
+        cells = tuple(int(v) if isinstance(v, str) and v.isdigit() else (v,) for v in values)
+        facts.append((atom.predicate, None if cells == tuple(range(size)) else cells))
+    return (size, facts) if facts else None
+
+
+def parse_facts(text: str) -> List[Tuple[str, Tuple[Any, ...]]]:
+    """The ground facts of ``text`` as ``(predicate, values)`` pairs, in text
+    order, loaded by shape (see the module docstring).  A text of one fact
+    (one period at most) parses faster whole."""
+    scanned = scan_literals(text) if text.count(".") > 1 else None
+    if scanned is not None:
+        skeleton, values = scanned
+        *pieces, last = skeleton.split(".")
+        pieces += [last] if last.strip(" ") else []
+        shapes: Dict[str, Any] = {}
+        facts: List[Tuple[str, Tuple[Any, ...]]] = []
+        at = 0
+        for piece in pieces:
+            shape = shapes[piece] if piece in shapes else shapes.setdefault(piece, _shape(piece))
+            if shape is None:
+                break
+            mine, at = values[at : at + shape[0]], at + shape[0]
+            for predicate, cells in shape[1]:
+                row = mine
+                if cells is not None:  # symbolic constants, or several facts
+                    row = tuple(mine[c] if c.__class__ is int else c[0] for c in cells)
+                facts.append((predicate, row))
+        else:
+            return facts
+    return [(atom.predicate, tuple(t.value for t in atom.args)) for atom in _parse_facts(text)]
+
+
+def parse_database(text: str) -> List[Atom]:
+    """Parse a list of ground facts, e.g. ``"cites(a,b). cites(b,c)."``."""
+    return [Atom(predicate, map(Constant, row)) for predicate, row in parse_facts(text)]

@@ -76,13 +76,16 @@ from __future__ import annotations
 
 import copy
 import linecache
+from collections import Counter
 from functools import lru_cache
 from typing import Any, Collection, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.errors import EvaluationError
 from repro.datalog.atoms import ComparisonOperator
+from repro.datalog.queries import ConjunctiveQuery
+from repro.datalog.terms import Variable
 from repro.engine.database import Database
-from repro.engine.evaluate import EvaluationStatistics
+from repro.engine.evaluate import EvaluationStatistics, order_subgoals
 from repro.engine.relation import Relation
 
 #: A value source in a compiled row: ``(True, slot_index)`` reads the current
@@ -409,6 +412,72 @@ def _witness_kernel(steps: Sequence[HashJoinStep]) -> _Kernel:
         + ["return out, probes"]
     )
     return _Kernel("\n".join(source) + "\n", namespace)
+
+
+def derivation_counts(query: ConjunctiveQuery, database: Database) -> Counter:
+    """Head row -> number of satisfying assignments of ``query``'s body, the
+    interpreter's counts, by one generated loop nest: a level per subgoal in
+    the interpreter's order, probing the indexes it would (constants and
+    earlier-bound variables), so it builds no other.  A comparison is tested
+    at the first level binding its variables (one the body never binds
+    holds); the innermost level counts.  A missing or empty relation yields
+    nothing, and one of another arity raises when reached."""
+    counts: Counter = Counter()
+    body = query.body
+    relations = [database.relation(atom.predicate) for atom in body]
+    if not all(relations):
+        return counts
+    namespace: Dict[str, Any] = {}
+    where: Dict[Variable, str] = {}  # each variable's first binding
+    pending = list(query.comparisons)
+    sources: List[Any] = []
+
+    def value(term: Any) -> str:
+        if isinstance(term, Variable):  # an unbound head variable raises KeyError
+            return where.get(term) or f"{_literal(namespace, {})}[{_literal(namespace, term)}]"
+        return _literal(namespace, term.value)
+
+    lines = ["def kernel(g, counts):", "    get = counts.get"]
+    indent = "    "
+    for level, index in enumerate(order_subgoals(body, lambda i: len(relations[i]))):
+        atom, relation = body[index], relations[index]
+        if relation.arity != len(atom.args):
+            error = EvaluationError(
+                f"subgoal {atom} has arity {len(atom.args)} but relation "
+                f"{relation.name} has arity {relation.arity}"
+            )
+            lines.append(f"{indent}raise {_literal(namespace, error)}")
+            break
+        earlier = set(where)
+        positions, key, tests = [], [], []
+        for position, term in enumerate(atom.args):
+            cell = f"r{level:d}[{position:d}]"
+            if isinstance(term, Variable) and term not in earlier:
+                if term in where:  # repeated within the subgoal
+                    tests.append(f"{cell} == {where[term]}")
+                else:
+                    where[term] = cell
+            else:
+                positions.append(position)
+                key.append(value(term) + ", ")
+        ready = [c for c in pending if all(v in where for v in c.variables())]
+        pending = [c for c in pending if c not in ready]
+        tests += [_comparison(namespace, c.op, value(c.left), value(c.right)) for c in ready]
+        if positions:
+            sources.append(relation.index_on(positions).get)
+            lines.append(f"{indent}for r{level:d} in g[{level:d}](({''.join(key)}), ()):")
+        else:
+            sources.append(relation)
+            lines.append(f"{indent}for r{level:d} in g[{level:d}]:")
+        indent += "    "
+        if tests:
+            lines.append(f"{indent}if {' and '.join(tests)}:")
+            indent += "    "
+    else:
+        row = "".join(value(term) + ", " for term in query.head.args)
+        lines += [f"{indent}row = ({row})", f"{indent}counts[row] = get(row, 0) + 1"]
+    _Kernel("\n".join(lines) + "\n", namespace).function(tuple(sources), counts)
+    return counts
 
 
 class PhysicalPlan:

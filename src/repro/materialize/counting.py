@@ -6,6 +6,12 @@ satisfying assignments of the view body producing it.  A delta then adjusts
 counts instead of recomputing extents, which makes deletions exact: a row
 leaves the extent only when its last derivation disappears.
 
+The full counts (:func:`derivation_counts`, behind every materialization and
+recomputation) come from one generated kernel per view definition, written
+by :func:`repro.exec.plan.derivation_counts`: a loop nest in the
+interpreter's join order over the interpreter's indexes, adding one to a
+head row's count per derivation.
+
 For a view body ``A1, ..., An`` and a batch delta applied as deletions
 ``Δ⁻`` followed by insertions ``Δ⁺`` (three database states
 ``S0 --Δ⁻--> S1 --Δ⁺--> S2``), the signed count changes are the standard
@@ -21,7 +27,7 @@ delta rules, one per subgoal occurrence:
 
       A1@S1, ..., A(i-1)@S1,  Δ⁺Ai,  A(i+1)@S2, ..., An@S2
 
-Each rule is one run of the interpreter's join,
+Each rule is still one run of the interpreter's join,
 :func:`repro.engine.evaluate.join_subgoals`: the (small) delta tuples are
 the rows of its first subgoal, and every other subgoal reads its relation's
 state, probed through the base relation's incrementally-maintained hash
@@ -39,34 +45,21 @@ longer match the database).
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Any, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import MaterializationError
 from repro.datalog.atoms import Atom
 from repro.datalog.queries import ConjunctiveQuery
-from repro.datalog.terms import Constant, Term, Variable
+from repro.datalog.terms import Constant
 from repro.engine.database import Database
-from repro.engine.evaluate import (
-    EvaluationStatistics,
-    evaluate_substitutions,
-    join_subgoals,
-    order_subgoals,
-)
+from repro.engine.evaluate import EvaluationStatistics, join_subgoals, order_subgoals
 from repro.engine.relation import Relation
+from repro.exec.plan import derivation_counts
 from repro.materialize.delta import Delta, Row
 
 
 class CountInconsistencyError(MaterializationError):
     """A derivation count would go negative — tracked state is out of sync."""
-
-
-def derivation_counts(definition: ConjunctiveQuery, database: Database) -> Counter:
-    """Full derivation counts: output row -> number of satisfying assignments."""
-    counts: Counter = Counter()
-    head_args = definition.head.args
-    for binding in evaluate_substitutions(definition, database):
-        counts[_project_head(head_args, binding)] += 1
-    return counts
 
 
 def delta_counts(
@@ -211,16 +204,6 @@ class _VersionedStates:
         ]
 
 
-def _project_head(head_args: Sequence[Term], binding: Dict[Variable, Any]) -> Row:
-    row = []
-    for term in head_args:
-        if isinstance(term, Constant):
-            row.append(term.value)
-        else:
-            row.append(binding[term])
-    return tuple(row)
-
-
 def _count_rule(
     definition: ConjunctiveQuery,
     seed_index: int,
@@ -243,6 +226,6 @@ def _count_rule(
     )
     subgoals = [(seed, lambda positions, key: seeds)]
     subgoals += [(others[k][0], others[k][1].candidates) for k in order]
-    head_args = definition.head.args
+    head = definition.head.args
     for binding in join_subgoals(subgoals, definition.comparisons, EvaluationStatistics()):
-        changes[_project_head(head_args, binding)] += sign
+        changes[tuple(t.value if isinstance(t, Constant) else binding[t] for t in head)] += sign

@@ -23,7 +23,7 @@ from typing import Any, Dict, FrozenSet, Iterable, Mapping, Sequence, Tuple
 
 from repro.errors import SchemaError
 from repro.datalog.atoms import Atom
-from repro.datalog.parser import parse_database
+from repro.datalog.parser import parse_facts
 
 Row = Tuple[Any, ...]
 RowSets = Mapping[str, FrozenSet[Row]]
@@ -250,8 +250,6 @@ def parse_delta(text: str) -> Delta:
     row while the opposite order inserts it — the text reads as a change
     script, top to bottom.
     """
-    from repro.engine.database import term_to_value  # local import to avoid a cycle
-
     inserted: Dict[str, set] = {}
     removed: Dict[str, set] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -259,17 +257,14 @@ def parse_delta(text: str) -> Delta:
         if not line or line.startswith("#") or line.startswith("%"):
             continue
         if line.startswith("+"):
-            sign, later, earlier = "+", inserted, removed
+            later, earlier = inserted, removed
         elif line.startswith("-"):
-            sign, later, earlier = "-", removed, inserted
+            later, earlier = removed, inserted
         else:
             raise SchemaError(
                 f"delta line {lineno} must start with '+' or '-': {raw!r}"
             )
-        for atom in parse_database(line[1:].strip()):
-            if not atom.is_ground():
-                raise SchemaError(f"delta facts must be ground, got {atom}")
-            row = tuple(term_to_value(t) for t in atom.args)
-            earlier.get(atom.predicate, set()).discard(row)
-            later.setdefault(atom.predicate, set()).add(row)
+        for predicate, row in parse_facts(line[1:].strip()):
+            earlier.get(predicate, set()).discard(row)
+            later.setdefault(predicate, set()).add(row)
     return Delta(inserted=inserted, removed=removed)

@@ -2,8 +2,9 @@
 
 Each case regenerates one text and compares it with the checked-in copy:
 
-* ``benchmarks/golden/e{2,7,8,9,10}.txt`` — the tables of E2 (rewriting-length
-  bound), E7 (evaluation work, base relations vs views), E8 (comparison
+* ``benchmarks/golden/e{2,3,7,8,9,10}.txt`` — the tables of E2 (rewriting-length
+  bound), E3 (exhaustive-search candidates vs query size, without its timing
+  columns), E7 (evaluation work, base relations vs views), E8 (comparison
   predicates), E9 (certain answers) and E10 (MCD ablation, without its
   ``time (ms)`` column);
 * ``examples/data_integration.txt`` and ``examples/query_optimization.txt`` —
@@ -25,6 +26,7 @@ ROOT = Path(__file__).resolve().parents[2]
 
 TABLES = {
     "e2": "bench_e2_length_bound.py",
+    "e3": "bench_e3_np_scaling.py",
     "e7": "bench_e7_optimization.py",
     "e8": "bench_e8_comparisons.py",
     "e9": "bench_e9_certain_answers.py",
