@@ -69,9 +69,11 @@ from repro.engine.database import Database
 from repro.engine.evaluate import evaluate
 from repro.exec import CompiledExecutor
 from repro.materialize.changelog import ChangeLog
+from repro.materialize.compare import verify_extents
 from repro.materialize.delta import Delta, parse_delta
 from repro.materialize.store import MaterializedViewStore
 from repro.obs import Instrumentation, MetricsRegistry, Trace
+from repro.rewriting.certain import certain_answers
 from repro.rewriting.plans import Rewriting, RewritingKind, RewritingResult
 from repro.rewriting.rewriter import ALGORITHMS, MODES, rewrite
 from repro.service.cache import LRUCache
@@ -844,8 +846,6 @@ class Engine:
 
     def verify(self) -> list:
         """Cross-check maintained extents against full recomputation."""
-        from repro.materialize.compare import verify_extents
-
         self._require_database("verify view extents")
         return verify_extents(self._view_store())
 
@@ -1282,8 +1282,6 @@ class Engine:
         return (*texts, provenance)
 
     def _certain(self, prepared: PreparedQuery, method: str) -> Answer:
-        from repro.rewriting.certain import certain_answers
-
         started = time.perf_counter()
         self._remember(prepared)
         query = prepared.query

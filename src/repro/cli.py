@@ -566,10 +566,6 @@ def _command_experiments(args: argparse.Namespace, out) -> int:
     return 0
 
 
-#: ``repro.storage.BACKENDS``, spelled out: that package loads only with ``--storage``.
-BACKENDS = ("memory", "sqlite")
-
-
 def _add_storage_flags(parser: argparse.ArgumentParser, required: bool = False) -> None:
     parser.add_argument(
         "--storage", required=required, default=None, metavar="DIR",
@@ -577,7 +573,7 @@ def _add_storage_flags(parser: argparse.ArgumentParser, required: bool = False) 
              "recovers any existing state on startup",
     )
     parser.add_argument(
-        "--backend", choices=BACKENDS, default=None,
+        "--backend", default=None,
         help="where a fresh --storage directory keeps its base rows: memory "
              "(snapshots; default) or sqlite (a SQLite file); a directory "
              "holding state keeps its own, and naming the other is an error",

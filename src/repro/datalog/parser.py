@@ -16,12 +16,14 @@ Syntax
 
 Facts load by shape
 -------------------
-:func:`parse_facts` cuts the skeleton of a facts text (:func:`scan_literals`:
-``e1(0, 109). e1(4, -2).`` is ``e1(\\t, \\t). e1(\\t, \\t).``) at its
-periods, parses each distinct piece once, and fills the rows of every piece
-of that shape from the literal values: no token, term or atom is built per
-fact.  Shapes are remembered for one call, never process-wide.  A text the
-shapes cannot take whole goes to the full parser, whose errors it raises.
+:func:`parse_facts` cuts the skeleton of a facts text at its periods: that of
+:func:`scan_literals`, with each argument's symbolic constant also stood in
+by a placeholder (``e1(0, a). e1(-2, b).`` is ``e1(\\t, \\r). e1(\\t, \\r).``).
+It parses each distinct piece once, and fills the rows of every piece of
+that shape from the values: no token, term or atom is built per fact.
+Shapes are remembered for one call, never process-wide.  A text of a few
+facts, one whose pieces seldom repeat, or one the shapes cannot take whole
+goes to the full parser, whose errors it raises.
 
 Example
 -------
@@ -377,50 +379,67 @@ def _parse_facts(text: str) -> List[Atom]:
     return facts
 
 
-_PLACEHOLDER_RE = re.compile("[\t\n]")
+#: An argument's symbolic constant in a skeleton, or (``_VALUE_RE``) a placeholder.
+_SYMBOL = r"([(,] ?)([a-z][A-Za-z0-9_]*)(?= ?[,)])"
+_SYMBOL_RE = re.compile(_SYMBOL)
+_VALUE_RE = re.compile(rf"([\t\n])|{_SYMBOL}")
 
 
-def _shape(piece: str) -> Optional[Tuple[int, List[Tuple[str, Any]]]]:
-    """How many literal values a skeleton piece reads, and its facts: each a
-    predicate and, per argument, the index of the value it reads or
-    ``(constant,)`` -- None when it reads them all, in order.  None unless
-    the piece parses to facts.  Its literals parse as the strings ``"0"``,
-    ``"1"``, ...: no symbolic constant is all digits."""
+def _lift_symbols(skeleton: str, values: Tuple[Any, ...]) -> Tuple[str, Tuple[Any, ...]]:
+    """The skeleton with each argument's symbolic constant stood in by a
+    carriage return (never kept: whitespace), and every value in text order."""
+    literals, lifted = iter(values), []
+
+    def stand_in(match: "re.Match[str]") -> str:
+        if match.group(1):
+            lifted.append(next(literals))
+            return match.group(1)
+        lifted.append(match.group(3))
+        return match.group(2) + "\r"
+
+    return _VALUE_RE.sub(stand_in, skeleton), tuple(lifted)
+
+
+def _shape(piece: str) -> Optional[List[Tuple[str, int]]]:
+    """The facts of a skeleton piece as ``(predicate, arity)`` pairs, whose
+    arguments read its values in order; None unless it parses to facts that
+    way.  Its placeholders parse as the strings ``"0"``, ``"1"``, ..."""
     count = itertools.count()
     try:
-        atoms = _parse_facts(_PLACEHOLDER_RE.sub(lambda _: f'"{next(count)}"', piece))
+        atoms = _parse_facts(re.sub("[\t\n\r]", lambda _: f'"{next(count)}"', piece))
     except ParseError:
         return None
-    size, facts = next(count), []
-    for atom in atoms:
-        values = [term.value for term in atom.args]  # a fact's terms are constants
-        cells = tuple(int(v) if isinstance(v, str) and v.isdigit() else (v,) for v in values)
-        facts.append((atom.predicate, None if cells == tuple(range(size)) else cells))
-    return (size, facts) if facts else None
+    read = [term.value for atom in atoms for term in atom.args]
+    if not atoms or read != [str(index) for index in range(next(count))]:
+        return None
+    return [(atom.predicate, len(atom.args)) for atom in atoms]
 
 
 def parse_facts(text: str) -> List[Tuple[str, Tuple[Any, ...]]]:
     """The ground facts of ``text`` as ``(predicate, values)`` pairs, in text
-    order, loaded by shape (see the module docstring).  A text of one fact
-    (one period at most) parses faster whole."""
-    scanned = scan_literals(text) if text.count(".") > 1 else None
+    order, loaded by shape (see the module docstring).  A text of a few facts
+    (fewer than 8 periods) parses faster whole."""
+    scanned = scan_literals(text) if text.count(".") >= 8 else None
     if scanned is not None:
         skeleton, values = scanned
+        if _SYMBOL_RE.search(skeleton):
+            skeleton, values = _lift_symbols(skeleton, values)
         *pieces, last = skeleton.split(".")
         pieces += [last] if last.strip(" ") else []
         shapes: Dict[str, Any] = {}
         facts: List[Tuple[str, Tuple[Any, ...]]] = []
         at = 0
         for piece in pieces:
-            shape = shapes[piece] if piece in shapes else shapes.setdefault(piece, _shape(piece))
+            shape = shapes.get(piece)
             if shape is None:
-                break
-            mine, at = values[at : at + shape[0]], at + shape[0]
-            for predicate, cells in shape[1]:
-                row = mine
-                if cells is not None:  # symbolic constants, or several facts
-                    row = tuple(mine[c] if c.__class__ is int else c[0] for c in cells)
-                facts.append((predicate, row))
+                if len(shapes) > 16 + len(facts) // 2:  # pieces seldom repeat: parse whole
+                    break
+                shape = shapes[piece] = _shape(piece)
+                if shape is None:
+                    break
+            for predicate, arity in shape:
+                facts.append((predicate, values[at : at + arity]))
+                at += arity
         else:
             return facts
     return [(atom.predicate, tuple(t.value for t in atom.args)) for atom in _parse_facts(text)]

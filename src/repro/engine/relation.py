@@ -17,8 +17,6 @@ quadratic.
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import itemgetter
 from typing import (
     Any,
     Dict,
@@ -55,15 +53,12 @@ class Relation:
         self.name = name
         self.arity = arity
         #: Row-presence dict: live row tuple -> None (insertion-ordered).
-        self._rows: Dict[Tuple[Any, ...], None] = dict.fromkeys(map(tuple, tuples))
-        for row in self._rows:
-            if len(row) != arity:
-                raise SchemaError(
-                    f"relation {name} has arity {arity}, got tuple of length {len(row)}"
-                )
+        self._rows: Dict[Tuple[Any, ...], None] = {}
         # Lazily-built hash indexes keyed by column positions, maintained
         # incrementally by add/discard so deltas never force a rebuild.
         self._indexes: Dict[Tuple[int, ...], Dict[Tuple[Any, ...], Bucket]] = {}
+        for row in tuples:
+            self.add(row)
 
     # -- mutation --------------------------------------------------------------
     def add(self, row: Sequence[Any]) -> bool:
@@ -186,9 +181,8 @@ class Relation:
         index = self._indexes.get(key_positions)
         if index is None:
             index = {}
-            # Each row's key, column by column: tuples zipped in C.
-            columns = [map(itemgetter(p), self._rows) for p in key_positions]
-            for row, key in zip(self._rows, zip(*columns) if columns else repeat(())):
+            for row in self._rows:
+                key = tuple(row[p] for p in key_positions)
                 bucket = index.get(key)
                 if bucket is None:
                     index[key] = {row: None}

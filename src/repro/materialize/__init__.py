@@ -17,6 +17,7 @@ under data churn:
 """
 
 from repro.materialize.changelog import ChangeLog, ViewChange
+from repro.materialize.compare import assert_consistent, recomputed_extents, verify_extents
 from repro.materialize.counting import (
     CountInconsistencyError,
     apply_count_changes,
@@ -25,14 +26,6 @@ from repro.materialize.counting import (
 )
 from repro.materialize.delta import Delta, parse_delta
 from repro.materialize.store import MaterializedViewStore
-
-
-def __getattr__(name: str):  # the cross-checks load on first use
-    if name in ("assert_consistent", "recomputed_extents", "verify_extents"):
-        from repro.materialize import compare
-        return getattr(compare, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "ChangeLog",

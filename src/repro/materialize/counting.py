@@ -8,9 +8,7 @@ leaves the extent only when its last derivation disappears.
 
 The full counts (:func:`derivation_counts`, behind every materialization and
 recomputation) come from one generated kernel per view definition, written
-by :func:`repro.exec.plan.derivation_counts`: a loop nest in the
-interpreter's join order over the interpreter's indexes, adding one to a
-head row's count per derivation.
+by :func:`repro.exec.plan.derivation_counts`.
 
 For a view body ``A1, ..., An`` and a batch delta applied as deletions
 ``Δ⁻`` followed by insertions ``Δ⁺`` (three database states

@@ -22,52 +22,20 @@ rewriting is only reported as *complete* when the expansion of the rewriting
 is provably equivalent to the query.
 """
 
-import importlib
-import sys
-import types
-
 from repro.rewriting.plans import Rewriting, RewritingKind, RewritingResult
 from repro.rewriting.expansion import expand_atom, expand_query, expand_rewriting
 from repro.rewriting.verify import is_complete_rewriting, is_contained_rewriting
 from repro.rewriting.candidates import candidate_view_atoms
+from repro.rewriting.exhaustive import ExhaustiveRewriter
+from repro.rewriting.bucket import Bucket, BucketRewriter
 from repro.rewriting.minicon import MCD, MiniConRewriter
+from repro.rewriting.inverse_rules import InverseRulesRewriter, inverse_rules
+from repro.rewriting.contained import maximally_contained_rewriting
+from repro.rewriting.certain import certain_answers
+from repro.rewriting.usability import view_is_relevant, view_is_usable, view_is_useful
+from repro.rewriting.partial import partial_rewritings
+from repro.rewriting.optimizer import OptimizationResult, PlanChoice, choose_best_plan, enumerate_plans
 from repro.rewriting.rewriter import rewrite
-
-#: The names whose modules load on first use, by module: a server rewriting
-#: with MiniCon never runs them.
-_LAZY = {
-    "bucket": ("Bucket", "BucketRewriter"),
-    "exhaustive": ("ExhaustiveRewriter",),
-    "inverse_rules": ("InverseRulesRewriter", "inverse_rules"),
-    "contained": ("maximally_contained_rewriting",),
-    "partial": ("partial_rewritings",),
-    "certain": ("certain_answers",),
-    "usability": ("view_is_relevant", "view_is_usable", "view_is_useful"),
-    "optimizer": ("OptimizationResult", "PlanChoice", "choose_best_plan", "enumerate_plans"),
-}
-
-
-def __getattr__(name: str):
-    home = next((module for module, names in _LAZY.items() if name in names), None)
-    if home is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f"{__name__}.{home}")
-    globals().update((lazy, getattr(module, lazy)) for lazy in _LAZY[home])
-    return globals()[name]
-
-
-class _Package(types.ModuleType):
-    """This package, whose name ``inverse_rules`` is the function: the import
-    system, which binds each submodule it loads on its package, does not
-    bind that one."""
-
-    def __setattr__(self, name: str, value) -> None:
-        if not (name == "inverse_rules" and isinstance(value, types.ModuleType)):
-            super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package
-
 
 __all__ = [
     "Bucket",

@@ -8,7 +8,12 @@ from typing import Callable, Iterable, Optional, Union
 from repro.errors import RewritingError
 from repro.datalog.queries import ConjunctiveQuery
 from repro.datalog.views import View, ViewSet
+from repro.rewriting.bucket import BucketRewriter
+from repro.rewriting.contained import _union_of_contained
+from repro.rewriting.exhaustive import ExhaustiveRewriter
+from repro.rewriting.inverse_rules import InverseRulesRewriter
 from repro.rewriting.minicon import MiniConRewriter
+from repro.rewriting.partial import partial_rewritings
 from repro.rewriting.plans import Rewriting, RewritingKind, RewritingResult
 
 #: Algorithms accepted by :func:`rewrite`.
@@ -25,22 +30,16 @@ CandidateFilter = Callable[[ConjunctiveQuery, View], bool]
 def _make_rewriter(
     algorithm: str, views: ViewSet, candidate_filter: Optional[CandidateFilter] = None
 ):
-    # Only MiniCon, the served algorithm, loads with this module; the others
-    # load on first use.
-    from repro import rewriting
-
     if algorithm == "exhaustive":
-        return rewriting.ExhaustiveRewriter(
-            views, find_all=False, candidate_filter=candidate_filter
-        )
+        return ExhaustiveRewriter(views, find_all=False, candidate_filter=candidate_filter)
     if algorithm == "bucket":
-        return rewriting.BucketRewriter(views, candidate_filter=candidate_filter)
+        return BucketRewriter(views, candidate_filter=candidate_filter)
     if algorithm == "minicon":
         return MiniConRewriter(views, candidate_filter=candidate_filter)
     if algorithm == "inverse-rules":
         # Inverse rules range over every view by construction; there is
         # nothing to prune per query.
-        return rewriting.InverseRulesRewriter(views)
+        return InverseRulesRewriter(views)
     raise RewritingError(
         f"unknown algorithm {algorithm!r}; expected one of {', '.join(ALGORITHMS)}"
     )
@@ -85,8 +84,6 @@ def rewrite(
     started = time.perf_counter()
 
     if mode == "partial":
-        from repro.rewriting.partial import partial_rewritings
-
         result = RewritingResult(query=query, views=view_set, algorithm="minicon-partial")
         result.rewritings = partial_rewritings(query, view_set)
         result.elapsed = time.perf_counter() - started
@@ -100,8 +97,6 @@ def rewrite(
             r for r in result.rewritings if r.kind is RewritingKind.EQUIVALENT
         ]
     elif mode == "maximally-contained" and algorithm in ("bucket", "minicon"):
-        from repro.rewriting.contained import _union_of_contained
-
         union = _union_of_contained(result, algorithm)
         if union is not None:
             result.rewritings.append(union)

@@ -16,7 +16,8 @@ import pytest
 
 from repro.errors import ParseError, ReproError, SchemaError
 from repro.api.engine import as_database
-from repro.datalog.parser import _parse_facts, parse_database, parse_facts
+from repro.datalog import parser
+from repro.datalog.parser import _parse_facts, _shape as shape, parse_database, parse_facts
 from repro.engine.database import Database
 from repro.materialize.delta import parse_delta
 
@@ -37,22 +38,23 @@ string_bodies = st.lists(
     max_size=4,
 ).map("".join)
 strings = st.builds(lambda body, quote: f"{quote}{body}{quote}", string_bodies, st.sampled_from("'\""))
-arguments = st.one_of(integers, floats, strings, identifiers)
-
-
-@st.composite
-def facts(draw) -> str:
-    predicate = draw(st.sampled_from(["r", "s", "edge", "e1"]))
-    comma = draw(st.sampled_from([", ", ",", " , "]))
-    return f"{predicate}({comma.join(draw(st.lists(arguments, max_size=3)))})"
+shapes = st.tuples(
+    st.sampled_from(["r", "s", "edge", "e1"]),
+    st.sampled_from([", ", ",", " , "]),
+    st.lists(st.sampled_from([integers, floats, strings, identifiers]), max_size=3),
+)
 
 
 @st.composite
 def fact_texts(draw) -> str:
-    """Facts with comments, line breaks or nothing between them, and an
-    optional final period."""
+    """Facts of a few shapes, with comments, line breaks or nothing between
+    them, and an optional final period."""
+    pool = draw(st.lists(shapes, min_size=1, max_size=4))
     separators = st.sampled_from([".\n", ". ", ".", ". % a note\n", ".\n# 'quoted' . (\n", " .\n", " "])
-    text = "".join(draw(facts()) + draw(separators) for _ in range(draw(st.integers(0, 6))))
+    text = ""
+    for _ in range(draw(st.integers(0, 24))):
+        predicate, comma, kinds = draw(st.sampled_from(pool))
+        text += f"{predicate}({comma.join(draw(kind) for kind in kinds)})" + draw(separators)
     return text + draw(st.sampled_from(["", "r(1)", "r(1).", "% trailing"]))
 
 
@@ -74,6 +76,10 @@ def shape_rows(text):
     return [(predicate, typed(row)) for predicate, row in parse_facts(text)]
 
 
+def full_facts(text):
+    return [(atom.predicate, tuple(term.value for term in atom.args)) for atom in _parse_facts(text)]
+
+
 def full_rows(text):
     return [(atom.predicate, typed(term.value for term in atom.args)) for atom in _parse_facts(text)]
 
@@ -82,8 +88,16 @@ def atoms(parse):
     return lambda text: [(atom.predicate, typed(t.value for t in atom.args)) for atom in parse(text)]
 
 
+def unsigned_zeros(row):
+    """A sort key blind to the sign of zero, as row equality is."""
+    return repr([(kind, value + 0.0 if kind is float else value) for kind, value in row])
+
+
 def relations(database):
-    return {name: sorted(map(typed, database.tuples(name)), key=repr) for name in database.relation_names()}
+    return {
+        name: sorted(map(typed, database.tuples(name)), key=unsigned_zeros)
+        for name in database.relation_names()
+    }
 
 
 def full_database(text):
@@ -116,8 +130,31 @@ class TestDifferential:
         assert outcome(shape_database, damaged) == outcome(full_database, damaged)
 
     def test_symbolic_constants_and_several_facts_in_a_piece(self):
-        assert parse_facts("r(1, a). r(2, a) s() t(b, 3, 'x'). r(3, b).") == [
+        text = "r(1, a). r(2, a) s() t(b, 3, 'x'). r(3, b)." * 2
+        assert parse_facts(text) == [
             ("r", (1, "a")), ("r", (2, "a")), ("s", ()), ("t", ("b", 3, "x")), ("r", (3, "b"))
+        ] * 2
+
+    def test_symbolic_constants_share_a_shape(self, monkeypatch):
+        parsed = []
+        monkeypatch.setattr(parser, "_shape", lambda piece: parsed.append(piece) or shape(piece))
+        text = " ".join(f"cites(a{i}, b{i % 7}). cites(c, '{i}')." for i in range(20))
+        assert parse_facts(text) == full_facts(text)
+        # The first piece is the only one without a leading space.
+        assert parsed == ["cites(\r, \r)", " cites(\r, \n)", " cites(\r, \r)"]
+
+    def test_a_text_whose_pieces_seldom_repeat_parses_whole(self, monkeypatch):
+        parsed = []
+        monkeypatch.setattr(parser, "_shape", lambda piece: parsed.append(piece) or shape(piece))
+        text = " ".join(f"p{i}(a, {i})." for i in range(60))
+        assert parse_facts(text) == full_facts(text)
+        # It gives up once its shapes outnumber 16 plus half its facts.
+        assert len(parsed) == 33
+
+    def test_a_text_of_a_few_facts_parses_whole(self, monkeypatch):
+        monkeypatch.setattr(parser, "_shape", None)
+        assert parse_facts("r(1). r(2) s(a). s(b, 'x').") == [
+            ("r", (1,)), ("r", (2,)), ("s", ("a",)), ("s", ("b", "x"))
         ]
 
 

@@ -1,11 +1,12 @@
-"""The memory-only serve path imports only what it runs.
+"""The memory-only serve path leaves storage, batch and the experiments unloaded.
 
 A server restarted without ``--storage`` answers no query before its modules
-are compiled, so what ``repro serve`` imports is part of its time to a first
+are loaded, so what ``repro serve`` imports is part of its time to a first
 reply.  One fresh interpreter builds ``serve``'s engine through
 :mod:`repro.cli`, answers a query, and reports which of the modules that path
-never calls were loaded; then it loads them by their public names, which must
-work as before.
+never calls were loaded; then it runs the verbs that do call them, which must
+work as before.  (The rewriting algorithms load with :mod:`repro.rewriting`,
+served or not.)
 """
 
 import json
@@ -14,9 +15,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import repro.cli
-from repro.storage import BACKENDS
-
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 NOT_ON_THE_SERVE_PATH = [
@@ -24,62 +22,58 @@ NOT_ON_THE_SERVE_PATH = [
     "sqlite3",
     "repro.experiments",
     "repro.workloads",
-    "repro.rewriting.bucket",
-    "repro.rewriting.exhaustive",
-    "repro.rewriting.inverse_rules",
-    "repro.rewriting.certain",
-    "repro.rewriting.optimizer",
     "repro.service.batch",
 ]
 
 SCRIPT = """
-import json, sys
-from repro.cli import _engine_for, build_parser
+import io, json, sys
+from repro.cli import _engine_for, build_parser, main
 
 views = "v_rs(A, B) :- r(A, C), s(C, B).  v_s(A, B) :- s(A, B)."
 facts = "r(1, 2). r(2, 3). s(2, 5). s(3, 'x')."
 query = "q(X, Z) :- r(X, Y), s(Y, Z), X != 9."
 args = build_parser().parse_args(["serve", "--views", views, "--database", facts])
-rows = sorted(_engine_for(args).query(query).answers().rows, key=repr)
+engine = _engine_for(args)
+rows = sorted(engine.query(query).answers().rows, key=repr)
 loaded = [name for name in json.loads(sys.argv[1]) if name in sys.modules]
 
 import repro
-import repro.rewriting
-from repro.rewriting.inverse_rules import DatalogProgram  # the module loads first, by its path
-from repro.rewriting import inverse_rules
 from repro.rewriting import BucketRewriter, certain_answers, choose_best_plan
 bucket = repro.connect(views=views, data=facts, algorithm="bucket").query(query).answers()
+durable = repro.connect(views=views, data=facts, storage=sys.argv[2])
+batch = engine.batch([query])
+listing = io.StringIO()
+main(["experiments"], out=listing)
 print(json.dumps({
     "rows": rows,
     "loaded": loaded,
-    "bucket_rows": sorted(bucket.rows, key=repr),
-    "bucket_source": bucket.provenance.source,
     "names": [BucketRewriter.__name__, certain_answers.__name__, choose_best_plan.__name__],
-    "inverse_rules": [inverse_rules.__name__, callable(repro.rewriting.inverse_rules)],
+    "bucket_rows": sorted(bucket.rows, key=repr),
+    "durable_rows": sorted(durable.query(query).answers().rows, key=repr),
+    "batch": [batch.requests, batch.errors],
+    "experiments": listing.getvalue().split()[0],
 }))
+durable.close()
 """
 
 
-def test_the_memory_only_serve_path_leaves_the_other_modules_unloaded():
+def test_the_memory_only_serve_path_leaves_the_other_modules_unloaded(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    # Development mode, every warning an error: lazy loads and generated
-    # kernels warn about nothing.
+    # Development mode, every warning an error: imports inside the verbs and
+    # generated kernels warn about nothing.
     result = subprocess.run(
-        [sys.executable, "-X", "dev", "-W", "error", "-c", SCRIPT, json.dumps(NOT_ON_THE_SERVE_PATH)],
+        [
+            sys.executable, "-X", "dev", "-W", "error", "-c", SCRIPT,
+            json.dumps(NOT_ON_THE_SERVE_PATH), str(tmp_path / "state"),
+        ],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     report = json.loads(result.stdout)
     assert report["rows"] == [[1, 5], [2, "x"]]
     assert report["loaded"] == []
-    # Loaded on first use, through the names they always had.
+    # Loaded when a verb needs them, through the names they always had.
     assert report["names"] == ["BucketRewriter", "certain_answers", "choose_best_plan"]
-    assert report["inverse_rules"] == ["inverse_rules", True]
     assert report["bucket_rows"] == [[1, 5], [2, "x"]]
-    assert report["bucket_source"] == "views"
-
-
-def test_the_backend_choices_are_the_storage_backends():
-    parser = repro.cli.build_parser()
-    serve = parser._subparsers._group_actions[0].choices["serve"]
-    backend = next(action for action in serve._actions if action.dest == "backend")
-    assert tuple(backend.choices) == BACKENDS == repro.cli.BACKENDS
+    assert report["durable_rows"] == [[1, 5], [2, "x"]]
+    assert report["batch"] == [1, 0]
+    assert report["experiments"] == "E1"
