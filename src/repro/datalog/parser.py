@@ -34,7 +34,6 @@ Example
 
 from __future__ import annotations
 
-import itertools
 import re
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -402,17 +401,13 @@ def _lift_symbols(skeleton: str, values: Tuple[Any, ...]) -> Tuple[str, Tuple[An
 
 def _shape(piece: str) -> Optional[List[Tuple[str, int]]]:
     """The facts of a skeleton piece as ``(predicate, arity)`` pairs, whose
-    arguments read its values in order; None unless it parses to facts that
-    way.  Its placeholders parse as the strings ``"0"``, ``"1"``, ..."""
-    count = itertools.count()
+    arguments read its values in order (after lifting, every argument is a
+    placeholder); None unless it parses to facts."""
     try:
-        atoms = _parse_facts(re.sub("[\t\n\r]", lambda _: f'"{next(count)}"', piece))
+        atoms = _parse_facts(re.sub("[\t\n\r]", "''", piece))
     except ParseError:
         return None
-    read = [term.value for atom in atoms for term in atom.args]
-    if not atoms or read != [str(index) for index in range(next(count))]:
-        return None
-    return [(atom.predicate, len(atom.args)) for atom in atoms]
+    return [(atom.predicate, len(atom.args)) for atom in atoms] or None
 
 
 def parse_facts(text: str) -> List[Tuple[str, Tuple[Any, ...]]]:

@@ -53,12 +53,15 @@ class Relation:
         self.name = name
         self.arity = arity
         #: Row-presence dict: live row tuple -> None (insertion-ordered).
-        self._rows: Dict[Tuple[Any, ...], None] = {}
+        self._rows: Dict[Tuple[Any, ...], None] = dict.fromkeys(map(tuple, tuples))
+        for row in self._rows:
+            if len(row) != arity:
+                raise SchemaError(
+                    f"relation {name} has arity {arity}, got tuple of length {len(row)}"
+                )
         # Lazily-built hash indexes keyed by column positions, maintained
         # incrementally by add/discard so deltas never force a rebuild.
         self._indexes: Dict[Tuple[int, ...], Dict[Tuple[Any, ...], Bucket]] = {}
-        for row in tuples:
-            self.add(row)
 
     # -- mutation --------------------------------------------------------------
     def add(self, row: Sequence[Any]) -> bool:
@@ -145,7 +148,9 @@ class Relation:
 
     # -- relational helpers -------------------------------------------------------
     def copy(self) -> "Relation":
-        return Relation(self.name, self.arity, self._rows)
+        twin = Relation(self.name, self.arity)
+        twin._rows = dict(self._rows)  # checked rows: copied, not re-added
+        return twin
 
     def column_values(self, position: int) -> Set[Any]:
         """Distinct values appearing in one column."""

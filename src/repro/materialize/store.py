@@ -30,6 +30,7 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 from repro.errors import MaterializationError
 from repro.datalog.views import View, ViewSet
 from repro.engine.database import Database
+from repro.engine.relation import Relation
 from repro.materialize.changelog import (
     STRATEGY_INCREMENTAL,
     STRATEGY_RECOMPUTE,
@@ -151,11 +152,14 @@ class MaterializedViewStore:
         old_rows = self._instance.tuples(view.name)
         new_rows = frozenset(counts)
         self._instance.ensure_relation(view.name, view.arity)
+        self._counts[view.name] = counts
+        if not old_rows:  # a first extent: one relation, built whole
+            self._instance.add_relation(Relation(view.name, view.arity, counts))
+            return new_rows, old_rows
         for row in old_rows - new_rows:
             self._instance.remove_fact(view.name, row)
         for row in new_rows - old_rows:
             self._instance.add_fact(view.name, row)
-        self._counts[view.name] = counts
         return new_rows - old_rows, old_rows - new_rows
 
     # -- incremental maintenance -----------------------------------------------------
