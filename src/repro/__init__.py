@@ -76,7 +76,7 @@ from repro.datalog import (
 from repro.materialize import Delta, parse_delta
 from repro.api import Answer, Engine, Explanation, PreparedQuery, connect
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "Answer",

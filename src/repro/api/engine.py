@@ -136,7 +136,6 @@ def connect(
     mode: str = "equivalent",
     cache_size: int = 512,
     observability: bool = True,
-    backend: Optional[str] = None,
     storage: Optional[str] = None,
     wal: "None | bool | str" = None,
     snapshot: Optional[int] = None,
@@ -174,20 +173,12 @@ def connect(
         histograms, cache-event counters and request traces, readable via
         :meth:`Engine.metrics` (Prometheus text) and :meth:`Engine.trace`.
         Pass False for a bare engine with zero instrumentation overhead.
-    backend:
-        Where a fresh storage directory keeps its base rows between
-        restarts: ``"memory"`` (snapshots; the default) or ``"sqlite"``
-        (a SQLite file written on every applied delta).  A directory holding
-        state keeps its own backend: ``None`` accepts it, naming the other
-        raises.  Queries always run over the in-memory database.  Requires
-        ``storage``.
     storage:
         A durable storage directory (created if absent): the write-ahead
-        log, snapshots and (for the sqlite backend) the base rows live
-        there.  A fresh directory ingests ``data`` — the engine keeps that
-        very database; a directory holding prior state is *recovered* —
-        pass no ``data`` then — and the :attr:`Engine.recovery_report`
-        says what happened.
+        log and the snapshots live there.  A fresh directory ingests
+        ``data`` — the engine keeps that very database; a directory holding
+        prior state is *recovered* — pass no ``data`` then — and the
+        :attr:`Engine.recovery_report` says what happened.
     wal:
         The WAL fsync policy for a durable directory: True / ``"always"``
         syncs every append, ``"batch"`` (the default) syncs per flush,
@@ -201,13 +192,13 @@ def connect(
     manager: Optional[StorageManager] = None
     recovery: Optional[RecoveryResult] = None
     if storage is None:
-        for name, value in (("backend", backend), ("wal", wal), ("snapshot", snapshot)):
+        for name, value in (("wal", wal), ("snapshot", snapshot)):
             if value is not None:
                 raise StorageError(f"{name}= requires a storage directory (storage=...)")
     else:
         from repro.storage import StorageManager
 
-        manager = StorageManager(storage, backend=backend, fsync=_fsync_policy(wal))
+        manager = StorageManager(storage, fsync=_fsync_policy(wal))
     try:
         if manager is not None:
             if manager.has_state:
@@ -460,8 +451,8 @@ class Engine:
             )
             store_restored = self._store.restored_views > 0 or not len(self.views)
         for record in recovery.tail:
-            log = self._maintain(parse_delta(record.payload))
-            self._storage.mark_applied(record.seq, log.delta)
+            self._maintain(parse_delta(record.payload))
+            self._storage.mark_applied(record.seq)
         report = dict(recovery.report)
         report["store_restored"] = store_restored
         report["replayed"] = len(recovery.tail)
@@ -531,13 +522,12 @@ class Engine:
                 delta = parse_delta(delta)
             database = self._require_database("apply a delta")
             if self._storage is not None:
-                # The durable protocol: journal first, apply second, write
-                # the base rows and move the applied-watermark last.  Replay
-                # is idempotent, so a crash between any two steps recovers
-                # exactly.
+                # The durable protocol: journal first, apply second, move
+                # the applied-watermark last.  Replay is idempotent, so a
+                # crash between any two steps recovers exactly.
                 seq = self._storage.journal(delta, database.version)
                 log = self._maintain(delta)
-                self._storage.mark_applied(seq, log.delta)
+                self._storage.mark_applied(seq)
             else:
                 log = self._maintain(delta)
         self.deltas_applied += 1
@@ -738,7 +728,7 @@ class Engine:
         return {"relations": self.database.storage_stats()}
 
     def storage_status(self) -> Optional[Dict[str, Any]]:
-        """Durability health: backend, WAL position/lag, snapshot freshness.
+        """Durability health: WAL position/lag, snapshot freshness.
 
         None for an engine with no storage directory; the server's
         ``/healthz`` embeds this when present.
@@ -872,7 +862,7 @@ class Engine:
         """Drop every cache and materialization; flush and close storage.
 
         Without storage the engine stays usable afterwards (the caches
-        rebuild); with a storage directory the WAL and backend are closed,
+        rebuild); with a storage directory the WAL is closed,
         so further :meth:`apply` calls raise :class:`StorageError`.
         """
         self.invalidate()

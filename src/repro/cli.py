@@ -154,8 +154,6 @@ def _engine_for(args: argparse.Namespace, **overrides):
         "mode": getattr(args, "mode", "equivalent"),
         "cache_size": getattr(args, "cache_size", 512),
     }
-    if getattr(args, "backend", None):
-        options["backend"] = args.backend
     if getattr(args, "storage", None):
         options["storage"] = args.storage
         if getattr(args, "wal", None):
@@ -474,15 +472,9 @@ def _command_restore(args: argparse.Namespace, out) -> int:
             print("# nothing to recover: the storage directory was fresh", file=out)
         else:
             snapshot = report.get("snapshot")
-            if snapshot:
-                base = f"snapshot seq {snapshot['seq']}"
-            elif report.get("backend") == "sqlite":
-                base = f"sqlite base store at seq {report['base_seq']}"
-            else:
-                base = "empty state"
+            base = f"snapshot seq {snapshot['seq']}" if snapshot else "empty state"
             print(
-                f"# recovered from {base} + {report['replayed']} WAL record(s) "
-                f"(backend: {report['backend']})",
+                f"# recovered from {base} + {report['replayed']} WAL record(s)",
                 file=out,
             )
             for skipped in report.get("snapshots_skipped", ()):
@@ -571,12 +563,6 @@ def _add_storage_flags(parser: argparse.ArgumentParser, required: bool = False) 
         "--storage", required=required, default=None, metavar="DIR",
         help="persistent storage directory (write-ahead log + snapshots); "
              "recovers any existing state on startup",
-    )
-    parser.add_argument(
-        "--backend", default=None,
-        help="where a fresh --storage directory keeps its base rows: memory "
-             "(snapshots; default) or sqlite (a SQLite file); a directory "
-             "holding state keeps its own, and naming the other is an error",
     )
     parser.add_argument(
         "--wal", choices=["always", "batch", "none"], default=None,

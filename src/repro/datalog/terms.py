@@ -112,6 +112,7 @@ class Constant(Term):
 
     # Keyed by (type, value): Constant(1), Constant(1.0) and Constant(True)
     # compare equal but print differently, so they must stay distinct objects.
+    # A float zero is never interned: 0.0 == -0.0 would key them together.
     _interned: Dict[Tuple[type, ConstantValue], "Constant"] = {}
 
     def __new__(cls, value: ConstantValue = ""):
@@ -138,7 +139,11 @@ class Constant(Term):
         # hash(1) == hash(1.0) == hash(True), so equal constants (numbers
         # compare numerically) still hash identically after precomputation.
         object.__setattr__(self, "_hash", hash(("const", value)))
-        if type(self) is Constant and len(Constant._interned) < _INTERN_LIMIT:
+        if (
+            type(self) is Constant
+            and len(Constant._interned) < _INTERN_LIMIT
+            and not (value == 0 and value.__class__ is float)
+        ):
             Constant._interned[(value.__class__, value)] = self
 
     def __setattr__(self, key: str, value: Any) -> None:  # pragma: no cover

@@ -109,8 +109,8 @@ class ConstraintViolationError(ReproError):
 class StorageError(ReproError):
     """Raised by the persistence layer (:mod:`repro.storage`).
 
-    Covers backend failures (unsupported values or relation names, closed
-    backends), write-ahead-log problems and snapshot problems.  The two
+    Covers unusable storage directories and options, a closed manager,
+    write-ahead-log problems and snapshot problems.  The two
     recovery-relevant corruption cases carry their own subclasses below so
     callers can distinguish "repairable tail damage" from "unusable file".
     """

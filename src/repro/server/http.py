@@ -317,7 +317,7 @@ class ReproServer:
         with self._engine_lock:
             storage = self._engine.storage_status()
         if storage is not None:
-            # Durable engines surface backend identity and WAL lag so load
+            # Durable engines surface their WAL position and lag so load
             # balancers can see an unsynced or recovering replica.
             body["storage"] = storage
         return _json_bytes(body)

@@ -6,12 +6,9 @@ The persistence subsystem under the engine facade:
   (``WriteAheadLog``; :func:`read_wal` reads a log file front to back, as
   ``repro replay`` does);
 * :mod:`repro.storage.snapshot` — ``write_snapshot`` / ``read_snapshot``;
-* the :class:`StorageManager`, which ties journal + checkpoints + base
-  store into restart-replay recovery.  It is the only code that knows where
-  base rows persist between restarts: a snapshot (the ``memory`` backend)
-  or a SQLite file it writes each applied delta to (the ``sqlite``
-  backend, :class:`~repro.storage.sqlite.SQLiteBackend`).  The engine
-  always holds a plain :class:`~repro.engine.database.Database`.
+* the :class:`StorageManager`, which ties journal + checkpoints into
+  restart-replay recovery: the newest readable snapshot plus the WAL tail.
+  The engine always holds a plain :class:`~repro.engine.database.Database`.
 
 Quickstart::
 
@@ -26,15 +23,14 @@ Quickstart::
     engine = repro.connect(views=VIEWS, storage="state.d")   # restart: replays
     engine.recovery_report                                   # what happened
 
-``backend=`` on :func:`repro.connect` picks the backend of a fresh storage
-directory (``memory`` when omitted); a directory holding state keeps its
-own.  See ``docs/persistence.md`` for the WAL format, fsync policies and
+``snapshot=`` bounds how much of the log a restart replays.  See
+``docs/persistence.md`` for the WAL format, fsync policies and
 recovery semantics.
 """
 
 from __future__ import annotations
 
-from repro.storage.manager import BACKENDS, RecoveryResult, StorageManager
+from repro.storage.manager import RecoveryResult, StorageManager
 from repro.storage.wal import read_wal
 
-__all__ = ["BACKENDS", "RecoveryResult", "StorageManager", "read_wal"]
+__all__ = ["RecoveryResult", "StorageManager", "read_wal"]

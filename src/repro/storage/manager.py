@@ -1,29 +1,15 @@
-"""The :class:`StorageManager`: one durable directory = WAL + snapshots + base store.
+"""The :class:`StorageManager`: one durable directory = WAL + snapshots.
 
 Directory layout::
 
     <dir>/wal.log                  the write-ahead delta log
-    <dir>/data.sqlite              base rows (sqlite backend only)
     <dir>/snapshot-<seq>.snap      checkpoints (latest kept, older pruned)
 
-The manager is the only code that knows where base rows persist: the engine
-always holds a plain :class:`~repro.engine.database.Database`, and the
-manager writes and reads back its base image.  Recovered state is always
-*base state as of* ``base_seq`` *plus the WAL tail* ``seq > base_seq``:
-
-* **memory backend** — the base is the newest readable snapshot
-  (``base_seq`` = its WAL sequence number, 0 when none exists: full replay
-  from an empty database);
-* **sqlite backend** — the base is the sqlite file, read eagerly.  Each
-  applied delta's rows and ``applied_seq`` commit in one transaction, so the
-  file always holds exactly the state as of its ``applied_seq``; a snapshot
-  then only contributes the materialized-view store's counters, and only
-  when its sequence number matches (otherwise the store recomputes from the
-  recovered base — the existing self-heal path).
-
-A directory that holds state keeps the backend it was created with: naming
-the other one raises :class:`~repro.errors.StorageError` before anything is
-written, and naming none accepts whichever it holds.
+The engine always holds a plain :class:`~repro.engine.database.Database`;
+the manager journals its deltas and checkpoints its image.  Recovery has one
+rule: the newest readable snapshot (``base_seq`` = its WAL sequence number,
+0 when none exists: full replay from an empty database) plus the WAL tail
+``seq > base_seq``.  ``snapshot=`` on :func:`repro.connect` bounds the tail.
 
 Deltas are idempotent under set semantics, so at-least-once replay of the
 tail is safe across every crash window (journaled-but-unapplied,
@@ -31,18 +17,21 @@ applied-but-unmarked, marked-but-unsnapshotted).  Unreadable snapshots are
 skipped oldest-ward and the log replays from further back — corruption
 degrades recovery time, never correctness.
 
+A directory holding ``data.sqlite``, the base store of repro 2.x's removed
+SQLite backend, is refused before anything is written to it.
+
 The *durable apply* protocol (driven by ``Engine.apply``) is::
 
     seq = manager.journal(delta)         # WAL first
-    log = <maintain the views>           # then the engine
-    manager.mark_applied(seq, log.delta) # then base rows + watermark (sqlite)
+    <maintain the views>                 # then the engine
+    manager.mark_applied(seq)            # then the watermark
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import SnapshotError, StorageError
 from repro.engine.database import Database
@@ -52,17 +41,9 @@ from repro.storage.snapshot import (
     read_snapshot,
     write_snapshot,
 )
-from repro.storage.wal import MAGIC as WAL_MAGIC, WalRecord, WalReplayReport, WriteAheadLog
-
-if TYPE_CHECKING:
-    from repro.storage.sqlite import SQLiteBackend
+from repro.storage.wal import WalRecord, WriteAheadLog
 
 WAL_FILENAME = "wal.log"
-SQLITE_FILENAME = "data.sqlite"
-APPLIED_SEQ_KEY = "applied_seq"
-
-#: Where a durable directory can keep its base rows, in documentation order.
-BACKENDS = ("memory", "sqlite")
 
 
 @dataclass
@@ -86,10 +67,10 @@ class StorageManager:
     directory:
         The storage directory (created when absent).
     backend:
-        ``"memory"`` or ``"sqlite"`` — where base rows live between
-        checkpoints (see the module docs).  A directory holding state keeps
-        its own backend, and naming the other raises; None accepts it, and
-        means ``"memory"`` for a fresh directory.
+        Only None or ``"memory"``, the one format; any other value raises
+        :class:`~repro.errors.StorageError`.  The keyword is kept only for
+        the layer benchmark (``benchmarks/e2e/layers.py``), which passes
+        ``"memory"``.
     fsync:
         The WAL fsync policy (``always`` / ``batch`` / ``none``).
     """
@@ -100,32 +81,22 @@ class StorageManager:
         backend: Optional[str] = None,
         fsync: str = "batch",
     ):
-        if backend is not None and backend not in BACKENDS:
+        if backend not in (None, "memory"):
             raise StorageError(
-                f"unknown storage backend {backend!r} for a durable directory "
-                f"(choose from {', '.join(BACKENDS)})"
+                f"unknown storage backend {backend!r}: a durable directory "
+                "holds snapshots plus a write-ahead log, and takes no backend"
             )
         self._directory = str(directory)
-        self._sqlite_path = os.path.join(self._directory, SQLITE_FILENAME)
-        wal_path = os.path.join(self._directory, WAL_FILENAME)
-        existing = list_snapshots(self._directory)
-        # Which backend's state the directory holds, read from the files
-        # before anything is opened: a log holding bytes past its magic
-        # counts as state.
-        held = None
-        if os.path.exists(self._sqlite_path):
-            held = "sqlite"
-        elif existing or (
-            os.path.exists(wal_path) and os.path.getsize(wal_path) > len(WAL_MAGIC)
-        ):
-            held = "memory"
-        if backend is not None and held not in (None, backend):
+        legacy = os.path.join(self._directory, "data.sqlite")
+        if os.path.exists(legacy):
             raise StorageError(
-                f"storage directory {self._directory!r} holds {held} state; "
-                f"it cannot be reopened with backend {backend!r} (omit the "
-                "backend to use its own)"
+                f"storage directory {self._directory!r} holds {legacy!r}, the "
+                "base store of repro 2.x's removed SQLite backend; export its "
+                "facts with 2.x's `repro restore --storage DIR --output FACTS`, "
+                "then load them into a fresh directory (`--database FACTS "
+                "--storage NEW`)"
             )
-        self._backend_name = held or backend or "memory"
+        existing = list_snapshots(self._directory)
         self._closed = False
         os.makedirs(self._directory, exist_ok=True)
         # Observability hooks are late-bound (bind_metrics) because the
@@ -133,12 +104,11 @@ class StorageManager:
         self._append_hook: Optional[Callable[[float, int], None]] = None
         self._fsync_hook: Optional[Callable[[float], None]] = None
         self._wal = WriteAheadLog(
-            wal_path,
+            os.path.join(self._directory, WAL_FILENAME),
             fsync=fsync,
             on_append=self._on_append,
             on_fsync=self._on_fsync,
         )
-        self._base: Optional[SQLiteBackend] = None
         self._applied_seq = 0
         self._checkpoints = 0
         self._last_snapshot_seq: Optional[int] = None
@@ -191,10 +161,6 @@ class StorageManager:
         return self._directory
 
     @property
-    def backend_name(self) -> str:
-        return self._backend_name
-
-    @property
     def wal(self) -> WriteAheadLog:
         return self._wal
 
@@ -208,20 +174,9 @@ class StorageManager:
 
     @property
     def has_state(self) -> bool:
-        """Whether the directory holds WAL records, a snapshot or a sqlite base
-        store — state to recover, which fresh data must not overwrite."""
-        return bool(
-            self.last_seq
-            or self._last_snapshot_seq is not None
-            or os.path.exists(self._sqlite_path)
-        )
-
-    def _open_base(self) -> SQLiteBackend:
-        if self._base is None:
-            from repro.storage.sqlite import SQLiteBackend  # keep sqlite3 lazy
-
-            self._base = SQLiteBackend(self._sqlite_path)
-        return self._base
+        """Whether the directory holds WAL records or a snapshot — state to
+        recover, which fresh data must not overwrite."""
+        return bool(self.last_seq or self._last_snapshot_seq is not None)
 
     # -- recovery ----------------------------------------------------------------
     def recover(self) -> RecoveryResult:
@@ -234,41 +189,28 @@ class StorageManager:
                 break
             except SnapshotError as exc:
                 skipped.append({"path": path, "error": str(exc)})
-        if snapshot is None and skipped and self._backend_name == "memory":
-            # The memory backend's base *is* its snapshot: opening without
-            # one would silently drop every fact the WAL no longer holds.
+        if snapshot is None and skipped:
+            # The base *is* the snapshot: opening without one would silently
+            # drop every fact the WAL no longer holds.
             raise SnapshotError(
                 "no snapshot in storage directory "
                 f"{self._directory!r} is readable: "
                 + "; ".join(entry["error"] for entry in skipped)
                 + " (delete the unreadable snapshots to recover by full WAL replay)"
             )
-        store_state: Optional[Dict[str, Any]] = None
-        relations: Dict[str, Any] = {}
-        base_seq = 0
-        if self._backend_name == "sqlite":
-            base = self._open_base()
-            relations = {
-                name: (base.arity(name), base.scan(name))
-                for name in base.relation_names()
-            }
-            base_seq = int(base.get_meta(APPLIED_SEQ_KEY) or 0)
-            if snapshot is not None and snapshot.seq == base_seq:
-                store_state = snapshot.store_state
-        elif snapshot is not None:
-            relations = snapshot.relations
-            base_seq = snapshot.seq
-            store_state = snapshot.store_state
         database = Database()
-        for name, (arity, rows) in relations.items():
-            database.ensure_relation(name, arity).add_all(rows)
+        base_seq = 0
+        store_state: Optional[Dict[str, Any]] = None
+        if snapshot is not None:
+            for name, (arity, rows) in snapshot.relations.items():
+                database.ensure_relation(name, arity).add_all(rows)
+            base_seq, store_state = snapshot.seq, snapshot.store_state
 
         tail, wal_report = self._wal.replay(after_seq=base_seq)
         self._applied_seq = base_seq
         if getattr(self, "_replay_counter", None) is not None:
             self._replay_counter.inc(len(tail))
         report = {
-            "backend": self._backend_name,
             "base_seq": base_seq,
             "snapshot": None
             if snapshot is None
@@ -298,14 +240,9 @@ class StorageManager:
                 "recover it instead of loading fresh data (or point at a new "
                 "directory)"
             )
-        if self._backend_name == "sqlite":
-            base = self._open_base()
-            with base.transaction():
-                for relation in database:
-                    base.insert(relation.name, relation.arity, relation.tuples())
-        elif database.size():
-            # The memory backend's base is a snapshot: attached facts only
-            # survive a restart through one, so write the baseline now.
+        if database.size():
+            # The base is a snapshot: attached facts only survive a restart
+            # through one, so write the baseline now.
             self.checkpoint(database)
         return database
 
@@ -316,25 +253,9 @@ class StorageManager:
             raise StorageError("this storage manager is closed")
         return self._wal.append(delta.to_text(), db_version)
 
-    def mark_applied(self, seq: int, delta: Any = None) -> None:
-        """Record that everything up to ``seq`` is applied.
-
-        ``delta`` is the effective delta of record ``seq`` (None: no rows to
-        write).  The sqlite base store writes its rows and ``applied_seq`` in
-        one transaction; the memory backend's base only moves at a
-        checkpoint.
-        """
-        base = self._base
-        if base is not None:
-            with base.transaction():
-                if delta is not None:
-                    for name, rows in delta.removed.items():
-                        base.delete(name, rows)
-                    for name, rows in delta.inserted.items():
-                        if rows:
-                            base.insert(name, len(next(iter(rows))), rows)
-                base.set_meta(APPLIED_SEQ_KEY, str(seq))
-        # Only once the base holds it: a failed write leaves it in wal_lag.
+    def mark_applied(self, seq: int) -> None:
+        """Record that everything up to ``seq`` is applied; the base itself
+        only moves at a checkpoint."""
         self._applied_seq = seq
 
     def checkpoint(
@@ -371,8 +292,6 @@ class StorageManager:
             return
         self._closed = True
         self._wal.close()
-        if self._base is not None:
-            self._base.close()
 
     @property
     def closed(self) -> bool:
@@ -383,7 +302,6 @@ class StorageManager:
         """Health summary (the server's ``/healthz`` embeds this)."""
         return {
             "directory": self._directory,
-            "backend": self._backend_name,
             "wal": self._wal.stats(),
             "applied_seq": self._applied_seq,
             "wal_lag": max(0, self._wal.last_seq - self._applied_seq),

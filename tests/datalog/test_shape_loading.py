@@ -59,9 +59,9 @@ def fact_texts(draw) -> str:
 
 
 def typed(row):
-    """A row whose values keep their types: ``1``, ``1.0`` and ``True`` differ.
-    (``0.0`` and ``-0.0`` do not: interned constants do not tell them apart.)"""
-    return tuple((type(value), value) for value in row)
+    """A row whose values keep their types and spellings: ``1``, ``1.0`` and
+    ``True`` differ, and so do ``0.0`` and ``-0.0``."""
+    return tuple((type(value), value, repr(value)) for value in row)
 
 
 def outcome(load, text):
@@ -90,7 +90,7 @@ def atoms(parse):
 
 def unsigned_zeros(row):
     """A sort key blind to the sign of zero, as row equality is."""
-    return repr([(kind, value + 0.0 if kind is float else value) for kind, value in row])
+    return repr([(kind, value + 0.0 if kind is float else value) for kind, value, _ in row])
 
 
 def relations(database):
@@ -150,6 +150,11 @@ class TestDifferential:
         assert parse_facts(text) == full_facts(text)
         # It gives up once its shapes outnumber 16 plus half its facts.
         assert len(parsed) == 33
+
+    def test_a_negative_zero_leaves_other_zeros_alone(self):
+        parse_database("s(-0.0).")
+        assert repr(parse_database("r(0e3).")[0].args[0].value) == "0.0"
+        assert [repr(value) for (value,) in as_database("p(0.0).").tuples("p")] == ["0.0"]
 
     def test_a_text_of_a_few_facts_parses_whole(self, monkeypatch):
         monkeypatch.setattr(parser, "_shape", None)

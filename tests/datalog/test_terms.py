@@ -50,6 +50,13 @@ class TestConstant:
     def test_numbers_compare_numerically(self):
         assert Constant(1) == Constant(1.0)
 
+    def test_the_sign_of_zero_survives_interning(self):
+        # 0.0 == -0.0, so a cache keyed on the value alone hands back
+        # whichever zero it met first.
+        for _ in range(2):
+            assert repr(Constant(-0.0).value) == "-0.0"
+            assert repr(Constant(0.0).value) == "0.0"
+
     def test_constant_never_equals_variable(self):
         assert Constant("X") != Variable("X")
 

@@ -2,17 +2,15 @@
 
 Two invariants:
 
-1. **Durable churn** — random deltas applied through a durable engine on
-   either backend, whose writer is then abandoned as a crash would leave
-   it, recover to exactly the database a plain :class:`Database` reaches by
-   applying the same deltas; on the sqlite backend the base store's own
-   rows equal it too, at ``applied_seq == len(deltas)``.
+1. **Durable churn** — random deltas applied through a durable engine,
+   whose writer is then abandoned as a crash would leave it, recover to
+   exactly the database a plain :class:`Database` reaches by applying the
+   same deltas.
 2. **Delta text round-trip** — ``parse_delta(delta.to_text()) == delta``
    for deltas over nasty heterogeneous values (quotes, newlines, control
    characters, numerics that collide under Python equality).
 """
 
-import os
 import tempfile
 
 from hypothesis import HealthCheck, given, settings
@@ -20,9 +18,6 @@ from hypothesis import strategies as st
 
 from repro import connect
 from repro.materialize.delta import Delta, parse_delta
-from repro.storage import BACKENDS
-from repro.storage.manager import APPLIED_SEQ_KEY, SQLITE_FILENAME
-from repro.storage.sqlite import SQLiteBackend
 
 from tests.property.strategies import databases
 
@@ -56,31 +51,20 @@ class TestDurableChurn:
         expected = database.copy()
         for delta in deltas:
             expected.apply_delta(delta)
-        for backend in BACKENDS:
-            with tempfile.TemporaryDirectory() as storage:
-                writer = connect(
-                    views=CHURN_VIEWS, data=database.copy(), storage=storage,
-                    backend=backend, wal="none",
-                )
-                for delta in deltas:
-                    writer.apply(delta)
-                # No close yet: recovery reads what a crash would leave.
-                recovered = connect(views=CHURN_VIEWS, storage=storage)
-                try:
-                    assert recovered.database == expected
-                    assert recovered.verify() == []
-                finally:
-                    recovered.close()
-                    writer.close()
-                if backend == "sqlite":
-                    base = SQLiteBackend(os.path.join(storage, SQLITE_FILENAME))
-                    try:
-                        assert int(base.get_meta(APPLIED_SEQ_KEY) or 0) == len(deltas)
-                        names = set(base.relation_names()) | set(expected.relation_names())
-                        for name in names:
-                            assert frozenset(base.scan(name)) == expected.tuples(name)
-                    finally:
-                        base.close()
+        with tempfile.TemporaryDirectory() as storage:
+            writer = connect(
+                views=CHURN_VIEWS, data=database.copy(), storage=storage, wal="none"
+            )
+            for delta in deltas:
+                writer.apply(delta)
+            # No close yet: recovery reads what a crash would leave.
+            recovered = connect(views=CHURN_VIEWS, storage=storage)
+            try:
+                assert recovered.database == expected
+                assert recovered.verify() == []
+            finally:
+                recovered.close()
+                writer.close()
 
 
 # -- delta text round-trip ---------------------------------------------------

@@ -3,15 +3,17 @@
 Exit-code contract (see the :mod:`repro.cli` module docs): 0 success,
 1 "found corruption but did not repair it" (replay without ``--repair``) or
 a failed ``restore --verify``, 74 for unrecoverable storage errors (a file
-that is not a WAL at all).
+that is not a WAL at all, a directory written by 2.x's SQLite backend).
 """
 
 import io
 import os
+import sqlite3
 
 import pytest
 
 from repro.cli import main
+from repro.errors import StorageError
 from repro.materialize.delta import parse_delta
 from repro import connect
 from repro.storage.manager import WAL_FILENAME
@@ -26,11 +28,9 @@ def run_cli(argv):
     return code, out.getvalue()
 
 
-def seeded_store(tmp_path, backend=None):
+def seeded_store(tmp_path):
     storage = str(tmp_path / "store")
-    engine = connect(
-        views=VIEWS, data=DATA, storage=storage, backend=backend, wal="batch"
-    )
+    engine = connect(views=VIEWS, data=DATA, storage=storage, wal="batch")
     engine.apply(parse_delta("+ cites(c, d).\n- cites(a, b)."))
     engine.close()
     return storage
@@ -88,11 +88,12 @@ class TestRestoreCommand:
         assert code == 1
         assert "--verify needs --views" in output
 
-    def test_sqlite_store_reports_its_base(self, tmp_path):
-        storage = seeded_store(tmp_path, backend="sqlite")
+    def test_reports_the_snapshot_it_recovered_from(self, tmp_path):
+        storage = seeded_store(tmp_path)
         code, output = run_cli(["restore", "--storage", storage])
         assert code == 0
-        assert "sqlite base store at seq 1" in output
+        # The attach-time baseline, then the one journaled delta.
+        assert "# recovered from snapshot seq 0 + 1 WAL record(s)\n" in output
 
 
 class TestReplayCommand:
@@ -132,7 +133,7 @@ class TestServeAndStatsFlags:
     def test_stats_includes_storage_section(self, tmp_path):
         import json
 
-        storage = seeded_store(tmp_path, backend="sqlite")
+        storage = seeded_store(tmp_path)
         code, output = run_cli(
             [
                 "stats", "--views", views_file(tmp_path),
@@ -141,17 +142,35 @@ class TestServeAndStatsFlags:
         )
         assert code == 0
         stats = json.loads(output)
-        assert stats["storage"]["backend"] == "sqlite"
         assert stats["storage"]["wal_lag"] == 0
         relations = stats["session"]["storage"]["relations"]
         assert relations["cites"]["rows"] == 2
 
-    def test_naming_the_other_backend_exits_74(self, tmp_path):
-        storage = seeded_store(tmp_path, backend="sqlite")
-        code, _ = run_cli(
-            [
-                "stats", "--views", views_file(tmp_path),
-                "--storage", storage, "--backend", "memory",
-            ]
+
+
+class TestLegacySqliteDirectory:
+    def test_a_2x_sqlite_directory_is_refused_untouched(self, tmp_path):
+        # The base store of 2.x's SQLite backend, beside its empty log.
+        storage = tmp_path / "store"
+        storage.mkdir()
+        conn = sqlite3.connect(str(storage / "data.sqlite"))
+        conn.executescript(
+            "CREATE TABLE repro_catalog (name TEXT PRIMARY KEY, arity INTEGER NOT NULL);"
+            "CREATE TABLE repro_meta (key TEXT PRIMARY KEY, value TEXT);"
+            "INSERT INTO repro_meta VALUES ('applied_seq', '0');"
         )
+        conn.commit()
+        conn.close()
+        (storage / WAL_FILENAME).write_bytes(b"RWAL1\n")
+
+        def files():
+            return {path.name: path.read_bytes() for path in storage.iterdir()}
+
+        before = files()
+        with pytest.raises(StorageError, match=r"repro restore --storage DIR --output"):
+            connect(views=VIEWS, storage=str(storage))
+        code, _ = run_cli(["restore", "--storage", str(storage)])
         assert code == 74
+        code, _ = run_cli(["stats", "--views", VIEWS, "--storage", str(storage)])
+        assert code == 74
+        assert files() == before

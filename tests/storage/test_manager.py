@@ -1,8 +1,7 @@
 """StorageManager recovery semantics, engine wiring, and fault injection.
 
-The recovery contract: final state == base (newest readable snapshot, or
-the sqlite base store) + the WAL tail with ``seq > base_seq``, replayed in
-order.  Crashes are simulated by *not* closing the first engine cleanly and
+The recovery contract: final state == base (the newest readable snapshot)
++ the WAL tail with ``seq > base_seq``, replayed in order.  Crashes are simulated by *not* closing the first engine cleanly and
 by mutilating the files a real crash could leave torn; every case must end
 in a recovered engine whose answers match a never-crashed oracle — or a
 typed ReproError — never a stack trace.
@@ -10,9 +9,6 @@ typed ReproError — never a stack trace.
 
 import os
 import re
-import sqlite3
-import subprocess
-import sys
 
 import pytest
 
@@ -22,8 +18,7 @@ from repro.errors import SnapshotError, StorageError
 from repro.materialize.delta import Delta, parse_delta
 from repro.storage import StorageManager
 from repro.storage.snapshot import list_snapshots, write_snapshot
-from repro.storage.manager import APPLIED_SEQ_KEY, SQLITE_FILENAME, WAL_FILENAME
-from repro.storage.sqlite import SQLiteBackend
+from repro.storage.manager import WAL_FILENAME
 from repro.storage.wal import MAGIC as WAL_MAGIC
 
 VIEWS = "v1(X, Y) :- cites(X, Y)."
@@ -41,12 +36,9 @@ DELTAS = [
 ]
 
 
-def run_workload(storage, backend=None, wal="none", snapshot=None, deltas=DELTAS):
+def run_workload(storage, wal="none", snapshot=None, deltas=DELTAS):
     """Build an engine over fresh data, apply deltas, return its answers."""
-    engine = connect(
-        views=VIEWS, data=DATA, storage=storage, backend=backend,
-        wal=wal, snapshot=snapshot,
-    )
+    engine = connect(views=VIEWS, data=DATA, storage=storage, wal=wal, snapshot=snapshot)
     for delta in deltas:
         engine.apply(delta)
     return engine
@@ -63,71 +55,25 @@ def oracle_answers():
     return answers_of(engine)
 
 
-@pytest.fixture(params=["memory", "sqlite"])
-def backend_name(request):
-    return request.param
-
-
 class TestRecovery:
-    def test_reopen_restores_exact_answers(self, tmp_path, backend_name):
+    def test_reopen_restores_exact_answers(self, tmp_path):
         storage = str(tmp_path / "store")
-        expected = answers_of(run_workload(storage, backend=backend_name))
+        expected = answers_of(run_workload(storage))
         assert expected == oracle_answers()
         # No clean close: the WAL tail is all recovery has beyond the base.
-        recovered = connect(views=VIEWS, storage=storage, backend=backend_name)
+        recovered = connect(views=VIEWS, storage=storage)
         try:
             assert answers_of(recovered) == expected
             assert recovered.verify() == []
             report = recovered.recovery_report
-            assert report["backend"] == backend_name
             assert report["replayed"] == len(DELTAS) - report["base_seq"]
         finally:
             recovered.close()
 
-    def test_backend_autodetected_from_directory(self, tmp_path):
-        storage = str(tmp_path / "store")
-        run_workload(storage, backend="sqlite")
-        recovered = connect(views=VIEWS, storage=storage)  # no backend=
-        try:
-            assert recovered.recovery_report["backend"] == "sqlite"
-            assert type(recovered.database) is Database
-        finally:
-            recovered.close()
-
-    @pytest.mark.parametrize("first, other", [("sqlite", "memory"), ("memory", "sqlite")])
-    def test_reopening_with_the_other_backend_raises(self, tmp_path, first, other):
-        storage = str(tmp_path / "store")
-        engine = connect(views=JOIN_VIEWS, data=JOIN_DATA, storage=storage, backend=first)
-        engine.apply("+ r(3, 2).")
-        engine.close()
-        before = sorted(os.listdir(storage))
-        with pytest.raises(StorageError, match="holds"):
-            connect(views=JOIN_VIEWS, storage=storage, backend=other)
-        assert sorted(os.listdir(storage)) == before  # nothing written
-        # Naming no backend reopens whichever the directory holds.
-        for backend in (None, first):
-            recovered = connect(views=JOIN_VIEWS, storage=storage, backend=backend)
-            try:
-                assert recovered.recovery_report["backend"] == first
-                assert sorted(recovered.query(JOIN_QUERY).answers().rows) == [(1, 5), (3, 5)]
-            finally:
-                recovered.close()
-
-    def test_fresh_data_over_a_sqlite_base_without_wal_records_raises(self, tmp_path):
-        storage = str(tmp_path / "store")
-        connect(views=JOIN_VIEWS, data=JOIN_DATA, storage=storage, backend="sqlite").close()
-        with pytest.raises(StorageError, match="already holds state"):
-            connect(views=JOIN_VIEWS, data="r(7, 8). s(8, 9).", storage=storage)
-        recovered = connect(views=JOIN_VIEWS, storage=storage)
-        try:
-            assert sorted(recovered.query(JOIN_QUERY).answers().rows) == [(1, 5)]
-        finally:
-            recovered.close()
-
-    def test_attach_keeps_the_callers_database(self, tmp_path, backend_name):
+    def test_attach_keeps_the_callers_database(self, tmp_path):
         database = Database.from_dict({"cites": [("a", "b")]})
         engine = connect(
-            views=VIEWS, data=database, storage=str(tmp_path / "store"), backend=backend_name
+            views=VIEWS, data=database, storage=str(tmp_path / "store")
         )
         try:
             assert engine.database is database
@@ -136,11 +82,11 @@ class TestRecovery:
 
     def test_checkpoint_shortens_the_tail(self, tmp_path):
         storage = str(tmp_path / "store")
-        engine = run_workload(storage, backend="memory", wal="batch")
+        engine = run_workload(storage, wal="batch")
         engine.checkpoint()
         engine.apply("+ cites(e, f).")
         engine.close()
-        recovered = connect(views=VIEWS, storage=storage, backend="memory")
+        recovered = connect(views=VIEWS, storage=storage)
         try:
             report = recovered.recovery_report
             assert report["base_seq"] == len(DELTAS)
@@ -152,7 +98,7 @@ class TestRecovery:
 
     def test_auto_checkpoint_every_n_deltas(self, tmp_path):
         storage = str(tmp_path / "store")
-        engine = run_workload(storage, backend="memory", snapshot=2)
+        engine = run_workload(storage, snapshot=2)
         try:
             assert engine.storage_status()["checkpoints"] >= 2
             [(seq, _)] = list_snapshots(storage)
@@ -162,18 +108,17 @@ class TestRecovery:
 
     def test_attaching_data_over_existing_state_raises(self, tmp_path):
         storage = str(tmp_path / "store")
-        run_workload(storage, backend="memory")
+        run_workload(storage)
         with pytest.raises(StorageError):
             connect(views=VIEWS, data=DATA, storage=storage)
 
-    def test_wal_snapshot_or_backend_without_storage_raise(self):
+    def test_wal_or_snapshot_without_storage_raise(self):
         with pytest.raises(StorageError):
             connect(views=VIEWS, data=DATA, wal="always")
         with pytest.raises(StorageError):
             connect(views=VIEWS, data=DATA, snapshot=10)
-        for backend in ("memory", "sqlite", "papyrus"):
-            with pytest.raises(StorageError, match="backend= requires"):
-                connect(views=VIEWS, backend=backend)
+        with pytest.raises(TypeError, match="backend"):
+            connect(views=VIEWS, backend="memory")
 
     def test_checkpoint_without_storage_raises(self):
         engine = connect(views=VIEWS, data=DATA)
@@ -212,11 +157,11 @@ class TestCrashRecoveryExactness:
     replay or from a snapshot at 90 % of the stream plus the WAL tail."""
 
     @pytest.mark.parametrize("mode", ["full_replay", "snapshot_tail"])
-    def test_recovered_engine_matches_the_writer(self, tmp_path, backend_name, mode):
+    def test_recovered_engine_matches_the_writer(self, tmp_path, mode):
         storage = str(tmp_path / "store")
         deltas = edge_stream()
         checkpoint_after = int(len(deltas) * 0.9) if mode == "snapshot_tail" else 0
-        writer = connect(views=EDGE_VIEWS, storage=storage, backend=backend_name, wal="none")
+        writer = connect(views=EDGE_VIEWS, storage=storage, wal="none")
         for count, delta in enumerate(deltas, start=1):
             writer.apply(delta)
             if count == checkpoint_after:
@@ -224,29 +169,29 @@ class TestCrashRecoveryExactness:
         expected = [sorted(writer.query(text).answers().rows) for text in EDGE_PROBES]
         facts = writer.database.size()
         # No close: the writer is abandoned as a crash would leave it.
-        recovered = connect(views=EDGE_VIEWS, storage=storage, backend=backend_name)
+        recovered = connect(views=EDGE_VIEWS, storage=storage)
         try:
             answers = [sorted(recovered.query(text).answers().rows) for text in EDGE_PROBES]
             assert answers == expected
             assert recovered.database.size() == facts
             assert recovered.verify() == []
             report = recovered.recovery_report
-            assert report["replayed"] == len(deltas) - report["base_seq"]
-            if backend_name == "memory":
-                # The memory backend's base is the snapshot, or nothing.
-                assert report["base_seq"] == checkpoint_after
-                assert report["store_restored"] is bool(checkpoint_after)
+            # The base is the snapshot, or nothing.
+            assert (report["base_seq"], report["replayed"]) == (
+                checkpoint_after, len(deltas) - checkpoint_after
+            )
+            assert report["store_restored"] is bool(checkpoint_after)
         finally:
             recovered.close()
 
 
 class TestFaultInjection:
-    def test_torn_wal_tail_recovers_to_prefix(self, tmp_path, backend_name):
+    def test_torn_wal_tail_recovers_to_prefix(self, tmp_path):
         storage = str(tmp_path / "store")
-        run_workload(storage, backend=backend_name)
+        run_workload(storage)
         with open(os.path.join(storage, WAL_FILENAME), "ab") as handle:
             handle.write(b"\x13partial")
-        recovered = connect(views=VIEWS, storage=storage, backend=backend_name)
+        recovered = connect(views=VIEWS, storage=storage)
         try:
             assert answers_of(recovered) == oracle_answers()
             assert recovered.verify() == []
@@ -258,14 +203,14 @@ class TestFaultInjection:
 
     def test_crc_corrupt_record_truncates_from_there(self, tmp_path):
         storage = str(tmp_path / "store")
-        run_workload(storage, backend="memory")
+        run_workload(storage)
         path = os.path.join(storage, WAL_FILENAME)
         with open(path, "r+b") as handle:
             handle.seek(-1, 2)
             last = handle.read(1)
             handle.seek(-1, 2)
             handle.write(bytes([last[0] ^ 0xFF]))
-        recovered = connect(views=VIEWS, storage=storage, backend="memory")
+        recovered = connect(views=VIEWS, storage=storage)
         try:
             # The last delta is gone; state must equal the shorter history.
             oracle = connect(views=VIEWS, data=DATA)
@@ -281,7 +226,7 @@ class TestFaultInjection:
         storage = str(tmp_path / "store")
         # All facts arrive through journaled deltas, so the WAL alone can
         # rebuild everything once the snapshots are gone.
-        engine = connect(views=VIEWS, storage=storage, backend="memory", wal="batch")
+        engine = connect(views=VIEWS, storage=storage, wal="batch")
         for delta in DELTAS:
             engine.apply(delta)
         engine.checkpoint()
@@ -289,7 +234,7 @@ class TestFaultInjection:
         engine.close()
         for _, path in list_snapshots(storage):
             os.remove(path)
-        recovered = connect(views=VIEWS, storage=storage, backend="memory")
+        recovered = connect(views=VIEWS, storage=storage)
         try:
             assert answers_of(recovered) == expected
             report = recovered.recovery_report
@@ -300,7 +245,7 @@ class TestFaultInjection:
 
     def test_corrupt_snapshot_falls_back_to_older_one(self, tmp_path):
         storage = str(tmp_path / "store")
-        engine = run_workload(storage, backend="memory", wal="batch")
+        engine = run_workload(storage, wal="batch")
         engine.checkpoint()
         expected = answers_of(engine)
         engine.close()
@@ -321,7 +266,7 @@ class TestFaultInjection:
         with open(newest_path, "r+b") as handle:
             handle.seek(20)
             handle.write(b"\xff" * 8)
-        recovered = connect(views=VIEWS, storage=storage, backend="memory")
+        recovered = connect(views=VIEWS, storage=storage)
         try:
             assert answers_of(recovered) == expected
             report = recovered.recovery_report
@@ -333,48 +278,30 @@ class TestFaultInjection:
             recovered.close()
 
     def test_an_unreadable_only_snapshot_raises_naming_it(self, tmp_path):
-        # The memory backend's base lives only in its snapshot: opening
-        # without it would answer from an empty base.
+        # The base lives only in the snapshot: opening without it would
+        # answer from an empty base.
         storage = str(tmp_path / "store")
-        connect(views=VIEWS, data=DATA, storage=storage, backend="memory").close()
+        connect(views=VIEWS, data=DATA, storage=storage).close()
         [(_seq, path)] = list_snapshots(storage)
         with open(path, "r+b") as handle:
             handle.seek(20)
             handle.write(b"\xff" * 64)
         with pytest.raises(SnapshotError, match=re.escape(path)):
-            connect(views=VIEWS, storage=storage, backend="memory")
+            connect(views=VIEWS, storage=storage)
         # Deleting the unreadable file is the explicit way to recover by
         # full WAL replay (here: nothing was journaled).
         os.remove(path)
-        recovered = connect(views=VIEWS, storage=storage, backend="memory")
+        recovered = connect(views=VIEWS, storage=storage)
         try:
             assert answers_of(recovered) == []
         finally:
             recovered.close()
 
-    def test_an_unreadable_snapshot_over_a_sqlite_base_is_skipped(self, tmp_path):
-        storage = str(tmp_path / "store")
-        engine = run_workload(storage, backend="sqlite", wal="batch")
-        engine.checkpoint()
-        expected = answers_of(engine)
-        engine.close()
-        [(_seq, path)] = list_snapshots(storage)
-        with open(path, "r+b") as handle:
-            handle.seek(20)
-            handle.write(b"\xff" * 64)
-        recovered = connect(views=VIEWS, storage=storage, backend="sqlite")
-        try:
-            assert answers_of(recovered) == expected
-            [skipped] = recovered.recovery_report["snapshots_skipped"]
-            assert skipped["path"] == path
-        finally:
-            recovered.close()
-
     def test_delta_replay_is_idempotent_at_least_once(self, tmp_path):
-        # Journaled, not applied: mark_applied never ran, so the sqlite base
-        # holds none of the tail, which recovery replays onto it.
+        # Journaled, applied in memory, never marked or checkpointed: the
+        # attach-time snapshot holds none of the tail, which recovery replays.
         storage = str(tmp_path / "store")
-        manager = StorageManager(storage, backend="sqlite")
+        manager = StorageManager(storage)
         database = manager.attach_database(
             Database.from_dict({"cites": [("a", "b")]})
         )
@@ -383,7 +310,7 @@ class TestFaultInjection:
         database.apply_delta(delta)  # applied in memory, never marked
         manager.close()
 
-        result = StorageManager(storage, backend="sqlite").recover()
+        result = StorageManager(storage).recover()
         recovered = result.database
         for record in result.tail:
             recovered.apply_delta(parse_delta(record.payload))
@@ -391,16 +318,16 @@ class TestFaultInjection:
 
 
 class TestDurableServedPath:
-    """A durable engine serves exactly as a plain one: every backend holds a
-    plain Database, so nothing forks the served path."""
+    """A durable engine serves exactly as a plain one: it holds a plain
+    Database, so nothing forks the served path."""
 
     SHAPE = "q(X) :- t(X, Y), Y != '%s'."
 
-    def test_bound_forms_are_left_and_hit(self, tmp_path, backend_name):
+    def test_bound_forms_are_left_and_hit(self, tmp_path):
         # No view covers t: the plan reads the base relations.
         engine = connect(
             views="w(X) :- u(X).", data="t(1, c). t(2, e). t(3, f).",
-            storage=str(tmp_path / "store"), backend=backend_name,
+            storage=str(tmp_path / "store"),
         )
         try:
             rows = [engine.query(self.SHAPE % c).answers().rows for c in ("c", "e", "f")]
@@ -410,7 +337,7 @@ class TestDurableServedPath:
         finally:
             engine.close()
 
-    def test_constant_filtered_scans_match_a_plain_engine(self, tmp_path, backend_name):
+    def test_constant_filtered_scans_match_a_plain_engine(self, tmp_path):
         # Single-atom queries with constants over heterogeneous values, read
         # back from the base after a restart, answer as over the original rows.
         database = Database.from_dict({
@@ -422,7 +349,7 @@ class TestDurableServedPath:
         ]
         storage = str(tmp_path / "store")
         connect(
-            views="w(X) :- u(X).", data=database.copy(), storage=storage, backend=backend_name,
+            views="w(X) :- u(X).", data=database.copy(), storage=storage,
         ).close()
         plain = connect(views="w(X) :- u(X).", data=database)
         recovered = connect(views="w(X) :- u(X).", storage=storage)
@@ -433,163 +360,24 @@ class TestDurableServedPath:
         finally:
             recovered.close()
 
-    def test_the_environment_does_not_choose_the_backend(self, tmp_path):
-        storage = str(tmp_path / "store")
-        script = (
-            "import sys, repro\n"
-            "engine = repro.connect(views='v(X) :- r(X).', data='r(1).', storage=sys.argv[1])\n"
-            "print(engine.storage_status()['backend'])\n"
-            "engine.close()\n"
-            "print(repro.connect(views='v(X) :- r(X).', data='r(1).').storage_status())\n"
-        )
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(__file__))), "src")
-        env = dict(os.environ, REPRO_DEFAULT_BACKEND="sqlite", PYTHONPATH=src)
-        out = subprocess.run(
-            [sys.executable, "-c", script, storage],
-            env=env, capture_output=True, text=True, check=True,
-        ).stdout.split()
-        assert out == ["memory", "None"]
-        assert not os.path.exists(os.path.join(storage, SQLITE_FILENAME))
-
-
 class TestBaseImage:
-    """What the directory keeps of the engine's plain Database: the sqlite
-    file per applied delta, the snapshot on the memory backend."""
+    """What the directory's snapshot keeps of the engine's plain Database."""
 
-    def test_sqlite_base_holds_every_applied_delta(self, tmp_path):
-        storage = str(tmp_path / "store")
-        writer = run_workload(storage, backend="sqlite")
-        # No close: the base alone must already hold the writer's state.
-        base = SQLiteBackend(os.path.join(storage, SQLITE_FILENAME))
-        try:
-            assert base.get_meta(APPLIED_SEQ_KEY) == str(len(DELTAS))
-            stored = {name: frozenset(base.scan(name)) for name in base.relation_names()}
-            assert stored == {
-                name: writer.database.tuples(name) for name in writer.database.relation_names()
-            }
-        finally:
-            base.close()
-        recovered = connect(views=VIEWS, storage=storage)
-        try:
-            report = recovered.recovery_report
-            assert (report["base_seq"], report["replayed"]) == (len(DELTAS), 0)
-            assert recovered.database == writer.database
-        finally:
-            recovered.close()
-            writer.close()
-
-    def test_only_the_effective_delta_reaches_the_sqlite_base(self, tmp_path):
-        engine = connect(
-            views=JOIN_VIEWS, data=JOIN_DATA, storage=str(tmp_path / "store"), backend="sqlite"
-        )
-        statements = []
-        engine.storage._base._conn.set_trace_callback(statements.append)
-        # A present row, an absent one, and a relation the base never held.
-        engine.apply("+ r(1, 2).\n- s(9, 9).\n- zzz(1).")
-        engine.storage._base._conn.set_trace_callback(None)
-        try:
-            assert not any(s.startswith(("INSERT OR IGNORE", "DELETE")) for s in statements)
-            assert any("repro_meta" in s and APPLIED_SEQ_KEY in s for s in statements)
-            assert engine.storage_status()["wal_lag"] == 0
-        finally:
-            engine.close()
-
-    def test_a_failed_base_write_moves_neither_rows_nor_watermark(self, tmp_path, monkeypatch):
-        storage = str(tmp_path / "store")
-        manager = StorageManager(storage, backend="sqlite")
-        database = manager.attach_database(Database.from_dict({"r": [(1, 2)]}))
-        delta = parse_delta("- r(1, 2).\n+ r(3, 4).")
-        seq = manager.journal(delta, database.version)
-        effective = database.apply_delta(delta)
-
-        def refuse(key, value):
-            raise StorageError("disk full")
-
-        monkeypatch.setattr(manager._base, "set_meta", refuse)
-        with pytest.raises(StorageError, match="disk full"):
-            manager.mark_applied(seq, effective)
-        assert manager.status()["wal_lag"] == 1
-        monkeypatch.undo()
-        manager.close()
-        reopened = StorageManager(storage)
-        try:
-            result = reopened.recover()
-            # The row writes rolled back with the watermark: the base is as
-            # attached, and the delta is still in the tail to replay.
-            assert result.base_seq == 0
-            assert result.database.tuples("r") == frozenset({(1, 2)})
-            assert [record.seq for record in result.tail] == [seq]
-        finally:
-            reopened.close()
-
-    def test_a_snapshot_restores_the_store_only_at_the_bases_seq(self, tmp_path):
-        storage = str(tmp_path / "store")
-        engine = run_workload(storage, backend="sqlite", wal="batch")
-        engine.checkpoint()
-        engine.close()
-        recovered = connect(views=VIEWS, storage=storage)
-        report = recovered.recovery_report
-        assert (report["base_seq"], report["replayed"]) == (len(DELTAS), 0)
-        assert report["snapshot"]["seq"] == len(DELTAS)
-        assert report["store_restored"] is True
-        recovered.apply("+ cites(e, f).")
-        expected = answers_of(recovered)
-        # Abandoned after one more delta: the base is past the snapshot, so
-        # the store recomputes from the base instead of using stale counters.
-        again = connect(views=VIEWS, storage=storage)
-        try:
-            report = again.recovery_report
-            assert (report["base_seq"], report["replayed"]) == (len(DELTAS) + 1, 0)
-            assert report["store_restored"] is False
-            assert answers_of(again) == expected
-            assert again.verify() == []
-        finally:
-            again.close()
-            recovered.close()
-
-    def test_a_base_store_in_the_documented_layout_reopens(self, tmp_path):
-        # Written with plain SQL, not SQLiteBackend: the tables and the
-        # tagged-text encoding are the on-disk format.
-        storage = tmp_path / "store"
-        storage.mkdir()
-        conn = sqlite3.connect(str(storage / SQLITE_FILENAME))
-        conn.executescript(
-            "CREATE TABLE repro_catalog (name TEXT PRIMARY KEY, arity INTEGER NOT NULL);"
-            "CREATE TABLE repro_meta (key TEXT PRIMARY KEY, value TEXT);"
-            'CREATE TABLE "r_r" (c0 TEXT NOT NULL, c1 TEXT NOT NULL, '
-            "PRIMARY KEY (c0, c1)) WITHOUT ROWID;"
-            'CREATE TABLE "r_s" (c0 TEXT NOT NULL, c1 TEXT NOT NULL, '
-            "PRIMARY KEY (c0, c1)) WITHOUT ROWID;"
-            "INSERT INTO repro_catalog VALUES ('r', 2), ('s', 2);"
-            "INSERT INTO repro_meta VALUES ('applied_seq', '0');"
-            "INSERT INTO \"r_r\" VALUES ('i1', 'i2'), ('i3', 'i2'), ('sx', 'f2.5');"
-            "INSERT INTO \"r_s\" VALUES ('i2', 'i5');"
-        )
-        conn.commit()
-        conn.close()
-        recovered = connect(views=JOIN_VIEWS, storage=str(storage))
-        try:
-            assert recovered.recovery_report["backend"] == "sqlite"
-            assert recovered.database.tuples("r") == frozenset({(1, 2), (3, 2), ("x", 2.5)})
-            assert sorted(recovered.query(JOIN_QUERY).answers().rows) == [(1, 5), (3, 5)]
-        finally:
-            recovered.close()
-
-    def test_an_attached_empty_relation_keeps_its_arity(self, tmp_path, backend_name):
+    def test_an_attached_empty_relation_keeps_its_arity(self, tmp_path):
         database = Database.from_dict({"cites": [("a", "b")]})
         database.ensure_relation("empty", 3)
         storage = str(tmp_path / "store")
-        connect(views=VIEWS, data=database, storage=storage, backend=backend_name)
+        connect(views=VIEWS, data=database, storage=storage)
         recovered = connect(views=VIEWS, storage=storage)
         try:
             assert recovered.database.schema() == {"cites": 2, "empty": 3}
         finally:
             recovered.close()
 
-    def test_a_delta_can_introduce_a_relation(self, tmp_path, backend_name):
+    def test_a_delta_can_introduce_a_relation(self, tmp_path):
         storage = str(tmp_path / "store")
         fresh = Delta(inserted={"fresh": [(1, "x", 2.5)]}, removed={})
-        writer = run_workload(storage, backend=backend_name, deltas=[fresh])
+        writer = run_workload(storage, deltas=[fresh])
         recovered = connect(views=VIEWS, storage=storage)
         try:
             assert recovered.database.schema()["fresh"] == 3
@@ -620,74 +408,32 @@ class TestManagerDirectly:
         assert manager.status()["wal_lag"] == 0
         manager.close()
 
-    def test_sqlite_delta_rows_and_watermark_commit_in_one_transaction(self, tmp_path):
-        engine = connect(
-            views=JOIN_VIEWS, data=JOIN_DATA, storage=str(tmp_path / "store"), backend="sqlite"
-        )
-        statements = []
-        engine.storage._base._conn.set_trace_callback(statements.append)
-        engine.apply("+ r(3, 2).\n- s(2, 5).")
-        engine.storage._base._conn.set_trace_callback(None)
-        engine.close()
-        assert statements[0].startswith("BEGIN") and statements[-1] == "COMMIT"
-        assert sum(s.startswith(("BEGIN", "COMMIT")) for s in statements) == 2
-        inner = statements[1:-1]
-        assert any(s.startswith('INSERT OR IGNORE INTO "r_r"') for s in inner)
-        assert any(s.startswith('DELETE FROM "r_s"') for s in inner)
-        assert any("repro_meta" in s and APPLIED_SEQ_KEY in s for s in inner)
-
-    def test_mark_applied_without_a_delta_moves_only_the_watermark(self, tmp_path):
-        storage = str(tmp_path / "store")
-        manager = StorageManager(storage, backend="sqlite")
-        manager.attach_database(Database.from_dict({"r": [(1, 2)]}))
-        seq = manager.journal(parse_delta("+ r(3, 4)."), 0)
-        manager.mark_applied(seq)
-        manager.close()
-        reopened = StorageManager(storage)
-        try:
-            result = reopened.recover()
-            assert result.base_seq == seq and result.tail == []
-            assert result.database.tuples("r") == frozenset({(1, 2)})
-        finally:
-            reopened.close()
-
     def test_has_state(self, tmp_path):
         fresh = StorageManager(str(tmp_path / "fresh"))
         assert not fresh.has_state
         fresh.journal(Delta(inserted={"r": [(1,)]}, removed={}), 0)
         assert fresh.has_state
         fresh.close()
-        sqlite = StorageManager(str(tmp_path / "sqlite"), backend="sqlite")
-        sqlite.attach_database(Database())
-        assert sqlite.has_state
-        assert os.path.exists(os.path.join(sqlite.directory, SQLITE_FILENAME))
-        sqlite.close()
+        attached = StorageManager(str(tmp_path / "attached"))
+        attached.attach_database(Database())
+        assert not attached.has_state  # nothing to keep, nothing written
+        attached.attach_database(Database.from_dict({"r": [(1,)]}))
+        assert attached.has_state  # the baseline snapshot
+        attached.close()
 
     def test_a_log_holding_only_its_magic_is_not_state(self, tmp_path):
         storage = str(tmp_path / "store")
         StorageManager(storage).close()
         assert os.path.getsize(os.path.join(storage, WAL_FILENAME)) == len(WAL_MAGIC)
-        manager = StorageManager(storage, backend="sqlite")
+        manager = StorageManager(storage)
         try:
-            assert manager.backend_name == "sqlite"
             assert not manager.has_state
         finally:
             manager.close()
 
-    def test_a_torn_first_record_is_memory_state(self, tmp_path):
-        storage = str(tmp_path / "store")
-        StorageManager(storage).close()
-        with open(os.path.join(storage, WAL_FILENAME), "ab") as handle:
-            handle.write(b"\x13partial")
-        with pytest.raises(StorageError, match="holds memory state"):
-            StorageManager(storage, backend="sqlite")
-        assert not os.path.exists(os.path.join(storage, SQLITE_FILENAME))
-        manager = StorageManager(storage)
-        try:
-            assert manager.backend_name == "memory"
-        finally:
-            manager.close()
-
-    def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(StorageError):
-            StorageManager(str(tmp_path / "store"), backend="papyrus")
+    def test_only_the_memory_backend_is_accepted(self, tmp_path):
+        for backend in ("sqlite", "papyrus"):
+            with pytest.raises(StorageError, match="unknown storage backend"):
+                StorageManager(str(tmp_path / backend), backend=backend)
+            assert not os.path.exists(tmp_path / backend)
+        StorageManager(str(tmp_path / "store"), backend="memory").close()

@@ -369,6 +369,7 @@ class TestRemovedFlags:
              "--executor", "compiled"],
             ["snapshot", "--storage", "store", "--backend", "sqlite"],
             ["restore", "--storage", "store", "--backend", "sqlite"],
+            ["serve", "--views", VIEWS, "--backend", "memory"],
             ["answer", "--query", QUERY, "--database", DATABASE, "--executor", "compiled"],
             ["explain", "--query", QUERY, "--views", VIEWS, "--executor", "interpreted"],
             ["serve", "--views", VIEWS, "--executor", "compiled"],
@@ -380,7 +381,7 @@ class TestRemovedFlags:
         ],
         ids=[
             "serve-workers", "batch-processes", "materialize-executor",
-            "snapshot-backend", "restore-backend",
+            "snapshot-backend", "restore-backend", "serve-backend",
             "answer-executor", "explain-executor", "serve-executor", "stats-executor",
             "batch-executor", "serve-no-view-index", "stats-no-view-index",
             "batch-no-view-index",
