@@ -156,6 +156,17 @@ class TestDifferential:
         assert repr(parse_database("r(0e3).")[0].args[0].value) == "0.0"
         assert [repr(value) for (value,) in as_database("p(0.0).").tuples("p")] == ["0.0"]
 
+    @pytest.mark.parametrize("reader", ["parse_database", "as_database", "parse_delta"])
+    @pytest.mark.parametrize("first, then", [("-0.0", "0e3"), ("0.0", "-0e0")])
+    def test_each_reader_keeps_the_sign_of_a_later_zero(self, reader, first, then):
+        read = {
+            "parse_database": lambda text: parse_database(f"r({text}).")[0].args[0].value,
+            "as_database": lambda text: next(iter(as_database(f"r({text}).").tuples("r")))[0],
+            "parse_delta": lambda text: next(iter(parse_delta(f"+ r({text}).").inserted["r"]))[0],
+        }[reader]
+        assert repr(read(first)) == repr(float(first))
+        assert repr(read(then)) == repr(float(then))
+
     def test_a_text_of_a_few_facts_parses_whole(self, monkeypatch):
         monkeypatch.setattr(parser, "_shape", None)
         assert parse_facts("r(1). r(2) s(a). s(b, 'x').") == [

@@ -8,6 +8,7 @@ that is not a WAL at all, a directory written by 2.x's SQLite backend).
 
 import io
 import os
+import re
 import sqlite3
 
 import pytest
@@ -16,6 +17,7 @@ from repro.cli import main
 from repro.errors import StorageError
 from repro.materialize.delta import parse_delta
 from repro import connect
+from repro.storage import StorageManager
 from repro.storage.manager import WAL_FILENAME
 
 VIEWS = "v1(X, Y) :- cites(X, Y)."
@@ -148,29 +150,49 @@ class TestServeAndStatsFlags:
 
 
 
+def legacy_store(tmp_path):
+    """The base store of 2.x's SQLite backend, beside its empty log."""
+    storage = tmp_path / "store"
+    storage.mkdir()
+    conn = sqlite3.connect(str(storage / "data.sqlite"))
+    conn.executescript(
+        "CREATE TABLE repro_catalog (name TEXT PRIMARY KEY, arity INTEGER NOT NULL);"
+        "CREATE TABLE repro_meta (key TEXT PRIMARY KEY, value TEXT);"
+        "INSERT INTO repro_meta VALUES ('applied_seq', '0');"
+    )
+    conn.commit()
+    conn.close()
+    (storage / WAL_FILENAME).write_bytes(b"RWAL1\n")
+    return storage
+
+
+#: Every way to open a storage directory: a library call raises, a verb exits.
+OPENERS = {
+    "connect": lambda d: connect(views=VIEWS, storage=d),
+    "connect-data": lambda d: connect(views=VIEWS, data=DATA, storage=d),
+    "manager": lambda d: StorageManager(d),
+    "restore": lambda d: run_cli(["restore", "--storage", d]),
+    "stats": lambda d: run_cli(["stats", "--views", VIEWS, "--storage", d]),
+    "snapshot": lambda d: run_cli(["snapshot", "--storage", d, "--views", VIEWS]),
+    "serve": lambda d: run_cli(["serve", "--views", VIEWS, "--storage", d]),
+}
+
+
 class TestLegacySqliteDirectory:
-    def test_a_2x_sqlite_directory_is_refused_untouched(self, tmp_path):
-        # The base store of 2.x's SQLite backend, beside its empty log.
-        storage = tmp_path / "store"
-        storage.mkdir()
-        conn = sqlite3.connect(str(storage / "data.sqlite"))
-        conn.executescript(
-            "CREATE TABLE repro_catalog (name TEXT PRIMARY KEY, arity INTEGER NOT NULL);"
-            "CREATE TABLE repro_meta (key TEXT PRIMARY KEY, value TEXT);"
-            "INSERT INTO repro_meta VALUES ('applied_seq', '0');"
-        )
-        conn.commit()
-        conn.close()
-        (storage / WAL_FILENAME).write_bytes(b"RWAL1\n")
+    @pytest.mark.parametrize("opener", list(OPENERS))
+    def test_a_2x_sqlite_directory_is_refused_untouched(self, tmp_path, capsys, opener):
+        storage = legacy_store(tmp_path)
 
         def files():
             return {path.name: path.read_bytes() for path in storage.iterdir()}
 
         before = files()
-        with pytest.raises(StorageError, match=r"repro restore --storage DIR --output"):
-            connect(views=VIEWS, storage=str(storage))
-        code, _ = run_cli(["restore", "--storage", str(storage)])
-        assert code == 74
-        code, _ = run_cli(["stats", "--views", VIEWS, "--storage", str(storage)])
-        assert code == 74
+        way_out = r"repro restore --storage DIR --output"
+        if opener.startswith(("connect", "manager")):
+            with pytest.raises(StorageError, match=way_out):
+                OPENERS[opener](str(storage))
+        else:
+            code, _ = OPENERS[opener](str(storage))
+            assert code == 74
+            assert re.search(way_out, capsys.readouterr().err)
         assert files() == before

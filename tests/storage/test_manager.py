@@ -9,6 +9,8 @@ typed ReproError — never a stack trace.
 
 import os
 import re
+import struct
+import zlib
 
 import pytest
 
@@ -19,7 +21,7 @@ from repro.materialize.delta import Delta, parse_delta
 from repro.storage import StorageManager
 from repro.storage.snapshot import list_snapshots, write_snapshot
 from repro.storage.manager import WAL_FILENAME
-from repro.storage.wal import MAGIC as WAL_MAGIC
+from repro.storage.wal import MAGIC as WAL_MAGIC, WriteAheadLog
 
 VIEWS = "v1(X, Y) :- cites(X, Y)."
 DATA = "cites(a, b). cites(b, c). refs(a, 1)."
@@ -56,9 +58,10 @@ def oracle_answers():
 
 
 class TestRecovery:
-    def test_reopen_restores_exact_answers(self, tmp_path):
+    @pytest.mark.parametrize("wal", ["none", "batch", "always"])
+    def test_reopen_restores_exact_answers(self, tmp_path, wal):
         storage = str(tmp_path / "store")
-        expected = answers_of(run_workload(storage))
+        expected = answers_of(run_workload(storage, wal=wal))
         assert expected == oracle_answers()
         # No clean close: the WAL tail is all recovery has beyond the base.
         recovered = connect(views=VIEWS, storage=storage)
@@ -153,19 +156,29 @@ def edge_stream():
 
 
 class TestCrashRecoveryExactness:
-    """A writer abandoned mid-stream recovers to exactly its state, by full
-    replay or from a snapshot at 90 % of the stream plus the WAL tail."""
+    """A writer abandoned mid-stream recovers to exactly its state: by full
+    replay, from a snapshot at 90 % of the stream plus the WAL tail, from the
+    newest of its automatic snapshots, or after an engine recovered halfway
+    through wrote the rest of the stream and was abandoned in turn."""
 
-    @pytest.mark.parametrize("mode", ["full_replay", "snapshot_tail"])
+    #: mode -> the base_seq recovery must start from (20 deltas in the stream)
+    BASES = {"full_replay": 0, "snapshot_tail": 18, "auto_snapshot": 14, "second_writer": 0}
+
+    @pytest.mark.parametrize("mode", list(BASES))
     def test_recovered_engine_matches_the_writer(self, tmp_path, mode):
         storage = str(tmp_path / "store")
         deltas = edge_stream()
         checkpoint_after = int(len(deltas) * 0.9) if mode == "snapshot_tail" else 0
-        writer = connect(views=EDGE_VIEWS, storage=storage, wal="none")
+        snapshot = 7 if mode == "auto_snapshot" else None
+        handoff = len(deltas) // 2 if mode == "second_writer" else 0
+        writer = connect(views=EDGE_VIEWS, storage=storage, wal="none", snapshot=snapshot)
         for count, delta in enumerate(deltas, start=1):
             writer.apply(delta)
             if count == checkpoint_after:
                 writer.checkpoint()
+            if count == handoff:
+                writer = connect(views=EDGE_VIEWS, storage=storage, wal="none")
+                assert writer.recovery_report["replayed"] == handoff
         expected = [sorted(writer.query(text).answers().rows) for text in EDGE_PROBES]
         facts = writer.database.size()
         # No close: the writer is abandoned as a crash would leave it.
@@ -176,27 +189,37 @@ class TestCrashRecoveryExactness:
             assert recovered.database.size() == facts
             assert recovered.verify() == []
             report = recovered.recovery_report
-            # The base is the snapshot, or nothing.
+            # The base is the newest snapshot, or nothing.
+            base_seq = self.BASES[mode]
             assert (report["base_seq"], report["replayed"]) == (
-                checkpoint_after, len(deltas) - checkpoint_after
+                base_seq, len(deltas) - base_seq
             )
-            assert report["store_restored"] is bool(checkpoint_after)
+            assert report["store_restored"] is bool(base_seq)
         finally:
             recovered.close()
 
 
 class TestFaultInjection:
-    def test_torn_wal_tail_recovers_to_prefix(self, tmp_path):
+    @pytest.mark.parametrize(
+        "torn, corruption",
+        [
+            (b"\x13partial", "torn record header"),
+            (struct.pack("<QQII", len(DELTAS) + 1, 0, 64, zlib.crc32(b"+ r")) + b"+ r",
+             "torn record payload"),
+        ],
+        ids=["header", "payload"],
+    )
+    def test_torn_wal_tail_recovers_to_prefix(self, tmp_path, torn, corruption):
         storage = str(tmp_path / "store")
         run_workload(storage)
         with open(os.path.join(storage, WAL_FILENAME), "ab") as handle:
-            handle.write(b"\x13partial")
+            handle.write(torn)
         recovered = connect(views=VIEWS, storage=storage)
         try:
             assert answers_of(recovered) == oracle_answers()
             assert recovered.verify() == []
             wal = recovered.recovery_report["wal"]
-            assert wal["corruption"] == "torn record header"
+            assert wal["corruption"] == corruption
             assert wal["repaired"] is True
         finally:
             recovered.close()
@@ -363,6 +386,57 @@ class TestDurableServedPath:
 class TestBaseImage:
     """What the directory's snapshot keeps of the engine's plain Database."""
 
+    def test_a_failed_base_write_moves_neither_rows_nor_watermark(self, tmp_path, monkeypatch):
+        # The base is the newest snapshot: a checkpoint whose file never lands
+        # leaves the attach-time snapshot as the base and the delta in the tail.
+        storage = str(tmp_path / "store")
+        manager = StorageManager(storage)
+        database = manager.attach_database(Database.from_dict({"r": [(1, 2)]}))
+        delta = parse_delta("- r(1, 2).\n+ r(3, 4).")
+        seq = manager.journal(delta, database.version)
+        database.apply_delta(delta)
+        manager.mark_applied(seq)
+
+        def refuse(source, target):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="No space left"):
+            manager.checkpoint(database)
+        monkeypatch.undo()
+        status = manager.status()
+        assert (status["snapshot_seq"], status["checkpoints"]) == (0, 1)
+        manager.close()
+        reopened = StorageManager(storage)
+        try:
+            result = reopened.recover()
+            assert result.base_seq == 0
+            assert result.database.tuples("r") == frozenset({(1, 2)})
+            assert [record.seq for record in result.tail] == [seq]
+        finally:
+            reopened.close()
+
+    def test_a_base_store_in_the_documented_layout_reopens(self, tmp_path):
+        # Written with the format's own writers, not an engine: a snapshot
+        # file and a log whose record lies past it are the on-disk format.
+        storage = tmp_path / "store"
+        write_snapshot(
+            str(storage), seq=1, version=1,
+            relations={"r": (2, [(1, 2), (3, 2), ("x", 2.5)]), "s": (2, [(2, 5), (2, 6)])},
+        )
+        wal = WriteAheadLog(str(storage / WAL_FILENAME))
+        wal.append("+ s(2, 6).", 1)  # seq 1: the snapshot already holds it
+        wal.append("- r(3, 2).", 2)  # seq 2: the tail
+        wal.close()
+        recovered = connect(views=JOIN_VIEWS, storage=str(storage))
+        try:
+            report = recovered.recovery_report
+            assert (report["base_seq"], report["replayed"]) == (1, 1)
+            assert recovered.database.tuples("r") == frozenset({(1, 2), ("x", 2.5)})
+            assert sorted(recovered.query(JOIN_QUERY).answers().rows) == [(1, 5), (1, 6)]
+        finally:
+            recovered.close()
+
     def test_an_attached_empty_relation_keeps_its_arity(self, tmp_path):
         database = Database.from_dict({"cites": [("a", "b")]})
         database.ensure_relation("empty", 3)
@@ -431,9 +505,55 @@ class TestManagerDirectly:
         finally:
             manager.close()
 
-    def test_only_the_memory_backend_is_accepted(self, tmp_path):
-        for backend in ("sqlite", "papyrus"):
-            with pytest.raises(StorageError, match="unknown storage backend"):
-                StorageManager(str(tmp_path / backend), backend=backend)
-            assert not os.path.exists(tmp_path / backend)
-        StorageManager(str(tmp_path / "store"), backend="memory").close()
+    def test_mark_applied_without_a_delta_moves_only_the_watermark(self, tmp_path):
+        # The watermark is in memory; only a checkpoint moves the base.
+        storage = str(tmp_path / "store")
+        manager = StorageManager(storage)
+        manager.attach_database(Database.from_dict({"r": [(1, 2)]}))
+        seq = manager.journal(parse_delta("+ r(3, 4)."), 0)
+        manager.mark_applied(seq)
+        status = manager.status()
+        assert (status["applied_seq"], status["wal_lag"]) == (seq, 0)
+        assert (status["snapshot_seq"], status["checkpoints"]) == (0, 1)
+        manager.close()
+        reopened = StorageManager(storage)
+        try:
+            result = reopened.recover()
+            assert result.base_seq == 0
+            assert [record.seq for record in result.tail] == [seq]
+            assert result.database.tuples("r") == frozenset({(1, 2)})
+        finally:
+            reopened.close()
+
+    def test_a_torn_first_record_is_not_state(self, tmp_path):
+        # A crash inside the first append: opening repairs the log, and the
+        # directory takes fresh data.
+        storage = str(tmp_path / "store")
+        StorageManager(storage).close()
+        path = os.path.join(storage, WAL_FILENAME)
+        with open(path, "ab") as handle:
+            handle.write(b"\x13partial")
+        manager = StorageManager(storage)
+        try:
+            assert not manager.has_state
+            assert os.path.getsize(path) == len(WAL_MAGIC)
+            manager.attach_database(Database.from_dict({"r": [(1,)]}))
+            assert manager.has_state
+        finally:
+            manager.close()
+
+    @pytest.mark.parametrize("backend", ["sqlite", "papyrus", "Memory", ""])
+    def test_unknown_backend_rejected(self, tmp_path, backend):
+        directory = tmp_path / "store"
+        with pytest.raises(StorageError, match="unknown storage backend"):
+            StorageManager(str(directory), backend=backend)
+        assert not directory.exists()
+
+    @pytest.mark.parametrize("backend", [None, "memory"])
+    def test_only_the_memory_backend_is_accepted(self, tmp_path, backend):
+        manager = StorageManager(str(tmp_path / "store"), backend=backend)
+        try:
+            manager.attach_database(Database.from_dict({"r": [(1,)]}))
+            assert manager.recover().database.tuples("r") == frozenset({(1,)})
+        finally:
+            manager.close()

@@ -370,6 +370,7 @@ class TestRemovedFlags:
             ["snapshot", "--storage", "store", "--backend", "sqlite"],
             ["restore", "--storage", "store", "--backend", "sqlite"],
             ["serve", "--views", VIEWS, "--backend", "memory"],
+            ["stats", "--views", VIEWS, "--backend", "memory"],
             ["answer", "--query", QUERY, "--database", DATABASE, "--executor", "compiled"],
             ["explain", "--query", QUERY, "--views", VIEWS, "--executor", "interpreted"],
             ["serve", "--views", VIEWS, "--executor", "compiled"],
@@ -381,7 +382,7 @@ class TestRemovedFlags:
         ],
         ids=[
             "serve-workers", "batch-processes", "materialize-executor",
-            "snapshot-backend", "restore-backend", "serve-backend",
+            "snapshot-backend", "restore-backend", "serve-backend", "stats-backend",
             "answer-executor", "explain-executor", "serve-executor", "stats-executor",
             "batch-executor", "serve-no-view-index", "stats-no-view-index",
             "batch-no-view-index",
